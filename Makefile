@@ -76,14 +76,15 @@ NEW ?= BENCH_pr6.json
 bench-diff:
 	@$(GO) run ./internal/tools/benchjson -diff $(OLD) $(NEW)
 
-# Observability overhead guard: rerun the reference engine benchmark
-# and fail if ns/op worsened by more than 2% against the committed PR6
-# capture (benchmarks present only on one side are reported, never
-# counted). Run on a quiet machine; GUARD_BENCHTIME trades noise for
-# wall time.
+# Overhead guard: rerun one reference benchmark per guarded layer — the
+# Procedure 5.1 engine and the joint search — and fail if any metric
+# worsened by more than 2% against the committed BENCH_pr6.json capture
+# (benchmarks present only on one side are reported, never counted).
+# Run on a quiet machine; GUARD_BENCHTIME trades noise for wall time.
 GUARD_BENCHTIME ?= 3s
 bench-guard:
-	@$(GO) test -run '^$$' -bench 'Engines/procedure/mu=8$$' -benchmem -benchtime=$(GUARD_BENCHTIME) . \
+	@{ $(GO) test -run '^$$' -bench 'Engines/procedure/mu=8$$' -benchmem -benchtime=$(GUARD_BENCHTIME) . ; \
+	   $(GO) test -run '^$$' -bench 'JointMapping/transitive-closure/workers=1$$' -benchmem -benchtime=$(GUARD_BENCHTIME) . ; } \
 		| $(GO) run ./internal/tools/benchjson > BENCH_guard.json
 	@$(GO) run ./internal/tools/benchjson -diff -threshold 0.02 -fail BENCH_pr6.json BENCH_guard.json
 

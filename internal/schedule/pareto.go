@@ -286,10 +286,16 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	if baseMaxCost == 0 {
 		baseMaxCost = defaultMaxCost(algo.Set)
 	}
-	// No Π satisfies ΠD > 0 below this objective level, so every
-	// candidate starts its level scan there; −1 proves infeasibility
-	// outright.
-	floor := minValidCost(algo, baseMaxCost)
+	// One Π ladder serves every per-S staircase: the objective levels
+	// and their ΠD > 0 passers depend only on μ and D, never on S.
+	ladder := newPiLadder(algo)
+	// No Π satisfies ΠD > 0 below the ladder's first non-empty level, so
+	// every candidate starts its level scan there; −1 proves
+	// infeasibility outright.
+	floor, err := ladder.firstNonEmpty(ctx, baseMaxCost)
+	if err != nil {
+		return nil, fmt.Errorf("schedule: pareto search: %w", err)
+	}
 	if floor < 0 {
 		return nil, fmt.Errorf("%w: no Π with ΠD > 0 and Σ|π_i|·μ_i ≤ %d", ErrNoSchedule, baseMaxCost)
 	}
@@ -350,27 +356,29 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 				return
 			}
 			stats.costLevels.Add(1)
+			lv, err := ladder.level(wctx, cost)
+			if err != nil {
+				return
+			}
 			var lvlMapping *Mapping
 			var lvlBuf int64
-			tried := 0
-			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				tried++
-				if tried&ctxCheckMask == 0 && wctx.Err() != nil {
-					return false
+			for j := 0; j < lv.Len(); j++ {
+				if j&ctxCheckMask == ctxCheckMask && wctx.Err() != nil {
+					break
 				}
-				r, ok := cctx.tryWith(pi, sc)
+				pi := lv.pi(j)
+				r, ok := cctx.tryValid(pi, sc)
 				if !ok {
-					return true
+					continue
 				}
-				// enumerate visits Π in lexicographic order, so a
+				// The ladder keeps enumerate's lexicographic order, so a
 				// strict < keeps the lex-least among equal-buffer
 				// winners of the level.
 				if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
 					lvlMapping, lvlBuf = r.Mapping, b
 				}
-				return true
-			})
-			stats.scheduleCandidates.Add(int64(tried))
+			}
+			stats.scheduleCandidates.Add(lv.raw)
 			if err := cctx.takeErr(); err != nil {
 				errs[i] = err
 				cancelSearch()

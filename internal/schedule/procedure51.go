@@ -58,7 +58,7 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 			return nil, err
 		}
 	}
-	return findOptimalWith(ctx, algo, s, opts, analyzer, nil)
+	return findOptimalWith(ctx, algo, s, opts, analyzer, nil, nil)
 }
 
 // ctxCheckMask paces the in-level cancellation checks: ctx.Err() takes
@@ -76,7 +76,13 @@ const ctxCheckMask = 255
 // candidate and level counts into (the joint optimizer passes one
 // collector across all inner searches); when nil the engine owns a
 // fresh collector and attaches its snapshot to the winning Result.
-func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (_ *Result, err error) {
+//
+// ladder, when non-nil, supplies each objective level's Π that pass
+// ΠD > 0 (one ladder serves every inner search of a joint or Pareto
+// call) in place of streaming enumerate. Counts are identical either
+// way: a level adds its winner's ordinal + 1, or its raw size when no
+// entry wins, exactly what the streaming scan counts.
+func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector, ladder *piLadder) (_ *Result, err error) {
 	ownStats := stats == nil
 	if ownStats {
 		stats = &statsCollector{}
@@ -97,7 +103,6 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 		span.End()
 	}()
 	startAt := time.Now()
-	n := algo.Dim()
 	maxCost := opts.MaxCost
 	if maxCost == 0 {
 		maxCost = defaultMaxCost(algo.Set)
@@ -137,8 +142,13 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 	if len(scs) > 0 {
 		seqScratch = scs[0]
 	}
+	// The level-synchronous path evaluates whole levels, so it always
+	// reads them from a ladder — a private one for a top-level search.
+	levelSync := opts.Workers > 1 || opts.MinimizeBuffers
+	if ladder == nil && levelSync {
+		ladder = newPiLadder(algo)
+	}
 	var found *Result
-	var levelBuf []int64 // reused flat storage for level-mode candidates
 	for cost := minCost; cost <= maxCost && found == nil; cost++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -159,22 +169,19 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			levelSpan.SetInt("candidates", int64(candidates-levelStart))
 			levelSpan.End()
 		}
-		if opts.Workers > 1 || opts.MinimizeBuffers {
-			// Level-synchronous evaluation: materialize the level into a
-			// reused flat buffer, test candidates (in parallel when
-			// configured), then apply the deterministic selection rule
-			// over all passers.
-			levelBuf = levelBuf[:0]
-			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				levelBuf = append(levelBuf, pi...)
-				return true
-			})
-			level := make([]intmat.Vector, len(levelBuf)/n)
-			for i := range level {
-				level[i] = intmat.Vector(levelBuf[i*n : (i+1)*n])
+		var lv *piLevel
+		if ladder != nil {
+			if lv, err = ladder.level(ctx, cost); err != nil {
+				endLevel()
+				return nil, err
 			}
-			candidates += len(level)
-			results := evaluateLevel(ctx, level, cctx, scs)
+		}
+		if levelSync {
+			// Level-synchronous evaluation: test the level's ΠD > 0
+			// passers (in parallel when configured), then apply the
+			// deterministic selection rule over all of them.
+			candidates += int(lv.raw)
+			results := evaluateLevel(ctx, lv, cctx, scs)
 			// A context that ended mid-level may have left earlier
 			// (potentially winning) candidates unevaluated, so the
 			// level's verdict cannot be trusted — report the
@@ -190,19 +197,34 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 		// Sequential fast path: the first passer in enumeration order
 		// wins, so evaluation can stop early.
 		interrupted := false
-		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			candidates++
-			if candidates&ctxCheckMask == 0 && ctx.Err() != nil {
-				interrupted = true
+		if lv != nil {
+			seen := lv.raw
+			for i := 0; i < lv.Len(); i++ {
+				if i&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
+					interrupted = true
+					break
+				}
+				if r, ok := cctx.tryValid(lv.pi(i), seqScratch); ok {
+					found, seen = r, lv.ords[i]+1
+					break
+				}
+			}
+			candidates += int(seen)
+		} else {
+			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
+				candidates++
+				if candidates&ctxCheckMask == 0 && ctx.Err() != nil {
+					interrupted = true
+					return false
+				}
+				r, ok := cctx.tryWith(pi, seqScratch)
+				if !ok {
+					return true
+				}
+				found = r
 				return false
-			}
-			r, ok := cctx.tryWith(pi, seqScratch)
-			if !ok {
-				return true
-			}
-			found = r
-			return false
-		})
+			})
+		}
 		endLevel()
 		if interrupted {
 			return nil, ctx.Err()
@@ -241,18 +263,18 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 	return found, nil
 }
 
-// evaluateLevel tests every candidate of one objective level, fanning
-// the work across opts.Workers goroutines. The result slice is aligned
-// with the input (nil = rejected), so selection order is independent of
-// scheduling. A done context stops the evaluation early (checked once
+// evaluateLevel runs tests 2–4 on one objective level's ΠD > 0
+// passers, fanning the work across opts.Workers goroutines. The result
+// slice is aligned with the level's entries (nil = rejected), so
+// selection order is independent of scheduling. A done context stops the evaluation early (checked once
 // per chunk); the caller detects the interruption via ctx.Err.
 //
 // scs, when non-empty, holds one conflict scratch per worker (index w
 // for goroutine w) — scratches are single-owner, and this indexing
 // keeps each one on exactly one goroutine per level while its decision
 // cache persists across levels.
-func evaluateLevel(ctx context.Context, level []intmat.Vector, cctx *candCtx, scs []*conflict.Scratch) []*Result {
-	results := make([]*Result, len(level))
+func evaluateLevel(ctx context.Context, lv *piLevel, cctx *candCtx, scs []*conflict.Scratch) []*Result {
+	results := make([]*Result, lv.Len())
 	workers := cctx.opts.Workers
 	scratchFor := func(w int) *conflict.Scratch {
 		if w < len(scs) {
@@ -262,11 +284,11 @@ func evaluateLevel(ctx context.Context, level []intmat.Vector, cctx *candCtx, sc
 	}
 	if workers <= 1 {
 		sc := scratchFor(0)
-		for i, pi := range level {
+		for i := range results {
 			if i&ctxCheckMask == 0 && ctx.Err() != nil {
 				return results
 			}
-			if r, ok := cctx.tryWith(pi, sc); ok {
+			if r, ok := cctx.tryValid(lv.pi(i), sc); ok {
 				results[i] = r
 			}
 		}
@@ -274,15 +296,17 @@ func evaluateLevel(ctx context.Context, level []intmat.Vector, cctx *candCtx, sc
 	}
 	var wg sync.WaitGroup
 	next := int64(0)
-	// Most candidates are rejected by the ΠD > 0 test in nanoseconds,
-	// so workers claim chunks rather than single indexes — per-item
-	// atomics would cost more than the work itself.
+	// Many candidates are rejected in nanoseconds (the scratch's
+	// decision cache answers repeated h lines), so workers claim chunks
+	// rather than single indexes — per-item atomics would cost more than
+	// the work itself.
 	const chunk = 512
 	// bestIdx is a monotone watermark: once a passer at index i exists,
 	// later indexes cannot win the earliest-passer rule, so workers skip
 	// them. Under MinimizeBuffers every passer matters and the watermark
 	// stays disabled.
-	bestIdx := int64(len(level))
+	n := int64(len(results))
+	bestIdx := n
 	useWatermark := !cctx.opts.MinimizeBuffers
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -293,13 +317,10 @@ func evaluateLevel(ctx context.Context, level []intmat.Vector, cctx *candCtx, sc
 					return
 				}
 				lo := (atomic.AddInt64(&next, 1) - 1) * chunk
-				if lo >= int64(len(level)) {
+				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > int64(len(level)) {
-					hi = int64(len(level))
-				}
+				hi := min(lo+chunk, n)
 				if useWatermark && lo > atomic.LoadInt64(&bestIdx) {
 					continue
 				}
@@ -307,7 +328,7 @@ func evaluateLevel(ctx context.Context, level []intmat.Vector, cctx *candCtx, sc
 					if useWatermark && i > atomic.LoadInt64(&bestIdx) {
 						break
 					}
-					if r, ok := cctx.tryWith(level[i], sc); ok {
+					if r, ok := cctx.tryValid(lv.pi(int(i)), sc); ok {
 						results[i] = r
 						if useWatermark {
 							for {
@@ -392,9 +413,9 @@ func (c *candCtx) takeErr() error {
 	return c.err
 }
 
-// valid is Valid(pi, algo.D) on the cached columns.
-func (c *candCtx) valid(pi intmat.Vector) bool {
-	for _, d := range c.depCols {
+// validCols is Valid on pre-extracted dependence columns.
+func validCols(pi intmat.Vector, depCols []intmat.Vector) bool {
+	for _, d := range depCols {
 		if pi.Dot(d) <= 0 {
 			return false
 		}
@@ -422,9 +443,15 @@ func (c *candCtx) try(pi intmat.Vector) (*Result, bool) {
 // the allocation profile and the informational Method/Witness of the
 // conflict Result can differ.
 func (c *candCtx) tryWith(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
-	if !c.valid(pi) {
+	if !validCols(pi, c.depCols) {
 		return nil, false
 	}
+	return c.tryValid(pi, sc)
+}
+
+// tryValid is tryWith on a Π already known to satisfy ΠD > 0 (a ladder
+// entry): tests 2–4 only.
+func (c *candCtx) tryValid(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
 	algo, s, opts := c.algo, c.s, c.opts
 	var res conflict.Result
 	var err error

@@ -299,6 +299,9 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	if baseMaxCost == 0 {
 		baseMaxCost = defaultMaxCost(algo.Set)
 	}
+	// One Π ladder serves every inner search: the objective levels and
+	// their ΠD > 0 passers depend only on μ and D, never on S.
+	ladder := newPiLadder(algo)
 	// tFloor is a lower bound on the total time of *any* candidate: the
 	// cheapest Π satisfying ΠD > 0 alone (ignoring conflicts). Once the
 	// incumbent reaches it, time cannot improve further, so candidates
@@ -306,7 +309,11 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	// search entirely.
 	tFloor := int64(-1)
 	if !opts.NoPrune {
-		if c := minValidCost(algo, baseMaxCost); c > 0 {
+		c, err := ladder.firstNonEmpty(ctx, baseMaxCost)
+		if err != nil {
+			return nil, fmt.Errorf("schedule: joint search: %w", err)
+		}
+		if c > 0 {
 			tFloor = 1 + c
 		}
 	}
@@ -366,7 +373,7 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 		}
 		schedOpts.MaxCost = bound
 		stats.innerSearches.Add(1)
-		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, stats)
+		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, stats, ladder)
 		if err != nil {
 			if errors.Is(err, ErrNoSchedule) {
 				return // bounded out or genuinely unschedulable: skip
@@ -570,33 +577,6 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 	wg.Wait()
 }
 
-// minValidCost returns the smallest objective Σ|π_i|·μ_i of any Π with
-// ΠD > 0, ignoring conflict-freeness — so 1 + minValidCost lower-bounds
-// the total time of every candidate's optimal schedule. Returns −1 when
-// no valid Π exists within maxCost.
-func minValidCost(algo *uda.Algorithm, maxCost int64) int64 {
-	cols := make([]intmat.Vector, algo.NumDeps())
-	for i := range cols {
-		cols[i] = algo.D.Col(i)
-	}
-	for cost := int64(1); cost <= maxCost; cost++ {
-		found := false
-		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			for _, d := range cols {
-				if pi.Dot(d) <= 0 {
-					return true
-				}
-			}
-			found = true
-			return false
-		})
-		if found {
-			return cost
-		}
-	}
-	return -1
-}
-
 // evaluateSpaceMapping checks validity and conflict-freeness of [S; Π]
 // and computes the Problem 6.1 metrics.
 func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool) {
@@ -638,6 +618,16 @@ func countProcessors(m *Mapping) int64 {
 	return countProcessorImages(m.S, m.Algo.Set)
 }
 
+// imageSets pools the image sets of countProcessorImages, which the
+// joint and Pareto searches call once per evaluated space mapping.
+var imageSets = sync.Pool{New: func() any { return intmat.NewVecMap[struct{}](1024) }}
+
+// maxPooledImages bounds the image sets returned to the pool: a set
+// that grew past four times its initial size is dropped, so clearing a
+// pooled set never costs much more than allocating a fresh one, and one
+// huge index set does not pin its buckets for the process lifetime.
+const maxPooledImages = 1 << 12
+
 // countProcessorImages returns |S(J)| exactly: closed-form via the
 // 1-D image DP for linear arrays, enumeration with compact map keys
 // otherwise.
@@ -654,7 +644,7 @@ func countProcessorImages(s *intmat.Matrix, set uda.IndexSet) int64 {
 			return n
 		}
 	}
-	seen := intmat.NewVecMap[struct{}](1024)
+	seen := imageSets.Get().(*intmat.VecMap[struct{}])
 	img := make(intmat.Vector, len(rows))
 	set.Each(func(j intmat.Vector) bool {
 		for r, row := range rows {
@@ -663,7 +653,12 @@ func countProcessorImages(s *intmat.Matrix, set uda.IndexSet) int64 {
 		seen.Store(intmat.KeyFor(img), struct{}{})
 		return true
 	})
-	return int64(seen.Len())
+	count := seen.Len()
+	if count <= maxPooledImages {
+		seen.Clear()
+		imageSets.Put(seen)
+	}
+	return int64(count)
 }
 
 // rowImageSize returns |{Σ_i c_i·j_i : 0 ≤ j_i ≤ μ_i}| for one row c —

@@ -241,8 +241,17 @@ func TestCountProcessorImages(t *testing.T) {
 		want[s.MulVec(j).String()] = true
 		return true
 	})
-	if got := countProcessorImages(s, algo.Set); got != int64(len(want)) {
-		t.Errorf("countProcessorImages = %d, want %d", got, len(want))
+	// Repeated and interleaved calls reuse pooled image sets, which must
+	// come back empty.
+	// (1,1,0) takes 7 values and (0,0,1) 4 on the 0..3 cube: 28 images.
+	other := intmat.FromRows([]int64{1, 1, 0}, []int64{0, 0, 1})
+	for i := 0; i < 3; i++ {
+		if got := countProcessorImages(s, algo.Set); got != int64(len(want)) {
+			t.Errorf("call %d: countProcessorImages = %d, want %d", i, got, len(want))
+		}
+		if got := countProcessorImages(other, algo.Set); got != 28 {
+			t.Errorf("call %d: countProcessorImages(other) = %d, want 28", i, got)
+		}
 	}
 	// Lower bound must never exceed the exact count.
 	if lb := processorLowerBound(s, algo.Set.Upper); lb > int64(len(want)) {

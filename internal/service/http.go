@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"lodim/internal/cluster"
@@ -249,17 +251,32 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
+// encodeBufs pools writeJSON's body buffers.
+var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers returned to encodeBufs, so one huge
+// response does not pin its storage for the process lifetime.
+const maxPooledBody = 1 << 20
+
+// writeJSON encodes v into a pooled buffer before writing anything, so
+// the encode stage is recorded in time for the X-Mapserve-Timing header
+// that obsWriter sets at WriteHeader.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	start := time.Now()
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
 	if ow, ok := w.(*obsWriter); ok {
-		defer func(start time.Time) {
-			ow.timer.record(stageEncode, time.Since(start))
-		}(time.Now())
+		ow.timer.record(stageEncode, time.Since(start))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		encodeBufs.Put(buf)
+	}
 }
 
 // classifyError maps a service error to its HTTP status and an

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -119,6 +120,33 @@ func histogramInvariants(t *testing.T, samples map[string]float64, prefix, label
 	}
 	if got := samples[sumKey]; got < wantSumS-1e-9 || got > wantSumS+1e-9 {
 		t.Errorf("%s = %g, want ≈ %g", sumKey, got, wantSumS)
+	}
+}
+
+// TestTimingHeaderCarriesEncode: writeJSON encodes the body before it
+// writes the status line, so the encode stage reaches X-Mapserve-Timing
+// on successes, cache hits and errors alike — and the body is still
+// exactly what an indenting json.Encoder writes.
+func TestTimingHeaderCarriesEncode(t *testing.T) {
+	_, srv := newTestServer(t, Config{Pool: 1})
+	for _, p := range []struct{ path, body string }{
+		{"/v1/map", e2eBody},
+		{"/v1/map", e2eBody},
+		{"/v1/map", `{"bounds":[4,4,4]`},
+	} {
+		_, hdr, body := postJSON(t, srv.URL+p.path, p.body)
+		if timing := hdr.Get("X-Mapserve-Timing"); !strings.Contains(timing, "encode;dur=") {
+			t.Errorf("%s %s: timing header %q lacks the encode stage", p.path, p.body, timing)
+		}
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("%s %s: body is not JSON: %v", p.path, p.body, err)
+		}
+		json.Indent(&want, compact.Bytes(), "", "  ")
+		want.WriteByte('\n')
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s %s: body is not the indented encoding:\n%s", p.path, p.body, body)
+		}
 	}
 }
 
