@@ -78,15 +78,21 @@ bench-diff:
 
 # Overhead guard: rerun one reference benchmark per guarded layer — the
 # Procedure 5.1 engine and the joint search — and fail if any metric
-# worsened by more than 2% against the committed BENCH_pr6.json capture
-# (benchmarks present only on one side are reported, never counted).
-# Run on a quiet machine; GUARD_BENCHTIME trades noise for wall time.
+# worsened by more than 2% against the committed BENCH_pr6.json capture.
+# Each run's exit status is checked, and every guarded row must appear
+# in both captures, so a benchmark that fails or is renamed fails the
+# guard. Run on a quiet machine; GUARD_BENCHTIME trades noise for wall
+# time.
 GUARD_BENCHTIME ?= 3s
+GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1
 bench-guard:
-	@{ $(GO) test -run '^$$' -bench 'Engines/procedure/mu=8$$' -benchmem -benchtime=$(GUARD_BENCHTIME) . ; \
-	   $(GO) test -run '^$$' -bench 'JointMapping/transitive-closure/workers=1$$' -benchmem -benchtime=$(GUARD_BENCHTIME) . ; } \
-		| $(GO) run ./internal/tools/benchjson > BENCH_guard.json
-	@$(GO) run ./internal/tools/benchjson -diff -threshold 0.02 -fail BENCH_pr6.json BENCH_guard.json
+	@rm -f BENCH_guard.txt
+	@for row in $(GUARD_ROWS); do \
+		$(GO) test -run '^$$' -bench "$$row\$$" -benchmem -benchtime=$(GUARD_BENCHTIME) . >> BENCH_guard.txt || exit 1; \
+	done
+	@$(GO) run ./internal/tools/benchjson < BENCH_guard.txt > BENCH_guard.json
+	@$(GO) run ./internal/tools/benchjson -diff -threshold 0.02 -fail \
+		-require '$(addprefix Benchmark,$(GUARD_ROWS))' BENCH_pr6.json BENCH_guard.json
 
 # Short fuzz campaigns on every fuzz target (seed corpora always run
 # under plain `make test`).

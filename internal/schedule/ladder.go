@@ -3,16 +3,17 @@ package schedule
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"lodim/internal/intmat"
 	"lodim/internal/uda"
 )
 
 // ladderMaxWords caps the int64 words one ladder retains across all of
-// its levels (2 MiB). A level that would push the total past the cap is
-// still built by the same function, but privately for each reader and
-// never kept, so the answers are unchanged and only the sharing is lost.
+// its levels (2 MiB), and with them the memory its builds allocate: a
+// build stops as soon as its level would pass the cap, and the ladder
+// is full from then on. A reader streams every level the ladder does
+// not hold with enumerate, as it would without a ladder, so the answers
+// are unchanged and the memory stays constant per level.
 const ladderMaxWords = 1 << 18
 
 // piLadder is the S-independent half of Procedure 5.1, hoisted out of
@@ -24,32 +25,20 @@ const ladderMaxWords = 1 << 18
 // raw size, so an inner search reading the ladder reports exactly the
 // candidate counts of one that streams enumerate itself.
 //
-// Levels are built lazily, each exactly once under its own sync.Once,
-// and read lock-free through an atomically swapped slot table; every
-// worker of the search shares them read-only.
+// Levels are built lazily, one at a time under buildMu, and published
+// only once complete; every worker of the search shares them
+// read-only.
 type piLadder struct {
 	mu      intmat.Vector
 	depCols []intmat.Vector
 
-	capWords int64        // retention cap; ladderMaxWords outside tests
-	stored   atomic.Int64 // words retained so far
+	buildMu  sync.Mutex // serializes builds, so each level is built once
+	capWords int64      // retention cap; ladderMaxWords outside tests
+	stored   int64      // words retained so far; guarded by buildMu
 
-	grow  sync.Mutex                    // serializes table growth
-	table atomic.Pointer[[]*ladderSlot] // index = cost; replaced on growth
-}
-
-// ladderSlot holds the current build of one level. A build interrupted
-// by the context of the goroutine running it is swapped out for a fresh
-// one, so the next reader builds the level again instead of seeing a
-// partial one.
-type ladderSlot struct {
-	cur atomic.Pointer[levelBuild]
-}
-
-type levelBuild struct {
-	once sync.Once
-	done bool     // the build ran to completion
-	lv   *piLevel // the completed level; nil when it is past the cap
+	rw     sync.RWMutex
+	levels []*piLevel // index = cost; nil until built
+	full   bool       // a build passed the cap: no further level is built
 }
 
 // piLevel is one built objective level.
@@ -68,120 +57,132 @@ func (lv *piLevel) pi(i int) intmat.Vector {
 	return intmat.Vector(lv.pis[i*lv.n : (i+1)*lv.n : (i+1)*lv.n])
 }
 
-func newPiLadder(algo *uda.Algorithm) *piLadder {
-	cols := make([]intmat.Vector, algo.NumDeps())
-	for i := range cols {
-		cols[i] = algo.D.Col(i)
-	}
-	l := &piLadder{mu: algo.Set.Upper, depCols: cols, capWords: ladderMaxWords}
-	l.table.Store(new([]*ladderSlot))
-	return l
-}
-
-// level returns objective level cost, building it on first use. It
-// fails only with ctx's error, when ctx ends while this caller builds
-// the level; a level is never returned partly built.
-func (l *piLadder) level(ctx context.Context, cost int64) (*piLevel, error) {
-	slot := l.slot(cost)
-	for {
-		b := slot.cur.Load()
-		if b == nil {
-			slot.cur.CompareAndSwap(nil, new(levelBuild))
-			continue
-		}
-		var own *piLevel
-		b.once.Do(func() {
-			if own = l.build(ctx, cost); own == nil {
-				return
+// fill enumerates level cost into lv, reusing its storage, and keeps
+// the Π passing ΠD > 0. It reports false, leaving lv partial, as soon
+// as the kept entries would take more than maxWords words, and fails
+// with ctx's error when ctx ends first, polling it every
+// ctxCheckMask+1 Π.
+func (lv *piLevel) fill(ctx context.Context, mu intmat.Vector, depCols []intmat.Vector, cost, maxWords int64) (bool, error) {
+	n := len(mu)
+	lv.n, lv.pis, lv.ords, lv.raw = n, lv.pis[:0], lv.ords[:0], 0
+	words := int64(0)
+	fits := true
+	var err error
+	enumerate(mu, cost, func(pi intmat.Vector) bool {
+		if lv.raw&ctxCheckMask == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
 			}
-			if l.retain(own) {
-				b.lv = own
+		}
+		if validCols(pi, depCols) {
+			if words += int64(n + 1); words > maxWords {
+				fits = false
+				return false
 			}
-			b.done = true
-		})
-		switch {
-		case own != nil:
-			return own, nil
-		case b.lv != nil:
-			return b.lv, nil
-		case b.done:
-			if lv := l.build(ctx, cost); lv != nil {
-				return lv, nil
-			}
-			return nil, ctx.Err()
-		}
-		// This build was interrupted, by this caller's context or by
-		// another's: give up on the former, retry with a fresh build on
-		// the latter.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		slot.cur.CompareAndSwap(b, new(levelBuild))
-	}
-}
-
-// slot returns the table slot of a level, growing the table when cost
-// lies beyond it. Readers never lock: growth copies the slot pointers
-// into a larger table and swaps it in.
-func (l *piLadder) slot(cost int64) *ladderSlot {
-	if t := *l.table.Load(); cost < int64(len(t)) {
-		return t[cost]
-	}
-	l.grow.Lock()
-	defer l.grow.Unlock()
-	t := *l.table.Load()
-	if cost < int64(len(t)) {
-		return t[cost]
-	}
-	size := 2 * int64(len(t))
-	if size <= cost {
-		size = cost + 1
-	}
-	grown := make([]*ladderSlot, size)
-	copy(grown, t)
-	fresh := make([]ladderSlot, size-int64(len(t)))
-	for i := range fresh {
-		grown[len(t)+i] = &fresh[i]
-	}
-	l.table.Store(&grown)
-	return grown[cost]
-}
-
-// build enumerates one level and keeps the Π passing ΠD > 0. It returns
-// nil when ctx ends first, polling it every ctxCheckMask+1 candidates.
-func (l *piLadder) build(ctx context.Context, cost int64) *piLevel {
-	lv := &piLevel{n: len(l.mu)}
-	interrupted := false
-	enumerate(l.mu, cost, func(pi intmat.Vector) bool {
-		if lv.raw&ctxCheckMask == 0 && ctx.Err() != nil {
-			interrupted = true
-			return false
-		}
-		if validCols(pi, l.depCols) {
 			lv.pis = append(lv.pis, pi...)
 			lv.ords = append(lv.ords, lv.raw)
 		}
 		lv.raw++
 		return true
 	})
-	if interrupted {
-		return nil
-	}
-	return lv
+	return fits && err == nil, err
 }
 
-// retain reserves storage for a built level against the cap.
-func (l *piLadder) retain(lv *piLevel) bool {
-	words := int64(len(lv.pis) + len(lv.ords))
-	for {
-		cur := l.stored.Load()
-		if cur+words > l.capWords {
-			return false
-		}
-		if l.stored.CompareAndSwap(cur, cur+words) {
-			return true
-		}
+func newPiLadder(algo *uda.Algorithm) *piLadder {
+	cols := make([]intmat.Vector, algo.NumDeps())
+	for i := range cols {
+		cols[i] = algo.D.Col(i)
 	}
+	return &piLadder{mu: algo.Set.Upper, depCols: cols, capWords: ladderMaxWords}
+}
+
+// level returns objective level cost, building it on first use. It
+// returns nil, with no error, when the ladder is full and does not hold
+// the level; the caller then streams the level itself. It fails only
+// with ctx's error, when ctx ends while this caller builds the level.
+// A level is published only once complete, so an interrupted build
+// leaves nothing behind and the next reader builds the level afresh.
+func (l *piLadder) level(ctx context.Context, cost int64) (*piLevel, error) {
+	if lv, done := l.lookup(cost); done {
+		return lv, nil
+	}
+	l.buildMu.Lock()
+	defer l.buildMu.Unlock()
+	if lv, done := l.lookup(cost); done { // built while this caller waited
+		return lv, nil
+	}
+	lv := new(piLevel)
+	fits, err := lv.fill(ctx, l.mu, l.depCols, cost, l.capWords-l.stored)
+	if err != nil {
+		return nil, err
+	}
+	l.rw.Lock()
+	defer l.rw.Unlock()
+	if !fits {
+		l.full = true
+		return nil, nil
+	}
+	l.stored += int64(len(lv.pis) + len(lv.ords))
+	if cost >= int64(len(l.levels)) {
+		l.levels = append(l.levels, make([]*piLevel, cost+1-int64(len(l.levels)))...)
+	}
+	l.levels[cost] = lv
+	return lv, nil
+}
+
+// lookup returns the level when it is held, and whether a reader need
+// not build it: true when it is held or the ladder is full.
+func (l *piLadder) lookup(cost int64) (*piLevel, bool) {
+	l.rw.RLock()
+	defer l.rw.RUnlock()
+	if cost < int64(len(l.levels)) && l.levels[cost] != nil {
+		return l.levels[cost], true
+	}
+	return nil, l.full
+}
+
+// scan calls fn on each Π of level cost that passes ΠD > 0, in
+// enumerate's order, with its ordinal among all Π of the level, until
+// fn returns false. It reads the level from the ladder when held and
+// streams it otherwise; see scanLevel.
+func (l *piLadder) scan(ctx context.Context, cost int64, fn func(pi intmat.Vector, ord int64) bool) (int64, error) {
+	lv, err := l.level(ctx, cost)
+	if err != nil {
+		return 0, err
+	}
+	return scanLevel(ctx, lv, l.mu, l.depCols, cost, fn)
+}
+
+// scanLevel calls fn on each Π of level cost that passes ΠD > 0, in
+// enumerate's order, with its ordinal among all Π of the level, until
+// fn returns false. It reads lv when non-nil and streams enumerate
+// otherwise. It returns the count a streaming scan reports: the
+// stopping entry's ordinal + 1, or else the level's raw size. It fails
+// only with ctx's error, polled every ctxCheckMask+1 entries.
+func scanLevel(ctx context.Context, lv *piLevel, mu intmat.Vector, depCols []intmat.Vector, cost int64, fn func(pi intmat.Vector, ord int64) bool) (int64, error) {
+	if lv != nil {
+		for i := 0; i < lv.Len(); i++ {
+			if i&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
+				return lv.ords[i], ctx.Err()
+			}
+			if !fn(lv.pi(i), lv.ords[i]) {
+				return lv.ords[i] + 1, nil
+			}
+		}
+		return lv.raw, nil
+	}
+	seen := int64(0)
+	var err error
+	enumerate(mu, cost, func(pi intmat.Vector) bool {
+		seen++
+		if seen&ctxCheckMask == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		return !validCols(pi, depCols) || fn(pi, seen-1)
+	})
+	return seen, err
 }
 
 // firstNonEmpty returns the lowest objective level in [1, maxCost]
@@ -189,11 +190,14 @@ func (l *piLadder) retain(lv *piLevel) bool {
 // is 1 + f, one plus it lower-bounds the time of every schedule.
 func (l *piLadder) firstNonEmpty(ctx context.Context, maxCost int64) (int64, error) {
 	for cost := int64(1); cost <= maxCost; cost++ {
-		lv, err := l.level(ctx, cost)
-		if err != nil {
+		found := false
+		if _, err := l.scan(ctx, cost, func(intmat.Vector, int64) bool {
+			found = true
+			return false
+		}); err != nil {
 			return 0, err
 		}
-		if lv.Len() > 0 {
+		if found {
 			return cost, nil
 		}
 	}

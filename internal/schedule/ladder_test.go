@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,10 +158,28 @@ func TestLadderCancelledBuild(t *testing.T) {
 	}
 }
 
-// TestLadderPastCapSameAnswers: levels past the storage cap are built
-// for each reader instead of retained, and every inner search reading
-// them answers exactly as the streaming search does — sequentially and
-// on the level-synchronous (Workers > 1, MinimizeBuffers) path.
+// scannedLevel is one level as the ladder's scan reports it, held or
+// streamed.
+func scannedLevel(t *testing.T, l *piLadder, cost int64) refLevel {
+	t.Helper()
+	var got refLevel
+	raw, err := l.scan(context.Background(), cost, func(pi intmat.Vector, ord int64) bool {
+		got.pis = append(got.pis, pi.String())
+		got.ords = append(got.ords, ord)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.raw = raw
+	return got
+}
+
+// TestLadderPastCapSameAnswers: levels past the storage cap are not
+// retained but streamed by each reader, and every inner search reading
+// the ladder answers exactly as the streaming search does —
+// sequentially and on the level-synchronous (Workers > 1,
+// MinimizeBuffers) path.
 func TestLadderPastCapSameAnswers(t *testing.T) {
 	ctx := context.Background()
 	variants := []Options{{}, {Workers: 2}, {Machine: array.NearestNeighbor(1), MinimizeBuffers: true}}
@@ -196,16 +215,88 @@ func TestLadderPastCapSameAnswers(t *testing.T) {
 					}
 				}
 			}
-			if stored := l.stored.Load(); stored > capWords {
-				t.Errorf("%s: ladder retains %d words past its cap %d", algo.Name, stored, capWords)
+			if l.stored > capWords {
+				t.Errorf("%s: ladder retains %d words past its cap %d", algo.Name, l.stored, capWords)
+			}
+			if l.full != (capWords < ladderMaxWords) {
+				t.Errorf("%s cap %d: full = %v", algo.Name, capWords, l.full)
 			}
 			for cost := int64(1); cost <= 40; cost++ {
+				what := fmt.Sprintf("%s cap %d level %d", algo.Name, capWords, cost)
+				want := streamingLevel(algo, cost)
 				lv, err := l.level(ctx, cost)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkLevel(t, fmt.Sprintf("%s cap %d level %d", algo.Name, capWords, cost), lv, streamingLevel(algo, cost))
+				if lv != nil {
+					checkLevel(t, what, lv, want)
+				}
+				if got := scannedLevel(t, l, cost); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: scan saw %v, want %v", what, got, want)
+				}
 			}
+		}
+	}
+}
+
+// TestLadderPastCapStreamsInConstantMemory: once a ladder is full, a
+// level it does not hold costs a reader the same few allocations
+// whatever its size — the scan streams enumerate instead of building
+// the level — and so does each level of a sequential inner search.
+func TestLadderPastCapStreamsInConstantMemory(t *testing.T) {
+	if intmat.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	ctx := context.Background()
+	// μ = 1⁶ with the single dependence e1: ΠD > 0 iff π_1 > 0, so level
+	// 4 holds 231 passers, level 8 holds 7183.
+	n := 6
+	d := intmat.New(n, 1)
+	d.Set(0, 0, 1)
+	algo := &uda.Algorithm{Name: "e1", Set: uda.Cube(n, 1), D: d}
+	l := newPiLadder(algo)
+	l.capWords = 0
+	if floor, err := l.firstNonEmpty(ctx, 10); err != nil || floor != 1 {
+		t.Fatalf("floor %d (%v), want 1", floor, err)
+	}
+	if !l.full || len(l.levels) != 0 {
+		t.Fatalf("a zero-cap ladder holds %d levels (full %v)", len(l.levels), l.full)
+	}
+	scanAllocs := func(cost int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := l.scan(ctx, cost, func(intmat.Vector, int64) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := scanAllocs(4), scanAllocs(8)
+	if large != small {
+		t.Errorf("scanning level 8 takes %v allocations, level 4 takes %v", large, small)
+	}
+
+	// A sequential inner search on the full ladder allocates no more per
+	// level than one streaming enumerate itself, however large the level:
+	// every passer of every level is tested (no Π makes S conflict-free
+	// at these levels), and none is kept.
+	s := intmat.FromRows([]int64{1, 1, 1, 1, 1, 1})
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searchAllocs := func(cost int64, ladder *piLadder) float64 {
+		opts := Options{MinCost: cost, MaxCost: cost}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := findOptimalWith(ctx, algo, s, &opts, analyzer, &statsCollector{}, ladder); !errors.Is(err, ErrNoSchedule) {
+				t.Fatalf("level %d: %v, want ErrNoSchedule", cost, err)
+			}
+		})
+	}
+	// Garbage collection would empty the scratch pool mid-measurement
+	// and add stray allocations to either side.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, cost := range []int64{4, 8} {
+		if got, streaming := searchAllocs(cost, l), searchAllocs(cost, nil); got > streaming {
+			t.Errorf("an inner search over level %d takes %v allocations, a streaming one %v", cost, got, streaming)
 		}
 	}
 }

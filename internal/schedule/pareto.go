@@ -356,29 +356,23 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 				return
 			}
 			stats.costLevels.Add(1)
-			lv, err := ladder.level(wctx, cost)
-			if err != nil {
-				return
-			}
 			var lvlMapping *Mapping
 			var lvlBuf int64
-			for j := 0; j < lv.Len(); j++ {
-				if j&ctxCheckMask == ctxCheckMask && wctx.Err() != nil {
-					break
-				}
-				pi := lv.pi(j)
+			// scan fails only with wctx's error, checked below.
+			seen, _ := ladder.scan(wctx, cost, func(pi intmat.Vector, _ int64) bool {
 				r, ok := cctx.tryValid(pi, sc)
 				if !ok {
-					continue
+					return true
 				}
-				// The ladder keeps enumerate's lexicographic order, so a
+				// Passers come in enumerate's lexicographic order, so a
 				// strict < keeps the lex-least among equal-buffer
 				// winners of the level.
 				if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
 					lvlMapping, lvlBuf = r.Mapping, b
 				}
-			}
-			stats.scheduleCandidates.Add(lv.raw)
+				return true
+			})
+			stats.scheduleCandidates.Add(seen)
 			if err := cctx.takeErr(); err != nil {
 				errs[i] = err
 				cancelSearch()

@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,9 +80,10 @@ const ctxCheckMask = 255
 //
 // ladder, when non-nil, supplies each objective level's Π that pass
 // ΠD > 0 (one ladder serves every inner search of a joint or Pareto
-// call) in place of streaming enumerate. Counts are identical either
-// way: a level adds its winner's ordinal + 1, or its raw size when no
-// entry wins, exactly what the streaming scan counts.
+// call) in place of streaming enumerate; levels it does not hold are
+// streamed all the same. Counts are identical either way: a level adds
+// its winner's ordinal + 1, or its raw size when no entry wins, exactly
+// what the streaming scan counts.
 func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector, ladder *piLadder) (_ *Result, err error) {
 	ownStats := stats == nil
 	if ownStats {
@@ -142,12 +144,11 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 	if len(scs) > 0 {
 		seqScratch = scs[0]
 	}
-	// The level-synchronous path evaluates whole levels, so it always
-	// reads them from a ladder — a private one for a top-level search.
+	// Levels the ladder does not hold — all of them for a top-level
+	// search — are streamed; the level-synchronous path builds them
+	// into spare, whose storage it reuses from level to level.
 	levelSync := opts.Workers > 1 || opts.MinimizeBuffers
-	if ladder == nil && levelSync {
-		ladder = newPiLadder(algo)
-	}
+	var spare *piLevel
 	var found *Result
 	for cost := minCost; cost <= maxCost && found == nil; cost++ {
 		if err := ctx.Err(); err != nil {
@@ -180,6 +181,16 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			// Level-synchronous evaluation: test the level's ΠD > 0
 			// passers (in parallel when configured), then apply the
 			// deterministic selection rule over all of them.
+			if lv == nil {
+				if spare == nil {
+					spare = new(piLevel)
+				}
+				if _, err := spare.fill(ctx, algo.Set.Upper, cctx.depCols, cost, math.MaxInt64); err != nil {
+					endLevel()
+					return nil, err
+				}
+				lv = spare
+			}
 			candidates += int(lv.raw)
 			results := evaluateLevel(ctx, lv, cctx, scs)
 			// A context that ended mid-level may have left earlier
@@ -196,38 +207,17 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 		}
 		// Sequential fast path: the first passer in enumeration order
 		// wins, so evaluation can stop early.
-		interrupted := false
-		if lv != nil {
-			seen := lv.raw
-			for i := 0; i < lv.Len(); i++ {
-				if i&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
-					interrupted = true
-					break
-				}
-				if r, ok := cctx.tryValid(lv.pi(i), seqScratch); ok {
-					found, seen = r, lv.ords[i]+1
-					break
-				}
-			}
-			candidates += int(seen)
-		} else {
-			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				candidates++
-				if candidates&ctxCheckMask == 0 && ctx.Err() != nil {
-					interrupted = true
-					return false
-				}
-				r, ok := cctx.tryWith(pi, seqScratch)
-				if !ok {
-					return true
-				}
+		seen, err := scanLevel(ctx, lv, algo.Set.Upper, cctx.depCols, cost, func(pi intmat.Vector, _ int64) bool {
+			r, ok := cctx.tryValid(pi, seqScratch)
+			if ok {
 				found = r
-				return false
-			})
-		}
+			}
+			return !ok
+		})
+		candidates += int(seen)
 		endLevel()
-		if interrupted {
-			return nil, ctx.Err()
+		if err != nil {
+			return nil, err
 		}
 	}
 	stats.scheduleCandidates.Add(int64(candidates))

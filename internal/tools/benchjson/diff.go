@@ -154,10 +154,31 @@ func loadReport(path string) (*Report, error) {
 	return rep, nil
 }
 
+// missingRequired returns the names in required that do not name a
+// benchmark of both reports.
+func missingRequired(oldRep, newRep *Report, required []string) []string {
+	has := func(rep *Report, name string) bool {
+		for _, b := range rep.Benchmarks {
+			if b.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	var missing []string
+	for _, name := range required {
+		if !has(oldRep, name) || !has(newRep, name) {
+			missing = append(missing, name)
+		}
+	}
+	return missing
+}
+
 // runDiff implements `benchjson -diff OLD NEW`: exit status 1 when any
-// benchmark regressed beyond the threshold and -fail was given, 2 on
+// benchmark regressed beyond the threshold and -fail was given, or when
+// a benchmark named in required is missing from either report; 2 on
 // usage/IO errors.
-func runDiff(oldPath, newPath string, threshold float64, failOnRegression bool) int {
+func runDiff(oldPath, newPath string, threshold float64, failOnRegression bool, required []string) int {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -169,7 +190,11 @@ func runDiff(oldPath, newPath string, threshold float64, failOnRegression bool) 
 		return 2
 	}
 	regressions := writeDiff(os.Stdout, diffReports(oldRep, newRep, threshold), threshold)
-	if regressions > 0 && failOnRegression {
+	missing := missingRequired(oldRep, newRep, required)
+	for _, name := range missing {
+		fmt.Fprintf(os.Stdout, "%s MISSING: required in both reports\n", name)
+	}
+	if len(missing) > 0 || (regressions > 0 && failOnRegression) {
 		return 1
 	}
 	return 0

@@ -85,3 +85,12 @@ func TestWriteDiffOutput(t *testing.T) {
 		}
 	}
 }
+
+func TestMissingRequired(t *testing.T) {
+	oldRep := rep(Benchmark{Pkg: "p", Name: "BenchmarkA"}, Benchmark{Pkg: "p", Name: "BenchmarkOld"})
+	newRep := rep(Benchmark{Pkg: "p", Name: "BenchmarkA"}, Benchmark{Pkg: "p", Name: "BenchmarkNew"})
+	got := missingRequired(oldRep, newRep, []string{"BenchmarkA", "BenchmarkOld", "BenchmarkNew", "BenchmarkNone"})
+	if want := []string{"BenchmarkOld", "BenchmarkNew", "BenchmarkNone"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("missing = %v, want %v", got, want)
+	}
+}

@@ -14,7 +14,10 @@
 // printing per-benchmark ns/op, B/op and allocs/op deltas and marking
 // any metric that worsened by more than -threshold (default 10%) as
 // REGRESSED. With -fail, one or more regressions make the exit status
-// nonzero, so the comparison can gate CI.
+// nonzero, so the comparison can gate CI. -require lists benchmark
+// names (space-separated) that must appear in both documents; a missing
+// one also makes the exit status nonzero, so a guard cannot pass on a
+// benchmark that failed to run or was renamed.
 package main
 
 import (
@@ -135,13 +138,14 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two captured JSON reports: benchjson -diff OLD NEW")
 	threshold := flag.Float64("threshold", 0.10, "relative worsening beyond which a metric is REGRESSED")
 	fail := flag.Bool("fail", false, "with -diff: exit nonzero when any benchmark regressed")
+	require := flag.String("require", "", "with -diff: space-separated benchmark names that must appear in both reports")
 	flag.Parse()
 	if *diff {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -diff [-threshold 0.10] [-fail] OLD.json NEW.json")
+			fmt.Fprintln(os.Stderr, "usage: benchjson -diff [-threshold 0.10] [-fail] [-require 'NAME ...'] OLD.json NEW.json")
 			os.Exit(2)
 		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *threshold, *fail))
+		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *threshold, *fail, strings.Fields(*require)))
 	}
 	rep, err := parse(os.Stdin)
 	if err != nil {
