@@ -76,23 +76,38 @@ NEW ?= BENCH_pr6.json
 bench-diff:
 	@$(GO) run ./internal/tools/benchjson -diff $(OLD) $(NEW)
 
-# Overhead guard: rerun one reference benchmark per guarded layer — the
-# Procedure 5.1 engine and the joint search — and fail if any metric
-# worsened by more than 2% against the committed BENCH_pr6.json capture.
-# Each run's exit status is checked, and every guarded row must appear
-# in both captures, so a benchmark that fails or is renamed fails the
-# guard. Run on a quiet machine; GUARD_BENCHTIME trades noise for wall
-# time.
-GUARD_BENCHTIME ?= 3s
-GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1
+# Overhead guard: measure one reference benchmark per guarded layer on
+# this tree and on BASE (default HEAD, so an uncommitted change is
+# guarded against the commit it sits on), on the same machine, and fail
+# if any metric of the best of 5 runs (benchjson keeps each row's best)
+# worsened by more than 2%. BASE is checked out with `git worktree add`
+# into a temporary directory and both test binaries are built with
+# `go test -c`; both trees run this tree's bench_test.go, so a row
+# added here is guarded from its first commit on. The two binaries
+# alternate row by row and round by round, so a drift in machine speed
+# hits both alike. Every run's exit status is checked, and every
+# guarded row must appear in both captures. Raw output lands in
+# BENCH_guard_base.txt and BENCH_guard.txt. Run on a quiet machine.
+BASE ?= HEAD
+GUARD_BENCHTIME ?= 1s
+GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1
 bench-guard:
-	@rm -f BENCH_guard.txt
-	@for row in $(GUARD_ROWS); do \
-		$(GO) test -run '^$$' -bench "$$row\$$" -benchmem -benchtime=$(GUARD_BENCHTIME) . >> BENCH_guard.txt || exit 1; \
-	done
-	@$(GO) run ./internal/tools/benchjson < BENCH_guard.txt > BENCH_guard.json
-	@$(GO) run ./internal/tools/benchjson -diff -threshold 0.02 -fail \
-		-require '$(addprefix Benchmark,$(GUARD_ROWS))' BENCH_pr6.json BENCH_guard.json
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT && \
+	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \
+	cp bench_test.go "$$tmp/base/" && \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .) && \
+	$(GO) test -c -o "$$tmp/new.test" . && \
+	rm -f BENCH_guard_base.txt BENCH_guard.txt && \
+	for round in 1 2 3 4 5; do \
+		for row in $(GUARD_ROWS); do \
+			(cd "$$tmp/base" && "$$tmp/base.test" -test.run '^$$' -test.bench "$$row\$$" -test.benchmem -test.benchtime=$(GUARD_BENCHTIME)) >> BENCH_guard_base.txt || exit 1; \
+			"$$tmp/new.test" -test.run '^$$' -test.bench "$$row\$$" -test.benchmem -test.benchtime=$(GUARD_BENCHTIME) >> BENCH_guard.txt || exit 1; \
+		done; \
+	done && \
+	$(GO) run ./internal/tools/benchjson < BENCH_guard_base.txt > BENCH_guard_base.json && \
+	$(GO) run ./internal/tools/benchjson < BENCH_guard.txt > BENCH_guard.json && \
+	$(GO) run ./internal/tools/benchjson -diff -threshold 0.02 -fail \
+		-require '$(addprefix Benchmark,$(GUARD_ROWS))' BENCH_guard_base.json BENCH_guard.json
 
 # Short fuzz campaigns on every fuzz target (seed corpora always run
 # under plain `make test`).

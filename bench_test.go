@@ -442,29 +442,50 @@ func BenchmarkBitSerialMatMul(b *testing.B) {
 }
 
 // BenchmarkJointMapping measures the Problem 6.2 engine (X6): the full
-// joint (S, Π) search on the two flagship algorithms, sequentially and
-// with the outer candidate loop fanned across NumCPU workers. The log
-// line reports the search effort — candidates enumerated versus pruned
-// before evaluation — and the invariant winner.
+// joint (S, Π) search on the two flagship algorithms, on the slowest
+// distinct problem of the committed corpus (bitlevel/00026: μ = 3⁴,
+// dependences e1–e4 and (1,1,0,0)) and on a 2-D array (corpus
+// matmul/00000: μ = (4,4,7), where every evaluated S reaches the
+// multi-row processor count), sequentially and with the outer candidate
+// loop fanned across two workers. The log line reports the search
+// effort — candidates enumerated versus pruned before evaluation — and
+// the invariant winner.
 func BenchmarkJointMapping(b *testing.B) {
-	algos := []*uda.Algorithm{uda.MatMul(4), uda.TransitiveClosure(4)}
-	for _, algo := range algos {
-		for _, workers := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("%s/workers=%d", algo.Name, workers), func(b *testing.B) {
+	bitlevel := &uda.Algorithm{
+		Name: "bitlevel-00026",
+		Set:  uda.Cube(4, 3),
+		D:    intmat.FromRows([]int64{1, 0, 0, 0, 1}, []int64{0, 1, 0, 0, 1}, []int64{0, 0, 1, 0, 0}, []int64{0, 0, 0, 1, 0}),
+	}
+	matmul2D := uda.MatMul(4)
+	matmul2D.Name, matmul2D.Set = "matmul-4x4x7", uda.IndexSet{Upper: intmat.Vec(4, 4, 7)}
+	cases := []struct {
+		algo *uda.Algorithm
+		dims int
+	}{{uda.MatMul(4), 1}, {uda.TransitiveClosure(4), 1}, {bitlevel, 1}, {matmul2D, 2}}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s/workers=%d", c.algo.Name, workers)
+			if c.dims > 1 {
+				name = fmt.Sprintf("%s/dims=%d/workers=%d", c.algo.Name, c.dims, workers)
+			}
+			b.Run(name, func(b *testing.B) {
 				opts := &schedule.SpaceOptions{Schedule: schedule.Options{Workers: workers}}
 				var res *schedule.JointResult
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = schedule.FindJointMapping(algo, 1, opts)
+					res, err = schedule.FindJointMapping(c.algo, c.dims, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(res.Candidates), "candidates")
 				b.ReportMetric(float64(res.Pruned), "pruned")
+				rows := make([]intmat.Vector, res.Mapping.S.Rows())
+				for r := range rows {
+					rows[r] = res.Mapping.S.Row(r)
+				}
 				b.Logf("t=%d cost=%d procs=%d: %d candidates, %d pruned, S=%v, Π=%v",
-					res.Time, res.Cost, res.Processors, res.Candidates, res.Pruned,
-					res.Mapping.S.Row(0), res.Mapping.Pi)
+					res.Time, res.Cost, res.Processors, res.Candidates, res.Pruned, rows, res.Mapping.Pi)
 			})
 		}
 	}

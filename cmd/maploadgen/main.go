@@ -16,6 +16,12 @@
 // round-robin across targets; 429/503 answers are retried honoring the
 // server's Retry-After hint plus jitter.
 //
+// With -rps R the load is an open loop: request i is due at R⁻¹·i
+// seconds after the start and is queued then even when every worker is
+// busy, and its latency runs from that due time, so a stall is charged
+// to the requests it delays. The report's backlog_max is the most
+// requests ever due but not yet sent.
+//
 // With -tenants N every request carries an X-Mapserve-Tenant header
 // rotating over N synthetic tenants, exercising the server's per-tenant
 // accounting; -cluster-status polls /v1/cluster/status during the run
@@ -246,26 +252,54 @@ type outcome struct {
 type driver struct {
 	cfg     *config
 	client  *http.Client
-	pace    <-chan struct{}
 	results []outcome
 }
 
-func (d *driver) worker(wg *sync.WaitGroup, jobs <-chan int, bodies [][]byte, seed int64) {
+// job is one request to issue. Under -rps, due is when the open loop
+// schedules it; unpaced, due is zero and the request is timed from
+// when a worker sends it.
+type job struct {
+	i   int
+	due time.Time
+}
+
+func (d *driver) worker(wg *sync.WaitGroup, jobs <-chan job, bodies [][]byte, seed int64) {
 	defer wg.Done()
 	rng := rand.New(rand.NewSource(seed))
-	for i := range jobs {
-		if d.pace != nil {
-			<-d.pace
+	for j := range jobs {
+		start := j.due
+		if start.IsZero() {
+			start = time.Now()
 		}
-		d.results[i] = d.issue(rng, d.cfg.targets[i%len(d.cfg.targets)], bodies[i], i)
+		d.results[j.i] = d.issue(rng, d.cfg.targets[j.i%len(d.cfg.targets)], bodies[j.i], j.i, start)
 	}
+}
+
+// dispatch hands the n requests to the workers. With rps > 0 it is an
+// open loop: request i is due at start + i/rps and is queued at that
+// time whether or not a worker is free, so a stall delays the requests
+// behind it and its latency (timed from the due time) is charged to
+// them. It returns the largest backlog seen: requests due but not yet
+// taken by a worker.
+func dispatch(jobs chan<- job, n int, rps float64) (backlogMax int) {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if rps <= 0 {
+			jobs <- job{i: i}
+			continue
+		}
+		due := start.Add(time.Duration(float64(i) / rps * float64(time.Second)))
+		time.Sleep(time.Until(due))
+		jobs <- job{i: i, due: due}
+		backlogMax = max(backlogMax, len(jobs))
+	}
+	return backlogMax
 }
 
 // issue posts one map request, retrying 429/503 with the server's
 // Retry-After hint plus up to 250ms of jitter so synchronized retry
-// herds cannot form.
-func (d *driver) issue(rng *rand.Rand, target string, body []byte, idx int) outcome {
-	start := time.Now()
+// herds cannot form. The latency runs from start.
+func (d *driver) issue(rng *rand.Rand, target string, body []byte, idx int, start time.Time) outcome {
 	retries := 0
 	for attempt := 0; ; attempt++ {
 		out := d.post(target, body, idx)
@@ -380,53 +414,31 @@ func run(cfg *config, text io.Writer) (*report, bool, error) {
 		client:  &http.Client{Timeout: cfg.timeout},
 		results: make([]outcome, cfg.n),
 	}
-	var stopPace chan struct{}
-	if cfg.rps > 0 {
-		pace := make(chan struct{})
-		stopPace = make(chan struct{})
-		interval := time.Duration(float64(time.Second) / cfg.rps)
-		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					select {
-					case pace <- struct{}{}:
-					case <-stopPace:
-						return
-					}
-				case <-stopPace:
-					return
-				}
-			}
-		}()
-		d.pace = pace
-	}
 
 	var poller *statusPoller
 	if cfg.clusterStatus {
 		poller = startStatusPoller(d.client, cfg.targets[0])
 	}
 
-	jobs := make(chan int)
+	// The open loop never blocks on busy workers: its queue holds every
+	// request.
+	jobs := make(chan job)
+	if cfg.rps > 0 {
+		jobs = make(chan job, cfg.n)
+	}
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.concurrency; w++ {
 		wg.Add(1)
 		go d.worker(&wg, jobs, bodies, cfg.seed+int64(w)+1)
 	}
-	for i := 0; i < cfg.n; i++ {
-		jobs <- i
-	}
+	backlog := dispatch(jobs, cfg.n, cfg.rps)
 	close(jobs)
 	wg.Wait()
 	wall := time.Since(start)
-	if stopPace != nil {
-		close(stopPace)
-	}
 
 	rep := summarize(cfg, families, d.results, wall)
+	rep.Backlog = backlog
 	if poller != nil {
 		rep.Server = poller.finish()
 		if rep.Server == nil {
@@ -529,6 +541,7 @@ type report struct {
 	Workers   int                `json:"concurrency"`
 	WallSecs  float64            `json:"wall_seconds"`
 	Achieved  float64            `json:"achieved_rps"`
+	Backlog   int                `json:"backlog_max"` // -rps: most requests ever due but not yet sent
 	OK        int                `json:"ok"`
 	Errors    int                `json:"errors"`
 	Retries   int                `json:"retries"`
@@ -689,6 +702,9 @@ func evaluateSLOs(cfg *config, rep *report) bool {
 func writeText(w io.Writer, cfg *config, rep *report) {
 	fmt.Fprintf(w, "maploadgen: %d requests over %d targets in %.2fs (%.1f req/s achieved, %.0f targeted)\n",
 		rep.Requests, len(cfg.targets), rep.WallSecs, rep.Achieved, cfg.rps)
+	if cfg.rps > 0 {
+		fmt.Fprintf(w, "  open loop: latency from each request's due time; backlog max %d\n", rep.Backlog)
+	}
 	fmt.Fprintf(w, "  ok %d, errors %d, retries %d; statuses %v\n", rep.OK, rep.Errors, rep.Retries, rep.ByStatus)
 	fmt.Fprintf(w, "  latency ms: p50 %.2f, p95 %.2f, p99 %.2f, mean %.2f, max %.2f\n",
 		rep.LatencyMS["p50"], rep.LatencyMS["p95"], rep.LatencyMS["p99"], rep.LatencyMS["mean"], rep.LatencyMS["max"])

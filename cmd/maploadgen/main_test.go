@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 
@@ -244,5 +246,39 @@ func TestRunWithManifestCorpus(t *testing.T) {
 		if !sameProblem(p1[i], p2[i]) || f1[i] != f2[i] {
 			t.Fatalf("manifest corpus not deterministic at %d", i)
 		}
+	}
+}
+
+// TestOpenLoopChargesStalls: against a deliberately slow handler, the
+// -rps open loop keeps issuing on schedule — every request is sent, the
+// backlog builds up and is reported — and each latency runs from the
+// request's due time, so requests queued behind the slow ones report
+// far more than one handler time.
+func TestOpenLoopChargesStalls(t *testing.T) {
+	const slow = 20 * time.Millisecond
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(slow)
+		w.Header().Set("X-Mapserve-Cache", "miss")
+		w.Write([]byte(`{}`))
+	}))
+	defer srv.Close()
+	// One worker against a 20 ms handler at 200 req/s: request i is due
+	// at 5i ms but cannot start before 20i ms.
+	cfg := &config{targets: []string{srv.URL}, n: 12, problems: 4, dims: 1, seed: 1,
+		rps: 200, concurrency: 1, timeout: 5 * time.Second, sloErrorRate: -1, sloHitRatio: -1}
+	rep, _, err := run(cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != cfg.n {
+		t.Fatalf("%d of %d requests answered OK: %v", rep.OK, cfg.n, rep.ByStatus)
+	}
+	if rep.Backlog < 4 {
+		t.Errorf("backlog max %d, want ≥ 4 requests queued behind the slow handler", rep.Backlog)
+	}
+	// The last request is due at 55 ms and answered after ≥ 240 ms.
+	if max := rep.LatencyMS["max"]; max < 150 {
+		t.Errorf("max latency %.1f ms, want ≥ 150 ms: latency must run from the due time", max)
 	}
 }

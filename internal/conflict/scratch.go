@@ -19,6 +19,9 @@ type Scratch struct {
 	owner *SpaceAnalyzer
 	ar    *intmat.Arena
 	cache *intmat.VecMap[Result]
+	// peak is the most entries cache has held since it was made: Go
+	// maps never shrink, so it stands for the map's capacity.
+	peak int
 
 	// hits counts decisions answered from the cache (the "incremental"
 	// decompositions of SearchStats); misses counts fresh ones.
@@ -35,6 +38,20 @@ type Scratch struct {
 // degenerate and dropped wholesale.
 const scratchCacheLimit = 1 << 14
 
+// scratchKeepSlack is how much larger than a search's use a cache may
+// be and still be cleared in place. Go's clear touches a map's whole
+// capacity, which never shrinks, so a map that once held a large
+// search's entries would charge that size to every later reset. A
+// reset therefore clears a cache only when its peak is within this
+// factor of what the finished search stored (or of scratchKeepMin),
+// and otherwise replaces it with one sized to that search: either way
+// the reset costs in proportion to what the search stored, and a
+// worker whose searches are all large keeps reusing one map.
+const scratchKeepSlack = 4
+
+// scratchKeepMin is the smallest cache a reset ever replaces.
+const scratchKeepMin = 64
+
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch returns a scratch from the package pool.
@@ -48,16 +65,34 @@ func GetScratch() *Scratch {
 
 // PutScratch releases sc to the pool. The analyzer binding and cache
 // contents are dropped so the pool retains no references into a
-// finished search; the arena blocks and the cache's bucket storage stay
-// warm for the next search.
+// finished search; the arena blocks and the cache's storage, sized to
+// its last use (see resetCache), stay warm for the next search.
 func PutScratch(sc *Scratch) {
 	sc.owner = nil
-	if sc.cache != nil {
-		sc.cache.Clear()
-	}
+	sc.resetCache()
 	sc.hits, sc.misses = 0, 0
 	sc.ar.Reset()
 	scratchPool.Put(sc)
+}
+
+// resetCache empties the decision cache at a cost proportional to what
+// it holds: an empty cache is left alone, one not much larger than its
+// contents is cleared in place, and an oversized one is replaced (see
+// scratchKeepSlack).
+func (sc *Scratch) resetCache() {
+	if sc.cache == nil {
+		return
+	}
+	n := sc.cache.Len()
+	if n == 0 {
+		return
+	}
+	sc.peak = max(sc.peak, n)
+	if sc.peak <= scratchKeepSlack*max(n, scratchKeepMin) {
+		sc.cache.Clear()
+		return
+	}
+	sc.cache, sc.peak = intmat.NewVecMap[Result](n), n
 }
 
 // TakeStats drains and returns the cache counters: hit decisions
@@ -69,16 +104,16 @@ func (sc *Scratch) TakeStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// bind points sc at sa, clearing the cache when the analyzer changes
-// (the cache key is expressed in coordinates of sa.W). The map storage
-// is kept so that pooled scratches stop allocating per search.
+// bind points sc at sa, resetting the cache when the analyzer changes
+// (the cache key is expressed in coordinates of sa.W). One scratch can
+// thus serve a worker's whole sequence of searches, each paying only
+// for the entries the previous one stored.
 func (sc *Scratch) bind(sa *SpaceAnalyzer) {
 	if sc.owner != sa {
 		sc.owner = sa
+		sc.resetCache()
 		if sc.cache == nil {
-			sc.cache = intmat.NewVecMap[Result](64)
-		} else {
-			sc.cache.Clear()
+			sc.cache, sc.peak = intmat.NewVecMap[Result](scratchKeepMin), scratchKeepMin
 		}
 		q := len(sa.W)
 		if cap(sc.h) < q {
@@ -129,7 +164,8 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 	}
 	// The ladder only ever returns heap vectors (Canonical copies), so
 	// the Result is safe to retain past the next arena Reset.
-	if sc.cache.Len() >= scratchCacheLimit {
+	if n := sc.cache.Len(); n >= scratchCacheLimit {
+		sc.peak = max(sc.peak, n)
 		sc.cache.Clear()
 	}
 	sc.cache.Store(key, res)

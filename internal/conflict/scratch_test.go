@@ -153,3 +153,75 @@ func TestDecideScratchHitAllocFree(t *testing.T) {
 		t.Fatal("expected cache hits")
 	}
 }
+
+// TestScratchReuseAfterLargeSearch: a scratch whose search stored at
+// least scratchCacheLimit decisions is rebound to a second analyzer
+// and, after a release, reused from the pool; either way its verdicts
+// equal a fresh scratch's. Resets cost in proportion to use: the large
+// search's well-filled cache is cleared in place for the next search,
+// and once a small search has run in it, the oversized map is replaced
+// instead of being cleared at its full size again.
+func TestScratchReuseAfterLargeSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	set := uda.Cube(4, 3)
+	big, err := NewSpaceAnalyzer(intmat.FromRows([]int64{1, 0, 0, 1}), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := NewSpaceAnalyzer(intmat.FromRows([]int64{1, 1, -1, 0}), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	randPi := func(r int64) intmat.Vector {
+		pi := make(intmat.Vector, 4)
+		for i := range pi {
+			pi[i] = rng.Int63n(2*r+1) - r
+		}
+		return pi
+	}
+	sc := new(Scratch)
+	sc.ar = intmat.GetArena()
+	// Past scratchCacheLimit stored decisions the search clears its
+	// cache once; it then stores on until the cache is well filled again.
+	for stored := 0; stored <= scratchCacheLimit || sc.cache.Len() < scratchCacheLimit/scratchKeepSlack; {
+		if _, err := big.DecideScratch(sc, randPi(40)); err == nil {
+			_, misses := sc.TakeStats()
+			stored += int(misses)
+		}
+	}
+	large := sc.cache
+	pis := make([]intmat.Vector, 300)
+	for i := range pis {
+		pis[i] = randPi(4)
+		if i%3 == 2 {
+			pis[i] = pis[i/2].Scale(2) // same h line as an earlier Π
+		}
+	}
+	compare := func(what string, sc *Scratch) {
+		t.Helper()
+		fresh := GetScratch()
+		defer PutScratch(fresh)
+		for _, pi := range pis {
+			want, wantErr := next.DecideScratch(fresh, pi)
+			got, gotErr := next.DecideScratch(sc, pi)
+			if (wantErr == nil) != (gotErr == nil) || got.ConflictFree != want.ConflictFree {
+				t.Fatalf("%s: Π=%v verdict %v (%v), fresh scratch %v (%v)", what, pi, got.ConflictFree, gotErr, want.ConflictFree, wantErr)
+			}
+		}
+	}
+	compare("rebound", sc)
+	if sc.cache != large {
+		t.Fatal("rebinding after a search that filled its cache replaced the cache instead of clearing it")
+	}
+	small := sc.cache.Len()
+	if _, err := big.DecideScratch(sc, randPi(4)); err != nil && !errors.Is(err, ErrRank) {
+		t.Fatal(err)
+	}
+	if sc.cache == large {
+		t.Fatalf("rebinding after a %d-entry search kept the oversized cache", small)
+	}
+	PutScratch(sc)
+	reused := GetScratch()
+	defer PutScratch(reused)
+	compare("reused", reused)
+}

@@ -263,7 +263,7 @@ func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, 
 	if maxCost == 0 {
 		maxCost = defaultMaxCost(algo.Set)
 	}
-	cctx := newCandCtx(algo, s, opts, analyzer)
+	cctx := newCandCtx(algo, s, opts, analyzer, nil)
 	var best *Result
 	var bestObj int64
 	for cost := int64(1); cost <= maxCost; cost++ {

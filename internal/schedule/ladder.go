@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"lodim/internal/intmat"
@@ -27,7 +28,10 @@ const ladderMaxWords = 1 << 18
 //
 // Levels are built lazily, one at a time under buildMu, and published
 // only once complete; every worker of the search shares them
-// read-only.
+// read-only. Publication never writes a slot below the published
+// length of levels (a gap is filled in a copy), so an inner search
+// takes the held prefix once, under one read lock, and indexes it
+// without further locking (see reader).
 type piLadder struct {
 	mu      intmat.Vector
 	depCols []intmat.Vector
@@ -37,7 +41,7 @@ type piLadder struct {
 	stored   int64      // words retained so far; guarded by buildMu
 
 	rw     sync.RWMutex
-	levels []*piLevel // index = cost; nil until built
+	levels []*piLevel // index = cost; nil until built; copy-on-write below len
 	full   bool       // a build passed the cap: no further level is built
 }
 
@@ -89,11 +93,29 @@ func (lv *piLevel) fill(ctx context.Context, mu intmat.Vector, depCols []intmat.
 }
 
 func newPiLadder(algo *uda.Algorithm) *piLadder {
+	return &piLadder{mu: algo.Set.Upper, depCols: depColumns(algo), capWords: ladderMaxWords}
+}
+
+// depColumns returns the dependence columns d̄_i of D (Matrix.Col
+// allocates, and the ΠD > 0 test runs once per enumerated Π).
+func depColumns(algo *uda.Algorithm) []intmat.Vector {
 	cols := make([]intmat.Vector, algo.NumDeps())
 	for i := range cols {
 		cols[i] = algo.D.Col(i)
 	}
-	return &piLadder{mu: algo.Set.Upper, depCols: cols, capWords: ladderMaxWords}
+	return cols
+}
+
+// isDone polls a context's Done channel without blocking. Unlike
+// ctx.Err it takes no lock, so the per-level and per-chunk checks of
+// the searches cost a channel load.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // level returns objective level cost, building it on first use. It
@@ -123,7 +145,11 @@ func (l *piLadder) level(ctx context.Context, cost int64) (*piLevel, error) {
 		return nil, nil
 	}
 	l.stored += int64(len(lv.pis) + len(lv.ords))
-	if cost >= int64(len(l.levels)) {
+	if cost < int64(len(l.levels)) {
+		// A gap below the published length is filled in a copy: readers
+		// index their snapshot of levels without the lock.
+		l.levels = slices.Clone(l.levels)
+	} else {
 		l.levels = append(l.levels, make([]*piLevel, cost+1-int64(len(l.levels)))...)
 	}
 	l.levels[cost] = lv
@@ -153,6 +179,39 @@ func (l *piLadder) scan(ctx context.Context, cost int64, fn func(pi intmat.Vecto
 	return scanLevel(ctx, lv, l.mu, l.depCols, cost, fn)
 }
 
+// ladderReader is one inner search's view of a ladder: the levels held
+// when the search began, indexed without locking, and the ladder itself
+// for the levels past them. A nil ladder yields a reader that holds
+// nothing, so every level is streamed.
+type ladderReader struct {
+	l    *piLadder
+	held []*piLevel
+	full bool
+}
+
+// reader takes the held prefix of l under one read lock.
+func (l *piLadder) reader() ladderReader {
+	if l == nil {
+		return ladderReader{full: true}
+	}
+	l.rw.RLock()
+	defer l.rw.RUnlock()
+	return ladderReader{l: l, held: l.levels, full: l.full}
+}
+
+// level is piLadder.level, answered from the snapshot when it holds the
+// level. A ladder full at the snapshot builds nothing more, so a level
+// missing from a full snapshot is streamed without asking the ladder.
+func (r *ladderReader) level(ctx context.Context, cost int64) (*piLevel, error) {
+	if cost < int64(len(r.held)) && r.held[cost] != nil {
+		return r.held[cost], nil
+	}
+	if r.full {
+		return nil, nil
+	}
+	return r.l.level(ctx, cost)
+}
+
 // scanLevel calls fn on each Π of level cost that passes ΠD > 0, in
 // enumerate's order, with its ordinal among all Π of the level, until
 // fn returns false. It reads lv when non-nil and streams enumerate
@@ -160,9 +219,10 @@ func (l *piLadder) scan(ctx context.Context, cost int64, fn func(pi intmat.Vecto
 // stopping entry's ordinal + 1, or else the level's raw size. It fails
 // only with ctx's error, polled every ctxCheckMask+1 entries.
 func scanLevel(ctx context.Context, lv *piLevel, mu intmat.Vector, depCols []intmat.Vector, cost int64, fn func(pi intmat.Vector, ord int64) bool) (int64, error) {
+	done := ctx.Done()
 	if lv != nil {
 		for i := 0; i < lv.Len(); i++ {
-			if i&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
+			if i&ctxCheckMask == ctxCheckMask && isDone(done) {
 				return lv.ords[i], ctx.Err()
 			}
 			if !fn(lv.pi(i), lv.ords[i]) {
@@ -175,10 +235,9 @@ func scanLevel(ctx context.Context, lv *piLevel, mu intmat.Vector, depCols []int
 	var err error
 	enumerate(mu, cost, func(pi intmat.Vector) bool {
 		seen++
-		if seen&ctxCheckMask == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
+		if seen&ctxCheckMask == 0 && isDone(done) {
+			err = ctx.Err()
+			return false
 		}
 		return !validCols(pi, depCols) || fn(pi, seen-1)
 	})

@@ -199,8 +199,8 @@ func TestLadderPastCapSameAnswers(t *testing.T) {
 				for _, opts := range variants {
 					opts.MaxCost = 40
 					var wantStats, gotStats statsCollector
-					want, wantErr := findOptimalWith(ctx, algo, s, &opts, analyzer, &wantStats, nil)
-					got, gotErr := findOptimalWith(ctx, algo, s, &opts, analyzer, &gotStats, l)
+					want, wantErr := findOptimalWith(ctx, algo, s, &opts, analyzer, &innerEnv{stats: &wantStats})
+					got, gotErr := findOptimalWith(ctx, algo, s, &opts, analyzer, &innerEnv{stats: &gotStats, ladder: l})
 					what := fmt.Sprintf("%s cap %d S=%v %+v", algo.Name, capWords, s.Row(0), opts)
 					if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && !errors.Is(gotErr, ErrNoSchedule)) {
 						t.Fatalf("%s: error %v, streaming %v", what, gotErr, wantErr)
@@ -286,7 +286,7 @@ func TestLadderPastCapStreamsInConstantMemory(t *testing.T) {
 	searchAllocs := func(cost int64, ladder *piLadder) float64 {
 		opts := Options{MinCost: cost, MaxCost: cost}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := findOptimalWith(ctx, algo, s, &opts, analyzer, &statsCollector{}, ladder); !errors.Is(err, ErrNoSchedule) {
+			if _, err := findOptimalWith(ctx, algo, s, &opts, analyzer, &innerEnv{stats: &statsCollector{}, ladder: ladder}); !errors.Is(err, ErrNoSchedule) {
 				t.Fatalf("level %d: %v, want ErrNoSchedule", cost, err)
 			}
 		})
@@ -351,7 +351,7 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 			continue
 		}
 		stats.innerSearches.Add(1)
-		res, err := findOptimalWith(ctx, algo, s, &schedOpts, analyzer, stats, nil)
+		res, err := findOptimalWith(ctx, algo, s, &schedOpts, analyzer, &innerEnv{stats: stats})
 		if errors.Is(err, ErrNoSchedule) {
 			continue
 		}
@@ -413,7 +413,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) ([][3]s
 		}
 		schedOpts := opts.Space.Schedule
 		schedOpts.Workers, schedOpts.SelfCheck, schedOpts.MaxCost = 0, false, baseMaxCost
-		cctx := newCandCtx(algo, s, &schedOpts, analyzer)
+		cctx := newCandCtx(algo, s, &schedOpts, analyzer, nil)
 		procs, links := countProcessorImages(s, algo.Set), linkCount(s, algo.D)
 		stats.innerSearches.Add(1)
 		bestBuf := int64(math.MaxInt64)
@@ -563,5 +563,44 @@ func TestLadderMatchesStreamingOnCorpus(t *testing.T) {
 		if g.ScheduleCandidates != w.ScheduleCandidates || g.CostLevels != w.CostLevels || g.InnerSearches != w.InnerSearches {
 			t.Fatalf("%s pareto stats:\n got %v\nwant %v", p.ID, g, w)
 		}
+	}
+}
+
+// TestLadderReadersConcurrent: readers snapshot the ladder while other
+// goroutines build levels out of order, so levels land both past the
+// published end and in gaps below it. Every level any reader sees —
+// from its snapshot or from the ladder — matches the streaming
+// reference, and under -race no snapshot observes a slot being written.
+func TestLadderReadersConcurrent(t *testing.T) {
+	algo := uda.TransitiveClosure(4)
+	const maxCost = 30
+	want := make([]refLevel, maxCost+1)
+	for cost := int64(1); cost <= maxCost; cost++ {
+		want[cost] = streamingLevel(algo, cost)
+	}
+	for round := 0; round < 10; round++ {
+		l := newPiLadder(algo)
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(100*round + g)))
+				for _, c := range rng.Perm(maxCost) {
+					cost := int64(c + 1)
+					r := l.reader()
+					lv, err := r.level(context.Background(), cost)
+					if err != nil || lv == nil {
+						t.Errorf("level %d: %v, %v", cost, lv, err)
+						return
+					}
+					if lv.raw != want[cost].raw || lv.Len() != len(want[cost].pis) {
+						t.Errorf("level %d: raw %d with %d passers, want raw %d with %d", cost, lv.raw, lv.Len(), want[cost].raw, len(want[cost].pis))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

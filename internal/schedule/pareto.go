@@ -320,7 +320,10 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	defer cancelSearch()
 	collectDur := time.Since(startAt)
 	searchAt := time.Now()
-	forEachCandidate(searchCtx, len(cands), opts.Space.Schedule.Workers, func(wctx context.Context, i int) {
+	// One conflict scratch per worker for the whole call, as in the
+	// joint search.
+	scs := newWorkerScratches(opts.Space.Schedule.Workers, len(cands))
+	forEachCandidate(searchCtx, len(cands), opts.Space.Schedule.Workers, func(wctx context.Context, w, i int) {
 		s := cands[i]
 		if symPruned[i] {
 			prunedCount.Add(1)
@@ -337,29 +340,36 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 		schedOpts.Workers = 0
 		schedOpts.SelfCheck = false
 		schedOpts.MaxCost = baseMaxCost
-		cctx := newCandCtx(algo, s, &schedOpts, analyzer)
-		sc := conflict.GetScratch()
-		defer func() {
-			stats.drainScratch(sc)
-			conflict.PutScratch(sc)
-		}()
+		cctx := newCandCtx(algo, s, &schedOpts, analyzer, ladder.depCols)
+		sc := scs.get(w)
 		procs := countProcessorImages(s, algo.Set)
 		links := linkCount(s, algo.D)
 		stats.innerSearches.Add(1)
+		// The staircase counts its levels and candidates privately and
+		// adds them to the shared collector once, when it ends.
+		var levels, candidates int64
+		defer func() {
+			stats.costLevels.Add(levels)
+			stats.scheduleCandidates.Add(candidates)
+		}()
+		held := ladder.reader()
+		done := wctx.Done()
 		// Per-S staircase: time strictly increases with the level, and
 		// processors/links are fixed by S, so a level's winner enters
 		// the record list only when its buffer count strictly improves
 		// on every lower level — anything else is dominated within S.
 		bestBuf := int64(math.MaxInt64)
 		for cost := floor; cost <= levelBound(); cost++ {
-			if wctx.Err() != nil {
+			if isDone(done) {
 				return
 			}
-			stats.costLevels.Add(1)
+			levels++
 			var lvlMapping *Mapping
 			var lvlBuf int64
-			// scan fails only with wctx's error, checked below.
-			seen, _ := ladder.scan(wctx, cost, func(pi intmat.Vector, _ int64) bool {
+			// Reading and scanning fail only with wctx's error, checked
+			// below.
+			lv, _ := held.level(wctx, cost)
+			seen, _ := scanLevel(wctx, lv, algo.Set.Upper, ladder.depCols, cost, func(pi intmat.Vector, _ int64) bool {
 				r, ok := cctx.tryValid(pi, sc)
 				if !ok {
 					return true
@@ -372,13 +382,13 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 				}
 				return true
 			})
-			stats.scheduleCandidates.Add(seen)
+			candidates += seen
 			if err := cctx.takeErr(); err != nil {
 				errs[i] = err
 				cancelSearch()
 				return
 			}
-			if wctx.Err() != nil {
+			if isDone(done) {
 				return
 			}
 			if lvlMapping == nil {
@@ -405,6 +415,7 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 			}
 		}
 	})
+	scs.release(stats)
 	for _, err := range errs {
 		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			continue

@@ -59,13 +59,22 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 			return nil, err
 		}
 	}
-	return findOptimalWith(ctx, algo, s, opts, analyzer, nil, nil)
+	return findOptimalWith(ctx, algo, s, opts, analyzer, nil)
 }
 
-// ctxCheckMask paces the in-level cancellation checks: ctx.Err() takes
-// a lock, while a typical rejected candidate costs nanoseconds, so the
-// enumeration polls once every 256 candidates (plus once per level).
+// ctxCheckMask paces the in-level cancellation checks: a typical
+// rejected candidate costs nanoseconds, so the enumeration polls the
+// context once every 256 candidates (plus once per level).
 const ctxCheckMask = 255
+
+// innerEnv is what a joint or Pareto call lends each of its inner Π
+// searches: the call's shared counters and Π ladder, and the calling
+// worker's conflict scratch, which that worker keeps for the whole call.
+type innerEnv struct {
+	stats  *statsCollector
+	ladder *piLadder         // nil: every level is streamed
+	sc     *conflict.Scratch // nil: the search takes its own from the pool
+}
 
 // findOptimalWith is the enumeration engine behind FindOptimal with a
 // caller-supplied (possibly nil) factored analyzer. The joint optimizer
@@ -73,21 +82,24 @@ const ctxCheckMask = 255
 // shares it between this search and the array-metric evaluation, so the
 // Π-independent Hermite work happens exactly once per S.
 //
-// stats, when non-nil, is a shared collector the engine accumulates
-// candidate and level counts into (the joint optimizer passes one
-// collector across all inner searches); when nil the engine owns a
-// fresh collector and attaches its snapshot to the winning Result.
-//
-// ladder, when non-nil, supplies each objective level's Π that pass
-// ΠD > 0 (one ladder serves every inner search of a joint or Pareto
-// call) in place of streaming enumerate; levels it does not hold are
-// streamed all the same. Counts are identical either way: a level adds
-// its winner's ordinal + 1, or its raw size when no entry wins, exactly
-// what the streaming scan counts.
-func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector, ladder *piLadder) (_ *Result, err error) {
-	ownStats := stats == nil
+// env is nil for a top-level search, which owns a fresh collector,
+// attaches its snapshot to the winning Result and formats ErrNoSchedule
+// with the algorithm, S and the cost bound. An inner search (non-nil
+// env) adds its level and candidate counts to env.stats once, at its
+// end, and reports a bare ErrNoSchedule: its caller only tests for the
+// sentinel. When env.ladder is non-nil it supplies each objective
+// level's Π that pass ΠD > 0 in place of streaming enumerate; levels it
+// does not hold are streamed all the same. Counts are identical either
+// way: a level adds its winner's ordinal + 1, or its raw size when no
+// entry wins, exactly what the streaming scan counts.
+func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, env *innerEnv) (_ *Result, err error) {
+	ownStats := env == nil
+	var stats *statsCollector
+	var ladder *piLadder
 	if ownStats {
 		stats = &statsCollector{}
+	} else {
+		stats, ladder = env.stats, env.ladder
 	}
 	// One span per Π search: a top-level Procedure 5.1 run gets its own,
 	// and each joint-search inner search becomes a child of its worker
@@ -116,45 +128,56 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 	if opts.MinimizeBuffers && opts.Machine == nil {
 		return nil, fmt.Errorf("schedule: MinimizeBuffers requires a Machine")
 	}
-	cctx := newCandCtx(algo, s, opts, analyzer)
+	var depCols []intmat.Vector
+	if ladder != nil {
+		depCols = ladder.depCols
+	}
+	cctx := newCandCtx(algo, s, opts, analyzer, depCols)
 	// One conflict scratch per worker, held across cost levels: the
 	// scratch's decision cache is what makes neighbouring candidates
 	// incremental (adjacent levels re-probe the same h lines), so it must
-	// survive level boundaries. Counters drain into stats before the
-	// snapshot and again — idempotently — when the scratches are
-	// released.
+	// survive level boundaries. A sequential inner search uses the
+	// scratch its caller lends; otherwise the scratches come from the
+	// pool, and their counters drain into stats before the snapshot and
+	// again — idempotently — when they are released.
 	var scs []*conflict.Scratch
 	if analyzer != nil {
 		nw := opts.Workers
 		if nw < 1 {
 			nw = 1
 		}
-		scs = make([]*conflict.Scratch, nw)
-		for i := range scs {
-			scs[i] = conflict.GetScratch()
-		}
-		defer func() {
-			for _, sc := range scs {
-				stats.drainScratch(sc)
-				conflict.PutScratch(sc)
+		if nw == 1 && env != nil && env.sc != nil {
+			scs = []*conflict.Scratch{env.sc}
+		} else {
+			scs = make([]*conflict.Scratch, nw)
+			for i := range scs {
+				scs[i] = conflict.GetScratch()
 			}
-		}()
+			defer func() {
+				for _, sc := range scs {
+					stats.drainScratch(sc)
+					conflict.PutScratch(sc)
+				}
+			}()
+		}
 	}
 	var seqScratch *conflict.Scratch
 	if len(scs) > 0 {
 		seqScratch = scs[0]
 	}
-	// Levels the ladder does not hold — all of them for a top-level
-	// search — are streamed; the level-synchronous path builds them
-	// into spare, whose storage it reuses from level to level.
+	// The ladder's held levels are read from one snapshot; levels it
+	// does not hold — all of them for a top-level search — are streamed,
+	// or, on the level-synchronous path, built into spare, whose storage
+	// is reused from level to level.
+	held := ladder.reader()
 	levelSync := opts.Workers > 1 || opts.MinimizeBuffers
+	done := ctx.Done()
 	var spare *piLevel
 	var found *Result
 	for cost := minCost; cost <= maxCost && found == nil; cost++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if isDone(done) {
+			return nil, ctx.Err()
 		}
-		stats.costLevels.Add(1)
 		levels++
 		// Cost-level spans only for a top-level search: a joint run's
 		// hundreds of inner searches would multiply them into noise
@@ -170,12 +193,10 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			levelSpan.SetInt("candidates", int64(candidates-levelStart))
 			levelSpan.End()
 		}
-		var lv *piLevel
-		if ladder != nil {
-			if lv, err = ladder.level(ctx, cost); err != nil {
-				endLevel()
-				return nil, err
-			}
+		lv, err := held.level(ctx, cost)
+		if err != nil {
+			endLevel()
+			return nil, err
 		}
 		if levelSync {
 			// Level-synchronous evaluation: test the level's ΠD > 0
@@ -197,9 +218,9 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			// (potentially winning) candidates unevaluated, so the
 			// level's verdict cannot be trusted — report the
 			// interruption instead.
-			if err := ctx.Err(); err != nil {
+			if isDone(done) {
 				endLevel()
-				return nil, err
+				return nil, ctx.Err()
 			}
 			found = pickWinner(results, opts)
 			endLevel()
@@ -220,9 +241,12 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			return nil, err
 		}
 	}
+	stats.costLevels.Add(levels)
 	stats.scheduleCandidates.Add(int64(candidates))
-	for _, sc := range scs {
-		stats.drainScratch(sc)
+	if ownStats {
+		for _, sc := range scs {
+			stats.drainScratch(sc)
+		}
 	}
 	// An arithmetic overflow recorded by a worker invalidates the whole
 	// run — the enumeration may have mis-ranked candidates — and takes
@@ -231,6 +255,9 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 		return nil, err
 	}
 	if found == nil {
+		if !ownStats {
+			return nil, ErrNoSchedule
+		}
 		return nil, fmt.Errorf("%w: algorithm %q, S =\n%v, cost ≤ %d", ErrNoSchedule, algo.Name, s, maxCost)
 	}
 	found.Candidates = candidates
@@ -272,10 +299,11 @@ func evaluateLevel(ctx context.Context, lv *piLevel, cctx *candCtx, scs []*confl
 		}
 		return nil
 	}
+	done := ctx.Done()
 	if workers <= 1 {
 		sc := scratchFor(0)
 		for i := range results {
-			if i&ctxCheckMask == 0 && ctx.Err() != nil {
+			if i&ctxCheckMask == 0 && isDone(done) {
 				return results
 			}
 			if r, ok := cctx.tryValid(lv.pi(i), sc); ok {
@@ -303,7 +331,7 @@ func evaluateLevel(ctx context.Context, lv *piLevel, cctx *candCtx, scs []*confl
 		go func(sc *conflict.Scratch) {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
+				if isDone(done) {
 					return
 				}
 				lo := (atomic.AddInt64(&next, 1) - 1) * chunk
@@ -379,12 +407,14 @@ type candCtx struct {
 	err   error
 }
 
-func newCandCtx(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer) *candCtx {
-	cols := make([]intmat.Vector, algo.NumDeps())
-	for i := range cols {
-		cols[i] = algo.D.Col(i)
+// newCandCtx builds the step-5 state for one S. depCols, when non-nil,
+// are algo's dependence columns already extracted (a ladder's); nil
+// extracts them afresh.
+func newCandCtx(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, depCols []intmat.Vector) *candCtx {
+	if depCols == nil {
+		depCols = depColumns(algo)
 	}
-	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, depCols: cols}
+	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, depCols: depCols}
 }
 
 // recordErr stores the first failure; later ones are dropped.
@@ -416,7 +446,7 @@ func validCols(pi intmat.Vector, depCols []intmat.Vector) bool {
 // tryCandidate applies the four tests of Procedure 5.1's step 5 to a
 // single Π, building the full Result on success.
 func tryCandidate(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Options) (*Result, bool) {
-	return newCandCtx(algo, s, opts, nil).try(pi)
+	return newCandCtx(algo, s, opts, nil, nil).try(pi)
 }
 
 // try applies the four tests of Procedure 5.1's step 5 to a single Π,

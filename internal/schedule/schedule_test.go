@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -268,6 +269,20 @@ func TestFindOptimalNoSolution(t *testing.T) {
 	_, err := FindOptimal(algo, s, &Options{MaxCost: 3})
 	if !errors.Is(err, ErrNoSchedule) {
 		t.Errorf("err = %v, want ErrNoSchedule", err)
+	}
+	// The top-level message names the algorithm, S and the cost bound.
+	want := ErrNoSchedule.Error() + ": algorithm \"matmul\", S =\n" + s.String() + ", cost ≤ 3"
+	if err == nil || err.Error() != want {
+		t.Errorf("message %q, want %q", err, want)
+	}
+	// An inner search of a joint or Pareto call reports the bare
+	// sentinel: its caller tests for it and drops any message.
+	analyzer, aerr := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if _, err := findOptimalWith(context.Background(), algo, s, &Options{MaxCost: 3}, analyzer, &innerEnv{stats: &statsCollector{}}); err != ErrNoSchedule {
+		t.Errorf("inner search: err = %v, want the bare ErrNoSchedule", err)
 	}
 }
 

@@ -158,7 +158,7 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	var bestCost, prunedCount atomic.Int64
 	bestCost.Store(math.MaxInt64)
 	searchAt := time.Now()
-	forEachCandidate(ctx, len(cands), opts.Schedule.Workers, func(_ context.Context, i int) {
+	forEachCandidate(ctx, len(cands), opts.Schedule.Workers, func(_ context.Context, _, i int) {
 		s := cands[i]
 		if symPruned[i] {
 			prunedCount.Add(1)
@@ -328,7 +328,11 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	defer cancelSearch()
 	collectDur := time.Since(startAt)
 	searchAt := time.Now()
-	forEachCandidate(searchCtx, len(cands), opts.Schedule.Workers, func(wctx context.Context, i int) {
+	// Each worker keeps one conflict scratch for the whole call; binding
+	// it to the next S's analyzer resets its decision cache at a cost
+	// proportional to what the previous inner search stored.
+	scs := newWorkerScratches(opts.Schedule.Workers, len(cands))
+	forEachCandidate(searchCtx, len(cands), opts.Schedule.Workers, func(wctx context.Context, w, i int) {
 		s := cands[i]
 		if symPruned[i] {
 			prunedCount.Add(1)
@@ -373,7 +377,7 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 		}
 		schedOpts.MaxCost = bound
 		stats.innerSearches.Add(1)
-		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, stats, ladder)
+		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, &innerEnv{stats: stats, ladder: ladder, sc: scs.get(w)})
 		if err != nil {
 			if errors.Is(err, ErrNoSchedule) {
 				return // bounded out or genuinely unschedulable: skip
@@ -405,6 +409,7 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 		}
 		inc.offer(res.Time, cost)
 	})
+	scs.release(stats)
 	// A real inner error wins over context errors: once cancelSearch
 	// fires, the still-running workers report searchCtx's cancellation,
 	// which must not mask the root cause.
@@ -524,8 +529,38 @@ func (inc *incumbent) offer(t, c int64) {
 	}
 }
 
-// forEachCandidate runs fn(ctx, i) for i in [0, count) on up to
-// workers goroutines (sequentially when workers ≤ 1). fn must confine
+// workerScratches holds one conflict scratch per worker of a joint or
+// Pareto call, indexed by forEachCandidate's worker number and taken
+// from the pool on first use.
+type workerScratches []*conflict.Scratch
+
+func newWorkerScratches(workers, count int) workerScratches {
+	return make(workerScratches, effectiveWorkers(workers, count))
+}
+
+func (ws workerScratches) get(w int) *conflict.Scratch {
+	if ws[w] == nil {
+		ws[w] = conflict.GetScratch()
+	}
+	return ws[w]
+}
+
+// release drains each scratch's cache counters into stats and returns
+// it to the pool; call it once the workers are done.
+func (ws workerScratches) release(stats *statsCollector) {
+	for w, sc := range ws {
+		if sc != nil {
+			stats.drainScratch(sc)
+			conflict.PutScratch(sc)
+			ws[w] = nil
+		}
+	}
+}
+
+// forEachCandidate runs fn(ctx, w, i) for i in [0, count) on up to
+// workers goroutines (sequentially when workers ≤ 1), where w in
+// [0, effectiveWorkers(workers, count)) names the calling goroutine, so
+// fn can keep per-worker state in a slice indexed by w. fn must confine
 // writes to slots it owns. A done context stops the loop before the
 // next claim; candidates already handed out finish their fn call
 // (which observes the same context itself when it is expensive).
@@ -535,7 +570,7 @@ func (inc *incumbent) offer(t, c int64) {
 // layer attributes candidate work to (fn receives the worker's span
 // context, so inner searches nest under it). The sequential path adds
 // no span: its work already nests under the caller's phase span.
-func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx context.Context, i int)) {
+func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx context.Context, w, i int)) {
 	if workers > count {
 		workers = count
 	}
@@ -544,7 +579,7 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 			if ctx.Err() != nil {
 				return
 			}
-			fn(ctx, i)
+			fn(ctx, 0, i)
 		}
 		return
 	}
@@ -570,7 +605,7 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 					return
 				}
 				claimed++
-				fn(wctx, i)
+				fn(wctx, w, i)
 			}
 		}(w)
 	}
@@ -613,147 +648,17 @@ func evaluateSpaceMappingWith(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.V
 	}, true
 }
 
-// countProcessors returns |S(J)| exactly.
-func countProcessors(m *Mapping) int64 {
-	return countProcessorImages(m.S, m.Algo.Set)
-}
-
-// imageSets pools the image sets of countProcessorImages, which the
-// joint and Pareto searches call once per evaluated space mapping.
-var imageSets = sync.Pool{New: func() any { return intmat.NewVecMap[struct{}](1024) }}
-
-// maxPooledImages bounds the image sets returned to the pool: a set
-// that grew past four times its initial size is dropped, so clearing a
-// pooled set never costs much more than allocating a fresh one, and one
-// huge index set does not pin its buckets for the process lifetime.
-const maxPooledImages = 1 << 12
-
-// countProcessorImages returns |S(J)| exactly: closed-form via the
-// 1-D image DP for linear arrays, enumeration with compact map keys
-// otherwise.
-func countProcessorImages(s *intmat.Matrix, set uda.IndexSet) int64 {
-	rows := make([]intmat.Vector, s.Rows())
-	for r := range rows {
-		rows[r] = s.Row(r)
-	}
-	if len(rows) == 0 {
-		return 1
-	}
-	if len(rows) == 1 {
-		if n := rowImageSize(rows[0], set.Upper); n >= 0 {
-			return n
-		}
-	}
-	seen := imageSets.Get().(*intmat.VecMap[struct{}])
-	img := make(intmat.Vector, len(rows))
-	set.Each(func(j intmat.Vector) bool {
-		for r, row := range rows {
-			img[r] = row.Dot(j)
-		}
-		seen.Store(intmat.KeyFor(img), struct{}{})
-		return true
-	})
-	count := seen.Len()
-	if count <= maxPooledImages {
-		seen.Clear()
-		imageSets.Put(seen)
-	}
-	return int64(count)
-}
-
-// rowImageSize returns |{Σ_i c_i·j_i : 0 ≤ j_i ≤ μ_i}| for one row c —
-// the exact processor count of a 1-row space mapping — without touching
-// the (product-sized) index set. Reflecting axis i (j_i → μ_i − j_i)
-// shows the image size only depends on |c_i|, so the reachable sums are
-// a subset of [0, Σ|c_i|μ_i] computed by a bounded-knapsack DP over
-// that range: aux chains how many steps of one axis were taken since an
-// already-reachable sum. Returns −1 when the range is too wide to
-// tabulate (callers fall back to enumeration or a weaker bound).
-func rowImageSize(row intmat.Vector, upper intmat.Vector) int64 {
-	const maxWidth = 1 << 22
-	var hi int64
-	for i, c := range row {
-		if c < 0 {
-			c = -c
-		}
-		if c > 0 && upper[i] > maxWidth/c {
-			return -1
-		}
-		hi += c * upper[i]
-		if hi >= maxWidth {
-			return -1
-		}
-	}
-	if hi == 0 {
-		return 1
-	}
-	width := int(hi) + 1
-	reach := make([]bool, width)
-	aux := make([]int64, width)
-	reach[0] = true
-	for i, c := range row {
-		if c < 0 {
-			c = -c
-		}
-		if c == 0 || upper[i] == 0 {
-			continue
-		}
-		step, cnt := int(c), upper[i]
-		for x := 0; x < width; x++ {
-			if reach[x] {
-				aux[x] = 0
-				continue
-			}
-			a := int64(math.MaxInt64)
-			if x >= step && aux[x-step] != math.MaxInt64 {
-				a = aux[x-step] + 1
-			}
-			aux[x] = a
-			if a <= cnt {
-				reach[x] = true
-			}
-		}
-	}
-	var count int64
-	for _, r := range reach {
-		if r {
-			count++
-		}
-	}
-	return count
-}
-
-// processorLowerBound returns a lower bound on |S(J)|: each row of S,
-// alone, already distinguishes rowImageSize many processor images, so
-// the maximum over rows bounds the count from below. Exact for 1-row S.
-func processorLowerBound(s *intmat.Matrix, upper intmat.Vector) int64 {
-	lb := int64(1)
-	for r := 0; r < s.Rows(); r++ {
-		row := s.Row(r)
-		n := rowImageSize(row, upper)
-		if n < 0 {
-			// Range too wide to tabulate: along any axis with a
-			// non-zero coefficient the row takes μ_i + 1 distinct
-			// values with the other coordinates fixed.
-			for i, c := range row {
-				if c != 0 && upper[i]+1 > n {
-					n = upper[i] + 1
-				}
-			}
-		}
-		if n > lb {
-			lb = n
-		}
-	}
-	return lb
-}
-
-// wireLength returns Σ_i ‖S·d̄_i‖₁.
+// wireLength returns Σ_i ‖S·d̄_i‖₁, without materializing S·D.
 func wireLength(s *intmat.Matrix, d *intmat.Matrix) int64 {
-	sd := s.Mul(d)
 	var total int64
-	for i := 0; i < sd.Cols(); i++ {
-		total += sd.Col(i).AbsSum()
+	for c := 0; c < d.Cols(); c++ {
+		for r := 0; r < s.Rows(); r++ {
+			var x int64
+			for i := 0; i < s.Cols(); i++ {
+				x = intmat.AddChecked(x, intmat.MulChecked(s.At(r, i), d.At(i, c)))
+			}
+			total = intmat.AddChecked(total, intmat.AbsChecked(x))
+		}
 	}
 	return total
 }

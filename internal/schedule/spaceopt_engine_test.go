@@ -3,6 +3,7 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"lodim/internal/conflict"
@@ -225,7 +226,7 @@ func TestRowImageSize(t *testing.T) {
 			want[c.row.Dot(j)] = true
 			return true
 		})
-		if got := rowImageSize(c.row, c.upper); got != int64(len(want)) {
+		if got := new(imageCounter).rowImageSize(c.row, c.upper); got != int64(len(want)) {
 			t.Errorf("rowImageSize(%v, %v) = %d, want %d", c.row, c.upper, got, len(want))
 		}
 	}
@@ -287,5 +288,31 @@ func TestFindJointMappingConflictFreeAllWorkers(t *testing.T) {
 	}
 	if free, w := conflict.BruteForce(res.Mapping.T, algo.Set); !free {
 		t.Fatalf("parallel winner conflicts (witness %v)", w)
+	}
+}
+
+// TestJointSearchAllocs bounds the allocations of a whole Workers=1
+// joint search on MatMul(4) (13 space mappings, 5 inner searches). The
+// bound is 3 above the 605 measured when it was set (before the
+// per-candidate overhead was cut the search took 696), fewer than one
+// per inner search, so a per-S allocation in the prelude, the inner
+// search or the image count cannot creep back unnoticed.
+func TestJointSearchAllocs(t *testing.T) {
+	if intmat.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	algo := uda.MatMul(4)
+	opts := &SpaceOptions{Schedule: Options{Workers: 1}}
+	// Garbage collection would empty the scratch and counter pools
+	// mid-measurement and add stray allocations.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := FindJointMapping(algo, 1, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 608
+	if got > bound {
+		t.Fatalf("a Workers=1 joint search on MatMul(4) takes %v allocations, bound %d", got, bound)
 	}
 }

@@ -277,7 +277,7 @@ func TestCandCtxCapturesOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := intmat.FromRows([]int64{0, 1})
-	cctx := newCandCtx(algo, s, &Options{}, nil)
+	cctx := newCandCtx(algo, s, &Options{}, nil, nil)
 	// Π = (3, 1) passes ΠD > 0, full rank and conflict-freeness
 	// (T = [[0,1],[3,1]] is nonsingular, hence injective), but its
 	// total time 1 + 3·(2^63 − 2) + 1 overflows int64.

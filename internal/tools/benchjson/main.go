@@ -18,6 +18,10 @@
 // names (space-separated) that must appear in both documents; a missing
 // one also makes the exit status nonzero, so a guard cannot pass on a
 // benchmark that failed to run or was renamed.
+//
+// Repeated rows of one benchmark (a -count N run, or several rounds
+// appended to one input) collapse into one row holding each metric's
+// best (lowest) value, so a best-of-N capture compares as one row.
 package main
 
 import (
@@ -92,6 +96,7 @@ func parse(r io.Reader) (*Report, error) {
 		}
 		return a.Name < b.Name
 	})
+	bestOf(rep)
 	return rep, nil
 }
 
@@ -158,4 +163,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// bestOf collapses each run of rows sharing (package, name) — adjacent
+// after the sort — into one row with the lowest ns/op, B/op and
+// allocs/op among them, and the iteration count of its fastest run.
+func bestOf(rep *Report) {
+	out := rep.Benchmarks[:0]
+	for _, b := range rep.Benchmarks {
+		if n := len(out); n > 0 && key(out[n-1]) == key(b) {
+			top := &out[n-1]
+			if b.NsPerOp < top.NsPerOp {
+				top.NsPerOp, top.Iterations = b.NsPerOp, b.Iterations
+			}
+			top.BytesPerOp = min(top.BytesPerOp, b.BytesPerOp)
+			top.AllocsPerOp = min(top.AllocsPerOp, b.AllocsPerOp)
+			top.MBPerSec = max(top.MBPerSec, b.MBPerSec)
+			continue
+		}
+		out = append(out, b)
+	}
+	rep.Benchmarks = out
 }

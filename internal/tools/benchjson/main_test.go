@@ -79,3 +79,28 @@ func TestParseEmptyInput(t *testing.T) {
 		t.Errorf("want empty non-nil slice, got %#v", rep.Benchmarks)
 	}
 }
+
+// TestBestOf: parsing collapses repeated rows of one benchmark into one
+// row with each metric's best value; other rows pass through untouched.
+func TestBestOf(t *testing.T) {
+	rounds := `pkg: lodim
+BenchmarkJoint-2   	     10	   2000 ns/op	  512 B/op	      9 allocs/op
+BenchmarkOther-2   	      5	   7000 ns/op	  100 B/op	      1 allocs/op
+BenchmarkJoint-2   	     12	   1500 ns/op	  640 B/op	      8 allocs/op
+BenchmarkJoint-2   	     11	   1800 ns/op	  480 B/op	     10 allocs/op
+`
+	rep, err := parse(strings.NewReader(rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("got %d rows, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	j := rep.Benchmarks[0]
+	if j.Name != "BenchmarkJoint" || j.NsPerOp != 1500 || j.Iterations != 12 || j.BytesPerOp != 480 || j.AllocsPerOp != 8 {
+		t.Errorf("best Joint row: %+v", j)
+	}
+	if o := rep.Benchmarks[1]; o.Name != "BenchmarkOther" || o.NsPerOp != 7000 || o.BytesPerOp != 100 {
+		t.Errorf("Other row: %+v", o)
+	}
+}
