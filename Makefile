@@ -90,7 +90,7 @@ bench-diff:
 # BENCH_guard_base.txt and BENCH_guard.txt. Run on a quiet machine.
 BASE ?= HEAD
 GUARD_BENCHTIME ?= 1s
-GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1
+GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JobLifecycle
 bench-guard:
 	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT && \
 	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \

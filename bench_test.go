@@ -10,15 +10,19 @@
 package lodim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"lodim/internal/array"
 	"lodim/internal/conflict"
 	"lodim/internal/intmat"
+	"lodim/internal/jobs"
 	"lodim/internal/loopnest"
 	"lodim/internal/schedule"
 	"lodim/internal/service"
@@ -651,6 +655,39 @@ func BenchmarkServiceCacheMiss(b *testing.B) {
 		}
 		if status != service.CacheMiss {
 			b.Fatalf("status = %s, want miss", status)
+		}
+	}
+}
+
+// BenchmarkJobLifecycle measures the job tier alone: one job per op,
+// submitted and followed to done through a manager with two workers and
+// an executor that returns a fixed 1 KiB body at once, so the spool
+// writes, queueing and event fan-out are all the op pays for.
+func BenchmarkJobLifecycle(b *testing.B) {
+	result := bytes.Repeat([]byte("0123456789abcdef"), 64)
+	m, err := jobs.Open(jobs.Config{Dir: b.TempDir(), Workers: 2, Exec: func(ctx context.Context, kind string, payload json.RawMessage) ([]byte, error) {
+		return result, nil
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	payload := json.RawMessage(`{"algorithm":"matmul","sizes":[4],"dims":1}`)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn, err := m.Submit("map", "bench", strconv.Itoa(i), payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, ch, cancel, err := m.Subscribe(sn.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range ch { // closes at the terminal transition
+		}
+		cancel()
+		if sn, _ := m.Get(sn.ID); sn.State != jobs.StateDone {
+			b.Fatalf("job ended %s, want done", sn.State)
 		}
 	}
 }

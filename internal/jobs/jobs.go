@@ -156,8 +156,8 @@ func (j *job) snapshot() Snapshot {
 	return sn
 }
 
-// record is the on-disk shape of a job: one JSON document per job in
-// the spool directory, rewritten atomically at every transition.
+// record is the on-disk shape of a job: the spool log gains one
+// framed JSON line with the full record at every transition.
 type record struct {
 	Version  int             `json:"version"`
 	ID       string          `json:"id"`
@@ -173,8 +173,8 @@ type record struct {
 	Error    string          `json:"error,omitempty"`
 	// Result is []byte (base64 on disk), not json.RawMessage: the job
 	// tier promises byte-exact result replay, and embedding the result
-	// as raw JSON would let the spool's indenting encoder reformat it
-	// (it would also reject non-JSON executor output outright).
+	// as raw JSON would let the spool's encoder reformat it (it would
+	// also reject non-JSON executor output outright).
 	Result []byte  `json:"result,omitempty"`
 	Events []Event `json:"events"`
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -554,39 +556,64 @@ func TestFairQueueRemoveAndRotation(t *testing.T) {
 	}
 }
 
+// TestCorruptSpoolFileQuarantined: damaged spool lines — a garbage
+// line in the middle of the log, a torn record at its tail — are
+// skipped on Open, never adopted and never fatal, while every intact
+// job survives; the compaction at Open drops them along with stray temp
+// files.
 func TestCorruptSpoolFileQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	m1, err := Open(Config{Dir: dir, Workers: 1, Exec: func(ctx context.Context, kind string, payload json.RawMessage) ([]byte, error) {
+	exec := func(ctx context.Context, kind string, payload json.RawMessage) ([]byte, error) {
 		return []byte("{}\n"), nil
-	}})
+	}
+	m1, err := Open(Config{Dir: dir, Workers: 1, Exec: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := m1.Submit("map", "", "kc", nil)
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for _, key := range []string{"kc1", "kc2", "kc3"} {
+		sn, err := m1.Submit("map", "", key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m1, sn.ID, StateDone)
+		ids = append(ids, sn.ID)
 	}
-	waitState(t, m1, sn.ID, StateDone)
 	m1.Close()
 
-	// Corrupt the record, drop a stray temp file, then reopen.
-	st := &store{dir: dir}
-	if err := writeFile(st.path(sn.ID), []byte("{torn")); err != nil {
+	// A garbage line in the middle, a torn record of a fourth job at the
+	// tail, and a stray temp file.
+	logPath := filepath.Join(dir, logName)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFile(st.dir+"/"+sn.ID+".tmp-123", []byte("x")); err != nil {
+	lines := strings.SplitAfter(string(data), "\n")
+	mid := len(lines) / 2
+	damaged := strings.Join(lines[:mid], "") + "{torn\n" + strings.Join(lines[mid:], "")
+	torn := &job{id: ID("map", "kc4"), kind: "map", key: "kc4", state: StateQueued}
+	line := frame(t, torn.record())
+	damaged += string(line[:len(line)/2])
+	if err := writeFile(logPath, []byte(damaged)); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Open(Config{Dir: dir, Workers: 1, Exec: func(ctx context.Context, kind string, payload json.RawMessage) ([]byte, error) {
-		return []byte("{}\n"), nil
-	}})
+	if err := writeFile(logPath+".tmp-123", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(Config{Dir: dir, Workers: 1, Exec: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if _, ok := m2.Get(sn.ID); ok {
-		t.Fatal("corrupt record was adopted")
+	if _, ok := m2.Get(torn.id); ok {
+		t.Fatal("torn record was adopted")
 	}
+	for _, id := range ids {
+		if sn, ok := m2.Get(id); !ok || sn.State != StateDone || string(sn.Result) != "{}\n" {
+			t.Fatalf("intact job %s lost or changed: ok=%v %+v", id, ok, sn)
+		}
+	}
+	assertOnlyLog(t, dir)
 }
 
 // TestAppendEventMonotoneClamp: the event log promises monotone

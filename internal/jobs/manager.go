@@ -91,16 +91,12 @@ type Manager struct {
 // (stamping a "resumed" transition), and starts the worker pool.
 func Open(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	st, err := newStore(cfg.Dir)
+	st, recs, err := openStore(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manager{cfg: cfg, st: st, jobs: make(map[string]*job), q: newFairQueue()}
 	m.cond = sync.NewCond(&m.mu)
-	recs, err := st.load()
-	if err != nil {
-		return nil, err
-	}
 	for _, r := range recs {
 		j := jobFromRecord(r)
 		m.jobs[j.id] = j
@@ -130,8 +126,9 @@ func Open(cfg Config) (*Manager, error) {
 }
 
 // Close stops accepting work, cancels running jobs (their spool
-// records keep the running state, so a later Open re-queues them), and
-// waits for the workers to exit. Safe to call more than once.
+// records keep the running state, so a later Open re-queues them),
+// waits for the workers to exit, and closes the spool log. Safe to call
+// more than once.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -148,6 +145,9 @@ func (m *Manager) Close() {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
+	m.mu.Lock()
+	m.st.close()
+	m.mu.Unlock()
 }
 
 // Submit registers a job for (kind, key), deduplicating on the
@@ -416,11 +416,11 @@ func (m *Manager) notify(j *job, ev Event) {
 	}
 }
 
-// persist writes the job's spool record; persistence failures are
+// persist appends the job's record to the spool log; failures are
 // logged, not fatal — the in-memory tier keeps serving, durability
 // degrades until the disk recovers.
 func (m *Manager) persist(j *job) {
-	if err := m.st.save(j.record()); err != nil && m.cfg.Logger != nil {
+	if err := m.st.append(j.record()); err != nil && m.cfg.Logger != nil {
 		m.cfg.Logger.Error("job spool write failed", slog.String("job", j.id), slog.String("error", err.Error()))
 	}
 }

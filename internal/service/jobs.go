@@ -218,6 +218,15 @@ func encodeJobResult(v any) ([]byte, error) {
 // SubmitJob validates, keys, and enqueues one asynchronous job,
 // deduplicating by canonical identity.
 func (s *Service) SubmitJob(req *JobSubmitRequest) (*JobResponse, error) {
+	kind, key, payload, err := s.jobIdentity(req)
+	if err != nil {
+		return nil, err
+	}
+	return s.submitJob(req.Tenant, kind, key, payload)
+}
+
+// submitJob enqueues a job whose identity jobIdentity already derived.
+func (s *Service) submitJob(tenant, kind, key string, payload []byte) (*JobResponse, error) {
 	done, err := s.begin()
 	if err != nil {
 		return nil, err
@@ -226,11 +235,7 @@ func (s *Service) SubmitJob(req *JobSubmitRequest) (*JobResponse, error) {
 	if s.jobsMgr == nil {
 		return nil, ErrJobsDisabled
 	}
-	kind, key, payload, err := s.jobIdentity(req)
-	if err != nil {
-		return nil, err
-	}
-	sn, err := s.jobsMgr.Submit(kind, req.Tenant, key, payload)
+	sn, err := s.jobsMgr.Submit(kind, tenant, key, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +330,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// Routing needs the deterministic ID, which needs the canonical key:
 	// validate and key the problem before deciding where it runs. The
 	// owner revalidates on arrival — forwarded bytes are not trusted.
-	kind, key, _, err := s.jobIdentity(&req)
+	kind, key, payload, err := s.jobIdentity(&req)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -339,7 +344,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// the submission — availability over placement, like the cache
 		// tier's local-search fallback.
 	}
-	resp, err := s.SubmitJob(&req)
+	resp, err := s.submitJob(req.Tenant, kind, key, payload)
 	if err != nil {
 		s.writeError(w, err)
 		return
