@@ -90,7 +90,7 @@ bench-diff:
 # BENCH_guard_base.txt and BENCH_guard.txt. Run on a quiet machine.
 BASE ?= HEAD
 GUARD_BENCHTIME ?= 1s
-GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JobLifecycle
+GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JobLifecycle ServiceCacheHit ServicePareto
 bench-guard:
 	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT && \
 	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \
@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/loopnest/
 	$(GO) test -fuzz=FuzzVerifyVsBruteForce -fuzztime=30s ./internal/verify/
 	$(GO) test -fuzz=FuzzClosedFormGamma -fuzztime=30s ./internal/verify/
+	$(GO) test -fuzz=FuzzPeerBodies -fuzztime=30s ./internal/service/
 
 cover:
 	$(GO) test -cover ./...

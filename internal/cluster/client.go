@@ -51,12 +51,13 @@ func (e *PeerError) Error() string {
 
 func (e *PeerError) Unwrap() error { return e.Err }
 
-// Lookup forwards a canonical problem to its owner. traceparent, when
-// non-empty, joins the peer's request trace to the forwarder's (W3C
-// header). The context's deadline rides both the HTTP request and the
-// body's TimeoutMS.
-func (c *Client) Lookup(ctx context.Context, m Member, req *LookupRequest, traceparent string) (*LookupResponse, error) {
-	var resp LookupResponse
+// Lookup forwards a canonical problem to its owner and decodes the
+// owner's result into result, a pointer to the workload's wire type.
+// traceparent, when non-empty, joins the peer's request trace to the
+// forwarder's (W3C header). The context's deadline rides both the HTTP
+// request and the body's TimeoutMS.
+func (c *Client) Lookup(ctx context.Context, m Member, req *LookupRequest, result any, traceparent string) (*LookupResponse, error) {
+	resp := LookupResponse{Result: result}
 	if err := c.post(ctx, m, LookupPath, req, traceparent, &resp); err != nil {
 		return nil, err
 	}
@@ -75,30 +76,6 @@ func (c *Client) Lookup(ctx context.Context, m Member, req *LookupRequest, trace
 func (c *Client) Fill(ctx context.Context, m Member, req *FillRequest) error {
 	var resp FillResponse
 	return c.post(ctx, m, FillPath, req, "", &resp)
-}
-
-// ParetoLookup forwards a canonical multi-objective problem to its
-// owner — the Pareto leg's counterpart of Lookup.
-func (c *Client) ParetoLookup(ctx context.Context, m Member, req *ParetoLookupRequest, traceparent string) (*ParetoLookupResponse, error) {
-	var resp ParetoLookupResponse
-	if err := c.post(ctx, m, ParetoLookupPath, req, traceparent, &resp); err != nil {
-		return nil, err
-	}
-	switch resp.Disposition {
-	case DispositionHit, DispositionMiss, DispositionShared:
-	default:
-		err := &PeerError{Member: m, Err: fmt.Errorf("unknown disposition %q", resp.Disposition)}
-		c.report(m.ID, err)
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// ParetoFill pushes a finished front into a peer's cache (best
-// effort, like Fill).
-func (c *Client) ParetoFill(ctx context.Context, m Member, req *ParetoFillRequest) error {
-	var resp ParetoFillResponse
-	return c.post(ctx, m, ParetoFillPath, req, "", &resp)
 }
 
 // Status fetches a peer's observability snapshot — the read-only leg

@@ -24,7 +24,7 @@ func TestClientLookupRoundTrip(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(&LookupResponse{
 			Disposition: DispositionMiss,
-			Result:      WireResult{S: [][]int64{{1, 1, -1}}, Pi: []int64{1, 4, 1}, Time: 42, Engine: "procedure-5.1"},
+			Result:      json.RawMessage(`{"s":[[1,1,-1]],"pi":[1,4,1],"time":42,"engine":"procedure-5.1"}`),
 		})
 	}))
 	defer srv.Close()
@@ -33,14 +33,17 @@ func TestClientLookupRoundTrip(t *testing.T) {
 	h := NewHealth(m)
 	c := NewClient(nil, h)
 	req := &LookupRequest{
-		Problem:   Problem{Key: "k1", Bounds: []int64{2, 3, 4}, Dependencies: [][]int64{{1, 0, 0}}, Dims: 1},
+		Kind:      "map",
+		Key:       "k1",
+		Problem:   json.RawMessage(`{"bounds":[2,3,4],"dependencies":[[1,0,0]],"dims":1}`),
 		TimeoutMS: 1500,
 	}
-	resp, err := c.Lookup(context.Background(), m, req, "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
+	var res struct{ Time int64 }
+	resp, err := c.Lookup(context.Background(), m, req, &res, "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Disposition != DispositionMiss || resp.Result.Time != 42 {
+	if resp.Disposition != DispositionMiss || res.Time != 42 {
 		t.Errorf("response = %+v", resp)
 	}
 	if gotHop != "1" {
@@ -49,7 +52,7 @@ func TestClientLookupRoundTrip(t *testing.T) {
 	if gotTraceparent == "" {
 		t.Error("traceparent not propagated")
 	}
-	if gotReq.Key != "k1" || gotReq.TimeoutMS != 1500 {
+	if gotReq.Kind != "map" || gotReq.Key != "k1" || gotReq.TimeoutMS != 1500 || string(gotReq.Problem) != string(req.Problem) {
 		t.Errorf("peer saw request %+v", gotReq)
 	}
 	st := h.Snapshot()
@@ -67,7 +70,7 @@ func TestClientLookupPeerStatusError(t *testing.T) {
 	m := Member{ID: "owner", URL: srv.URL}
 	h := NewHealth(m)
 	c := NewClient(nil, h)
-	_, err := c.Lookup(context.Background(), m, &LookupRequest{}, "")
+	_, err := c.Lookup(context.Background(), m, &LookupRequest{}, nil, "")
 	var perr *PeerError
 	if !errors.As(err, &perr) {
 		t.Fatalf("error %v, want *PeerError", err)
@@ -87,7 +90,7 @@ func TestClientLookupTransportError(t *testing.T) {
 	srv.Close() // connection refused from here on
 	h := NewHealth(m)
 	c := NewClient(&http.Client{Timeout: time.Second}, h)
-	_, err := c.Lookup(context.Background(), m, &LookupRequest{}, "")
+	_, err := c.Lookup(context.Background(), m, &LookupRequest{}, nil, "")
 	var perr *PeerError
 	if !errors.As(err, &perr) {
 		t.Fatalf("error %v, want *PeerError", err)
@@ -107,7 +110,7 @@ func TestClientLookupRejectsUnknownDisposition(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(nil, nil)
-	if _, err := c.Lookup(context.Background(), Member{ID: "x", URL: srv.URL}, &LookupRequest{}, ""); err == nil {
+	if _, err := c.Lookup(context.Background(), Member{ID: "x", URL: srv.URL}, &LookupRequest{}, nil, ""); err == nil {
 		t.Fatal("unknown disposition accepted")
 	}
 }
@@ -124,13 +127,15 @@ func TestClientFill(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(nil, nil)
 	err := c.Fill(context.Background(), Member{ID: "x", URL: srv.URL}, &FillRequest{
-		Problem: Problem{Key: "k2"},
-		Result:  WireResult{Time: 7},
+		Kind:    "pareto",
+		Key:     "k2",
+		Problem: json.RawMessage(`{}`),
+		Result:  json.RawMessage(`{"time":7}`),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != "k2" || got.Result.Time != 7 {
+	if got.Kind != "pareto" || got.Key != "k2" || string(got.Result) != `{"time":7}` {
 		t.Errorf("peer saw fill %+v", got)
 	}
 }

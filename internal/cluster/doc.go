@@ -2,9 +2,10 @@
 // ring over canonical problem keys plus the HTTP peer protocol that lets
 // a fleet of mapserve nodes behave as one cache.
 //
-// Sharding model. Every map query reduces (in internal/service) to a
-// canonical problem key that is stable under axis-permutation symmetry —
-// the same identity the single-node cache and singleflight already use.
+// Sharding model. Every cached query — map or Pareto — reduces (in
+// internal/service) to a canonical problem key that is stable under
+// axis-permutation symmetry — the same identity the single-node cache
+// and singleflight already use.
 // The ring assigns each key one owner among the members; the owner is
 // the only node that ever *searches* for that key. A non-owner that
 // misses its local cache forwards the canonical problem to the owner
@@ -28,4 +29,9 @@
 // over strict dedup — and afterwards pushes the result to the owner via
 // POST /peer/v1/fill (best effort) so the cluster converges back to
 // one-copy-per-owner once the owner returns.
+//
+// Workload-agnostic transport. One lookup leg and one fill leg serve
+// every workload. A body names its workload in Kind and carries the
+// canonical request and the result as opaque JSON, which the service
+// layer decodes and certifies; this package never interprets them.
 package cluster

@@ -1,6 +1,10 @@
 package cluster
 
-import "lodim/internal/slo"
+import (
+	"encoding/json"
+
+	"lodim/internal/slo"
+)
 
 // The peer protocol: two JSON-over-HTTP endpoints every clustered
 // mapserve node serves alongside its public API.
@@ -13,10 +17,13 @@ import "lodim/internal/slo"
 //	  cache. Used by a node that had to search locally because the
 //	  owner was unreachable, so the owner converges once it returns.
 //
-// Both bodies carry the problem in *canonical* coordinates (the
-// internal/service canonicalizer's output): receivers re-canonicalize
-// and reject any body whose recomputed key disagrees, so a buggy or
-// malicious peer cannot poison a cache.
+// Both legs serve every cached workload. A body names its workload in
+// Kind and carries the workload's canonical request and result as
+// opaque JSON: this package routes and transports them, the service
+// layer owns their shape. Receivers reject an unknown Kind, decode the
+// problem strictly, re-canonicalize it and reject any body whose
+// recomputed key disagrees, and certify every result before caching
+// it, so a buggy or malicious peer cannot poison a cache.
 const (
 	LookupPath = "/peer/v1/lookup"
 	FillPath   = "/peer/v1/fill"
@@ -33,28 +40,17 @@ const (
 	MaxHops   = 1
 )
 
-// Problem identifies one canonical map query: the canonical algorithm
-// (bounds μ ascending, dependence columns sorted) plus the search
-// parameters that are part of the cache identity. Key is the composite
-// cache key the sender computed; receivers recompute it from the rest
-// of the fields and reject mismatches.
-type Problem struct {
-	Key          string    `json:"key"`
-	Bounds       []int64   `json:"bounds"`
-	Dependencies [][]int64 `json:"dependencies"`
-	Dims         int       `json:"dims"`
-	MaxEntry     int64     `json:"max_entry,omitempty"`
-	WireWeight   int64     `json:"wire_weight,omitempty"`
-	MaxCost      int64     `json:"max_cost,omitempty"`
-}
-
-// LookupRequest asks the receiver to resolve a canonical problem.
+// LookupRequest asks the receiver to resolve one canonical problem of
+// workload Kind. Key is the composite cache key the sender computed;
+// the receiver recomputes it from Problem and rejects mismatches.
 // TimeoutMS propagates the remaining deadline of the originating
 // request so the owner bounds its search by the caller's budget, not
 // its own default.
 type LookupRequest struct {
-	Problem
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Kind      string          `json:"kind"`
+	Key       string          `json:"key"`
+	Problem   json.RawMessage `json:"problem"`
+	TimeoutMS int64           `json:"timeout_ms,omitempty"`
 }
 
 // Dispositions a lookup can resolve with, from the owner's point of
@@ -66,109 +62,26 @@ const (
 	DispositionShared = "shared" // joined an in-progress search on the owner
 )
 
-// LookupResponse carries the canonical-coordinate result and how the
-// owner produced it.
+// LookupResponse carries the workload's result in canonical
+// coordinates and how the owner produced it. Result holds the
+// workload's own wire type: the owner sets it, and Client.Lookup
+// decodes into the value its caller supplies.
 type LookupResponse struct {
-	Disposition string     `json:"disposition"`
-	Result      WireResult `json:"result"`
+	Disposition string `json:"disposition"`
+	Result      any    `json:"result"`
 }
 
-// WireResult is a search result in canonical coordinates, flattened for
-// transport. It carries exactly the fields the service layer needs to
-// rebuild a cacheable result whose rendered responses are byte-identical
-// to the owner's own.
-type WireResult struct {
-	S                  [][]int64 `json:"s"`
-	Pi                 []int64   `json:"pi"`
-	Time               int64     `json:"time"`
-	Processors         int64     `json:"processors"`
-	WireLength         int64     `json:"wire_length"`
-	Cost               int64     `json:"cost"`
-	Candidates         int       `json:"candidates"`
-	Pruned             int       `json:"pruned"`
-	ScheduleCandidates int       `json:"schedule_candidates"`
-	Engine             string    `json:"engine"`
-	ConflictMethod     string    `json:"conflict_method"`
-}
-
-// FillRequest pushes a finished result into the receiver's cache.
+// FillRequest pushes a finished result into the receiver's cache,
+// tagged and keyed exactly like a lookup.
 type FillRequest struct {
-	Problem
-	Result WireResult `json:"result"`
+	Kind    string          `json:"kind"`
+	Key     string          `json:"key"`
+	Problem json.RawMessage `json:"problem"`
+	Result  json.RawMessage `json:"result"`
 }
 
 // FillResponse acknowledges a fill.
 type FillResponse struct {
-	Stored bool `json:"stored"`
-}
-
-// The Pareto leg of the peer protocol mirrors the map leg: the same
-// ownership ring (hashing the composite pareto key), the same
-// forward-then-fill discipline, the same hop bound. Receivers
-// revalidate every front end to end — each member re-certified and the
-// non-domination/order invariants re-checked — before caching, so the
-// poisoning defense is at least as strong as the map leg's.
-const (
-	ParetoLookupPath = "/peer/v1/pareto/lookup"
-	ParetoFillPath   = "/peer/v1/pareto/fill"
-)
-
-// ParetoAxes is the wire width of an objective vector: time,
-// processors, buffers, links — pinned in that order.
-const ParetoAxes = 4
-
-// ParetoProblem identifies one canonical multi-objective query: the
-// canonical algorithm plus every knob that is part of the front's
-// cache identity. Selection knobs (mode, lex order, weights) are
-// deliberately absent — they pick from the front, they don't change it.
-type ParetoProblem struct {
-	Key          string    `json:"key"`
-	Bounds       []int64   `json:"bounds"`
-	Dependencies [][]int64 `json:"dependencies"`
-	Dims         int       `json:"dims"`
-	MaxEntry     int64     `json:"max_entry,omitempty"`
-	MaxCost      int64     `json:"max_cost,omitempty"`
-	TimeSlack    int64     `json:"time_slack,omitempty"`
-}
-
-// ParetoLookupRequest asks the receiver to resolve a canonical
-// multi-objective problem, propagating the origin request's budget.
-type ParetoLookupRequest struct {
-	ParetoProblem
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// ParetoWireMember is one front member in canonical coordinates.
-type ParetoWireMember struct {
-	S      [][]int64         `json:"s"`
-	Pi     []int64           `json:"pi"`
-	Vector [ParetoAxes]int64 `json:"vector"`
-}
-
-// ParetoWireResult is a full front flattened for transport, in the
-// pinned deterministic order.
-type ParetoWireResult struct {
-	Members    []ParetoWireMember `json:"members"`
-	TimeBound  int64              `json:"time_bound"`
-	Candidates int                `json:"candidates"`
-	Pruned     int                `json:"pruned"`
-}
-
-// ParetoLookupResponse carries the canonical front and the owner's
-// disposition (the same Disposition* values as the map leg).
-type ParetoLookupResponse struct {
-	Disposition string           `json:"disposition"`
-	Result      ParetoWireResult `json:"result"`
-}
-
-// ParetoFillRequest pushes a finished front into the receiver's cache.
-type ParetoFillRequest struct {
-	ParetoProblem
-	Result ParetoWireResult `json:"result"`
-}
-
-// ParetoFillResponse acknowledges a Pareto fill.
-type ParetoFillResponse struct {
 	Stored bool `json:"stored"`
 }
 

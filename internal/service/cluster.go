@@ -3,48 +3,38 @@ package service
 // The cluster tier of the service: consistent-hash sharding of the
 // canonical cache over a set of mapserve nodes (DESIGN.md §12).
 //
-// Every composite map key (mapCacheKey) has exactly one ring owner.
-// A non-owner that misses its local cache forwards the problem to the
-// owner over /peer/v1/lookup and caches the answer locally
-// (forward-then-fill), so the owner's cache plus its singleflight group
-// make each problem searched at most once cluster-wide, while repeat
-// traffic on any node stays local after the first fill. When the owner
-// is unreachable the non-owner degrades to a local search and then
-// pushes the result to the owner over /peer/v1/fill, converging the
-// cluster back onto its sharding invariant.
+// Every composite key (mapCacheKey, paretoCacheKey) has exactly one
+// ring owner. A non-owner that misses its local cache forwards the
+// problem to the owner over /peer/v1/lookup and caches the answer
+// locally (forward-then-fill), so the owner's cache plus its
+// singleflight group make each problem searched at most once
+// cluster-wide, while repeat traffic on any node stays local after the
+// first fill. When the owner is unreachable the non-owner degrades to a
+// local search and then pushes the result to the owner over
+// /peer/v1/fill, converging the cluster back onto its sharding
+// invariant. Both legs carry every workload, tagged with its kind; the
+// pipeline that drives them is in workload.go.
 //
 // Loop freedom is structural, not just header-enforced: only flights
-// opened for origin /v1/map requests may forward, and a flight opened
-// by the peer-lookup handler always resolves locally — so a forward
-// chain is at most origin → owner even when nodes disagree about
-// membership. The cluster.HopHeader check in the HTTP layer (508
-// beyond cluster.MaxHops) is a belt-and-braces guard for buggy or
+// opened for origin requests may forward, and a flight opened by the
+// peer-lookup handler always resolves locally — so a forward chain is
+// at most origin → owner even when nodes disagree about membership.
+// The cluster.HopHeader check in the HTTP layer (508 beyond
+// cluster.MaxHops) is a belt-and-braces guard for buggy or
 // misconfigured peers.
 //
 // Results received from peers are never trusted blindly: the receiver
 // re-canonicalizes the wire problem, verifies the recomputed composite
-// key, revalidates the mapping (shape, ΠD > 0, rank via
-// schedule.NewMapping), recomputes the total time, and — within the
-// enumeration ceiling — re-decides conflict-freeness before caching.
+// key, rebuilds the mappings (shape, ΠD > 0, rank via
+// schedule.NewMapping) and certifies the result before caching it — a
+// map result with certifyMap, a front with verify.CertifyPareto.
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"lodim/internal/cluster"
-	"lodim/internal/conflict"
-	"lodim/internal/intmat"
-	"lodim/internal/schedule"
-	"lodim/internal/trace"
-	"lodim/internal/uda"
 )
-
-// peerLookupGrace pads the forwarded deadline so an owner that finishes
-// just inside the caller's budget can still deliver its answer.
-const peerLookupGrace = 2 * time.Second
 
 // ClusterConfig federates a Service with its peers.
 type ClusterConfig struct {
@@ -124,360 +114,4 @@ func (c *clusterState) status() *ClusterStatus {
 		ids[i] = m.ID
 	}
 	return &ClusterStatus{Self: c.self.ID, Members: ids, VNodes: c.ring.VNodes(), Peers: c.health.Snapshot()}
-}
-
-// peerVerdict is tryPeerLookup's three-way outcome.
-type peerVerdict int
-
-const (
-	peerSkip   peerVerdict = iota // not clustered, or this node owns the key
-	peerDone                      // the owner answered definitively (result or terminal error)
-	peerFailed                    // forwarding failed — fall back to a local search
-)
-
-// tryPeerLookup forwards a missed key to its ring owner. It runs inside
-// the flight body, so concurrent local requests for the same problem
-// share one forward exactly as they would share one search.
-func (s *Service) tryPeerLookup(ctx context.Context, key string, canon *Canonical, dims int, req *MapRequest) (*flightOutcome, error, peerVerdict) {
-	clu := s.clu
-	if clu == nil {
-		return nil, nil, peerSkip
-	}
-	owner := clu.ring.Owner(key)
-	if owner.ID == clu.self.ID {
-		return nil, nil, peerSkip
-	}
-
-	pctx, span := trace.Start(ctx, "peer-lookup")
-	var tp string
-	if span != nil {
-		span.SetStr("peer", owner.ID)
-		tp = trace.Traceparent(span.TraceID(), span.IDHex())
-		defer span.End()
-	}
-	defer recordStage(ctx, stageForward, time.Now())
-	// The flight context carries no deadline of its own (it lives while
-	// any waiter does), so bound the exchange by the request's effective
-	// budget: the owner clamps the forwarded TimeoutMS the same way and
-	// the grace keeps a just-in-time answer deliverable.
-	cctx, cancel := context.WithTimeout(pctx, s.EffectiveTimeout(req.TimeoutMS)+peerLookupGrace)
-	defer cancel()
-	lreq := &cluster.LookupRequest{Problem: clusterProblem(key, canon, dims, req), TimeoutMS: req.TimeoutMS}
-	resp, err := clu.client.Lookup(cctx, owner, lreq, tp)
-	if err != nil {
-		var perr *cluster.PeerError
-		if errors.As(err, &perr) && perr.Status == http.StatusUnprocessableEntity {
-			// The owner ran the search and proved infeasibility within the
-			// explored bound — a definite answer, not a failure to degrade
-			// around. Counted as a miss: the owner did search for us.
-			s.met.peerForwardMiss.Add(1)
-			if span != nil {
-				span.SetStr("disposition", "infeasible")
-			}
-			return nil, fmt.Errorf("%w (decided by peer %s)", schedule.ErrNoSchedule, owner.ID), peerDone
-		}
-		s.met.peerForwardErrors.Add(1)
-		if span != nil {
-			span.SetStr("error", err.Error())
-		}
-		if ctx.Err() != nil {
-			// The flight itself is dead (every waiter detached): a local
-			// fallback search would be cancelled work.
-			return nil, ctx.Err(), peerDone
-		}
-		return nil, nil, peerFailed
-	}
-	res, err := resultFromWire(canon.Algo, dims, &resp.Result)
-	if err != nil {
-		// The owner answered 200 with a body that fails revalidation —
-		// version skew or a corrupt peer. Treated like unreachability:
-		// search locally rather than serve a bad mapping.
-		s.met.peerForwardErrors.Add(1)
-		if span != nil {
-			span.SetStr("error", err.Error())
-		}
-		return nil, nil, peerFailed
-	}
-	switch resp.Disposition {
-	case cluster.DispositionHit:
-		s.met.peerForwardHit.Add(1)
-	case cluster.DispositionShared:
-		s.met.peerForwardShared.Add(1)
-	default:
-		s.met.peerForwardMiss.Add(1)
-	}
-	if span != nil {
-		span.SetStr("disposition", resp.Disposition)
-	}
-	// Forward-then-fill: repeat traffic for this key on this node is
-	// local from here on.
-	s.cache.Add(key, res, estimateResultBytes(key, res))
-	return &flightOutcome{res: res, viaPeer: true, peerDisposition: resp.Disposition}, nil, peerDone
-}
-
-// fillOwnerAsync pushes a locally-searched result to the key's ring
-// owner after a failed forward, converging the cluster back onto "the
-// owner holds its keys" once the owner returns. Best-effort: a failure
-// only counts a metric. The goroutine registers with begin() so Close
-// still drains it.
-func (s *Service) fillOwnerAsync(key string, canon *Canonical, dims int, req *MapRequest, res *schedule.JointResult) {
-	clu := s.clu
-	if clu == nil {
-		return
-	}
-	owner := clu.ring.Owner(key)
-	if owner.ID == clu.self.ID {
-		return
-	}
-	done, err := s.begin()
-	if err != nil {
-		return
-	}
-	freq := &cluster.FillRequest{Problem: clusterProblem(key, canon, dims, req), Result: *wireFromResult(res)}
-	go func() {
-		defer done()
-		ctx, cancel := context.WithTimeout(context.Background(), clu.fillTimeout)
-		defer cancel()
-		if err := clu.client.Fill(ctx, owner, freq); err != nil {
-			s.met.peerFillSendErrs.Add(1)
-			return
-		}
-		s.met.peerFillsSent.Add(1)
-	}()
-}
-
-// PeerLookup answers one forwarded problem as its ring owner: cache
-// first, then the same flight group /v1/map uses — so an origin request
-// and a forwarded one for the same problem share a single search. The
-// flight is opened with forwarding disabled: an owner resolves locally
-// even when its membership view disagrees with the caller's, which
-// bounds every forward chain at origin → owner.
-func (s *Service) PeerLookup(ctx context.Context, lreq *cluster.LookupRequest) (*cluster.LookupResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-
-	canon, dims, req, key, err := s.problemFromWire(&lreq.Problem)
-	if err != nil {
-		return nil, err
-	}
-	req.TimeoutMS = lreq.TimeoutMS
-	if v, ok := s.cache.Get(key); ok {
-		s.met.peerServedHit.Add(1)
-		return &cluster.LookupResponse{Disposition: cluster.DispositionHit, Result: *wireFromResult(v.(*schedule.JointResult))}, nil
-	}
-
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runSearch(fc, key, canon, dims, req, false)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := v.(*flightOutcome)
-	disposition := cluster.DispositionShared
-	switch {
-	case !leader:
-		s.met.peerServedShared.Add(1)
-	case out.fromCache:
-		disposition = cluster.DispositionHit
-		s.met.peerServedHit.Add(1)
-	default:
-		disposition = cluster.DispositionMiss
-		s.met.peerServedMiss.Add(1)
-	}
-	return &cluster.LookupResponse{Disposition: disposition, Result: *wireFromResult(out.res)}, nil
-}
-
-// PeerFill accepts a best-effort cache push from a peer that searched
-// one of this node's keys while it was unreachable. The payload is
-// revalidated end to end before it enters the cache.
-func (s *Service) PeerFill(ctx context.Context, freq *cluster.FillRequest) (*cluster.FillResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-
-	canon, dims, _, key, err := s.problemFromWire(&freq.Problem)
-	if err != nil {
-		s.met.peerFillsRejected.Add(1)
-		return nil, err
-	}
-	res, err := resultFromWire(canon.Algo, dims, &freq.Result)
-	if err != nil {
-		s.met.peerFillsRejected.Add(1)
-		return nil, &BadRequestError{Err: err}
-	}
-	s.cache.Add(key, res, estimateResultBytes(key, res))
-	s.met.peerFillsRecv.Add(1)
-	return &cluster.FillResponse{Stored: true}, nil
-}
-
-// clusterProblem serializes a canonical problem for the peer protocol.
-// Bounds and dependencies are the canonical-coordinate instance, so
-// every node re-derives the identical composite key.
-func clusterProblem(key string, canon *Canonical, dims int, req *MapRequest) cluster.Problem {
-	algo := canon.Algo
-	deps := make([][]int64, algo.NumDeps())
-	for c := range deps {
-		deps[c] = algo.D.Col(c)
-	}
-	return cluster.Problem{
-		Key:          key,
-		Bounds:       algo.Set.Upper,
-		Dependencies: deps,
-		Dims:         dims,
-		MaxEntry:     req.MaxEntry,
-		WireWeight:   req.WireWeight,
-		MaxCost:      req.MaxCost,
-	}
-}
-
-// problemFromWire rebuilds and verifies a peer-supplied problem: full
-// request validation, re-canonicalization, and a recomputed composite
-// key that must match the wire key — so a confused or malicious peer
-// cannot make this node cache under a key it would never derive itself.
-func (s *Service) problemFromWire(p *cluster.Problem) (*Canonical, int, *MapRequest, string, error) {
-	if p.Key == "" {
-		return nil, 0, nil, "", badRequest("service: peer problem carries no key")
-	}
-	req := &MapRequest{
-		Bounds:       p.Bounds,
-		Dependencies: p.Dependencies,
-		Dims:         p.Dims,
-		MaxEntry:     p.MaxEntry,
-		WireWeight:   p.WireWeight,
-		MaxCost:      p.MaxCost,
-	}
-	algo, dims, err := validateMapRequest(req)
-	if err != nil {
-		return nil, 0, nil, "", err
-	}
-	canon := Canonicalize(algo)
-	key := mapCacheKey(canon.Key, dims, req)
-	if key != p.Key {
-		return nil, 0, nil, "", badRequest("service: peer problem key %q does not match recomputed key %q", p.Key, key)
-	}
-	return canon, dims, req, key, nil
-}
-
-// wireFromResult flattens a canonical-coordinate result for the peer
-// protocol. It carries exactly the fields buildMapResponse reads, so a
-// result reconstructed on the far side renders byte-identically there.
-func wireFromResult(res *schedule.JointResult) *cluster.WireResult {
-	return &cluster.WireResult{
-		S:                  matrixRows(res.Mapping.S),
-		Pi:                 res.Mapping.Pi,
-		Time:               res.Time,
-		Processors:         res.Processors,
-		WireLength:         res.WireLength,
-		Cost:               res.Cost,
-		Candidates:         res.Candidates,
-		Pruned:             res.Pruned,
-		ScheduleCandidates: res.ScheduleResult.Candidates,
-		Engine:             res.ScheduleResult.Method,
-		ConflictMethod:     res.ScheduleResult.Conflict.Method,
-	}
-}
-
-// resultFromWire revalidates a peer-supplied result against the
-// canonical algorithm and reassembles the JointResult the cache and
-// response builder expect. Validation is the cache-poisoning defense:
-// shapes, ΠD > 0 and rank via schedule.NewMapping, the total time
-// recomputed from Π and μ, and — when the index set is within the
-// enumeration ceiling — conflict-freeness re-decided locally.
-// Optimality cannot be cheaply re-proved and is trusted; a buggy peer
-// can therefore at worst serve a valid-but-suboptimal mapping, never an
-// incorrect one.
-func resultFromWire(canonAlgo *uda.Algorithm, dims int, w *cluster.WireResult) (*schedule.JointResult, error) {
-	n := canonAlgo.Dim()
-	if len(w.S) != dims {
-		return nil, fmt.Errorf("service: peer result has %d space rows, want %d", len(w.S), dims)
-	}
-	for i, r := range w.S {
-		if len(r) != n {
-			return nil, fmt.Errorf("service: peer result S row %d has %d entries, want %d", i+1, len(r), n)
-		}
-	}
-	if len(w.Pi) != n {
-		return nil, fmt.Errorf("service: peer result Π has %d entries, want %d", len(w.Pi), n)
-	}
-	sm := intmat.New(0, n)
-	if dims > 0 {
-		sm = intmat.FromRows(w.S...)
-	}
-	m, err := schedule.NewMapping(canonAlgo, sm, intmat.Vector(w.Pi))
-	if err != nil {
-		return nil, fmt.Errorf("service: peer result rejected: %w", err)
-	}
-	tt, err := m.TotalTimeChecked()
-	if err != nil {
-		return nil, fmt.Errorf("service: peer result rejected: %w", err)
-	}
-	if tt != w.Time {
-		return nil, fmt.Errorf("service: peer result total time %d does not match recomputed %d", w.Time, tt)
-	}
-	if w.Processors < 1 || w.Time < 1 {
-		return nil, fmt.Errorf("service: peer result has degenerate processors %d / time %d", w.Processors, w.Time)
-	}
-	if !canonAlgo.Set.SizeExceeds(maxIndexPoints) {
-		cres, err := conflict.Decide(m.T, canonAlgo.Set)
-		if err != nil {
-			return nil, fmt.Errorf("service: peer result conflict re-check failed: %w", err)
-		}
-		if !cres.ConflictFree {
-			return nil, fmt.Errorf("service: peer result is not conflict-free (witness %v)", cres.Witness)
-		}
-	}
-	return &schedule.JointResult{
-		SpaceResult: schedule.SpaceResult{
-			Mapping:    m,
-			Processors: w.Processors,
-			WireLength: w.WireLength,
-			Cost:       w.Cost,
-			Candidates: w.Candidates,
-			Pruned:     w.Pruned,
-			Time:       w.Time,
-		},
-		ScheduleResult: &schedule.Result{
-			Mapping:    m,
-			Time:       w.Time,
-			Conflict:   conflict.Result{ConflictFree: true, Method: w.ConflictMethod},
-			Candidates: w.ScheduleCandidates,
-			Method:     w.Engine,
-		},
-	}, nil
-}
-
-// estimateResultBytes approximates the resident size of one cached
-// result: the key string, the mapping's integer payloads, and a fixed
-// struct/pointer overhead. An estimate by design — the bytes gauge
-// exists for sizing and shard-balance decisions, not accounting.
-func estimateResultBytes(key string, res *schedule.JointResult) int64 {
-	b := int64(len(key)) + 768
-	if res.Mapping != nil {
-		// S, Π and the assembled T ≈ 2(k−1)+2 rows of n int64s each.
-		n := int64(res.Mapping.S.Cols())
-		rows := int64(res.Mapping.S.Rows())
-		b += 8 * n * (2*rows + 2)
-	}
-	return b
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -334,7 +336,7 @@ func TestClusterE2EPeerDeathFallback(t *testing.T) {
 // with 508 before any work happens, and a malformed count is a 400.
 func TestClusterE2EHopHeader(t *testing.T) {
 	tc := newTestCluster(t, 2)
-	lreq := `{"problem":{"key":"x","bounds":[2,2,2],"dependencies":[[1,0,0],[0,1,0],[0,0,1]],"dims":1}}`
+	lreq := `{"kind":"map","key":"x","problem":{"bounds":[2,2,2],"dependencies":[[1,0,0],[0,1,0],[0,0,1]],"dims":1}}`
 
 	for _, c := range []struct {
 		hop  string
@@ -351,9 +353,14 @@ func TestClusterE2EHopHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("hop %q: status %d, want %d", c.hop, resp.StatusCode, c.want)
+		}
+		// The refusal must come from the hop check, not from the body.
+		if c.want == http.StatusBadRequest && !strings.Contains(string(body), cluster.HopHeader) {
+			t.Errorf("hop %q: error %s does not name %s", c.hop, body, cluster.HopHeader)
 		}
 	}
 }
@@ -381,17 +388,18 @@ func TestClusterE2EFillValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := Canonicalize(algo)
-	key := mapCacheKey(canon.Key, dims, &req)
-	prob := clusterProblem(key, canon, dims, &req)
-	cached, ok := tc.svcs[ownerIdx].cache.Get(key)
+	p := new(problem[MapRequest])
+	*p = mapWorkload.newProblem(&req, algo, dims, 0)
+	cached, ok := tc.svcs[ownerIdx].cache.Get(p.key)
 	if !ok {
 		t.Fatal("seed result missing from node 0's cache")
 	}
 
-	fill := func(t *testing.T, res cluster.WireResult, wantStored bool, wantStatus int) {
+	fill := func(t *testing.T, res *mapWire, wantStored bool, wantStatus int) {
 		t.Helper()
-		freq, _ := json.Marshal(&cluster.FillRequest{Problem: prob, Result: res})
+		fr := mapWorkload.fillRequest(p, cached.(*schedule.JointResult))
+		fr.Result = mustJSON(res)
+		freq, _ := json.Marshal(fr)
 		status, _, body := postJSON(t, tc.srvs[other].URL+cluster.FillPath, string(freq))
 		if status != wantStatus {
 			t.Fatalf("fill status = %d, want %d (%s)", status, wantStatus, body)
@@ -410,10 +418,10 @@ func TestClusterE2EFillValidation(t *testing.T) {
 
 	// A lying total time must be refused: the receiver recomputes the
 	// schedule figure from Π and the bounds.
-	genuine := *wireFromResult(cached.(*schedule.JointResult))
-	bogus := genuine
+	genuine := wireFromResult(cached.(*schedule.JointResult))
+	bogus := *genuine
 	bogus.Time = genuine.Time + 1
-	fill(t, bogus, false, http.StatusBadRequest)
+	fill(t, &bogus, false, http.StatusBadRequest)
 	if n := tc.svcs[other].met.peerFillsRejected.Load(); n != 1 {
 		t.Errorf("rejected fills = %d, want 1", n)
 	}
@@ -427,6 +435,165 @@ func TestClusterE2EFillValidation(t *testing.T) {
 	}
 	if n := tc.svcs[other].met.searches.Load(); n != 0 {
 		t.Errorf("non-owner searches = %d, want 0 (the fill preloaded it)", n)
+	}
+}
+
+// peerFill pushes one map result for p to the first node of a fresh
+// two-node cluster and returns the status and that node.
+func peerFill(t *testing.T, p *problem[MapRequest], wire *mapWire) (int, *testCluster) {
+	t.Helper()
+	tc := newTestCluster(t, 2)
+	fr := &cluster.FillRequest{Kind: "map", Key: p.key, Problem: mustJSON(mapWorkload.canonical(p)), Result: mustJSON(wire)}
+	body, _ := json.Marshal(fr)
+	status, _, _ := postJSON(t, tc.srvs[0].URL+cluster.FillPath, string(body))
+	return status, tc
+}
+
+// assertFillRejected checks that a refused fill left no cache entry and
+// counted one rejection.
+func assertFillRejected(t *testing.T, tc *testCluster, key string) {
+	t.Helper()
+	if _, ok := tc.svcs[0].cache.Get(key); ok {
+		t.Error("rejected result entered the cache")
+	}
+	resp, err := http.Get(tc.srvs[0].URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `mapserve_peer_fills_total{kind="rejected"} 1`; !strings.Contains(string(text), want) {
+		t.Errorf("/metrics lacks %s", want)
+	}
+}
+
+// forwardToPeer runs Map for p on a node whose ring owner for p's key
+// answers every lookup with wire. search stands in for the node's own
+// search, which runs when the answer is refused.
+func forwardToPeer(t *testing.T, p *problem[MapRequest], wire *mapWire, search func() (*schedule.JointResult, error)) (*Service, CacheStatus, int64, error) {
+	t.Helper()
+	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(&cluster.LookupResponse{Disposition: cluster.DispositionMiss, Result: mustJSON(wire)})
+	}))
+	t.Cleanup(peerSrv.Close)
+	// Name the peer so that it owns the key.
+	self := cluster.Member{ID: "self", URL: "http://127.0.0.1:1"}
+	var peer cluster.Member
+	for i := 0; ; i++ {
+		peer = cluster.Member{ID: fmt.Sprintf("peer%d", i), URL: peerSrv.URL}
+		ring, err := cluster.NewRing(0, self, peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Owner(p.key).ID == peer.ID {
+			break
+		}
+	}
+	svc := New(Config{Pool: 1, SearchWorkers: 1, Cluster: &ClusterConfig{Self: self, Peers: []cluster.Member{peer}}})
+	t.Cleanup(svc.Close)
+	var searched atomic.Int64
+	svc.searchJoint = func(context.Context, *uda.Algorithm, int, *schedule.SpaceOptions) (*schedule.JointResult, error) {
+		searched.Add(1)
+		return search()
+	}
+	_, status, err := svc.Map(context.Background(), p.req)
+	return svc, status, searched.Load(), err
+}
+
+// TestClusterE2EConflictingResultRejected: a conflicting map result is
+// refused at any index-set size, whether a peer pushes it as a fill or
+// answers a forwarded lookup with it. The result is well shaped, passes
+// ΠD > 0 and states its total time correctly, yet on μ = (128, 128, 128)
+// with S = [1 0 0] and Π = [1 1 1] the kernel vector (0, 1, −1) fits in
+// the box. |J| = 129³ is above 2^20, too large to re-decide
+// conflict-freedom by enumerating J.
+func TestClusterE2EConflictingResultRejected(t *testing.T) {
+	req := &MapRequest{Bounds: []int64{128, 128, 128}, Dependencies: [][]int64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, Dims: 1}
+	algo, dims, err := validateMapRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !algo.Set.SizeExceeds(maxIndexPoints) {
+		t.Fatalf("|J| = %d is within %d", algo.Set.Size(), maxIndexPoints)
+	}
+	p := mapWorkload.newProblem(req, algo, dims, 0)
+	bad := &mapWire{S: [][]int64{{1, 0, 0}}, Pi: []int64{1, 1, 1}, Time: 1 + 3*128, Processors: 129, Engine: "procedure-5.1"}
+
+	t.Run("fill", func(t *testing.T) {
+		status, tc := peerFill(t, &p, bad)
+		if status != http.StatusBadRequest {
+			t.Fatalf("conflicting fill: status %d, want 400", status)
+		}
+		assertFillRejected(t, tc, p.key)
+	})
+
+	t.Run("lookup", func(t *testing.T) {
+		svc, status, searched, err := forwardToPeer(t, &p, bad, func() (*schedule.JointResult, error) {
+			return nil, schedule.ErrNoSchedule
+		})
+		if !errors.Is(err, schedule.ErrNoSchedule) || status != CacheMiss {
+			t.Fatalf("Map = %q, %v; want the local search's own answer", status, err)
+		}
+		if searched != 1 {
+			t.Errorf("local searches = %d, want 1", searched)
+		}
+		if n := svc.met.peerForwardErrors.Load(); n != 1 {
+			t.Errorf("peer forward errors = %d, want 1", n)
+		}
+		if _, ok := svc.cache.Get(p.key); ok {
+			t.Error("conflicting result entered the cache")
+		}
+	})
+}
+
+// TestClusterE2EPeerResultBeyondSweep covers peer results the
+// verifier's budgeted lattice sweep cannot settle. A conflict-free one
+// with a deep null space is re-decided and accepted. One whose Hermite
+// factorization leaves int64 is refused, answering 400 to a fill and
+// degrading a forward to a local search, and it never panics.
+func TestClusterE2EPeerResultBeyondSweep(t *testing.T) {
+	t.Run("deep null space accepted", func(t *testing.T) {
+		p, wire := deepNullSpaceProblem(t)
+		status, tc := peerFill(t, &p, wire)
+		if status != http.StatusOK {
+			t.Fatalf("fill: status %d, want 200", status)
+		}
+		if _, ok := tc.svcs[0].cache.Get(p.key); !ok {
+			t.Error("accepted fill left no cache entry")
+		}
+	})
+
+	// μ = (1, 1, 7, 7) with dependence e4 is already canonical. The
+	// first result overflows the verifier's Hermite factorization, the
+	// second already the rank check.
+	req := &MapRequest{Bounds: []int64{1, 1, 7, 7}, Dependencies: [][]int64{{0, 0, 0, 1}}, Dims: 1}
+	algo, dims, err := validateMapRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mapWorkload.newProblem(req, algo, dims, 0)
+	for name, wire := range map[string]*mapWire{
+		"hnf overflow":  {S: [][]int64{{178, -894, 831, 40}}, Pi: []int64{820, 726, 256, 547}, Time: 7168, Processors: 1},
+		"rank overflow": {S: [][]int64{{1 << 62, 3, 1, 1}}, Pi: []int64{1 << 40, 5, 1, 1}, Time: 1<<40 + 13, Processors: 1},
+	} {
+		t.Run(name+" fill refused", func(t *testing.T) {
+			status, tc := peerFill(t, &p, wire)
+			if status != http.StatusBadRequest {
+				t.Fatalf("fill: status %d, want 400", status)
+			}
+			assertFillRejected(t, tc, p.key)
+		})
+		t.Run(name+" lookup refused", func(t *testing.T) {
+			svc, status, searched, err := forwardToPeer(t, &p, wire, func() (*schedule.JointResult, error) {
+				return nil, schedule.ErrNoSchedule
+			})
+			if !errors.Is(err, schedule.ErrNoSchedule) || status != CacheMiss || searched != 1 {
+				t.Fatalf("Map = %q, %v after %d local searches; want the local search's own answer", status, err, searched)
+			}
+			if n := svc.met.peerForwardErrors.Load(); n != 1 {
+				t.Errorf("peer forward errors = %d, want 1", n)
+			}
+		})
 	}
 }
 

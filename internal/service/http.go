@@ -55,13 +55,11 @@ type errorBody struct {
 //	GET    /v1/jobs/{id}/events  — stream state transitions (ndjson)
 //	DELETE /v1/jobs/{id}         — cancel a queued or running job
 //
-// Clustered nodes additionally serve the peer protocol (the pareto
-// legs mirror the map legs key-for-key):
+// Clustered nodes additionally serve the peer protocol, one leg each
+// for every workload (the body's "kind" picks map or pareto):
 //
-//	POST /peer/v1/lookup        — owner-side answer for a forwarded problem
-//	POST /peer/v1/fill          — best-effort cache push from a peer
-//	POST /peer/v1/pareto/lookup — owner-side answer for a forwarded front
-//	POST /peer/v1/pareto/fill   — best-effort front push from a peer
+//	POST /peer/v1/lookup — owner-side answer for a forwarded problem
+//	POST /peer/v1/fill   — best-effort cache push from a peer
 //
 // Every POST endpoint runs inside the instrument wrapper, which owns
 // the per-endpoint request counter (exactly one increment per request,
@@ -89,8 +87,6 @@ func NewHandler(s *Service) http.Handler {
 	if s.clu != nil {
 		mux.HandleFunc("POST "+cluster.LookupPath, s.instrument("peer_lookup", s.handlePeerLookup))
 		mux.HandleFunc("POST "+cluster.FillPath, s.instrument("peer_fill", s.handlePeerFill))
-		mux.HandleFunc("POST "+cluster.ParetoLookupPath, s.instrument("peer_pareto_lookup", s.handlePeerParetoLookup))
-		mux.HandleFunc("POST "+cluster.ParetoFillPath, s.instrument("peer_pareto_fill", s.handlePeerParetoFill))
 	}
 	return mux
 }
@@ -413,44 +409,6 @@ func (s *Service) handlePareto(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Service) handlePeerParetoLookup(w http.ResponseWriter, r *http.Request) {
-	if !s.checkHop(w, r) {
-		return
-	}
-	var req cluster.ParetoLookupRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := s.PeerParetoLookup(ctx, &req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handlePeerParetoFill(w http.ResponseWriter, r *http.Request) {
-	if !s.checkHop(w, r) {
-		return
-	}
-	var req cluster.ParetoFillRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r, 0)
-	defer cancel()
-	resp, err := s.PeerParetoFill(ctx, &req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Service) handleConflict(w http.ResponseWriter, r *http.Request) {
 	var req ConflictRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -515,7 +473,7 @@ func (s *Service) checkHop(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	hops, err := strconv.Atoi(h)
-	if err != nil {
+	if err != nil || hops < 0 {
 		s.writeError(w, badRequest("service: malformed %s header %q", cluster.HopHeader, h))
 		return false
 	}

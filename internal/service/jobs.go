@@ -250,16 +250,12 @@ var jobIDPattern = regexp.MustCompile(`^j[0-9a-f]{16}$`)
 // whether the request should be proxied (clustered, foreign owner, and
 // not already a forwarded hop).
 func (s *Service) jobOwner(r *http.Request, id string) (owner cluster.Member, forward bool) {
-	if s.clu == nil {
-		return cluster.Member{}, false
-	}
 	if r.Header.Get(cluster.HopHeader) != "" {
 		// Forwarded once already: answer locally no matter what the
 		// membership view says, so job forwards can never loop.
 		return cluster.Member{}, false
 	}
-	owner = s.clu.ring.Owner("job|" + id)
-	return owner, owner.ID != s.clu.self.ID
+	return s.ringOwner("job|" + id)
 }
 
 // proxyJob relays a job request to the ring owner verbatim, streaming

@@ -23,19 +23,17 @@ const numLatencyBuckets = 7
 // metrics aggregates the service counters. All fields are atomics so
 // the hot request path never takes a lock for observability.
 type metrics struct {
-	mapRequests              atomic.Int64
-	paretoRequests           atomic.Int64
-	conflictRequests         atomic.Int64
-	simulateRequests         atomic.Int64
-	verifyRequests           atomic.Int64
-	batchRequests            atomic.Int64
-	jobsRequests             atomic.Int64
-	peerLookupRequests       atomic.Int64
-	peerFillRequests         atomic.Int64
-	peerParetoLookupRequests atomic.Int64
-	peerParetoFillRequests   atomic.Int64
-	peerStatusRequests       atomic.Int64
-	clusterStatusRequests    atomic.Int64
+	mapRequests           atomic.Int64
+	paretoRequests        atomic.Int64
+	conflictRequests      atomic.Int64
+	simulateRequests      atomic.Int64
+	verifyRequests        atomic.Int64
+	batchRequests         atomic.Int64
+	jobsRequests          atomic.Int64
+	peerLookupRequests    atomic.Int64
+	peerFillRequests      atomic.Int64
+	peerStatusRequests    atomic.Int64
+	clusterStatusRequests atomic.Int64
 
 	verifyCacheHits   atomic.Int64
 	verifyCacheMisses atomic.Int64
@@ -155,10 +153,6 @@ func (m *metrics) requestCounter(endpoint string) *atomic.Int64 {
 		return &m.peerFillRequests
 	case "pareto":
 		return &m.paretoRequests
-	case "peer_pareto_lookup":
-		return &m.peerParetoLookupRequests
-	case "peer_pareto_fill":
-		return &m.peerParetoFillRequests
 	case "peer_status":
 		return &m.peerStatusRequests
 	case "cluster_status":
@@ -173,7 +167,6 @@ func (m *metrics) requestsTotal() int64 {
 	return m.mapRequests.Load() + m.paretoRequests.Load() + m.conflictRequests.Load() +
 		m.simulateRequests.Load() + m.verifyRequests.Load() + m.batchRequests.Load() +
 		m.jobsRequests.Load() + m.peerLookupRequests.Load() + m.peerFillRequests.Load() +
-		m.peerParetoLookupRequests.Load() + m.peerParetoFillRequests.Load() +
 		m.peerStatusRequests.Load() + m.clusterStatusRequests.Load()
 }
 
@@ -291,10 +284,6 @@ func (m *metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "mapserve_requests_total{endpoint=\"peer_fill\"} %d\n", m.peerFillRequests.Load())
 	fmt.Fprintf(w, "mapserve_requests_total{endpoint=\"peer_status\"} %d\n", m.peerStatusRequests.Load())
 	fmt.Fprintf(w, "mapserve_requests_total{endpoint=\"cluster_status\"} %d\n", m.clusterStatusRequests.Load())
-	if m.clustered {
-		fmt.Fprintf(w, "mapserve_requests_total{endpoint=\"peer_pareto_lookup\"} %d\n", m.peerParetoLookupRequests.Load())
-		fmt.Fprintf(w, "mapserve_requests_total{endpoint=\"peer_pareto_fill\"} %d\n", m.peerParetoFillRequests.Load())
-	}
 	counter("mapserve_cache_hits_total", "Map requests answered from the canonical result cache.", m.cacheHits.Load())
 	counter("mapserve_cache_misses_total", "Map requests that required a search.", m.cacheMisses.Load())
 	counter("mapserve_verify_cache_hits_total", "Verify requests answered from the canonical certificate cache.", m.verifyCacheHits.Load())

@@ -13,23 +13,18 @@ package service
 // selection of one problem costs a single search.
 //
 // Every front that enters the cache is verifier-certified first: the
-// searching node runs verify.CertifyPareto (member certificates plus
-// the non-domination and pinned-order invariants) on the canonical
-// result, and a node receiving a front over the peer protocol runs the
-// same certification before trusting it — the Pareto leg's
-// cache-poisoning defense subsumes the map leg's revalidation.
+// serving pipeline (workload.go) runs verify.CertifyPareto (member
+// certificates plus the non-domination and pinned-order invariants) on
+// the canonical result, whether this node searched it or received it
+// from a peer.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
-	"lodim/internal/cluster"
-	"lodim/internal/intmat"
 	"lodim/internal/schedule"
-	"lodim/internal/trace"
 	"lodim/internal/uda"
 	"lodim/internal/verify"
 )
@@ -167,10 +162,47 @@ func paretoCacheKey(canonKey string, dims int, req *ParetoRequest) string {
 	return fmt.Sprintf("pareto|%s|dims=%d|me=%d|mc=%d|slack=%d", canonKey, dims, req.MaxEntry, req.MaxCost, req.TimeSlack)
 }
 
-// Pareto answers a multi-objective front query: canonical cache first,
-// then a singleflight-deduplicated flight that forwards to the key's
-// ring owner or runs the admission-controlled search, certifying the
-// front before it is cached.
+// paretoWorkload is the multi-objective search behind /v1/pareto.
+var paretoWorkload = &workload[ParetoRequest, *schedule.ParetoResult, paretoWire]{
+	kind: "pareto",
+	validate: func(req *ParetoRequest) (*uda.Algorithm, int, error) {
+		algo, dims, _, err := validateParetoRequest(req)
+		return algo, dims, err
+	},
+	cacheKey: paretoCacheKey,
+	canonical: func(p *problem[ParetoRequest]) *ParetoRequest {
+		return &ParetoRequest{
+			Bounds:       p.canon.Algo.Set.Upper,
+			Dependencies: depRows(p.canon.Algo),
+			Dims:         p.dims,
+			MaxEntry:     p.req.MaxEntry,
+			MaxCost:      p.req.MaxCost,
+			TimeSlack:    p.req.TimeSlack,
+		}
+	},
+	search: func(ctx context.Context, s *Service, p *problem[ParetoRequest]) (*schedule.ParetoResult, error) {
+		res, err := s.searchPareto(ctx, p.canon.Algo, p.dims, &schedule.ParetoOptions{
+			Space: schedule.SpaceOptions{
+				MaxEntry: p.req.MaxEntry,
+				Schedule: schedule.Options{MaxCost: p.req.MaxCost, Workers: s.cfg.SearchWorkers},
+			},
+			TimeSlack: p.req.TimeSlack,
+			// ModeFront: selection happens per request, after the cache.
+		})
+		if err == nil {
+			s.met.observeSearchStats(res.Stats)
+		}
+		return res, err
+	},
+	certify:  certifyFront,
+	toWire:   wireFromPareto,
+	fromWire: paretoFromWire,
+	size:     estimateParetoBytes,
+}
+
+// Pareto answers a multi-objective front query through the serving
+// pipeline, then selects Best under the request's mode from the
+// cached front.
 func (s *Service) Pareto(ctx context.Context, req *ParetoRequest) (*ParetoResponse, CacheStatus, error) {
 	done, err := s.begin()
 	if err != nil {
@@ -182,134 +214,25 @@ func (s *Service) Pareto(ctx context.Context, req *ParetoRequest) (*ParetoRespon
 	if err != nil {
 		return nil, "", err
 	}
-
 	canonStart := time.Now()
-	canon := Canonicalize(algo)
-	key := paretoCacheKey(canon.Key, dims, req)
+	p := paretoWorkload.newProblem(req, algo, dims, req.TimeoutMS)
 	recordStage(ctx, stageCanonicalize, canonStart)
-	if v, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Add(1)
-		return s.paretoResponse(ctx, algo, canon, key, dims, sel, v.(*schedule.ParetoResult))
-	}
-
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runParetoSearch(fc, key, canon, dims, req, true)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
+	res, status, err := paretoWorkload.serve(ctx, s, &p)
 	if err != nil {
-		status := CacheShared
-		if leader {
-			status = CacheMiss
-			s.met.cacheMisses.Add(1)
-		}
 		return nil, status, err
 	}
-	out := v.(*paretoFlightOutcome)
-	status := CacheShared
-	switch {
-	case leader && out.fromCache:
-		status = CacheHit
-		s.met.cacheHits.Add(1)
-	case leader && out.viaPeer:
-		status = CacheStatus("peer_" + out.peerDisposition)
-	case leader:
-		status = CacheMiss
-		s.met.cacheMisses.Add(1)
-	}
-	resp, _, err := s.paretoResponse(ctx, algo, canon, key, dims, sel, out.res)
+	resp, err := paretoResponse(ctx, &p, sel, res)
 	return resp, status, err
-}
-
-// paretoFlightOutcome mirrors flightOutcome for the Pareto flight.
-type paretoFlightOutcome struct {
-	res             *schedule.ParetoResult
-	fromCache       bool
-	viaPeer         bool
-	peerDisposition string
-}
-
-// runParetoSearch is the body of a Pareto flight — the exact shape of
-// runSearch with the multi-objective engine and a certification gate
-// in front of the cache.
-func (s *Service) runParetoSearch(ctx context.Context, key string, canon *Canonical, dims int, req *ParetoRequest, allowForward bool) (*paretoFlightOutcome, error) {
-	if v, ok := s.cache.Get(key); ok {
-		return &paretoFlightOutcome{res: v.(*schedule.ParetoResult), fromCache: true}, nil
-	}
-	fellBack := false
-	if allowForward {
-		out, err, verdict := s.tryParetoPeerLookup(ctx, key, canon, dims, req)
-		switch verdict {
-		case peerDone:
-			return out, err
-		case peerFailed:
-			fellBack = true
-		}
-	}
-	queueStart := time.Now()
-	release, err := s.acquire(ctx)
-	recordStage(ctx, stageQueue, queueStart)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if v, ok := s.cache.Get(key); ok {
-		return &paretoFlightOutcome{res: v.(*schedule.ParetoResult), fromCache: true}, nil
-	}
-	s.met.searches.Add(1)
-	if fm := markFrom(ctx); fm != nil {
-		fm.searchStartNs.CompareAndSwap(0, time.Now().UnixNano())
-	}
-	opts := &schedule.ParetoOptions{
-		Space: schedule.SpaceOptions{
-			MaxEntry: req.MaxEntry,
-			Schedule: schedule.Options{MaxCost: req.MaxCost, Workers: s.cfg.SearchWorkers},
-		},
-		TimeSlack: req.TimeSlack,
-		// ModeFront: selection happens per request, after the cache.
-	}
-	start := time.Now()
-	res, err := s.searchPareto(ctx, canon.Algo, dims, opts)
-	s.met.observeSearch(time.Since(start), trace.FromContext(ctx).TraceID())
-	recordStage(ctx, stageSearch, start)
-	if err != nil {
-		return nil, err
-	}
-	s.met.observeSearchStats(res.Stats)
-	// No front enters the cache uncertified: the independent verifier
-	// re-derives every member certificate, every objective vector, and
-	// the non-domination/order invariants. A failure here is an engine
-	// bug, not a bad request — surface it loudly.
-	if err := s.certifyFront(ctx, canon.Algo, res); err != nil {
-		return nil, fmt.Errorf("service: front failed certification: %w", err)
-	}
-	s.cache.Add(key, res, estimateParetoBytes(key, res))
-	if fellBack {
-		s.fillParetoOwnerAsync(key, canon, dims, req, res)
-	}
-	return &paretoFlightOutcome{res: res}, nil
 }
 
 // certifyFront runs the Pareto verifier over a canonical-coordinate
 // result. Optimality analysis is skipped — slack-window members are
 // deliberately non-optimal in time — but member validity, conflict-
 // freedom, objective recomputation, the window, non-domination, and
-// the pinned order are all re-derived.
-func (s *Service) certifyFront(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.ParetoResult) error {
+// the pinned order are all re-derived, so a buggy or malicious peer
+// cannot plant an invalid member, a dominated vector, or a misordered
+// front.
+func certifyFront(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.ParetoResult) error {
 	cert, err := verify.CertifyPareto(ctx, canonAlgo, paretoVerifyInputs(res), res.TimeBound, &verify.Options{SkipOptimality: true})
 	if err != nil {
 		return err
@@ -329,19 +252,19 @@ func paretoVerifyInputs(res *schedule.ParetoResult) []verify.ParetoInput {
 // order and selects Best under the request's mode. The translation is
 // an index-space isomorphism, so every objective vector is invariant;
 // only S's columns and Π's entries move.
-func (s *Service) paretoResponse(ctx context.Context, algo *uda.Algorithm, canon *Canonical, key string, dims int, sel *schedule.ParetoOptions, res *schedule.ParetoResult) (*ParetoResponse, CacheStatus, error) {
+func paretoResponse(ctx context.Context, p *problem[ParetoRequest], sel *schedule.ParetoOptions, res *schedule.ParetoResult) (*ParetoResponse, error) {
 	defer recordStage(ctx, stageTranslate, time.Now())
 	best, err := schedule.SelectBest(res.Front, sel)
 	if err != nil {
 		// Selection was validated before the search; failing here means a
 		// cached front turned empty, which cannot happen.
-		return nil, "", err
+		return nil, err
 	}
 	front := make([]ParetoFrontMember, len(res.Front))
 	for i, m := range res.Front {
 		front[i] = ParetoFrontMember{
-			S:          matrixRows(canon.MatrixToRequest(m.Mapping.S)),
-			Pi:         canon.VectorToRequest(m.Mapping.Pi),
+			S:          matrixRows(p.canon.MatrixToRequest(m.Mapping.S)),
+			Pi:         p.canon.VectorToRequest(m.Mapping.Pi),
 			TotalTime:  m.Vector[schedule.ObjTime],
 			Processors: m.Vector[schedule.ObjProcessors],
 			Buffers:    m.Vector[schedule.ObjBuffers],
@@ -349,305 +272,62 @@ func (s *Service) paretoResponse(ctx context.Context, algo *uda.Algorithm, canon
 		}
 	}
 	return &ParetoResponse{
-		Algorithm:    algo.Name,
-		Dim:          algo.Dim(),
-		NumDeps:      algo.NumDeps(),
-		Bounds:       algo.Set.Upper,
-		Dims:         dims,
+		Algorithm:    p.algo.Name,
+		Dim:          p.algo.Dim(),
+		NumDeps:      p.algo.NumDeps(),
+		Bounds:       p.algo.Set.Upper,
+		Dims:         p.dims,
 		Front:        front,
 		Best:         best,
 		TimeBound:    res.TimeBound,
 		Candidates:   res.Candidates,
 		Pruned:       res.Pruned,
 		Certified:    true,
-		CanonicalKey: key,
-	}, CacheHit, nil
-}
-
-// tryParetoPeerLookup forwards a missed front key to its ring owner —
-// the Pareto leg of tryPeerLookup, with the same three-way verdict.
-func (s *Service) tryParetoPeerLookup(ctx context.Context, key string, canon *Canonical, dims int, req *ParetoRequest) (*paretoFlightOutcome, error, peerVerdict) {
-	clu := s.clu
-	if clu == nil {
-		return nil, nil, peerSkip
-	}
-	owner := clu.ring.Owner(key)
-	if owner.ID == clu.self.ID {
-		return nil, nil, peerSkip
-	}
-
-	pctx, span := trace.Start(ctx, "peer-lookup")
-	var tp string
-	if span != nil {
-		span.SetStr("peer", owner.ID)
-		tp = trace.Traceparent(span.TraceID(), span.IDHex())
-		defer span.End()
-	}
-	defer recordStage(ctx, stageForward, time.Now())
-	cctx, cancel := context.WithTimeout(pctx, s.EffectiveTimeout(req.TimeoutMS)+peerLookupGrace)
-	defer cancel()
-	lreq := &cluster.ParetoLookupRequest{ParetoProblem: clusterParetoProblem(key, canon, dims, req), TimeoutMS: req.TimeoutMS}
-	resp, err := clu.client.ParetoLookup(cctx, owner, lreq, tp)
-	if err != nil {
-		var perr *cluster.PeerError
-		if errors.As(err, &perr) && perr.Status == http.StatusUnprocessableEntity {
-			s.met.peerForwardMiss.Add(1)
-			if span != nil {
-				span.SetStr("disposition", "infeasible")
-			}
-			return nil, fmt.Errorf("%w (decided by peer %s)", schedule.ErrNoSchedule, owner.ID), peerDone
-		}
-		s.met.peerForwardErrors.Add(1)
-		if span != nil {
-			span.SetStr("error", err.Error())
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err(), peerDone
-		}
-		return nil, nil, peerFailed
-	}
-	res, err := s.paretoFromWire(cctx, canon.Algo, dims, &resp.Result)
-	if err != nil {
-		s.met.peerForwardErrors.Add(1)
-		if span != nil {
-			span.SetStr("error", err.Error())
-		}
-		return nil, nil, peerFailed
-	}
-	switch resp.Disposition {
-	case cluster.DispositionHit:
-		s.met.peerForwardHit.Add(1)
-	case cluster.DispositionShared:
-		s.met.peerForwardShared.Add(1)
-	default:
-		s.met.peerForwardMiss.Add(1)
-	}
-	if span != nil {
-		span.SetStr("disposition", resp.Disposition)
-	}
-	s.cache.Add(key, res, estimateParetoBytes(key, res))
-	return &paretoFlightOutcome{res: res, viaPeer: true, peerDisposition: resp.Disposition}, nil, peerDone
-}
-
-// fillParetoOwnerAsync pushes a locally-searched front to its ring
-// owner after a failed forward, like fillOwnerAsync.
-func (s *Service) fillParetoOwnerAsync(key string, canon *Canonical, dims int, req *ParetoRequest, res *schedule.ParetoResult) {
-	clu := s.clu
-	if clu == nil {
-		return
-	}
-	owner := clu.ring.Owner(key)
-	if owner.ID == clu.self.ID {
-		return
-	}
-	done, err := s.begin()
-	if err != nil {
-		return
-	}
-	freq := &cluster.ParetoFillRequest{ParetoProblem: clusterParetoProblem(key, canon, dims, req), Result: *wireFromPareto(res)}
-	go func() {
-		defer done()
-		ctx, cancel := context.WithTimeout(context.Background(), clu.fillTimeout)
-		defer cancel()
-		if err := clu.client.ParetoFill(ctx, owner, freq); err != nil {
-			s.met.peerFillSendErrs.Add(1)
-			return
-		}
-		s.met.peerFillsSent.Add(1)
-	}()
-}
-
-// PeerParetoLookup answers one forwarded front problem as its ring
-// owner, sharing the flight group with origin /v1/pareto requests.
-func (s *Service) PeerParetoLookup(ctx context.Context, lreq *cluster.ParetoLookupRequest) (*cluster.ParetoLookupResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-
-	canon, dims, req, key, err := s.problemFromParetoWire(&lreq.ParetoProblem)
-	if err != nil {
-		return nil, err
-	}
-	req.TimeoutMS = lreq.TimeoutMS
-	if v, ok := s.cache.Get(key); ok {
-		s.met.peerServedHit.Add(1)
-		return &cluster.ParetoLookupResponse{Disposition: cluster.DispositionHit, Result: *wireFromPareto(v.(*schedule.ParetoResult))}, nil
-	}
-
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runParetoSearch(fc, key, canon, dims, req, false)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := v.(*paretoFlightOutcome)
-	disposition := cluster.DispositionShared
-	switch {
-	case !leader:
-		s.met.peerServedShared.Add(1)
-	case out.fromCache:
-		disposition = cluster.DispositionHit
-		s.met.peerServedHit.Add(1)
-	default:
-		disposition = cluster.DispositionMiss
-		s.met.peerServedMiss.Add(1)
-	}
-	return &cluster.ParetoLookupResponse{Disposition: disposition, Result: *wireFromPareto(out.res)}, nil
-}
-
-// PeerParetoFill accepts a best-effort front push, fully re-certified
-// before it enters the cache.
-func (s *Service) PeerParetoFill(ctx context.Context, freq *cluster.ParetoFillRequest) (*cluster.ParetoFillResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-
-	canon, dims, _, key, err := s.problemFromParetoWire(&freq.ParetoProblem)
-	if err != nil {
-		s.met.peerFillsRejected.Add(1)
-		return nil, err
-	}
-	res, err := s.paretoFromWire(ctx, canon.Algo, dims, &freq.Result)
-	if err != nil {
-		s.met.peerFillsRejected.Add(1)
-		return nil, &BadRequestError{Err: err}
-	}
-	s.cache.Add(key, res, estimateParetoBytes(key, res))
-	s.met.peerFillsRecv.Add(1)
-	return &cluster.ParetoFillResponse{Stored: true}, nil
-}
-
-// clusterParetoProblem serializes a canonical front problem for the
-// peer protocol.
-func clusterParetoProblem(key string, canon *Canonical, dims int, req *ParetoRequest) cluster.ParetoProblem {
-	algo := canon.Algo
-	deps := make([][]int64, algo.NumDeps())
-	for c := range deps {
-		deps[c] = algo.D.Col(c)
-	}
-	return cluster.ParetoProblem{
-		Key:          key,
-		Bounds:       algo.Set.Upper,
-		Dependencies: deps,
-		Dims:         dims,
-		MaxEntry:     req.MaxEntry,
-		MaxCost:      req.MaxCost,
-		TimeSlack:    req.TimeSlack,
-	}
-}
-
-// problemFromParetoWire rebuilds and verifies a peer-supplied front
-// problem: full request validation, re-canonicalization, and the
-// recomputed key must match the wire key.
-func (s *Service) problemFromParetoWire(p *cluster.ParetoProblem) (*Canonical, int, *ParetoRequest, string, error) {
-	if p.Key == "" {
-		return nil, 0, nil, "", badRequest("service: peer pareto problem carries no key")
-	}
-	req := &ParetoRequest{
-		Bounds:       p.Bounds,
-		Dependencies: p.Dependencies,
-		Dims:         p.Dims,
-		MaxEntry:     p.MaxEntry,
-		MaxCost:      p.MaxCost,
-		TimeSlack:    p.TimeSlack,
-	}
-	algo, dims, _, err := validateParetoRequest(req)
-	if err != nil {
-		return nil, 0, nil, "", err
-	}
-	canon := Canonicalize(algo)
-	key := paretoCacheKey(canon.Key, dims, req)
-	if key != p.Key {
-		return nil, 0, nil, "", badRequest("service: peer pareto key %q does not match recomputed key %q", p.Key, key)
-	}
-	return canon, dims, req, key, nil
-}
-
-// wireFromPareto flattens a canonical front for the peer protocol.
-func wireFromPareto(res *schedule.ParetoResult) *cluster.ParetoWireResult {
-	members := make([]cluster.ParetoWireMember, len(res.Front))
-	for i, m := range res.Front {
-		members[i] = cluster.ParetoWireMember{
-			S:      matrixRows(m.Mapping.S),
-			Pi:     m.Mapping.Pi,
-			Vector: [cluster.ParetoAxes]int64(m.Vector),
-		}
-	}
-	return &cluster.ParetoWireResult{
-		Members:    members,
-		TimeBound:  res.TimeBound,
-		Candidates: res.Candidates,
-		Pruned:     res.Pruned,
-	}
-}
-
-// paretoFromWire revalidates a peer-supplied front end to end and
-// reassembles the canonical ParetoResult. The revalidation IS the
-// Pareto verifier: every member independently re-certified, every
-// objective vector recomputed, the window, non-domination and pinned
-// order re-checked — so a buggy or malicious peer cannot plant an
-// invalid member, a dominated vector, or a misordered front.
-func (s *Service) paretoFromWire(ctx context.Context, canonAlgo *uda.Algorithm, dims int, w *cluster.ParetoWireResult) (*schedule.ParetoResult, error) {
-	if len(w.Members) == 0 {
-		return nil, errors.New("service: peer front is empty")
-	}
-	n := canonAlgo.Dim()
-	front := make([]schedule.ParetoMember, len(w.Members))
-	inputs := make([]verify.ParetoInput, len(w.Members))
-	for i := range w.Members {
-		wm := &w.Members[i]
-		if len(wm.S) != dims {
-			return nil, fmt.Errorf("service: peer front member %d has %d space rows, want %d", i, len(wm.S), dims)
-		}
-		for r, row := range wm.S {
-			if len(row) != n {
-				return nil, fmt.Errorf("service: peer front member %d S row %d has %d entries, want %d", i, r+1, len(row), n)
-			}
-		}
-		if len(wm.Pi) != n {
-			return nil, fmt.Errorf("service: peer front member %d Π has %d entries, want %d", i, len(wm.Pi), n)
-		}
-		m, err := schedule.NewMapping(canonAlgo, intmat.FromRows(wm.S...), intmat.Vector(wm.Pi))
-		if err != nil {
-			return nil, fmt.Errorf("service: peer front member %d rejected: %w", i, err)
-		}
-		front[i] = schedule.ParetoMember{Mapping: m, Vector: schedule.ObjectiveVector(wm.Vector)}
-		inputs[i] = verify.ParetoInput{S: m.S, Pi: m.Pi, Vector: [verify.ParetoAxes]int64(wm.Vector)}
-	}
-	cert, err := verify.CertifyPareto(ctx, canonAlgo, inputs, w.TimeBound, &verify.Options{SkipOptimality: true})
-	if err != nil {
-		return nil, fmt.Errorf("service: peer front certification: %w", err)
-	}
-	if cerr := cert.Err(); cerr != nil {
-		return nil, fmt.Errorf("service: peer front rejected: %w", cerr)
-	}
-	return &schedule.ParetoResult{
-		Front:      front,
-		Best:       0,
-		TimeBound:  w.TimeBound,
-		Candidates: w.Candidates,
-		Pruned:     w.Pruned,
+		CanonicalKey: p.key,
 	}, nil
+}
+
+// paretoWire is a front in canonical coordinates, flattened for the
+// peer protocol in the pinned deterministic order.
+type paretoWire struct {
+	Members    []paretoWireMember `json:"members"`
+	TimeBound  int64              `json:"time_bound"`
+	Candidates int                `json:"candidates"`
+	Pruned     int                `json:"pruned"`
+}
+
+// paretoWireMember is one front member; Vector is (time, processors,
+// buffers, links).
+type paretoWireMember struct {
+	S      [][]int64                `json:"s"`
+	Pi     []int64                  `json:"pi"`
+	Vector schedule.ObjectiveVector `json:"vector"`
+}
+
+func wireFromPareto(res *schedule.ParetoResult) *paretoWire {
+	members := make([]paretoWireMember, len(res.Front))
+	for i, m := range res.Front {
+		members[i] = paretoWireMember{S: matrixRows(m.Mapping.S), Pi: m.Mapping.Pi, Vector: m.Vector}
+	}
+	return &paretoWire{Members: members, TimeBound: res.TimeBound, Candidates: res.Candidates, Pruned: res.Pruned}
+}
+
+// paretoFromWire reassembles a peer's front against the canonical
+// algorithm, each member's mapping rebuilt by wireMapping.
+// certifyFront does the rest.
+func paretoFromWire(canonAlgo *uda.Algorithm, dims int, w *paretoWire) (*schedule.ParetoResult, error) {
+	if len(w.Members) == 0 {
+		return nil, errors.New("empty front")
+	}
+	front := make([]schedule.ParetoMember, len(w.Members))
+	for i, wm := range w.Members {
+		m, err := wireMapping(canonAlgo, dims, wm.S, wm.Pi)
+		if err != nil {
+			return nil, fmt.Errorf("member %d: %w", i, err)
+		}
+		front[i] = schedule.ParetoMember{Mapping: m, Vector: wm.Vector}
+	}
+	return &schedule.ParetoResult{Front: front, TimeBound: w.TimeBound, Candidates: w.Candidates, Pruned: w.Pruned}, nil
 }
 
 // estimateParetoBytes approximates the resident size of one cached

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"lodim/internal/cluster"
 	"lodim/internal/corpus"
 	"lodim/internal/intmat"
 	"lodim/internal/schedule"
@@ -401,19 +400,16 @@ func TestPeerParetoFillRevalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := Canonicalize(algo)
-	key := paretoCacheKey(canon.Key, dims, &req)
-	res, err := schedule.FindPareto(canon.Algo, dims, &schedule.ParetoOptions{
+	res, err := schedule.FindPareto(Canonicalize(algo).Algo, dims, &schedule.ParetoOptions{
 		Space: schedule.SpaceOptions{Schedule: schedule.Options{Workers: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	fill, err := svc.PeerParetoFill(context.Background(), &cluster.ParetoFillRequest{
-		ParetoProblem: clusterParetoProblem(key, canon, dims, &req),
-		Result:        *wireFromPareto(res),
-	})
+	p := new(problem[ParetoRequest])
+	*p = paretoWorkload.newProblem(&req, algo, dims, 0)
+	fill, err := svc.PeerFill(context.Background(), paretoWorkload.fillRequest(p, res))
 	if err != nil {
 		t.Fatalf("valid fill rejected: %v", err)
 	}
@@ -429,20 +425,18 @@ func TestPeerParetoFillRevalidation(t *testing.T) {
 	}
 
 	// A doctored objective vector must not survive revalidation.
-	doctored := *wireFromPareto(res)
-	doctored.Members = append([]cluster.ParetoWireMember(nil), doctored.Members...)
+	doctored := wireFromPareto(res)
 	doctored.Members[0].Vector[2]++
+	freq := paretoWorkload.fillRequest(p, res)
+	freq.Result = mustJSON(doctored)
 	svc.FlushCache()
-	if _, err := svc.PeerParetoFill(context.Background(), &cluster.ParetoFillRequest{
-		ParetoProblem: clusterParetoProblem(key, canon, dims, &req),
-		Result:        doctored,
-	}); err == nil {
+	if _, err := svc.PeerFill(context.Background(), freq); err == nil {
 		t.Error("doctored fill accepted")
 	}
 	if n := svc.met.peerFillsRejected.Load(); n != 1 {
 		t.Errorf("peerFillsRejected = %d, want 1", n)
 	}
-	if _, ok := svc.cache.Get(key); ok {
+	if _, ok := svc.cache.Get(p.key); ok {
 		t.Error("doctored front entered the cache")
 	}
 }

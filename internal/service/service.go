@@ -20,6 +20,7 @@ import (
 	"lodim/internal/systolic"
 	"lodim/internal/trace"
 	"lodim/internal/uda"
+	"lodim/internal/verify"
 )
 
 // Input ceilings: the service refuses problems whose validation or
@@ -561,11 +562,40 @@ func mapCacheKey(canonKey string, dims int, req *MapRequest) string {
 	return fmt.Sprintf("%s|dims=%d|me=%d|ww=%d|mc=%d", canonKey, dims, req.MaxEntry, req.WireWeight, req.MaxCost)
 }
 
-// Map answers a joint-mapping query: canonical cache first, then a
-// singleflight-deduplicated flight that either forwards to the key's
-// ring owner (clustered, non-owner) or runs the admission-controlled
-// search in canonical coordinates, translated back to the caller's
-// axis order.
+// mapWorkload is the joint (S, Π) search behind /v1/map.
+var mapWorkload = &workload[MapRequest, *schedule.JointResult, mapWire]{
+	kind:     "map",
+	validate: validateMapRequest,
+	cacheKey: mapCacheKey,
+	canonical: func(p *problem[MapRequest]) *MapRequest {
+		return &MapRequest{
+			Bounds:       p.canon.Algo.Set.Upper,
+			Dependencies: depRows(p.canon.Algo),
+			Dims:         p.dims,
+			MaxEntry:     p.req.MaxEntry,
+			WireWeight:   p.req.WireWeight,
+			MaxCost:      p.req.MaxCost,
+		}
+	},
+	search: func(ctx context.Context, s *Service, p *problem[MapRequest]) (*schedule.JointResult, error) {
+		res, err := s.searchJoint(ctx, p.canon.Algo, p.dims, &schedule.SpaceOptions{
+			MaxEntry:   p.req.MaxEntry,
+			WireWeight: p.req.WireWeight,
+			Schedule:   schedule.Options{MaxCost: p.req.MaxCost, Workers: s.cfg.SearchWorkers},
+		})
+		if err == nil {
+			s.met.observeSearchStats(res.Stats)
+		}
+		return res, err
+	},
+	certify:  certifyMap,
+	toWire:   wireFromResult,
+	fromWire: resultFromWire,
+	size:     estimateResultBytes,
+}
+
+// Map answers a joint-mapping query through the serving pipeline,
+// translating the canonical result back to the caller's axis order.
 func (s *Service) Map(ctx context.Context, req *MapRequest) (*MapResponse, CacheStatus, error) {
 	done, err := s.begin()
 	if err != nil {
@@ -577,186 +607,15 @@ func (s *Service) Map(ctx context.Context, req *MapRequest) (*MapResponse, Cache
 	if err != nil {
 		return nil, "", err
 	}
-
 	canonStart := time.Now()
-	canon := Canonicalize(algo)
-	key := mapCacheKey(canon.Key, dims, req)
+	p := mapWorkload.newProblem(req, algo, dims, req.TimeoutMS)
 	recordStage(ctx, stageCanonicalize, canonStart)
-	if v, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Add(1)
-		return s.mapResponse(ctx, algo, canon, key, dims, v.(*schedule.JointResult)), CacheHit, nil
-	}
-
-	// The flight context — not the request context — drives the search:
-	// it stays alive as long as any waiter (this request or one that
-	// joined the flight) still wants the result.
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runSearch(fc, key, canon, dims, req, true)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
+	res, status, err := mapWorkload.serve(ctx, s, &p)
 	if err != nil {
-		status := CacheShared
-		if leader {
-			status = CacheMiss
-			s.met.cacheMisses.Add(1)
-		}
 		return nil, status, err
 	}
-	out := v.(*flightOutcome)
-	status := CacheShared
-	switch {
-	case leader && out.fromCache:
-		// The flight landed on an already-cached result (another
-		// flight completed between our cache lookup and leadership) —
-		// report it as the hit it is.
-		status = CacheHit
-		s.met.cacheHits.Add(1)
-	case leader && out.viaPeer:
-		// The ring owner answered; report its disposition so clients
-		// (and the load driver) can tell a cluster-wide hit from a
-		// search. Local hit/miss counters stay untouched — they measure
-		// this node's cache; the peer_forward_* counters measure this.
-		status = CacheStatus("peer_" + out.peerDisposition)
-	case leader:
-		status = CacheMiss
-		s.met.cacheMisses.Add(1)
-	}
-	return s.mapResponse(ctx, algo, canon, key, dims, out.res), status, nil
-}
-
-// mapResponse is buildMapResponse with the translate stage recorded
-// against the request's timer.
-func (s *Service) mapResponse(ctx context.Context, algo *uda.Algorithm, canon *Canonical, key string, dims int, res *schedule.JointResult) *MapResponse {
 	defer recordStage(ctx, stageTranslate, time.Now())
-	return buildMapResponse(algo, canon, key, dims, res)
-}
-
-// flightOutcome is what a map flight resolves to: the canonical search
-// result, plus how it was produced — from the local cache, from the
-// key's ring owner (viaPeer, with the owner's own disposition), or by
-// searching here.
-type flightOutcome struct {
-	res             *schedule.JointResult
-	fromCache       bool
-	viaPeer         bool
-	peerDisposition string // cluster.Disposition* when viaPeer
-}
-
-// recordFollowerWait books a follower's time inside flights.DoMarked
-// against its own stage timer. The flight's stage records go to the
-// leader's timer (the flight context carries the leader's values), so
-// without this a follower would report no queue/search time at all —
-// and the naive fix of booking the whole wait as search time would
-// double-count pool-queue time the search never saw. The mark's
-// searchStartNs splits the wait at the instant the search actually
-// began: before it is queue, after it is search.
-func (s *Service) recordFollowerWait(ctx context.Context, mark *flightMark, joined time.Time) {
-	tm := timerFrom(ctx)
-	if tm == nil || mark == nil {
-		return
-	}
-	now := time.Now()
-	startNs := mark.searchStartNs.Load()
-	switch {
-	case startNs == 0:
-		// The search never started while we waited (the flight was still
-		// queued for a pool slot, or failed before searching): the whole
-		// wait was queue time.
-		tm.record(stageQueue, now.Sub(joined))
-	default:
-		start := time.Unix(0, startNs)
-		if start.After(joined) {
-			tm.record(stageQueue, start.Sub(joined))
-			tm.record(stageSearch, now.Sub(start))
-		} else {
-			// Joined after the search began: the wait was all search.
-			tm.record(stageSearch, now.Sub(joined))
-		}
-	}
-}
-
-// runSearch is the body of a map flight: re-check the cache, forward
-// to the key's ring owner when another node owns it (allowForward),
-// otherwise acquire a pool slot and search in canonical coordinates,
-// caching the result. ctx is the flight context — cancelled only when
-// every waiter on this flight has detached.
-//
-// allowForward is false for flights opened by the peer-lookup handler:
-// an owner answers locally even when its membership view disagrees, so
-// a forward chain is at most origin → owner and can never loop.
-func (s *Service) runSearch(ctx context.Context, key string, canon *Canonical, dims int, req *MapRequest, allowForward bool) (*flightOutcome, error) {
-	// An earlier flight may have landed between the caller's cache
-	// lookup and taking flight leadership — don't search (or forward)
-	// twice. Checked before admission: a hit needs no pool slot.
-	if v, ok := s.cache.Get(key); ok {
-		return &flightOutcome{res: v.(*schedule.JointResult), fromCache: true}, nil
-	}
-	fellBack := false
-	if allowForward {
-		out, err, verdict := s.tryPeerLookup(ctx, key, canon, dims, req)
-		switch verdict {
-		case peerDone:
-			return out, err
-		case peerFailed:
-			// Owner unreachable or answered garbage: degrade to a local
-			// search so one dead node never takes its keys down, then
-			// push the result to the owner for cluster convergence.
-			fellBack = true
-		}
-	}
-	// ctx descends (via context.WithoutCancel) from the flight leader's
-	// request context, so its stage timer — when the request came over
-	// HTTP — is visible here even though the flight may outlive the
-	// leader's deadline. The timer's atomics make the late writes safe.
-	queueStart := time.Now()
-	release, err := s.acquire(ctx)
-	recordStage(ctx, stageQueue, queueStart)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if v, ok := s.cache.Get(key); ok {
-		return &flightOutcome{res: v.(*schedule.JointResult), fromCache: true}, nil
-	}
-	s.met.searches.Add(1)
-	// Stamp the flight mark so followers can split their wait into
-	// queue-versus-search at the moment the search truly began.
-	if fm := markFrom(ctx); fm != nil {
-		fm.searchStartNs.CompareAndSwap(0, time.Now().UnixNano())
-	}
-	opts := &schedule.SpaceOptions{
-		MaxEntry:   req.MaxEntry,
-		WireWeight: req.WireWeight,
-		Schedule:   schedule.Options{MaxCost: req.MaxCost, Workers: s.cfg.SearchWorkers},
-	}
-	start := time.Now()
-	res, err := s.searchJoint(ctx, canon.Algo, dims, opts)
-	s.met.observeSearch(time.Since(start), trace.FromContext(ctx).TraceID())
-	recordStage(ctx, stageSearch, start)
-	if err != nil {
-		return nil, err
-	}
-	s.met.observeSearchStats(res.Stats)
-	s.cache.Add(key, res, estimateResultBytes(key, res))
-	if fellBack {
-		s.fillOwnerAsync(key, canon, dims, req, res)
-	}
-	return &flightOutcome{res: res}, nil
+	return buildMapResponse(algo, p.canon, p.key, dims, res), status, nil
 }
 
 // buildMapResponse translates a canonical-coordinate result into the
@@ -796,6 +655,195 @@ func matrixRows(m *intmat.Matrix) [][]int64 {
 		rows[i] = m.Row(i)
 	}
 	return rows
+}
+
+// depRows lists an algorithm's dependence vectors, one per row.
+func depRows(algo *uda.Algorithm) [][]int64 {
+	deps := make([][]int64, algo.NumDeps())
+	for c := range deps {
+		deps[c] = algo.D.Col(c)
+	}
+	return deps
+}
+
+// certifyEnumBudget bounds the β-lattice points the independent
+// verifier sweeps for one map result — a few milliseconds. A result
+// whose null space needs a larger sweep is re-decided by redecideMap.
+const certifyEnumBudget = 1 << 16
+
+// errUndecided marks a result the certify step could neither prove nor
+// refute within its budgets. A peer's result in that state is refused;
+// a local one keeps the proof the search itself found.
+var errUndecided = errors.New("certification undecided within budget")
+
+// certifyMap re-derives a map result independently before it is
+// cached: schedule validity, rank, the total time recomputed from Π and
+// μ, and conflict-freedom from a fresh Hermite factorization with a
+// Theorem 2.2 witness per null-space basis vector. That settles a null
+// space of dimension ≤ 1 at any |J| without enumerating anything; a
+// deeper one needs a sweep of its β lattice, run here within
+// certifyEnumBudget points. A result beyond that budget, or beyond
+// int64 in the verifier's arithmetic, goes to redecideMap. Optimality
+// is not re-proved.
+func certifyMap(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.JointResult) error {
+	cert, err := verify.CertifyContext(ctx, canonAlgo, res.Mapping.S, res.Mapping.Pi,
+		&verify.Options{SkipOptimality: true, BruteForceLimit: -1, EnumBudget: certifyEnumBudget})
+	var overflow *intmat.OverflowError
+	if errors.Is(err, verify.ErrEnumBudget) || errors.As(err, &overflow) {
+		return redecideMap(canonAlgo, res)
+	}
+	if err != nil {
+		return err
+	}
+	if err := cert.Err(); err != nil {
+		return err
+	}
+	if cert.TotalTime != res.Time {
+		return fmt.Errorf("service: total time %d does not match recomputed %d", res.Time, cert.TotalTime)
+	}
+	return nil
+}
+
+// redecideMap certifies a map result the verifier's budgeted sweep
+// cannot settle: ΠD > 0 and rank through schedule.NewMapping, the total
+// time recomputed, and conflict-freedom re-decided from scratch by the
+// criterion ladder the search runs on each candidate (Theorems 3.1,
+// 4.5, 4.7 and 4.8, then the exact enumeration within conflict's
+// budget). It therefore accepts every mapping the search can return,
+// at no more cost than the search paid to decide that one candidate.
+func redecideMap(canonAlgo *uda.Algorithm, res *schedule.JointResult) error {
+	m, err := schedule.NewMapping(canonAlgo, res.Mapping.S, res.Mapping.Pi)
+	if err != nil {
+		return err
+	}
+	tt, err := m.TotalTimeChecked()
+	if err != nil {
+		return err
+	}
+	if tt != res.Time {
+		return fmt.Errorf("service: total time %d does not match recomputed %d", res.Time, tt)
+	}
+	dec, err := decideLadder(m, canonAlgo.Set)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUndecided, err)
+	}
+	if !dec.ConflictFree {
+		return fmt.Errorf("service: mapping is not conflict-free (%s, witness %v)", dec.Method, dec.Witness)
+	}
+	return nil
+}
+
+// decideLadder runs the search's conflict decision on one mapping,
+// reporting int64 overflow as an error.
+func decideLadder(m *schedule.Mapping, set uda.IndexSet) (dec conflict.Result, err error) {
+	defer intmat.Guard(&err)
+	sa, err := conflict.NewSpaceAnalyzer(m.S, set)
+	if err != nil {
+		return dec, err
+	}
+	return sa.Decide(m.Pi)
+}
+
+// mapWire is a map result in canonical coordinates, flattened for the
+// peer protocol. It carries exactly the fields buildMapResponse reads,
+// so a result rebuilt on the far side renders byte-identically there.
+type mapWire struct {
+	S                  [][]int64 `json:"s"`
+	Pi                 []int64   `json:"pi"`
+	Time               int64     `json:"time"`
+	Processors         int64     `json:"processors"`
+	WireLength         int64     `json:"wire_length"`
+	Cost               int64     `json:"cost"`
+	Candidates         int       `json:"candidates"`
+	Pruned             int       `json:"pruned"`
+	ScheduleCandidates int       `json:"schedule_candidates"`
+	Engine             string    `json:"engine"`
+	ConflictMethod     string    `json:"conflict_method"`
+}
+
+func wireFromResult(res *schedule.JointResult) *mapWire {
+	return &mapWire{
+		S:                  matrixRows(res.Mapping.S),
+		Pi:                 res.Mapping.Pi,
+		Time:               res.Time,
+		Processors:         res.Processors,
+		WireLength:         res.WireLength,
+		Cost:               res.Cost,
+		Candidates:         res.Candidates,
+		Pruned:             res.Pruned,
+		ScheduleCandidates: res.ScheduleResult.Candidates,
+		Engine:             res.ScheduleResult.Method,
+		ConflictMethod:     res.ScheduleResult.Conflict.Method,
+	}
+}
+
+// resultFromWire reassembles a peer's map result against the canonical
+// algorithm: shapes, ΠD > 0 and rank via wireMapping, a total time that
+// fits int64, and non-degenerate figures. certifyMap does the rest.
+func resultFromWire(canonAlgo *uda.Algorithm, dims int, w *mapWire) (*schedule.JointResult, error) {
+	m, err := wireMapping(canonAlgo, dims, w.S, w.Pi)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := m.TotalTimeChecked(); err != nil {
+		return nil, err
+	}
+	if w.Processors < 1 || w.Time < 1 {
+		return nil, fmt.Errorf("degenerate processors %d / time %d", w.Processors, w.Time)
+	}
+	return &schedule.JointResult{
+		SpaceResult: schedule.SpaceResult{
+			Mapping:    m,
+			Processors: w.Processors,
+			WireLength: w.WireLength,
+			Cost:       w.Cost,
+			Candidates: w.Candidates,
+			Pruned:     w.Pruned,
+			Time:       w.Time,
+		},
+		ScheduleResult: &schedule.Result{
+			Mapping:    m,
+			Time:       w.Time,
+			Conflict:   conflict.Result{ConflictFree: true, Method: w.ConflictMethod},
+			Candidates: w.ScheduleCandidates,
+			Method:     w.Engine,
+		},
+	}, nil
+}
+
+// wireMapping rebuilds one peer-supplied (S, Π) over the canonical
+// algorithm: shapes first, then ΠD > 0 and rank via schedule.NewMapping,
+// whose int64 overflow comes back as an error.
+func wireMapping(canonAlgo *uda.Algorithm, dims int, s [][]int64, pi []int64) (_ *schedule.Mapping, err error) {
+	defer intmat.Guard(&err)
+	n := canonAlgo.Dim()
+	if len(s) != dims {
+		return nil, fmt.Errorf("%d space rows, want %d", len(s), dims)
+	}
+	for i, r := range s {
+		if len(r) != n {
+			return nil, fmt.Errorf("S row %d has %d entries, want %d", i+1, len(r), n)
+		}
+	}
+	if len(pi) != n {
+		return nil, fmt.Errorf("Π has %d entries, want %d", len(pi), n)
+	}
+	return schedule.NewMapping(canonAlgo, intmat.FromRows(s...), intmat.Vector(pi))
+}
+
+// estimateResultBytes approximates the resident size of one cached
+// result: the key string, the mapping's integer payloads, and a fixed
+// struct/pointer overhead. An estimate by design — the bytes gauge
+// exists for sizing and shard-balance decisions, not accounting.
+func estimateResultBytes(key string, res *schedule.JointResult) int64 {
+	b := int64(len(key)) + 768
+	if res.Mapping != nil {
+		// S, Π and the assembled T ≈ 2(k−1)+2 rows of n int64s each.
+		n := int64(res.Mapping.S.Cols())
+		rows := int64(res.Mapping.S.Rows())
+		b += 8 * n * (2*rows + 2)
+	}
+	return b
 }
 
 // ConflictRequest asks for a conflict-freeness verdict on a mapping

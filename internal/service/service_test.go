@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"lodim/internal/intmat"
 	"lodim/internal/schedule"
 	"lodim/internal/uda"
+	"lodim/internal/verify"
 )
 
 func TestLRUCacheEvictsOldest(t *testing.T) {
@@ -359,16 +361,19 @@ func TestRunSearchReportsCacheLanding(t *testing.T) {
 	// …then drive the flight body directly with the search engine
 	// booby-trapped: it must come back from the cache without searching.
 	s.searchJoint = func(context.Context, *uda.Algorithm, int, *schedule.SpaceOptions) (*schedule.JointResult, error) {
-		t.Error("runSearch searched despite a cached result")
+		t.Error("the flight body searched despite a cached result")
 		return nil, errors.New("unreachable")
 	}
 	algo, err := algoFromRequest(req.Algorithm, req.Sizes, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := Canonicalize(algo)
-	key := fmt.Sprintf("%s|dims=%d|me=%d|ww=%d|mc=%d", canon.Key, 1, 0, 0, 0)
-	out, err := s.runSearch(context.Background(), key, canon, 1, req, true)
+	p := new(problem[MapRequest])
+	*p = mapWorkload.newProblem(req, algo, 1, 0)
+	if want := fmt.Sprintf("%s|dims=%d|me=%d|ww=%d|mc=%d", p.canon.Key, 1, 0, 0, 0); p.key != want {
+		t.Fatalf("key = %q, want %q", p.key, want)
+	}
+	out, err := mapWorkload.resolve(context.Background(), s, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,5 +390,63 @@ func TestRunSearchReportsCacheLanding(t *testing.T) {
 	}
 	if m := s.met.cacheMisses.Load(); m != misses {
 		t.Errorf("cacheMisses = %d, want %d", m, misses)
+	}
+}
+
+// deepNullSpaceProblem is a dims=1 problem on six axes, μ = (1, 1, 3,
+// 3, 3, 2) with dependencies e2 and e3, together with the conflict-free
+// mapping S = [1 0 1 7 49 343], Π = [0 1 2 0 0 0] in canonical
+// coordinates. Two index points collide iff their difference γ has
+// Sγ = Πγ = 0 with every |γ_i| ≤ μ_i: Πγ = γ2 + 2γ3 = 0 forces
+// γ2 = γ3 = 0, and then Sγ = γ1 + 7γ4 + 49γ5 + 343γ6 reads γ as
+// balanced base-7 digits, which vanish only at γ = 0. Its null space
+// has dimension 4 and a β box of 10,761,625 points: beyond the
+// independent verifier's enumeration budget, while the search's own
+// criterion ladder decides it by exact enumeration.
+func deepNullSpaceProblem(t *testing.T) (problem[MapRequest], *mapWire) {
+	t.Helper()
+	req := &MapRequest{
+		Bounds:       []int64{1, 1, 3, 3, 3, 2},
+		Dependencies: [][]int64{{0, 1, 0, 0, 0, 0}, {0, 0, 1, 0, 0, 0}},
+		Dims:         1,
+	}
+	algo, dims, err := validateMapRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mapWorkload.newProblem(req, algo, dims, 0)
+	s := p.canon.MatrixToCanonical(intmat.FromRows([]int64{1, 0, 1, 7, 49, 343}))
+	pi := p.canon.VectorToCanonical([]int64{0, 1, 2, 0, 0, 0})
+	wire := &mapWire{S: matrixRows(s), Pi: pi, Time: 8, Processors: 859, Engine: "procedure-5.1", ConflictMethod: "exact-factored-fallback"}
+	return p, wire
+}
+
+// TestMapCertifiesDeepNullSpace: certification accepts every winner the
+// search can return, including one whose null space is too deep for the
+// verifier's budgeted lattice sweep.
+func TestMapCertifiesDeepNullSpace(t *testing.T) {
+	p, wire := deepNullSpaceProblem(t)
+	res, err := resultFromWire(p.canon.Algo, p.dims, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := verify.DecideConflict(res.Mapping.T, p.canon.Algo.Set, 0); !errors.Is(err, verify.ErrEnumBudget) {
+		t.Fatalf("verifier decided the mapping within its default budget (err = %v)", err)
+	}
+
+	s := New(Config{Pool: 1, SearchWorkers: 1})
+	defer s.Close()
+	s.searchJoint = func(context.Context, *uda.Algorithm, int, *schedule.SpaceOptions) (*schedule.JointResult, error) {
+		return res, nil
+	}
+	resp, status, err := s.Map(context.Background(), p.req)
+	if err != nil || status != CacheMiss {
+		t.Fatalf("cold Map: status = %v, err = %v", status, err)
+	}
+	if resp.TotalTime != 8 {
+		t.Errorf("total time = %d, want 8", resp.TotalTime)
+	}
+	if _, status, err := s.Map(context.Background(), p.req); err != nil || status != CacheHit {
+		t.Errorf("warm Map: status = %v, err = %v, want hit", status, err)
 	}
 }

@@ -51,7 +51,7 @@ type flightMark struct {
 }
 
 // markKey carries the flight's mark through the flight context so the
-// flight body (runSearch) can stamp progress without widening its
+// flight body (workload.resolve) can stamp progress without widening its
 // signature.
 type markKey struct{}
 

@@ -112,7 +112,7 @@ func (t *reqTimer) stageAttrs() []any {
 // timerKey carries the reqTimer through contexts. The singleflight
 // layer builds flight contexts with context.WithoutCancel(ctx), which
 // preserves values — so the flight leader's timer is visible inside
-// runSearch even though the flight outlives the leader's deadline.
+// the flight body even though the flight outlives the leader's deadline.
 type timerKey struct{}
 
 func withTimer(ctx context.Context, t *reqTimer) context.Context {

@@ -100,9 +100,10 @@ func (c *ParetoCertificate) fail(member int, witness, format string, args ...any
 
 // CertifyPareto checks a claimed Pareto front member by member and as
 // a whole. A non-nil error reports an infrastructure failure
-// (cancellation, malformed algorithm); every analytical rejection is
-// delivered through the certificate instead.
-func CertifyPareto(ctx context.Context, algo *uda.Algorithm, members []ParetoInput, timeBound int64, opts *Options) (*ParetoCertificate, error) {
+// (cancellation, malformed algorithm, int64 overflow); every analytical
+// rejection is delivered through the certificate instead.
+func CertifyPareto(ctx context.Context, algo *uda.Algorithm, members []ParetoInput, timeBound int64, opts *Options) (_ *ParetoCertificate, err error) {
+	defer intmat.Guard(&err)
 	if err := algo.Validate(); err != nil {
 		return nil, err
 	}

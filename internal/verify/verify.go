@@ -319,7 +319,10 @@ func Certify(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Opti
 // becomes a child span when the context carries an active trace; the
 // engine itself stays uninterruptible because every stage is budgeted
 // (EnumBudget, BruteForceLimit, SimulateLimit) rather than unbounded.
-func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Options) (*Certificate, error) {
+// An int64 overflow anywhere in the checks is returned as an
+// *intmat.OverflowError.
+func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Options) (_ *Certificate, err error) {
+	defer intmat.Guard(&err)
 	opt := opts.withDefaults()
 	ctx, span := trace.Start(ctx, "certify")
 	defer span.End()
@@ -433,6 +436,7 @@ func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, 
 // factored SpaceAnalyzer. The returned witness (conflict case) is a
 // non-zero lattice vector with every |γ_i| ≤ μ_i.
 func DecideConflict(t *intmat.Matrix, set uda.IndexSet, enumBudget int64) (free bool, witness intmat.Vector, err error) {
+	defer intmat.Guard(&err)
 	if enumBudget <= 0 {
 		enumBudget = DefaultEnumBudget
 	}

@@ -342,3 +342,25 @@ func TestEnumerationBudget(t *testing.T) {
 		t.Fatalf("err = %v, want ErrEnumBudget", err)
 	}
 }
+
+// TestCertifyOverflowIsError: a mapping whose Hermite factorization
+// leaves int64 must come back as an operational *intmat.OverflowError,
+// never as a panic — callers certify peer-supplied mappings on
+// goroutines with no recover.
+func TestCertifyOverflowIsError(t *testing.T) {
+	d := intmat.New(4, 1)
+	d.SetCol(0, intmat.Vec(1, 0, 0, 0))
+	algo := &uda.Algorithm{Name: "wide", Set: uda.Box(7, 7, 1, 1), D: d}
+	s, pi := intmat.FromRows([]int64{-452, 914, -941, 529}), intmat.Vec(662, 312, 129, 714)
+	var oe *intmat.OverflowError
+	if _, err := Certify(algo, s, pi, &Options{SkipOptimality: true, BruteForceLimit: -1}); !errors.As(err, &oe) {
+		t.Errorf("Certify err = %v, want *intmat.OverflowError", err)
+	}
+	if _, _, err := DecideConflict(s.AppendRow(pi), algo.Set, 0); !errors.As(err, &oe) {
+		t.Errorf("DecideConflict err = %v, want *intmat.OverflowError", err)
+	}
+	members := []ParetoInput{{S: s, Pi: pi}}
+	if _, err := CertifyPareto(t.Context(), algo, members, 1<<40, nil); !errors.As(err, &oe) {
+		t.Errorf("CertifyPareto err = %v, want *intmat.OverflowError", err)
+	}
+}
