@@ -80,7 +80,9 @@ bench-diff:
 # this tree and on BASE (default HEAD, so an uncommitted change is
 # guarded against the commit it sits on), on the same machine, and fail
 # if any metric of the best of 5 runs (benchjson keeps each row's best)
-# worsened by more than 2%. BASE is checked out with `git worktree add`
+# worsened by more than 2%, or if any custom b.ReportMetric unit (a
+# deterministic work count such as candidates or pruned) changed at
+# all. BASE is checked out with `git worktree add`
 # into a temporary directory and both test binaries are built with
 # `go test -c`; both trees run this tree's bench_test.go, so a row
 # added here is guarded from its first commit on. The two binaries
@@ -90,7 +92,7 @@ bench-diff:
 # BENCH_guard_base.txt and BENCH_guard.txt. Run on a quiet machine.
 BASE ?= HEAD
 GUARD_BENCHTIME ?= 1s
-GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JobLifecycle ServiceCacheHit ServicePareto
+GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JobLifecycle ServiceCacheHit ServicePareto MetricsScrape
 bench-guard:
 	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT && \
 	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \

@@ -15,8 +15,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"lodim/internal/array"
@@ -658,6 +661,45 @@ func BenchmarkServiceCacheMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMetricsScrape measures one GET /metrics through the service
+// handler on a node warmed with a map miss, a map hit and a Pareto
+// request, traced so the search-latency histogram carries an exemplar.
+// The body goes to a discarding writer, so the op is the render alone.
+func BenchmarkMetricsScrape(b *testing.B) {
+	svc := service.New(service.Config{Pool: 1, SearchWorkers: 1, TraceBuffer: 16})
+	defer svc.Close()
+	h := service.NewHandler(svc)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/map", `{"algorithm":"matmul","sizes":[3],"dims":1}`},
+		{"/v1/map", `{"algorithm":"matmul","sizes":[3],"dims":1}`},
+		{"/v1/pareto", `{"algorithm":"matmul","sizes":[3],"dims":1,"time_slack":2}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", c.path, rec.Code, rec.Body)
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if !strings.Contains(rec.Body.String(), " # {trace_id=") {
+		b.Fatal("warmed /metrics carries no exemplar")
+	}
+	w := discardWriter{http.Header{}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+}
+
+// discardWriter is an http.ResponseWriter that drops the body.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w discardWriter) WriteHeader(int)             {}
 
 // BenchmarkJobLifecycle measures the job tier alone: one job per op,
 // submitted and followed to done through a manager with two workers and

@@ -13,7 +13,6 @@
 //	POST /v1/simulate  — cycle-accurate systolic simulation
 //	POST /v1/verify    — independent certificate for a given (S, Π)
 //	GET  /metrics      — Prometheus text metrics
-//	GET  /debug/vars   — expvar counters
 //	GET  /healthz      — liveness probe (JSON status)
 //
 // With -peers "a=http://hostA:8080,b=http://hostB:8080" and -node-id
@@ -44,7 +43,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -322,11 +320,8 @@ func pprofHandler(requests http.Handler) http.Handler {
 // the listener fails. ready (optional) is called with the bound service
 // and pprof addresses once the listeners are up — with
 // "-addr 127.0.0.1:0" this is how tests learn the ephemeral ports
-// (pprofAddr is "" when -pprof is disabled). onService (optional)
-// receives the Service before serving starts; main uses it to publish
-// expvar, which must stay out of run so tests can start many instances
-// without duplicate-Publish panics.
-func run(cfg *config, sigCh <-chan os.Signal, ready func(addr, pprofAddr string), onService func(*service.Service)) error {
+// (pprofAddr is "" when -pprof is disabled).
+func run(cfg *config, sigCh <-chan os.Signal, ready func(addr, pprofAddr string)) error {
 	scfg := service.Config{
 		Pool:           cfg.pool,
 		Queue:          cfg.queue,
@@ -368,15 +363,8 @@ func run(cfg *config, sigCh <-chan os.Signal, ready func(addr, pprofAddr string)
 		svc.Tracer().AddSink(ds.Add)
 		log.Printf("mapserve: exporting the %d slowest traces per endpoint to %s", cfg.traceSlowest, cfg.traceDir)
 	}
-	if onService != nil {
-		onService(svc)
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", service.NewHandler(svc))
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	srv := &http.Server{
-		Handler:           mux,
+		Handler:           service.NewHandler(svc),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -441,11 +429,7 @@ func main() {
 	}
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	if err := run(cfg, sigCh, nil, func(svc *service.Service) {
-		// Expvar publication lives here, not in the service, so tests can
-		// build many Service instances without duplicate-Publish panics.
-		expvar.Publish("mapserve", expvar.Func(func() any { return svc.Metrics().Snapshot() }))
-	}); err != nil {
+	if err := run(cfg, sigCh, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "mapserve:", err)
 		os.Exit(1)
 	}

@@ -112,7 +112,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	addrCh := make(chan addrs, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(cfg, sigCh, func(addr, pprofAddr string) { addrCh <- addrs{addr, pprofAddr} }, nil)
+		done <- run(cfg, sigCh, func(addr, pprofAddr string) { addrCh <- addrs{addr, pprofAddr} })
 	}()
 
 	var addr, pprofAddr string
@@ -201,7 +201,7 @@ func TestRunTraceSurfaces(t *testing.T) {
 	addrCh := make(chan addrs, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(cfg, sigCh, func(addr, pprofAddr string) { addrCh <- addrs{addr, pprofAddr} }, nil)
+		done <- run(cfg, sigCh, func(addr, pprofAddr string) { addrCh <- addrs{addr, pprofAddr} })
 	}()
 	var addr, pprofAddr string
 	select {
@@ -300,7 +300,7 @@ func TestRunListenFailure(t *testing.T) {
 	sigCh := make(chan os.Signal, 1)
 	addrCh := make(chan string, 1)
 	done := make(chan error, 1)
-	go func() { done <- run(cfg, sigCh, func(a, _ string) { addrCh <- a }, nil) }()
+	go func() { done <- run(cfg, sigCh, func(a, _ string) { addrCh <- a }) }()
 	addr := <-addrCh
 	defer func() {
 		sigCh <- syscall.SIGTERM
@@ -311,7 +311,7 @@ func TestRunListenFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(taken, make(chan os.Signal), nil, nil); err == nil {
+	if err := run(taken, make(chan os.Signal), nil); err == nil {
 		t.Error("second bind on one address succeeded")
 	}
 }
@@ -375,7 +375,7 @@ func TestRunJobTier(t *testing.T) {
 	addrCh := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(cfg, sigCh, func(addr, _ string) { addrCh <- addr }, nil)
+		done <- run(cfg, sigCh, func(addr, _ string) { addrCh <- addr })
 	}()
 	var addr string
 	select {

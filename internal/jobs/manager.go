@@ -48,8 +48,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is the counter snapshot the service mirrors into /metrics and
-// the expvar surface.
+// Stats is the counter snapshot the service renders on /metrics.
 type Stats struct {
 	Submitted int64 // accepted submissions that created or re-queued a job
 	Deduped   int64 // submissions answered by an existing job

@@ -55,7 +55,7 @@ func TestE2EBatch(t *testing.T) {
 	if a.CanonicalKey != b.CanonicalKey || a.TotalTime != b.TotalTime {
 		t.Errorf("duplicate items disagree: %+v vs %+v", a, b)
 	}
-	if n := svc.met.batchRequests.Load(); n != 1 {
+	if n := svc.met.requestCounter("batch").Load(); n != 1 {
 		t.Errorf("batch request counter = %d, want 1", n)
 	}
 }

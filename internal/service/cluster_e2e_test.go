@@ -300,7 +300,7 @@ func TestClusterE2EPeerDeathFallback(t *testing.T) {
 	if n := svc.met.searches.Load(); n != 1 {
 		t.Errorf("survivor searches = %d, want 1", n)
 	}
-	if n := svc.met.peerForwardErrors.Load(); n != 1 {
+	if n := svc.met.forward[peerError].Load(); n != 1 {
 		t.Errorf("peer forward errors = %d, want 1", n)
 	}
 
@@ -422,7 +422,7 @@ func TestClusterE2EFillValidation(t *testing.T) {
 	bogus := *genuine
 	bogus.Time = genuine.Time + 1
 	fill(t, &bogus, false, http.StatusBadRequest)
-	if n := tc.svcs[other].met.peerFillsRejected.Load(); n != 1 {
+	if n := tc.svcs[other].met.fills[fillRejected].Load(); n != 1 {
 		t.Errorf("rejected fills = %d, want 1", n)
 	}
 
@@ -537,7 +537,7 @@ func TestClusterE2EConflictingResultRejected(t *testing.T) {
 		if searched != 1 {
 			t.Errorf("local searches = %d, want 1", searched)
 		}
-		if n := svc.met.peerForwardErrors.Load(); n != 1 {
+		if n := svc.met.forward[peerError].Load(); n != 1 {
 			t.Errorf("peer forward errors = %d, want 1", n)
 		}
 		if _, ok := svc.cache.Get(p.key); ok {
@@ -590,11 +590,52 @@ func TestClusterE2EPeerResultBeyondSweep(t *testing.T) {
 			if !errors.Is(err, schedule.ErrNoSchedule) || status != CacheMiss || searched != 1 {
 				t.Fatalf("Map = %q, %v after %d local searches; want the local search's own answer", status, err, searched)
 			}
-			if n := svc.met.peerForwardErrors.Load(); n != 1 {
+			if n := svc.met.forward[peerError].Load(); n != 1 {
 				t.Errorf("peer forward errors = %d, want 1", n)
 			}
 		})
 	}
+}
+
+// TestClusterE2EJobForwardsWithoutJobTier: a clustered node with no job
+// tier of its own still proxies job submissions to the ring owner, and
+// those forwards show on its /metrics.
+func TestClusterE2EJobForwardsWithoutJobTier(t *testing.T) {
+	var mreq MapRequest
+	if err := json.Unmarshal([]byte(e2eBody), &mreq); err != nil {
+		t.Fatal(err)
+	}
+	algo, dims, err := validateMapRequest(&mreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := jobs.ID(JobKindMap, mapCacheKey(Canonicalize(algo).Key, dims, &mreq))
+	// The ring hashes member IDs only, so the owner is known before the
+	// nodes are built; only the owner gets a job tier.
+	ring, err := cluster.NewRing(0, cluster.Member{ID: "node0"}, cluster.Member{ID: "node1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := 0
+	if ring.Owner("job|"+id).ID == "node1" {
+		owner = 1
+	}
+	tc := newTestCluster(t, 2, func(i int, cfg *Config) {
+		if i == owner {
+			cfg.Jobs = &JobsConfig{Dir: t.TempDir()}
+		}
+	})
+	jobless := 1 - owner
+
+	status, _, body := postJSON(t, tc.srvs[jobless].URL+"/v1/jobs", `{"map":`+e2eBody+`}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit via the jobless node: status %d: %s", status, body)
+	}
+	_, _, metrics := httpReq(t, http.MethodGet, tc.srvs[jobless].URL+"/metrics", "")
+	if !strings.Contains(string(metrics), "\nmapserve_jobs_forwarded_total 1\n") {
+		t.Fatalf("jobless node /metrics lacks mapserve_jobs_forwarded_total 1:\n%s", metrics)
+	}
+	waitJobHTTP(t, tc.srvs[owner].URL, decodeJobResponse(t, body).ID, jobs.StateDone)
 }
 
 // TestClusterE2EJobRouting: a job submitted to a non-owner node is

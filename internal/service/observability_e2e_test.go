@@ -167,7 +167,7 @@ func TestE2EContentTooLarge(t *testing.T) {
 	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "exceeds") {
 		t.Errorf("413 body = %s (err %v), want an 'exceeds' error message", body, err)
 	}
-	if got := svc.met.mapRequests.Load(); got != 1 {
+	if got := svc.met.requestCounter("map").Load(); got != 1 {
 		t.Errorf("map counter = %d after oversized request, want 1", got)
 	}
 	if got := svc.met.failures.Load(); got != 0 {

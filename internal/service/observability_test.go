@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
-	"regexp"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"lodim/internal/jobs"
 	"lodim/internal/schedule"
 	"lodim/internal/slo"
+	"lodim/internal/trace"
 )
 
 // --- reqTimer unit tests ---------------------------------------------
@@ -156,10 +160,10 @@ func TestWritePrometheusHistograms(t *testing.T) {
 	var sum time.Duration
 	for _, d := range durations {
 		m.observeSearch(d, "")
-		m.observeStage(stageDecode, d)
+		m.stages[stageDecode].observe(d)
 		sum += d
 	}
-	m.observeStage(stageSearch, time.Millisecond)
+	m.stages[stageSearch].observe(time.Millisecond)
 	samples := scrapeMetrics(t, m)
 	histogramInvariants(t, samples, "mapserve_search_latency_seconds", "", 4, sum.Seconds())
 	histogramInvariants(t, samples, "mapserve_stage_duration_seconds", `stage="decode"`, 4, sum.Seconds())
@@ -180,9 +184,9 @@ func TestWritePrometheusHistograms(t *testing.T) {
 }
 
 // TestWritePrometheusExemplars: a traced search observation attaches an
-// OpenMetrics exemplar to exactly its bucket line, the snapshot carries
-// the same exemplar under the same le key, and the exposition still
-// parses with the suffix present.
+// OpenMetrics exemplar to exactly its bucket line, the /debug/requests
+// table (exemplars()) carries the same exemplar under the same le label,
+// and the exposition still parses with the suffix present.
 func TestWritePrometheusExemplars(t *testing.T) {
 	m := &metrics{}
 	const tid = "deadbeef00000000deadbeef00000000"
@@ -207,24 +211,19 @@ func TestWritePrometheusExemplars(t *testing.T) {
 		t.Errorf("exemplar line %q missing trace id/value", line)
 	}
 
-	exs, ok := m.Snapshot()["search_latency_exemplars"].(map[string]any)
-	if !ok || len(exs) != 1 {
-		t.Fatalf("snapshot search_latency_exemplars = %v", m.Snapshot()["search_latency_exemplars"])
+	exs := m.exemplars()
+	if len(exs) != 1 {
+		t.Fatalf("exemplars() = %+v, want 1", exs)
 	}
-	for bucket, v := range exs {
-		ex, ok := v.(map[string]any)
-		if !ok {
-			t.Fatalf("snapshot exemplar is %T", v)
-		}
-		if ex["trace_id"] != tid {
-			t.Errorf("snapshot exemplar trace_id = %v, want %s", ex["trace_id"], tid)
-		}
-		if ex["value_s"] != (40 * time.Millisecond).Seconds() {
-			t.Errorf("snapshot exemplar value_s = %v, want 0.04", ex["value_s"])
-		}
-		if !strings.Contains(line, fmt.Sprintf("le=%q", bucket)) {
-			t.Errorf("snapshot exemplar bucket %q does not match exemplar line %q", bucket, line)
-		}
+	ex := exs[0]
+	if ex.TraceID != tid {
+		t.Errorf("exemplar trace id = %s, want %s", ex.TraceID, tid)
+	}
+	if ex.ValueMS != 40 {
+		t.Errorf("exemplar value = %gms, want 40", ex.ValueMS)
+	}
+	if !strings.Contains(line, fmt.Sprintf("le=%q", ex.Bucket)) {
+		t.Errorf("exemplar bucket %q does not match exemplar line %q", ex.Bucket, line)
 	}
 	scrapeMetrics(t, m) // exposition must stay parseable with the suffix
 }
@@ -252,179 +251,6 @@ func TestWritePrometheusSearchStatsCounters(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrometheusParity: every metric family rendered by
-// WritePrometheus has a Snapshot counterpart and vice versa, per the
-// explicit correspondence table — so the two surfaces cannot drift
-// silently.
-func TestSnapshotPrometheusParity(t *testing.T) {
-	m := &metrics{}
-	// Seed the gated families so both surfaces render them: the hit
-	// ratio requires cacheable traffic, the trace counters a tracer, the
-	// cache occupancy a wired cache, the peer families a cluster.
-	m.cacheHits.Add(3)
-	m.cacheMisses.Add(1)
-	m.traceCounters = func() (int64, int64, int64) { return 5, 1, 2 }
-	m.cacheStats = func() (int64, int64, int64) { return 4, 2, 4096 }
-	m.clustered = true
-	m.jobStats = func() jobs.Stats { return jobs.Stats{Submitted: 2, Done: 1, Queued: 1} }
-	m.sloStats = func() slo.Snapshot {
-		return slo.Snapshot{
-			BurnRate: 4,
-			Healthy:  false,
-			Objectives: []slo.ObjectiveSnapshot{{
-				Name:            "availability",
-				Target:          0.99,
-				Window:          "5m",
-				FastWindow:      "1m",
-				Burn:            []slo.WindowBurn{{Window: "1m", Burn: 6}, {Window: "5m", Burn: 5}},
-				BudgetRemaining: -4,
-				Events:          100,
-				Bad:             5,
-				Breached:        true,
-				Breaches:        1,
-				Captures:        1,
-			}},
-		}
-	}
-	m.tenantStats = func() []cluster.TenantUsage {
-		return []cluster.TenantUsage{{Tenant: "acme", Requests: 9, CacheHits: 4, SearchMillis: 120, QueueRejections: 1}}
-	}
-	var buf bytes.Buffer
-	m.WritePrometheus(&buf)
-	families := map[string]bool{}
-	for _, match := range regexp.MustCompile(`(?m)^# TYPE (\S+)`).FindAllStringSubmatch(buf.String(), -1) {
-		families[match[1]] = true
-	}
-	snap := m.Snapshot()
-
-	// family → snapshot keys (nil = deliberately Prometheus-only).
-	table := map[string][]string{
-		"mapserve_requests_total":                   {"map_requests", "pareto_requests", "conflict_requests", "simulate_requests", "verify_requests", "batch_requests", "jobs_requests", "peer_lookup_requests", "peer_fill_requests", "peer_status_requests", "cluster_status_requests"},
-		"mapserve_cache_hits_total":                 {"cache_hits"},
-		"mapserve_cache_misses_total":               {"cache_misses"},
-		"mapserve_verify_cache_hits_total":          {"verify_cache_hits"},
-		"mapserve_verify_cache_misses_total":        {"verify_cache_misses"},
-		"mapserve_searches_total":                   {"searches"},
-		"mapserve_singleflight_deduped_total":       {"singleflight_deduped"},
-		"mapserve_rejected_total":                   {"rejected"},
-		"mapserve_timeouts_total":                   {"timeouts"},
-		"mapserve_failures_total":                   {"failures"},
-		"mapserve_inflight_searches":                {"inflight_searches"},
-		"mapserve_queued_requests":                  {"queued_requests"},
-		"mapserve_search_latency_seconds":           {"search_latency_count", "search_latency_sum_s", "search_latency_buckets", "search_latency_exemplars"},
-		"mapserve_search_pruned_total":              {"search_pruned_orbit", "search_pruned_lower_bound", "search_pruned_incumbent"},
-		"mapserve_search_space_candidates_total":    {"search_space_candidates"},
-		"mapserve_search_schedule_candidates_total": {"search_schedule_candidates"},
-		"mapserve_search_cost_levels_total":         {"search_cost_levels"},
-		"mapserve_search_inner_searches_total":      {"search_inner_searches"},
-		"mapserve_cache_hit_ratio":                  {"cache_hit_ratio"},
-		"mapserve_cache_entries":                    {"cache_entries"},
-		"mapserve_cache_evictions_total":            {"cache_evictions"},
-		"mapserve_cache_bytes_estimate":             {"cache_bytes_estimate"},
-		"mapserve_peer_forward_total":               {"peer_forward_hit", "peer_forward_miss", "peer_forward_shared", "peer_forward_error"},
-		"mapserve_peer_served_total":                {"peer_served_hit", "peer_served_miss", "peer_served_shared"},
-		"mapserve_peer_fills_total":                 {"peer_fills_sent", "peer_fills_received", "peer_fills_rejected", "peer_fills_send_error"},
-		"mapserve_trace_spans_total":                {"trace_spans"},
-		"mapserve_trace_spans_dropped_total":        {"trace_spans_dropped"},
-		"mapserve_traces_total":                     {"traces"},
-		"mapserve_jobs_total":                       {"jobs_submitted", "jobs_deduped", "jobs_rejected", "jobs_done", "jobs_failed", "jobs_cancelled", "jobs_resumed", "jobs_requeued"},
-		"mapserve_jobs_queued":                      {"jobs_queued"},
-		"mapserve_jobs_running":                     {"jobs_running"},
-		"mapserve_jobs_forwarded_total":             {"jobs_forwarded"},
-		"mapserve_slo_burn_rate":                    {"slo_burn_rates"},
-		"mapserve_slo_budget_remaining":             {"slo_budget_remaining"},
-		"mapserve_slo_breached":                     {"slo_breached"},
-		"mapserve_slo_breaches_total":               {"slo_breaches"},
-		"mapserve_slo_captures_total":               {"slo_captures"},
-		"mapserve_tenant_requests_total":            {"tenant_requests"},
-		"mapserve_tenant_cache_hits_total":          {"tenant_cache_hits"},
-		"mapserve_tenant_search_milliseconds_total": {"tenant_search_ms"},
-		"mapserve_tenant_queue_rejections_total":    {"tenant_queue_rejections"},
-	}
-	var stageKeys []string
-	for _, name := range stageNames {
-		stageKeys = append(stageKeys, "stage_"+name+"_count", "stage_"+name+"_sum_s", "stage_"+name+"_buckets")
-	}
-	table["mapserve_stage_duration_seconds"] = stageKeys
-
-	for family, keys := range table {
-		if !families[family] {
-			t.Errorf("table family %s not rendered by WritePrometheus", family)
-		}
-		for _, key := range keys {
-			if _, ok := snap[key]; !ok {
-				t.Errorf("family %s: snapshot key %q missing", family, key)
-			}
-		}
-		delete(families, family)
-	}
-	for family := range families {
-		t.Errorf("family %s rendered but absent from the parity table — add its Snapshot keys", family)
-	}
-	covered := map[string]bool{}
-	for _, keys := range table {
-		for _, k := range keys {
-			covered[k] = true
-		}
-	}
-	for key := range snap {
-		if !covered[key] {
-			t.Errorf("snapshot key %q has no WritePrometheus family in the parity table", key)
-		}
-	}
-}
-
-// TestSnapshotBucketValueParity: the expvar bucket maps and hit ratio
-// carry the same values (cumulative, same le keys) as the Prometheus
-// exposition — not just the same families.
-func TestSnapshotBucketValueParity(t *testing.T) {
-	m := &metrics{}
-	for _, d := range []time.Duration{200 * time.Microsecond, 40 * time.Millisecond, 3 * time.Second, 30 * time.Second} {
-		m.observeSearch(d, "")
-		m.observeStage(stageSearch, d)
-	}
-	m.cacheHits.Add(7)
-	m.cacheMisses.Add(3)
-	samples := scrapeMetrics(t, m)
-	snap := m.Snapshot()
-
-	checkBuckets := func(snapKey, promPrefix, labels string) {
-		t.Helper()
-		buckets, ok := snap[snapKey].(map[string]int64)
-		if !ok {
-			t.Fatalf("snapshot %q is %T, want map[string]int64", snapKey, snap[snapKey])
-		}
-		sep := ""
-		if labels != "" {
-			sep = ","
-		}
-		for _, ub := range latencyBuckets {
-			le := strconv.FormatFloat(ub, 'g', -1, 64)
-			promKey := fmt.Sprintf("%s_bucket{%s%sle=\"%s\"}", promPrefix, labels, sep, le)
-			if float64(buckets[le]) != samples[promKey] {
-				t.Errorf("%s[%s] = %d, Prometheus %s = %g", snapKey, le, buckets[le], promKey, samples[promKey])
-			}
-		}
-		infKey := fmt.Sprintf("%s_bucket{%s%sle=\"+Inf\"}", promPrefix, labels, sep)
-		if float64(buckets["+Inf"]) != samples[infKey] {
-			t.Errorf("%s[+Inf] = %d, Prometheus %s = %g", snapKey, buckets["+Inf"], infKey, samples[infKey])
-		}
-	}
-	checkBuckets("search_latency_buckets", "mapserve_search_latency_seconds", "")
-	checkBuckets("stage_search_buckets", "mapserve_stage_duration_seconds", `stage="search"`)
-
-	ratio, ok := snap["cache_hit_ratio"].(float64)
-	if !ok {
-		t.Fatalf("cache_hit_ratio missing from snapshot: %v", snap["cache_hit_ratio"])
-	}
-	if prom := samples["mapserve_cache_hit_ratio"]; ratio < prom-1e-6 || ratio > prom+1e-6 {
-		t.Errorf("cache_hit_ratio %g != Prometheus %g", ratio, prom)
-	}
-	if _, ok := (&metrics{}).Snapshot()["cache_hit_ratio"]; ok {
-		t.Error("cache_hit_ratio rendered with no cacheable traffic (gate lost)")
-	}
-}
-
 var searchStatsFixture = schedule.SearchStats{
 	Engine:             "joint-6.2",
 	Workers:            2,
@@ -435,4 +261,91 @@ var searchStatsFixture = schedule.SearchStats{
 	InnerSearches:      11,
 	ScheduleCandidates: 400,
 	CostLevels:         9,
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden exposition files")
+
+// seededMetrics returns a registry with every gate on — cluster, jobs,
+// two SLO objectives, two tenants, cache and trace counters, a traced
+// search — and a distinct value in every counter, so a reader wired to
+// the wrong counter changes the exposition.
+func seededMetrics() *metrics {
+	m := &metrics{clustered: true}
+	for i, ep := range []string{"map", "pareto", "conflict", "simulate", "verify", "batch", "jobs", "peer_lookup", "peer_fill", "peer_status", "cluster_status"} {
+		m.requestCounter(ep).Add(int64(100 + i))
+	}
+	for i, c := range []*atomic.Int64{
+		&m.cacheHits, &m.cacheMisses, &m.verifyCacheHits, &m.verifyCacheMisses, &m.searches, &m.deduped,
+		&m.rejected, &m.timeouts, &m.failures, &m.inflight, &m.queued,
+		&m.forward[peerHit], &m.forward[peerMiss], &m.forward[peerShared], &m.forward[peerError],
+		&m.served[peerHit], &m.served[peerMiss], &m.served[peerShared],
+		&m.fills[fillSent], &m.fills[fillReceived], &m.fills[fillRejected], &m.fills[fillSendError],
+		&m.jobsForwarded,
+	} {
+		c.Add(int64(200 + i))
+	}
+	m.observeSearchStats(&searchStatsFixture)
+	for i, d := range []time.Duration{200 * time.Microsecond, 40 * time.Millisecond, 3 * time.Second, 30 * time.Second} {
+		m.observeSearch(d, "")
+		m.stages[i%numStages].observe(d)
+		m.stages[stageSearch].observe(d)
+	}
+	m.latExemplars[2].Store(&trace.Exemplar{Bucket: "0.025", TraceID: "deadbeef00000000deadbeef00000000", ValueMS: 12.5, UnixMS: 1700000000123})
+	m.cacheStats = func() (int64, int64, int64) { return 4, 2, 4096 }
+	m.traceCounters = func() (int64, int64, int64) { return 5, 1, 2 }
+	m.jobStats = func() jobs.Stats {
+		return jobs.Stats{Submitted: 11, Deduped: 12, Rejected: 13, Done: 14, Failed: 15, Cancelled: 16, Resumed: 17, Requeued: 18, Queued: 19, Running: 20}
+	}
+	m.sloStats = func() slo.Snapshot {
+		return slo.Snapshot{Objectives: []slo.ObjectiveSnapshot{
+			{Name: "availability", Burn: []slo.WindowBurn{{Window: "1m", Burn: 6}, {Window: "5m", Burn: 5.25}}, BudgetRemaining: -4.25, Breached: true, Breaches: 3, Captures: 1},
+			{Name: "latency-p99", Burn: []slo.WindowBurn{{Window: "1m", Burn: 0.5}, {Window: "5m", Burn: 0.125}}, BudgetRemaining: 0.875, Breaches: 1},
+		}}
+	}
+	m.tenantStats = func() []cluster.TenantUsage {
+		return []cluster.TenantUsage{
+			{Tenant: "acme", Requests: 9, CacheHits: 4, SearchMillis: 120, QueueRejections: 1},
+			{Tenant: "globex", Requests: 7, CacheHits: 3, SearchMillis: 80, QueueRejections: 2},
+		}
+	}
+	return m
+}
+
+// TestMetricsExposition pins the whole /metrics payload, byte for byte,
+// for an empty registry and for one with every gate on. Run with
+// -update to rewrite the files after an intended format change.
+func TestMetricsExposition(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		m    *metrics
+	}{
+		{"metrics_empty.txt", &metrics{}},
+		{"metrics_seeded.txt", seededMetrics()},
+	} {
+		var buf bytes.Buffer
+		c.m.WritePrometheus(&buf)
+		path := filepath.Join("testdata", c.file)
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != string(want) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s: line %d differs:\n got %q\nwant %q", c.file, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("%s: %d lines, want %d", c.file, len(gl), len(wl))
+		}
+	}
 }

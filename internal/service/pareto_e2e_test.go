@@ -177,6 +177,27 @@ func TestE2EPareto(t *testing.T) {
 	}
 }
 
+// TestE2EParetoCacheCounters: Pareto requests share the map cache
+// families — a Pareto miss moves mapserve_cache_misses_total by one,
+// and the hit that follows moves mapserve_cache_hits_total by one.
+func TestE2EParetoCacheCounters(t *testing.T) {
+	svc, srv := newTestServer(t, Config{Pool: 1, SearchWorkers: 1})
+	const hits, misses = "mapserve_cache_hits_total", "mapserve_cache_misses_total"
+	before := scrapeMetrics(t, svc.met)
+	for i, want := range []string{"miss", "hit"} {
+		status, hdr, body := postJSON(t, srv.URL+"/v1/pareto", e2eBody)
+		if status != 200 || hdr.Get("X-Mapserve-Cache") != want {
+			t.Fatalf("request %d: %d %q, want %s: %s", i, status, hdr.Get("X-Mapserve-Cache"), want, body)
+		}
+		after := scrapeMetrics(t, svc.met)
+		dHits, dMisses := after[hits]-before[hits], after[misses]-before[misses]
+		if (want == "miss") != (dMisses == 1 && dHits == 0) || (want == "hit") != (dHits == 1 && dMisses == 0) {
+			t.Errorf("%s moved hits by %g and misses by %g", want, dHits, dMisses)
+		}
+		before = after
+	}
+}
+
 // TestE2EParetoSlackWidensFront: a slack window admits near-optimal
 // members, never loses the time-optimal head, and keys the cache
 // separately from the slack-0 front.
@@ -433,7 +454,7 @@ func TestPeerParetoFillRevalidation(t *testing.T) {
 	if _, err := svc.PeerFill(context.Background(), freq); err == nil {
 		t.Error("doctored fill accepted")
 	}
-	if n := svc.met.peerFillsRejected.Load(); n != 1 {
+	if n := svc.met.fills[fillRejected].Load(); n != 1 {
 		t.Errorf("peerFillsRejected = %d, want 1", n)
 	}
 	if _, ok := svc.cache.Get(p.key); ok {

@@ -273,7 +273,7 @@ func (s *Service) DebugHandler() http.Handler {
 			http.Error(w, "tracing disabled (start the service with a trace buffer)", http.StatusNotFound)
 		})
 	}
-	return trace.Handler(s.traces, func() any { return s.Status() }, s.traceExemplars)
+	return trace.Handler(s.traces, func() any { return s.Status() }, s.met.exemplars)
 }
 
 // Status is the one health/identity snapshot shared by the /healthz
@@ -396,10 +396,6 @@ func (s *Service) FlushCache() { s.cache.Flush() }
 
 // CacheLen returns the number of cached canonical results.
 func (s *Service) CacheLen() int { return s.cache.Len() }
-
-// Metrics exposes the counters for rendering (Prometheus text or
-// expvar snapshots).
-func (s *Service) Metrics() *metrics { return s.met }
 
 // EffectiveTimeout clamps a request-supplied timeout (milliseconds;
 // ≤ 0 = unset) into the configured window.

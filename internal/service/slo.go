@@ -200,19 +200,3 @@ func (st *sloState) capture(ev slo.Event) {
 			slog.String("dir", dir))
 	}
 }
-
-// traceExemplars adapts the metrics exemplar table to the trace
-// inspector's type — the /debug/requests click-through.
-func (s *Service) traceExemplars() []trace.Exemplar {
-	exs := s.met.exemplars()
-	out := make([]trace.Exemplar, len(exs))
-	for i, ex := range exs {
-		out[i] = trace.Exemplar{
-			Bucket:  ex.Bucket,
-			TraceID: ex.TraceID,
-			ValueMS: ex.Value * 1e3,
-			UnixMS:  ex.UnixMS,
-		}
-	}
-	return out
-}

@@ -190,7 +190,7 @@ func TestVerifyConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := svc.met.verifyRequests.Load(); got != 48 {
+	if got := svc.met.requestCounter("verify").Load(); got != 48 {
 		t.Errorf("verify requests = %d, want 48", got)
 	}
 	// Three canonical classes (the permuted body shares verifyBody's): at

@@ -312,13 +312,13 @@ func (w *workload[Req, Res, Wire]) forward(ctx context.Context, s *Service, p *p
 			// The owner ran the search and proved infeasibility within the
 			// explored bound — a definite answer, not a failure to degrade
 			// around. Counted as a miss: the owner did search for us.
-			s.met.peerForwardMiss.Add(1)
+			s.met.forward[peerMiss].Add(1)
 			if span != nil {
 				span.SetStr("disposition", "infeasible")
 			}
 			return nil, fmt.Errorf("%w (decided by peer %s)", schedule.ErrNoSchedule, owner.ID), peerDone
 		}
-		s.met.peerForwardErrors.Add(1)
+		s.met.forward[peerError].Add(1)
 		if span != nil {
 			span.SetStr("error", err.Error())
 		}
@@ -337,7 +337,7 @@ func (w *workload[Req, Res, Wire]) forward(ctx context.Context, s *Service, p *p
 		// The owner answered 200 with a result that fails certification —
 		// version skew or a corrupt peer. Treated like unreachability:
 		// search locally rather than serve a bad mapping.
-		s.met.peerForwardErrors.Add(1)
+		s.met.forward[peerError].Add(1)
 		if span != nil {
 			span.SetStr("error", err.Error())
 		}
@@ -345,11 +345,11 @@ func (w *workload[Req, Res, Wire]) forward(ctx context.Context, s *Service, p *p
 	}
 	switch resp.Disposition {
 	case cluster.DispositionHit:
-		s.met.peerForwardHit.Add(1)
+		s.met.forward[peerHit].Add(1)
 	case cluster.DispositionShared:
-		s.met.peerForwardShared.Add(1)
+		s.met.forward[peerShared].Add(1)
 	default:
-		s.met.peerForwardMiss.Add(1)
+		s.met.forward[peerMiss].Add(1)
 	}
 	if span != nil {
 		span.SetStr("disposition", resp.Disposition)
@@ -380,10 +380,10 @@ func (w *workload[Req, Res, Wire]) fillOwner(s *Service, p *problem[Req], res Re
 		ctx, cancel := context.WithTimeout(context.Background(), s.clu.fillTimeout)
 		defer cancel()
 		if err := s.clu.client.Fill(ctx, owner, freq); err != nil {
-			s.met.peerFillSendErrs.Add(1)
+			s.met.fills[fillSendError].Add(1)
 			return
 		}
-		s.met.peerFillsSent.Add(1)
+		s.met.fills[fillSent].Add(1)
 	}()
 }
 
@@ -458,7 +458,7 @@ func (w *workload[Req, Res, Wire]) lookup(ctx context.Context, s *Service, lreq 
 	}
 	p.timeoutMS = lreq.TimeoutMS
 	if v, ok := s.cache.Get(p.key); ok {
-		s.met.peerServedHit.Add(1)
+		s.met.served[peerHit].Add(1)
 		return &cluster.LookupResponse{Disposition: cluster.DispositionHit, Result: w.toWire(v.(Res))}, nil
 	}
 	out, leader, err := w.flight(ctx, s, p, false)
@@ -468,13 +468,13 @@ func (w *workload[Req, Res, Wire]) lookup(ctx context.Context, s *Service, lreq 
 	disposition := cluster.DispositionShared
 	switch {
 	case !leader:
-		s.met.peerServedShared.Add(1)
+		s.met.served[peerShared].Add(1)
 	case out.fromCache:
 		disposition = cluster.DispositionHit
-		s.met.peerServedHit.Add(1)
+		s.met.served[peerHit].Add(1)
 	default:
 		disposition = cluster.DispositionMiss
-		s.met.peerServedMiss.Add(1)
+		s.met.served[peerMiss].Add(1)
 	}
 	return &cluster.LookupResponse{Disposition: disposition, Result: w.toWire(out.res)}, nil
 }
@@ -527,10 +527,10 @@ func (s *Service) PeerFill(ctx context.Context, freq *cluster.FillRequest) (*clu
 		err = leg.fill(ctx, s, freq)
 	}
 	if err != nil {
-		s.met.peerFillsRejected.Add(1)
+		s.met.fills[fillRejected].Add(1)
 		return nil, err
 	}
-	s.met.peerFillsRecv.Add(1)
+	s.met.fills[fillReceived].Add(1)
 	return &cluster.FillResponse{Stored: true}, nil
 }
 

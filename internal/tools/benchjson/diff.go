@@ -12,7 +12,7 @@ import (
 // metricDelta is the before/after pair for one metric of one benchmark.
 // Pct is the relative change (new-old)/old; +Inf when old was zero and
 // new is not. Regressed applies the higher-is-worse rule against the
-// caller's threshold.
+// caller's threshold, or, for a custom unit, marks any change.
 type metricDelta struct {
 	Unit      string
 	Old, New  float64
@@ -61,7 +61,8 @@ func deltaOf(unit string, old, new float64, threshold float64) metricDelta {
 
 // diffReports matches benchmarks by (pkg, name) and computes per-metric
 // deltas. Metrics absent from either side (e.g. a run without -benchmem
-// reports no B/op) are skipped rather than treated as zero.
+// reports no B/op, a report predating custom units has none) are
+// skipped rather than treated as zero.
 func diffReports(oldRep, newRep *Report, threshold float64) []benchDiff {
 	olds := make(map[string]Benchmark, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
@@ -83,6 +84,18 @@ func diffReports(oldRep, newRep *Report, threshold float64) []benchDiff {
 		}
 		if ob.AllocsPerOp != 0 || nb.AllocsPerOp != 0 {
 			d.Metrics = append(d.Metrics, deltaOf("allocs/op", float64(ob.AllocsPerOp), float64(nb.AllocsPerOp), threshold))
+		}
+		units := make([]string, 0, len(nb.Custom))
+		for unit := range nb.Custom {
+			if _, ok := ob.Custom[unit]; ok {
+				units = append(units, unit)
+			}
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			m := deltaOf(unit, ob.Custom[unit], nb.Custom[unit], threshold)
+			m.Regressed = m.Old != m.New
+			d.Metrics = append(d.Metrics, m)
 		}
 		out = append(out, d)
 	}

@@ -13,7 +13,10 @@
 //
 // printing per-benchmark ns/op, B/op and allocs/op deltas and marking
 // any metric that worsened by more than -threshold (default 10%) as
-// REGRESSED. With -fail, one or more regressions make the exit status
+// REGRESSED. Custom units a benchmark reports through b.ReportMetric
+// (work counts such as "candidates" or "pruned") are deterministic, so
+// any change in one is REGRESSED, whatever the threshold and even when
+// ns/op improved. With -fail, one or more regressions make the exit status
 // nonzero, so the comparison can gate CI. -require lists benchmark
 // names (space-separated) that must appear in both documents; a missing
 // one also makes the exit status nonzero, so a guard cannot pass on a
@@ -22,6 +25,8 @@
 // Repeated rows of one benchmark (a -count N run, or several rounds
 // appended to one input) collapse into one row holding each metric's
 // best (lowest) value, so a best-of-N capture compares as one row.
+// Custom units, which should not differ between rounds, keep their
+// lowest value too.
 package main
 
 import (
@@ -46,6 +51,9 @@ type Benchmark struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
+	// Custom holds the b.ReportMetric units, keyed by unit. Reports
+	// written before it existed load with it nil.
+	Custom map[string]float64 `json:"custom,omitempty"`
 }
 
 // Report is the whole document.
@@ -134,6 +142,11 @@ func parseLine(line string) (Benchmark, bool, error) {
 			b.AllocsPerOp = int64(v)
 		case "MB/s":
 			b.MBPerSec = v
+		default:
+			if b.Custom == nil {
+				b.Custom = map[string]float64{}
+			}
+			b.Custom[f[i+1]] = v
 		}
 	}
 	return b, true, nil
@@ -179,6 +192,14 @@ func bestOf(rep *Report) {
 			top.BytesPerOp = min(top.BytesPerOp, b.BytesPerOp)
 			top.AllocsPerOp = min(top.AllocsPerOp, b.AllocsPerOp)
 			top.MBPerSec = max(top.MBPerSec, b.MBPerSec)
+			for unit, v := range b.Custom {
+				if old, ok := top.Custom[unit]; !ok || v < old {
+					if top.Custom == nil {
+						top.Custom = map[string]float64{}
+					}
+					top.Custom[unit] = v
+				}
+			}
 			continue
 		}
 		out = append(out, b)
