@@ -92,7 +92,7 @@ bench-diff:
 # BENCH_guard_base.txt and BENCH_guard.txt. Run on a quiet machine.
 BASE ?= HEAD
 GUARD_BENCHTIME ?= 1s
-GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JobLifecycle ServiceCacheHit ServicePareto MetricsScrape
+GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JointMapping/bit-matmul/workers=1 JobLifecycle ServiceCacheHit ServicePareto MetricsScrape
 bench-guard:
 	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT && \
 	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \
@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzVerifyVsBruteForce -fuzztime=30s ./internal/verify/
 	$(GO) test -fuzz=FuzzClosedFormGamma -fuzztime=30s ./internal/verify/
 	$(GO) test -fuzz=FuzzPeerBodies -fuzztime=30s ./internal/service/
+	$(GO) test -fuzz=FuzzWalkerVsEnumerate -fuzztime=30s ./internal/schedule/
 
 cover:
 	$(GO) test -cover ./...

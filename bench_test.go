@@ -454,9 +454,11 @@ func BenchmarkBitSerialMatMul(b *testing.B) {
 // dependences e1–e4 and (1,1,0,0)) and on a 2-D array (corpus
 // matmul/00000: μ = (4,4,7), where every evaluated S reaches the
 // multi-row processor count), sequentially and with the outer candidate
-// loop fanned across two workers. The log line reports the search
-// effort — candidates enumerated versus pruned before evaluation — and
-// the invariant winner.
+// loop fanned across two workers, plus the bit-level matrix product
+// μ = (1, 2) sequentially. The custom units report the search effort —
+// space candidates enumerated versus pruned before evaluation and, on
+// the sequential rows, schedule candidates counted and cost levels
+// walked — and the log line the invariant winner.
 func BenchmarkJointMapping(b *testing.B) {
 	bitlevel := &uda.Algorithm{
 		Name: "bitlevel-00026",
@@ -465,12 +467,19 @@ func BenchmarkJointMapping(b *testing.B) {
 	}
 	matmul2D := uda.MatMul(4)
 	matmul2D.Name, matmul2D.Set = "matmul-4x4x7", uda.IndexSet{Upper: intmat.Vec(4, 4, 7)}
+	both := []int{1, 2}
 	cases := []struct {
-		algo *uda.Algorithm
-		dims int
-	}{{uda.MatMul(4), 1}, {uda.TransitiveClosure(4), 1}, {bitlevel, 1}, {matmul2D, 2}}
+		algo    *uda.Algorithm
+		dims    int
+		workers []int
+	}{
+		{uda.MatMul(4), 1, both}, {uda.TransitiveClosure(4), 1, both}, {bitlevel, 1, both}, {matmul2D, 2, both},
+		// The bit-level matrix product of the paper's motivating case, at
+		// its smallest non-trivial size: most of its Π fail ΠD ≥ 1.
+		{uda.BitLevelMatMul(1, 2), 1, []int{1}},
+	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range c.workers {
 			name := fmt.Sprintf("%s/workers=%d", c.algo.Name, workers)
 			if c.dims > 1 {
 				name = fmt.Sprintf("%s/dims=%d/workers=%d", c.algo.Name, c.dims, workers)
@@ -487,6 +496,12 @@ func BenchmarkJointMapping(b *testing.B) {
 				}
 				b.ReportMetric(float64(res.Candidates), "candidates")
 				b.ReportMetric(float64(res.Pruned), "pruned")
+				if workers == 1 {
+					// At two workers the incumbent races the inner
+					// searches, so these counts vary from run to run.
+					b.ReportMetric(float64(res.Stats.ScheduleCandidates), "sched")
+					b.ReportMetric(float64(res.Stats.CostLevels), "levels")
+				}
 				rows := make([]intmat.Vector, res.Mapping.S.Rows())
 				for r := range rows {
 					rows[r] = res.Mapping.S.Row(r)
@@ -528,6 +543,8 @@ func BenchmarkPareto(b *testing.B) {
 				}
 				b.ReportMetric(float64(len(res.Front)), "front")
 				b.ReportMetric(float64(res.Candidates), "candidates")
+				b.ReportMetric(float64(res.Stats.ScheduleCandidates), "sched")
+				b.ReportMetric(float64(res.Stats.CostLevels), "levels")
 				b.Logf("front=%d members, window [*, %d], %d candidates (%d pruned)",
 					len(res.Front), res.TimeBound, res.Candidates, res.Pruned)
 			})
