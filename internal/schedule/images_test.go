@@ -63,7 +63,7 @@ func TestProcessorImagesProperty(t *testing.T) {
 		}
 		set := uda.IndexSet{Upper: upper}
 		want := int64(bruteImages(s, set))
-		what := fmt.Sprintf("S=%v μ=%v", matrixRowVecs(s), upper)
+		what := fmt.Sprintf("S=%v μ=%v", s, upper)
 		if imageBox(s, upper) <= imageBitsFor(set) {
 			bitset++
 		} else {

@@ -171,7 +171,7 @@ func TestCountProcessorsAndWireLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	// S·j spans [-2, 4]: 7 processors.
-	if got := countProcessors(m); got != 7 {
+	if got := countProcessorImages(m.S, m.Algo.Set); got != 7 {
 		t.Errorf("processors = %d, want 7", got)
 	}
 	// ‖S·d_i‖₁ = 1 per dependence, 3 total.

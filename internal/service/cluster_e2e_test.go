@@ -331,6 +331,39 @@ func TestClusterE2EPeerDeathFallback(t *testing.T) {
 	}
 }
 
+// TestClusterE2EPeerVerdictRelayed: a problem the owner answers 422 —
+// one whose Π·d̄ passes int64, one with no Π meeting ΠD ≥ 1 — is
+// answered 422 by a non-owner too, with the owner's message, after one
+// search on the owner and none locally; no node counts a failure.
+func TestClusterE2EPeerVerdictRelayed(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	for body, want := range map[string]string{
+		`{"bounds":[3,3],"dependencies":[[0,1],[1,-4611686018427387904]],"dims":1}`: "overflow",
+		`{"bounds":[3,3],"dependencies":[[1,0],[-1,0]],"dims":1}`:                   "no conflict-free",
+	} {
+		owner := tc.ownerIndex(t, body)
+		other := 1 - owner
+		before := []int64{tc.svcs[0].met.searches.Load(), tc.svcs[1].met.searches.Load()}
+		status, _, out := postJSON(t, tc.srvs[other].URL+"/v1/map", body)
+		var eb struct{ Error string }
+		if status != http.StatusUnprocessableEntity || json.Unmarshal(out, &eb) != nil ||
+			!strings.Contains(eb.Error, want) || !strings.Contains(eb.Error, "decided by peer "+tc.members[owner].ID) {
+			t.Errorf("%s via a non-owner: status %d, body %s; want 422 relaying %q", body, status, out, want)
+		}
+		if o, l := tc.svcs[owner].met.searches.Load()-before[owner], tc.svcs[other].met.searches.Load()-before[other]; o != 1 || l != 0 {
+			t.Errorf("%s: %d searches on the owner, %d on the non-owner; want 1 and 0", body, o, l)
+		}
+	}
+	for i, svc := range tc.svcs {
+		if n := svc.met.failures.Load(); n != 0 {
+			t.Errorf("node %d counted %d failures", i, n)
+		}
+		if n := svc.met.forward[peerError].Load(); n != 0 {
+			t.Errorf("node %d counted %d peer forward errors", i, n)
+		}
+	}
+}
+
 // TestClusterE2EHopHeader: forwarded peer calls carry the hop header;
 // a request claiming more hops than the protocol allows is refused
 // with 508 before any work happens, and a malformed count is a 400.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lodim/internal/cluster"
+	"lodim/internal/intmat"
 	"lodim/internal/jobs"
 	"lodim/internal/schedule"
 	"lodim/internal/trace"
@@ -319,6 +320,11 @@ func (s *Service) classifyError(err error) (status int, retryAfter time.Duration
 	case errors.Is(err, schedule.ErrNoSchedule):
 		// The search completed and proved infeasibility within its
 		// bounds — a definite answer about the problem, not a failure.
+		status = http.StatusUnprocessableEntity
+	case errors.As(err, new(*intmat.OverflowError)), errors.As(err, new(*peerVerdictError)):
+		// The problem's own entries drive its arithmetic past int64: a
+		// property of the input, answered like an infeasible problem. An
+		// owner's verdict on either is relayed with the same status.
 		status = http.StatusUnprocessableEntity
 	default:
 		s.met.failures.Add(1)

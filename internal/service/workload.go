@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"lodim/internal/cluster"
-	"lodim/internal/schedule"
 	"lodim/internal/trace"
 	"lodim/internal/uda"
 )
@@ -309,14 +308,15 @@ func (w *workload[Req, Res, Wire]) forward(ctx context.Context, s *Service, p *p
 	if err != nil {
 		var perr *cluster.PeerError
 		if errors.As(err, &perr) && perr.Status == http.StatusUnprocessableEntity {
-			// The owner ran the search and proved infeasibility within the
-			// explored bound — a definite answer, not a failure to degrade
-			// around. Counted as a miss: the owner did search for us.
+			// The owner ran the search and reached a definite answer about
+			// the problem — infeasible within the explored bound, or
+			// arithmetic past int64 — not a failure to degrade around.
+			// Counted as a miss: the owner did search for us.
 			s.met.forward[peerMiss].Add(1)
 			if span != nil {
-				span.SetStr("disposition", "infeasible")
+				span.SetStr("disposition", "unprocessable")
 			}
-			return nil, fmt.Errorf("%w (decided by peer %s)", schedule.ErrNoSchedule, owner.ID), peerDone
+			return nil, &peerVerdictError{peer: owner.ID, msg: perr.Err}, peerDone
 		}
 		s.met.forward[peerError].Add(1)
 		if span != nil {
@@ -550,4 +550,16 @@ func mustJSON(v any) json.RawMessage {
 		panic("service: encode peer body: " + err.Error())
 	}
 	return data
+}
+
+// peerVerdictError relays an owner's 422 as the answer, with the
+// owner's own message: the problem is infeasible within its bounds, or
+// its arithmetic passes int64.
+type peerVerdictError struct {
+	peer string
+	msg  error
+}
+
+func (e *peerVerdictError) Error() string {
+	return fmt.Sprintf("%v (decided by peer %s)", e.msg, e.peer)
 }
