@@ -458,7 +458,8 @@ func BenchmarkBitSerialMatMul(b *testing.B) {
 // μ = (1, 2) sequentially. The custom units report the search effort —
 // space candidates enumerated versus pruned before evaluation and, on
 // the sequential rows, schedule candidates counted and cost levels
-// walked — and the log line the invariant winner.
+// walked, and conflict decisions by method — and the log line the
+// invariant winner.
 func BenchmarkJointMapping(b *testing.B) {
 	bitlevel := &uda.Algorithm{
 		Name: "bitlevel-00026",
@@ -501,6 +502,12 @@ func BenchmarkJointMapping(b *testing.B) {
 					// searches, so these counts vary from run to run.
 					b.ReportMetric(float64(res.Stats.ScheduleCandidates), "sched")
 					b.ReportMetric(float64(res.Stats.CostLevels), "levels")
+					// Conflict decisions by method: found in the
+					// conflict-vector table, answered from the decision
+					// cache, or decomposed afresh.
+					b.ReportMetric(float64(res.Stats.ConflictTable), "dec_table")
+					b.ReportMetric(float64(res.Stats.HNFIncremental), "dec_cached")
+					b.ReportMetric(float64(res.Stats.HNFFromScratch), "dec_fresh")
 				}
 				rows := make([]intmat.Vector, res.Mapping.S.Rows())
 				for r := range rows {

@@ -119,35 +119,27 @@ func (sa *SpaceAnalyzer) NullBasisFor(pi intmat.Vector) ([]intmat.Vector, error)
 }
 
 // sizeReduceBasis applies pairwise Lagrange-style size reduction in
-// place: each vector is reduced against the others until no rounding
-// step shrinks anything. The transform is unimodular, so the generated
-// lattice is unchanged, but the entries get small — which matters
-// because the sign-pattern certificates of Theorems 4.7/4.8 are
-// basis-sensitive and succeed far more often on reduced bases.
+// place, stepping only where a step strictly shortens a vector
+// (intmat.SizeReduceStep), so it ends at a fixpoint instead of trading
+// tie steps until its sweep cap. The transform is unimodular, so the
+// generated lattice is unchanged, but the entries get small — which
+// matters because the sign-pattern certificates of Theorems 4.7/4.8 are
+// basis-sensitive and succeed far more often on reduced bases. Products
+// are checked: an overflow panics with *intmat.OverflowError (see
+// intmat.Guard).
 func sizeReduceBasis(basis []intmat.Vector) {
+	if len(basis) < 2 {
+		return
+	}
 	for sweep := 0; sweep < 32; sweep++ {
 		changed := false
 		for p := range basis {
-			var pp int64
-			for _, x := range basis[p] {
-				pp += x * x
-			}
+			pp := basis[p].Dot(basis[p])
 			if pp == 0 {
 				continue
 			}
 			for q := range basis {
-				if p == q {
-					continue
-				}
-				var dot int64
-				for i := range basis[q] {
-					dot += basis[q][i] * basis[p][i]
-				}
-				t := roundDiv64(dot, pp)
-				if t != 0 {
-					for i := range basis[q] {
-						basis[q][i] -= t * basis[p][i]
-					}
+				if p != q && intmat.SizeReduceStep(basis[q], basis[p], basis[q].Dot(basis[p]), pp) {
 					changed = true
 				}
 			}
@@ -156,16 +148,6 @@ func sizeReduceBasis(basis []intmat.Vector) {
 			return
 		}
 	}
-}
-
-// roundDiv64 returns the integer nearest to a/d for d > 0 (ties away
-// from zero).
-func roundDiv64(a, d int64) int64 {
-	half := d / 2
-	if a >= 0 {
-		return (a + half) / d
-	}
-	return (a - half) / d
 }
 
 // Decide determines conflict-freeness of [S; Π] exactly, using the

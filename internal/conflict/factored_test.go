@@ -221,3 +221,66 @@ func BenchmarkFactoredVsFullDecide(b *testing.B) {
 		}
 	})
 }
+
+// TestSizeReduceBasisFixpoint: sizeReduceBasis ends at a fixpoint, so
+// reducing its output again changes nothing. The hexagonal pair
+// (−1,1,0,0), (−1,0,1,0) sits at a rounding tie, 2|⟨q,p⟩| = ⟨p,p⟩; a
+// reducer that steps at ties trades the two vectors back and forth
+// until its sweep cap. Random bases with small entries, where ties are
+// common, must reach a fixpoint too.
+func TestSizeReduceBasisFixpoint(t *testing.T) {
+	bases := [][]intmat.Vector{
+		{intmat.Vec(-1, 1, 0, 0), intmat.Vec(-1, 0, 1, 0)},
+		{intmat.Vec(1, 1, 0), intmat.Vec(0, 1, 1), intmat.Vec(1, 0, 1)},
+		{intmat.Vec(-1, 1, 0, 0, 0), intmat.Vec(-1, 0, 1, 0, 0), intmat.Vec(-1, 0, 0, 1, 0)},
+	}
+	rng := rand.New(rand.NewSource(101))
+	for trial := 0; trial < 3000; trial++ {
+		n, q := 2+rng.Intn(4), 2+rng.Intn(2)
+		b := make([]intmat.Vector, q)
+		for i := range b {
+			b[i] = make(intmat.Vector, n)
+			for j := range b[i] {
+				b[i][j] = rng.Int63n(7) - 3
+			}
+		}
+		bases = append(bases, b)
+	}
+	for _, b := range bases {
+		in := make([]intmat.Vector, len(b))
+		for i, v := range b {
+			in[i] = v.Clone()
+		}
+		sizeReduceBasis(b)
+		once := make([]intmat.Vector, len(b))
+		for i, v := range b {
+			once[i] = v.Clone()
+		}
+		sizeReduceBasis(b)
+		for i := range b {
+			if !b[i].Equal(once[i]) {
+				t.Fatalf("sizeReduceBasis(%v) = %v is not a fixpoint: reduced again to %v", in, once, b)
+			}
+		}
+	}
+}
+
+// TestSizeReduceBasisOverflow: products past int64 surface as
+// *intmat.OverflowError through intmat.Guard instead of wrapping into a
+// corrupted basis.
+func TestSizeReduceBasisOverflow(t *testing.T) {
+	reduce := func(b []intmat.Vector) (err error) {
+		defer intmat.Guard(&err)
+		sizeReduceBasis(b)
+		return nil
+	}
+	big := int64(1) << 32
+	err := reduce([]intmat.Vector{intmat.Vec(big, 1), intmat.Vec(big, 2)})
+	var oe *intmat.OverflowError
+	if !errors.As(err, &oe) {
+		t.Fatalf("sizeReduceBasis on 2^64-sized products returned %v, want *intmat.OverflowError", err)
+	}
+	if err := reduce([]intmat.Vector{intmat.Vec(1<<20, 1), intmat.Vec(1<<20, 2)}); err != nil {
+		t.Fatalf("in-range basis: %v", err)
+	}
+}

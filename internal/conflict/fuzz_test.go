@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"lodim/internal/intmat"
@@ -84,6 +85,76 @@ func FuzzFactoredVsFull(f *testing.F) {
 		if fast.ConflictFree != slow.ConflictFree {
 			t.Fatalf("factored=%v full=%v for S=%v Π=%v μ=%d",
 				fast.ConflictFree, slow.ConflictFree, S.Row(0), pi, mu)
+		}
+	})
+}
+
+// FuzzDecideScratchVsBruteForce drives one scratch through 40
+// decisions against a space mapping (1 or 2 rows, n ≤ 5, μ_i ≤ 4) and
+// checks every verdict against the brute force, and that the scratch
+// holds a conflict-vector table exactly when null(S) has dimension
+// tableMinDim or more (μ_i ≤ 4 keeps every box under the cap). A conflict's witness γ must satisfy Sγ = 0 and
+// Πγ = 0 and lie in the box. The seed picks S and the Π sequence; the
+// seed corpus runs on every `go test`.
+func FuzzDecideScratchVsBruteForce(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(0), uint8(3), uint8(3), uint8(3), uint8(3), uint8(3))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(2), uint8(0), uint8(3), uint8(1))
+	f.Add(int64(3), uint8(1), uint8(0), uint8(0), uint8(1), uint8(2), uint8(3), uint8(0))
+	f.Add(int64(4), uint8(3), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(5), uint8(2), uint8(1), uint8(2), uint8(0), uint8(3), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, rowsRaw, m0, m1, m2, m3, m4 uint8) {
+		n := 2 + int(nRaw%4)
+		rows := 1 + int(rowsRaw%2)
+		if rows >= n {
+			return
+		}
+		mu := intmat.Vec(int64(m0%4)+1, int64(m1%4)+1, int64(m2%4)+1, int64(m3%4)+1, int64(m4%4)+1)[:n]
+		set := uda.IndexSet{Upper: mu}
+		rng := rand.New(rand.NewSource(seed))
+		entry := func() int64 { return rng.Int63n(7) - 3 }
+		S := intmat.New(rows, n)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < n; j++ {
+				S.Set(i, j, entry())
+			}
+		}
+		if S.Rank() != rows {
+			return
+		}
+		sa, err := NewSpaceAnalyzer(S, set)
+		if err != nil {
+			t.Fatalf("NewSpaceAnalyzer: %v", err)
+		}
+		sc := GetScratch()
+		defer PutScratch(sc)
+		for d := 0; d < 40; d++ {
+			pi := make(intmat.Vector, n)
+			for j := range pi {
+				pi[j] = entry()
+			}
+			T := S.AppendRow(pi)
+			res, err := sa.DecideScratch(sc, pi)
+			if T.Rank() != rows+1 {
+				if !errors.Is(err, ErrRank) {
+					t.Fatalf("S=%v Π=%v: rank-deficient T answered %v, %v", S, pi, res, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("S=%v Π=%v: %v", S, pi, err)
+			}
+			free, bf := BruteForce(T, set)
+			if res.ConflictFree != free {
+				t.Fatalf("S=%v Π=%v μ=%v: DecideScratch %v, brute force conflict-free=%v (witness %v)", S, pi, mu, res, free, bf)
+			}
+			if g := res.Witness; !res.ConflictFree && g != nil {
+				if g.IsZero() || !T.MulVec(g).IsZero() || Feasible(set, g) {
+					t.Fatalf("S=%v Π=%v μ=%v: witness %v (%s) is not an in-box null vector of T", S, pi, mu, g, res.Method)
+				}
+			}
+		}
+		if want := n-rows >= tableMinDim; sc.tabOK != want {
+			t.Fatalf("S=%v μ=%v: conflict-vector table built=%v, want %v", S, mu, sc.tabOK, want)
 		}
 	})
 }

@@ -23,9 +23,14 @@ type Scratch struct {
 	// maps never shrink, so it stands for the map's capacity.
 	peak int
 
-	// hits counts decisions answered from the cache (the "incremental"
-	// decompositions of SearchStats); misses counts fresh ones.
-	hits, misses int64
+	// table counts decisions answered by the conflict-vector table,
+	// hits those answered from the cache (the "incremental"
+	// decompositions of SearchStats), misses fresh ones.
+	table, hits, misses int64
+
+	// tab is owner's conflict-vector table when tabOK (table.go).
+	tabOK bool
+	tab   conflictTable
 
 	h     intmat.Vector   // Π·W, heap-backed, reused across calls
 	hc    intmat.Vector   // canonical direction of h (primitive, first non-zero > 0)
@@ -70,48 +75,52 @@ func GetScratch() *Scratch {
 func PutScratch(sc *Scratch) {
 	sc.owner = nil
 	sc.resetCache()
-	sc.hits, sc.misses = 0, 0
+	sc.tabOK = false
+	sc.table, sc.hits, sc.misses = 0, 0, 0
 	sc.ar.Reset()
 	scratchPool.Put(sc)
 }
 
 // resetCache empties the decision cache at a cost proportional to what
-// it holds: an empty cache is left alone, one not much larger than its
-// contents is cleared in place, and an oversized one is replaced (see
-// scratchKeepSlack).
+// it holds: a cache not much larger than its contents is cleared in
+// place (or left alone when empty), and an oversized one is replaced
+// (see scratchKeepSlack). A search whose conflicts the table answers
+// may store nothing at all, so an empty cache can be oversized too.
 func (sc *Scratch) resetCache() {
 	if sc.cache == nil {
 		return
 	}
 	n := sc.cache.Len()
-	if n == 0 {
-		return
-	}
 	sc.peak = max(sc.peak, n)
 	if sc.peak <= scratchKeepSlack*max(n, scratchKeepMin) {
-		sc.cache.Clear()
+		if n > 0 {
+			sc.cache.Clear()
+		}
 		return
 	}
 	sc.cache, sc.peak = intmat.NewVecMap[Result](n), n
 }
 
-// TakeStats drains and returns the cache counters: hit decisions
+// TakeStats drains and returns the decision counters: table decisions
+// (a conflict found in the conflict-vector table), hit decisions
 // (answered incrementally from a previous decomposition) and miss
 // decisions (decomposed from scratch).
-func (sc *Scratch) TakeStats() (hits, misses int64) {
-	hits, misses = sc.hits, sc.misses
-	sc.hits, sc.misses = 0, 0
-	return hits, misses
+func (sc *Scratch) TakeStats() (table, hits, misses int64) {
+	table, hits, misses = sc.table, sc.hits, sc.misses
+	sc.table, sc.hits, sc.misses = 0, 0, 0
+	return table, hits, misses
 }
 
 // bind points sc at sa, resetting the cache when the analyzer changes
-// (the cache key is expressed in coordinates of sa.W). One scratch can
-// thus serve a worker's whole sequence of searches, each paying only
-// for the entries the previous one stored.
+// (the cache key is expressed in coordinates of sa.W) and building sa's
+// conflict-vector table when null(S) has dimension tableMinDim or more.
+// One scratch can thus serve a worker's whole sequence of searches,
+// each paying only for the entries the previous one stored.
 func (sc *Scratch) bind(sa *SpaceAnalyzer) {
 	if sc.owner != sa {
 		sc.owner = sa
 		sc.resetCache()
+		sc.tabOK = len(sa.W) >= tableMinDim && sc.tab.build(sc.ar, sa.W, sa.Set.Upper) == nil
 		if sc.cache == nil {
 			sc.cache, sc.peak = intmat.NewVecMap[Result](scratchKeepMin), scratchKeepMin
 		}
@@ -123,15 +132,19 @@ func (sc *Scratch) bind(sa *SpaceAnalyzer) {
 	}
 }
 
-// DecideScratch is Decide with scratch-backed storage and the decision
-// cache. It returns exactly the verdict Decide would: on a cache miss
-// the computation is step-for-step the one Decide performs; on a hit
-// the stored Result is returned as-is — its verdict is valid for every
-// Π with the same h line because the conflict-vector lattice
-// W·null(h) depends only on that line, though the Method and Witness
-// reflect the candidate that populated the entry. Callers must treat
-// the Result (including any Witness) as read-only; it may be shared
-// with the cache.
+// DecideScratch is Decide with scratch-backed storage, the
+// conflict-vector table and the decision cache. It returns exactly the
+// verdict Decide would. When sc holds sa's table of in-box null(S)
+// vectors (table.go, built by bind), a Π that annihilates one of them
+// has a conflict, reported with that vector as witness and Method
+// "conflict-table". Every other Π goes to the cache: on a miss the computation is step-for-step the one Decide
+// performs; on a hit the stored Result is returned as-is — its verdict
+// is valid for every Π with the same h line because the
+// conflict-vector lattice W·null(h) depends only on that line, though
+// the Method and Witness reflect the candidate that populated the
+// entry. Callers must treat the Result (including any Witness) as
+// read-only; it may be shared with the cache, and a table witness is
+// valid only until sc is bound to another analyzer or released.
 func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, error) {
 	sc.bind(sa)
 	q := len(sa.W)
@@ -148,6 +161,12 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 	}
 	if allZero {
 		return Result{}, ErrRank
+	}
+	if sc.tabOK && boxNormFits(pi, sa.Set.Upper) {
+		if w, ok := sc.tab.scan(h); ok {
+			sc.table++
+			return Result{Witness: w, Method: "conflict-table"}, nil
+		}
 	}
 	hc := sc.hc[:q]
 	copy(hc, h)

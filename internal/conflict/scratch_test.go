@@ -86,7 +86,7 @@ func TestDecideScratchAgreesWithDecide(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := sc.TakeStats()
+	_, hits, misses := sc.TakeStats()
 	if hits == 0 {
 		t.Fatalf("cache never hit (hits=%d misses=%d): repeats and scalings should share h lines", hits, misses)
 	}
@@ -117,7 +117,7 @@ func TestDecideScratchRebind(t *testing.T) {
 			t.Fatalf("rebind verdict mismatch for S=\n%v", sa.S)
 		}
 	}
-	hits, misses := sc.TakeStats()
+	_, hits, misses := sc.TakeStats()
 	if hits != 0 || misses != 3 {
 		t.Fatalf("rebind must reset the cache: hits=%d misses=%d, want 0/3", hits, misses)
 	}
@@ -148,7 +148,7 @@ func TestDecideScratchHitAllocFree(t *testing.T) {
 	if got > 0 {
 		t.Fatalf("cache-hit DecideScratch allocated %.1f objects/op, want 0", got)
 	}
-	hits, _ := sc.TakeStats()
+	_, hits, _ := sc.TakeStats()
 	if hits == 0 {
 		t.Fatal("expected cache hits")
 	}
@@ -185,7 +185,7 @@ func TestScratchReuseAfterLargeSearch(t *testing.T) {
 	// cache once; it then stores on until the cache is well filled again.
 	for stored := 0; stored <= scratchCacheLimit || sc.cache.Len() < scratchCacheLimit/scratchKeepSlack; {
 		if _, err := big.DecideScratch(sc, randPi(40)); err == nil {
-			_, misses := sc.TakeStats()
+			_, _, misses := sc.TakeStats()
 			stored += int(misses)
 		}
 	}
@@ -224,4 +224,35 @@ func TestScratchReuseAfterLargeSearch(t *testing.T) {
 	reused := GetScratch()
 	defer PutScratch(reused)
 	compare("reused", reused)
+}
+
+// TestDecideScratchPastTableCap: an analyzer whose free-coordinate box
+// passes tableMaxPoints gets no conflict-vector table, and its
+// decisions still equal Decide's.
+func TestDecideScratchPastTableCap(t *testing.T) {
+	set := uda.Cube(5, 12) // any 4 free coordinates: 25⁴ points
+	sa, err := NewSpaceAnalyzer(intmat.FromRows([]int64{1, 1, -1, 2, 1}), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	rng := rand.New(rand.NewSource(103))
+	for trial := 0; trial < 48; trial++ {
+		pi := make(intmat.Vector, 5)
+		for i := range pi {
+			pi[i] = rng.Int63n(7) - 3
+		}
+		want, wantErr := sa.Decide(pi)
+		got, gotErr := sa.DecideScratch(sc, pi)
+		if (wantErr == nil) != (gotErr == nil) || got.ConflictFree != want.ConflictFree {
+			t.Fatalf("Π=%v: DecideScratch %v (%v), Decide %v (%v)", pi, got, gotErr, want, wantErr)
+		}
+	}
+	if sc.tabOK {
+		t.Fatal("a conflict-vector table past tableMaxPoints")
+	}
+	if table, _, _ := sc.TakeStats(); table != 0 {
+		t.Fatalf("%d table decisions without a table", table)
+	}
 }

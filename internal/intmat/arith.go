@@ -177,3 +177,28 @@ func roundDiv(a, d int64) int64 {
 	}
 	return subChecked(a, half) / d
 }
+
+// shortens reports whether subtracting the nearest integer multiple of
+// a vector p from a vector q strictly shortens q, where qp = ⟨q,p⟩ and
+// pp = ⟨p,p⟩ > 0: that is 2|qp| > pp. At a tie, 2|qp| = pp, the step
+// keeps the length, and two vectors can trade tie steps forever. The
+// size reducers step only when this holds, so every step lowers a
+// positive integer squared norm and each reduction reaches a fixpoint.
+func shortens(qp, pp int64) bool { return absChecked(qp) > pp/2 }
+
+// SizeReduceStep is one pairwise size-reduction step on vectors, the
+// one (*Matrix).sizeReduce takes on columns: where qp = ⟨q,p⟩ and
+// pp = ⟨p,p⟩ > 0, it subtracts the nearest integer multiple of p from
+// q in place if that strictly shortens q, and reports whether it did.
+// The arithmetic is checked; an overflow panics with *OverflowError
+// (see Guard).
+func SizeReduceStep(q, p Vector, qp, pp int64) bool {
+	if !shortens(qp, pp) {
+		return false
+	}
+	t := negChecked(roundDiv(qp, pp))
+	for i := range q {
+		q[i] = addChecked(q[i], mulChecked(t, p[i]))
+	}
+	return true
+}

@@ -8,6 +8,7 @@ import "math/big"
 type bigMatrix struct {
 	rows, cols int
 	a          []*big.Int
+	tmp        big.Int // colDot's product scratch
 }
 
 func newBigMatrix(m *Matrix) *bigMatrix {
@@ -73,15 +74,15 @@ func (b *bigMatrix) combineCols(i, j int, x, y, u, v *big.Int) {
 	}
 }
 
-// colDot returns the inner product of columns i and j.
-func (b *bigMatrix) colDot(i, j int) *big.Int {
-	s := new(big.Int)
-	var t big.Int
+// colDot sets dst to the inner product of columns i and j and returns
+// it.
+func (b *bigMatrix) colDot(dst *big.Int, i, j int) *big.Int {
+	dst.SetInt64(0)
 	for r := 0; r < b.rows; r++ {
-		t.Mul(b.a[r*b.cols+i], b.a[r*b.cols+j])
-		s.Add(s, &t)
+		b.tmp.Mul(b.a[r*b.cols+i], b.a[r*b.cols+j])
+		dst.Add(dst, &b.tmp)
 	}
-	return s
+	return dst
 }
 
 // sizeReduce shrinks the entries of the multiplier U in place without
@@ -93,30 +94,39 @@ func (b *bigMatrix) colDot(i, j int) *big.Int {
 // to the null columns and then Babai-style rounding of the pivot
 // columns against them. Without this step the pairwise gcd elimination
 // can leave U with entries exponentially larger than necessary.
+//
+// A step is taken only when it strictly shortens the reduced column:
+// 2|⟨q,p⟩| > ⟨p,p⟩, tested as |⟨q,p⟩| > ⌊⟨p,p⟩/2⌋ (see shortens). A
+// tie step, 2|⟨q,p⟩| = ⟨p,p⟩, keeps the length, and two columns such
+// as (−1,1,0,0) and (−1,0,1,0) would trade tie steps until the sweep
+// cap. With the rule every step lowers a positive integer squared
+// norm, so each phase reaches a fixpoint; the sweep caps only bound
+// the work.
 func (b *bigMatrix) sizeReduce(k int) {
 	n := b.cols
 	if k >= n {
 		return
 	}
-	// Phase 1: pairwise reduction of the null columns until fixpoint
-	// (bounded sweeps; each successful reduction strictly shrinks a norm).
+	var pp, half, qp big.Int
+	// Phase 1: pairwise reduction of the null columns until fixpoint.
 	for sweep := 0; sweep < 64; sweep++ {
 		changed := false
 		for p := k; p < n; p++ {
-			pp := b.colDot(p, p)
-			if pp.Sign() == 0 {
+			if b.colDot(&pp, p, p).Sign() == 0 {
 				continue
 			}
+			half.Rsh(&pp, 1)
 			for q := k; q < n; q++ {
 				if p == q {
 					continue
 				}
-				t := bigRoundDiv(b.colDot(q, p), pp)
-				if t.Sign() != 0 {
-					t.Neg(t)
-					b.addColMultiple(q, p, t)
-					changed = true
+				if b.colDot(&qp, q, p).CmpAbs(&half) <= 0 {
+					continue // the step would not shorten column q
 				}
+				t := bigRoundDiv(&qp, &pp)
+				t.Neg(t)
+				b.addColMultiple(q, p, t)
+				changed = true
 			}
 		}
 		if !changed {
@@ -124,20 +134,21 @@ func (b *bigMatrix) sizeReduce(k int) {
 		}
 	}
 	// Phase 2: reduce the pivot columns against the null lattice.
-	for sweep := 0; sweep < 8; sweep++ {
+	for sweep := 0; sweep < 64; sweep++ {
 		changed := false
 		for p := k; p < n; p++ {
-			pp := b.colDot(p, p)
-			if pp.Sign() == 0 {
+			if b.colDot(&pp, p, p).Sign() == 0 {
 				continue
 			}
+			half.Rsh(&pp, 1)
 			for j := 0; j < k; j++ {
-				t := bigRoundDiv(b.colDot(j, p), pp)
-				if t.Sign() != 0 {
-					t.Neg(t)
-					b.addColMultiple(j, p, t)
-					changed = true
+				if b.colDot(&qp, j, p).CmpAbs(&half) <= 0 {
+					continue
 				}
+				t := bigRoundDiv(&qp, &pp)
+				t.Neg(t)
+				b.addColMultiple(j, p, t)
+				changed = true
 			}
 		}
 		if !changed {
@@ -195,7 +206,8 @@ func bigFloorDiv(a, d *big.Int) *big.Int {
 	return q
 }
 
-// bigRoundDiv returns the integer nearest to a/d (ties toward zero).
+// bigRoundDiv returns the integer nearest to a/d (ties away from zero),
+// the arbitrary-precision roundDiv.
 func bigRoundDiv(a, d *big.Int) *big.Int {
 	two := big.NewInt(2)
 	ad := new(big.Int).Abs(d)

@@ -66,17 +66,7 @@ func TestHNFIntoMatchesBigOracle(t *testing.T) {
 	ar := GetArena()
 	defer PutArena(ar)
 	var reused HNF
-	for trial := 0; trial < 4000; trial++ {
-		k := 1 + rng.Intn(3)
-		n := k + rng.Intn(4)
-		bound := int64(9)
-		switch trial % 3 {
-		case 1:
-			bound = 60
-		case 2:
-			bound = 1 << 40 // forces intermediate overflow → fallback path
-		}
-		m := randomMatrix(rng, k, n, bound)
+	check := func(m *Matrix, bound int64) {
 		want, wantErr := hermiteNormalFormBig(m)
 		// Verify() re-multiplies T·U, which itself overflows int64 on the
 		// huge-entry trials; the byte-comparison against the oracle still
@@ -95,6 +85,27 @@ func TestHNFIntoMatchesBigOracle(t *testing.T) {
 
 		rErr := HNFInto(&reused, m, nil)
 		checkHNFMatch(t, m, want, wantErr, &reused, rErr, verify, "HNFInto(reused)")
+	}
+	for trial := 0; trial < 4000; trial++ {
+		k := 1 + rng.Intn(3)
+		n := k + rng.Intn(4)
+		bound := int64(9)
+		switch trial % 3 {
+		case 1:
+			bound = 60
+		case 2:
+			bound = 1 << 40 // forces intermediate overflow → fallback path
+		}
+		check(randomMatrix(rng, k, n, bound), bound)
+	}
+	// Rounding ties in the size reduction: the tie matrices, then
+	// entries in [−1, 1], where ties are common.
+	for _, m := range tieMatrices {
+		check(m, 1)
+	}
+	for trial := 0; trial < 1000; trial++ {
+		k := 1 + rng.Intn(3)
+		check(randomMatrix(rng, k, k+rng.Intn(4), 1), 1)
 	}
 }
 
@@ -260,6 +271,57 @@ func TestInplaceMatchesAllocating(t *testing.T) {
 		}
 		if got, want := DetIn(ar, sq), sq.Det(); got != want {
 			t.Fatalf("DetIn = %d, Det = %d for\n%v", got, want, sq)
+		}
+	}
+}
+
+// tieMatrices are inputs whose multiplier U has null columns at a
+// rounding tie, 2|⟨q,p⟩| = ⟨p,p⟩ (hexagonal pairs such as (−1,1,0,0)
+// and (−1,0,1,0)), or pivot columns at a tie with a null column. A size
+// reducer that steps at ties trades such columns back and forth until
+// its sweep cap.
+var tieMatrices = []*Matrix{
+	FromRows([]int64{-1, -1, -1, -1}, []int64{-1, -1, -1, 0}),
+	FromRows([]int64{1, 1, 1, 0}),
+	FromRows([]int64{1, 1, 1, 1}),
+	FromRows([]int64{1, 1, 1}),
+	FromRows([]int64{1, 1, 1, 1, 1}),
+	FromRows([]int64{1, 1, 1, 1, 1}, []int64{0, 0, 0, 1, -1}),
+	FromRows([]int64{1, -1, 1, -1}, []int64{1, 1, 0, 0}),
+}
+
+// TestSizeReduceFixpoint: the size reduction of both paths ends at a
+// fixpoint, so reducing the HNF multiplier again changes nothing. A
+// reducer that steps at rounding ties cycles instead and stops at its
+// sweep cap wherever the cycle happens to stand. Inputs are the tie
+// cases plus random matrices with entries in [−1, 1] (ties are common
+// there) and in [−9, 9].
+func TestSizeReduceFixpoint(t *testing.T) {
+	inputs := append([]*Matrix(nil), tieMatrices...)
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + rng.Intn(3)
+		bound := int64(1)
+		if trial%2 == 1 {
+			bound = 9
+		}
+		inputs = append(inputs, randomMatrix(rng, k, k+1+rng.Intn(4), bound))
+	}
+	for _, m := range inputs {
+		h, err := HermiteNormalForm(m)
+		if err != nil {
+			continue // rank deficient
+		}
+		k := m.Rows()
+		again := h.U.Clone()
+		again.sizeReduce(k)
+		if !again.Equal(h.U) {
+			t.Fatalf("sizeReduce is not at a fixpoint on the HNF of\n%v\nU=\n%v\nreduced again=\n%v", m, h.U, again)
+		}
+		b := newBigMatrix(h.U)
+		b.sizeReduce(k)
+		if !b.toMatrix().Equal(h.U) {
+			t.Fatalf("bigMatrix.sizeReduce is not at a fixpoint on the HNF of\n%v\nU=\n%v\nreduced again=\n%v", m, h.U, b.toMatrix())
 		}
 	}
 }

@@ -179,8 +179,8 @@ func (m *Matrix) colDotChecked(i, j int) int64 {
 }
 
 // sizeReduce is the checked-int64 mirror of bigMatrix.sizeReduce; see
-// that function for the rationale. The sweep limits and reduction order
-// match exactly so the two paths stay byte-equal.
+// that function for the rationale. The sweep limits, the step rule and
+// the reduction order match exactly so the two paths stay byte-equal.
 func (m *Matrix) sizeReduce(k int) {
 	n := m.cols
 	if k >= n {
@@ -198,11 +198,12 @@ func (m *Matrix) sizeReduce(k int) {
 				if p == q {
 					continue
 				}
-				t := roundDiv(m.colDotChecked(q, p), pp)
-				if t != 0 {
-					m.addColMultiple(q, p, negChecked(t))
-					changed = true
+				qp := m.colDotChecked(q, p)
+				if !shortens(qp, pp) {
+					continue
 				}
+				m.addColMultiple(q, p, negChecked(roundDiv(qp, pp)))
+				changed = true
 			}
 		}
 		if !changed {
@@ -210,7 +211,7 @@ func (m *Matrix) sizeReduce(k int) {
 		}
 	}
 	// Phase 2: reduce the pivot columns against the null lattice.
-	for sweep := 0; sweep < 8; sweep++ {
+	for sweep := 0; sweep < 64; sweep++ {
 		changed := false
 		for p := k; p < n; p++ {
 			pp := m.colDotChecked(p, p)
@@ -218,11 +219,12 @@ func (m *Matrix) sizeReduce(k int) {
 				continue
 			}
 			for j := 0; j < k; j++ {
-				t := roundDiv(m.colDotChecked(j, p), pp)
-				if t != 0 {
-					m.addColMultiple(j, p, negChecked(t))
-					changed = true
+				jp := m.colDotChecked(j, p)
+				if !shortens(jp, pp) {
+					continue
 				}
+				m.addColMultiple(j, p, negChecked(roundDiv(jp, pp)))
+				changed = true
 			}
 		}
 		if !changed {

@@ -50,6 +50,11 @@ type SearchStats struct {
 	// 5.1 enumeration stepped through (aggregate over inner searches).
 	CostLevels int64 `json:"cost_levels"`
 
+	// ConflictTable counts conflict decisions answered by the
+	// conflict-vector table: the candidate annihilated one of the
+	// space mapping's in-box null vectors, so it has a conflict and no
+	// Hermite reduction ran.
+	ConflictTable int64 `json:"conflict_table,omitempty"`
 	// HNFIncremental counts conflict decisions answered incrementally —
 	// the candidate's h = Π·W line matched a decomposition already held
 	// by the per-worker scratch cache, so no new Hermite reduction ran.
@@ -85,6 +90,9 @@ func (s *SearchStats) String() string {
 			s.SpaceCandidates, s.PrunedOrbit, s.PrunedLowerBound, s.PrunedIncumbent, s.InnerSearches)
 	}
 	out += fmt.Sprintf(" sched=%d levels=%d", s.ScheduleCandidates, s.CostLevels)
+	if s.ConflictTable > 0 {
+		out += fmt.Sprintf(" conflict_table=%d", s.ConflictTable)
+	}
 	if s.HNFIncremental > 0 || s.HNFFromScratch > 0 {
 		out += fmt.Sprintf(" hnf(incremental=%d scratch=%d)", s.HNFIncremental, s.HNFFromScratch)
 	}
@@ -114,6 +122,9 @@ func (s *SearchStats) annotateSpan(span *trace.Span) {
 	}
 	span.SetInt("schedule_candidates", s.ScheduleCandidates)
 	span.SetInt("cost_levels", s.CostLevels)
+	if s.ConflictTable > 0 {
+		span.SetInt("conflict_table", s.ConflictTable)
+	}
 	if s.HNFIncremental > 0 || s.HNFFromScratch > 0 {
 		span.SetInt("hnf_incremental", s.HNFIncremental)
 		span.SetInt("hnf_from_scratch", s.HNFFromScratch)
@@ -131,6 +142,7 @@ type statsCollector struct {
 	innerSearches      atomic.Int64
 	scheduleCandidates atomic.Int64
 	costLevels         atomic.Int64
+	conflictTable      atomic.Int64
 	hnfIncremental     atomic.Int64
 	hnfFromScratch     atomic.Int64
 }
@@ -142,7 +154,8 @@ func (c *statsCollector) drainScratch(sc *conflict.Scratch) {
 	if c == nil || sc == nil {
 		return
 	}
-	hits, misses := sc.TakeStats()
+	table, hits, misses := sc.TakeStats()
+	c.conflictTable.Add(table)
 	c.hnfIncremental.Add(hits)
 	c.hnfFromScratch.Add(misses)
 }
@@ -160,6 +173,7 @@ func (c *statsCollector) snapshot(engine string, workers int, collect, search, t
 		InnerSearches:      c.innerSearches.Load(),
 		ScheduleCandidates: c.scheduleCandidates.Load(),
 		CostLevels:         c.costLevels.Load(),
+		ConflictTable:      c.conflictTable.Load(),
 		HNFIncremental:     c.hnfIncremental.Load(),
 		HNFFromScratch:     c.hnfFromScratch.Load(),
 		Collect:            collect,

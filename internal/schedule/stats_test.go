@@ -139,7 +139,7 @@ func TestSearchStatsDeterministicCounts(t *testing.T) {
 }
 
 // TestSearchStatsHNFCounters: the factored engines route decisions
-// through the per-worker scratch, and the incremental/from-scratch
+// through the per-worker scratch, and the table/incremental/from-scratch
 // split must land in the stats. On the matmul search many candidates
 // share h lines (shifting Π by a row of S leaves h = Π·W unchanged),
 // so a healthy cache shows plenty of incremental decisions.
@@ -160,6 +160,22 @@ func TestSearchStatsHNFCounters(t *testing.T) {
 	if !strings.Contains(st.String(), "hnf(incremental=") {
 		t.Errorf("String() lacks hnf counters: %q", st.String())
 	}
+	// null(S) has dimension 2 here, too small for a conflict-vector
+	// table. With S = (1, 1, 0, 0) on the 4-D bit-level convolution it
+	// has dimension 3, and the table finds most conflicting Π.
+	if st.ConflictTable != 0 {
+		t.Fatalf("ConflictTable = %d with a 2-dimensional null(S) (stats: %+v)", st.ConflictTable, st)
+	}
+	bit, err := FindOptimal(uda.BitLevelConvolution(4, 3, 3), intmat.FromRows([]int64{1, 1, 0, 0}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bit.Stats.ConflictTable < 1 {
+		t.Fatalf("ConflictTable = %d, want ≥ 1 (stats: %+v)", bit.Stats.ConflictTable, bit.Stats)
+	}
+	if !strings.Contains(bit.Stats.String(), "conflict_table=") {
+		t.Errorf("String() lacks the table counter: %q", bit.Stats.String())
+	}
 
 	// The joint search shares one collector across inner searches; the
 	// counters must aggregate there too.
@@ -176,7 +192,7 @@ func TestSearchStatsHNFCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Stats.HNFIncremental != 0 || plain.Stats.HNFFromScratch != 0 {
+	if plain.Stats.ConflictTable != 0 || plain.Stats.HNFIncremental != 0 || plain.Stats.HNFFromScratch != 0 {
 		t.Errorf("NoFactorization run reported hnf counters: %+v", plain.Stats)
 	}
 }

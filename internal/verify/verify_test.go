@@ -351,7 +351,9 @@ func TestCertifyOverflowIsError(t *testing.T) {
 	d := intmat.New(4, 1)
 	d.SetCol(0, intmat.Vec(1, 0, 0, 0))
 	algo := &uda.Algorithm{Name: "wide", Set: uda.Box(7, 7, 1, 1), D: d}
-	s, pi := intmat.FromRows([]int64{-452, 914, -941, 529}), intmat.Vec(662, 312, 129, 714)
+	// Entries near 2^31: the products of the elimination pass 2^63.
+	s := intmat.FromRows([]int64{1898783637, -1930117241, -971266136, -1985023419})
+	pi := intmat.Vec(573394572, 509016719, -2065724704, 1770185555)
 	var oe *intmat.OverflowError
 	if _, err := Certify(algo, s, pi, &Options{SkipOptimality: true, BruteForceLimit: -1}); !errors.As(err, &oe) {
 		t.Errorf("Certify err = %v, want *intmat.OverflowError", err)
