@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecideVsBruteForce -fuzztime=30s ./internal/conflict/
 	$(GO) test -fuzz=FuzzFactoredVsFull -fuzztime=30s ./internal/conflict/
 	$(GO) test -fuzz=FuzzDecideScratchVsBruteForce -fuzztime=30s ./internal/conflict/
+	$(GO) test -fuzz=FuzzDeepNullSpaceVsBruteForce -fuzztime=30s ./internal/conflict/
 	$(GO) test -fuzz=FuzzHNFInvariants -fuzztime=30s ./internal/intmat/
 	$(GO) test -fuzz=FuzzRowNullBasis -fuzztime=30s ./internal/intmat/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/loopnest/

@@ -74,50 +74,6 @@ func NewSpaceAnalyzer(s *intmat.Matrix, set uda.IndexSet) (*SpaceAnalyzer, error
 	return sa, nil
 }
 
-// NullBasisFor returns a lattice basis of the conflict-vector lattice
-// of T = [S; Π] — the integral solutions of Tγ = 0 — in time
-// proportional to a single-row Hermite reduction. ErrRank is returned
-// when Π is a rational combination of the rows of S (rank(T) < k).
-func (sa *SpaceAnalyzer) NullBasisFor(pi intmat.Vector) ([]intmat.Vector, error) {
-	q := len(sa.W)
-	if q == 0 {
-		// S is already square nonsingular; appending any row keeps the
-		// null space trivial, but rank(T) = k requires k ≤ n — with
-		// q = 0, k = n+1 > n: impossible.
-		return nil, ErrRank
-	}
-	h := make(intmat.Vector, q)
-	allZero := true
-	for t, w := range sa.W {
-		h[t] = pi.Dot(w)
-		if h[t] != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		return nil, ErrRank
-	}
-	// Null lattice of the 1×q row h.
-	inner, err := intmat.RowNullBasis(h) // q-1 vectors in Z^q
-	if err != nil {
-		return nil, err
-	}
-	basis := make([]intmat.Vector, 0, len(inner))
-	n := sa.S.Cols()
-	for _, a := range inner {
-		g := intmat.NewVector(n)
-		for t, w := range sa.W {
-			if a[t] == 0 {
-				continue
-			}
-			g = g.Add(w.Scale(a[t]))
-		}
-		basis = append(basis, g)
-	}
-	sizeReduceBasis(basis)
-	return basis, nil
-}
-
 // sizeReduceBasis applies pairwise Lagrange-style size reduction in
 // place, stepping only where a step strictly shortens a vector
 // (intmat.SizeReduceStep), so it ends at a fixpoint instead of trading
@@ -152,22 +108,25 @@ func sizeReduceBasis(basis []intmat.Vector) {
 
 // Decide determines conflict-freeness of [S; Π] exactly, using the
 // factored basis and the same criterion ladder as the package-level
-// Decide. The full-HNF analysis is constructed only when a theorem
-// certificate fails and the exact enumeration is needed.
+// Decide. It runs the fresh decision of DecideScratch on a pooled
+// scratch, without the conflict-vector table or the decision cache.
+// ErrRank is returned when Π is a rational combination of the rows of
+// S (rank(T) < k).
 func (sa *SpaceAnalyzer) Decide(pi intmat.Vector) (Result, error) {
-	basis, err := sa.NullBasisFor(pi)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	h, err := sa.project(sc, pi)
 	if err != nil {
 		return Result{}, err
 	}
-	return sa.decideFromBasis(basis, pi)
+	return sa.decideFresh(sc, h)
 }
 
 // decideFromBasis runs the criterion ladder over a size-reduced basis
-// of the conflict-vector lattice of [S; Π]. It is shared by Decide and
-// the scratch-backed DecideScratch; basis may be arena-backed — any
-// vector that escapes into the Result goes through Canonical, which
-// copies.
-func (sa *SpaceAnalyzer) decideFromBasis(basis []intmat.Vector, pi intmat.Vector) (Result, error) {
+// of the conflict-vector lattice of [S; Π], with scratch from ar. The
+// basis may be arena-backed — any vector that escapes into the Result
+// goes through Canonical or Clone, which copy.
+func (sa *SpaceAnalyzer) decideFromBasis(ar *intmat.Arena, basis []intmat.Vector) (Result, error) {
 	set := sa.Set
 	switch len(basis) {
 	case 0:
@@ -191,22 +150,20 @@ func (sa *SpaceAnalyzer) decideFromBasis(basis []intmat.Vector, pi intmat.Vector
 			return Result{ConflictFree: true, Method: "theorem-4.5"}, nil
 		}
 	}
-	// Cheap exact rejections before the expensive fallback: any lattice
-	// vector inside the box certifies a conflict (its primitive part is
-	// a non-feasible conflict vector). Check the basis vectors
-	// themselves (the contrapositive of Theorem 4.4) and their pairwise
-	// sums and differences — on size-reduced bases these catch almost
-	// every conflicting candidate the optimizers probe.
+	// Cheap exact rejections before the walk: any lattice vector inside
+	// the box certifies a conflict (its primitive part is a
+	// non-feasible conflict vector). Check the basis vectors themselves
+	// (the contrapositive of Theorem 4.4) and their pairwise sums and
+	// differences — on size-reduced bases these catch almost every
+	// conflicting candidate the optimizers probe.
 	if w, found := quickConflictWitness(basis, set); found {
 		return Result{ConflictFree: false, Witness: w, Method: "theorem-4.4-witness"}, nil
 	}
-	// Exact fallback through the full analysis.
-	t := sa.S.AppendRow(pi)
-	a, err := Analyze(t, set)
+	w, err := exactWitness(ar, basis, set.Upper)
 	if err != nil {
 		return Result{}, err
 	}
-	return a.exactResult("exact-factored-fallback")
+	return Result{ConflictFree: w == nil, Witness: w, Method: "exact-factored-fallback"}, nil
 }
 
 // quickConflictWitness scans small integral combinations of the basis

@@ -65,12 +65,14 @@ func TestFactoredAgreesWithDecide(t *testing.T) {
 	}
 }
 
-// TestFactoredNullBasisSpansSameLattice: the factored basis and the
-// full HNF basis must generate the same integer lattice (verified by
-// mutual integral membership through a dual-coordinate check against
-// the full analysis β-coordinates).
+// TestFactoredNullBasisSpansSameLattice: the factored basis of a fresh
+// decision (freshBasis) and the full HNF basis must generate the same
+// integer lattice (verified by mutual integral membership through a
+// dual-coordinate check against the full analysis β-coordinates).
 func TestFactoredNullBasisSpansSameLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	sc := GetScratch()
+	defer PutScratch(sc)
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(3)
 		k := 1 + rng.Intn(n-2)
@@ -96,7 +98,11 @@ func TestFactoredNullBasisSpansSameLattice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastBasis, err := sa.NullBasisFor(pi)
+		h, err := sa.project(sc, pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastBasis, err := sa.freshBasis(sc, h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,3 +158,111 @@ func FuzzDecideScratchVsBruteForce(f *testing.F) {
 		}
 	})
 }
+
+// int16s encodes entries for FuzzDeepNullSpaceVsBruteForce, two bytes
+// each, little-endian.
+func int16s(v ...int16) []byte {
+	b := make([]byte, 0, 2*len(v))
+	for _, x := range v {
+		b = append(b, byte(x), byte(uint16(x)>>8))
+	}
+	return b
+}
+
+// decodeInt16s reads the first n entries int16s encoded, or reports
+// false when b holds fewer.
+func decodeInt16s(b []byte, n int) (intmat.Vector, bool) {
+	if len(b) < 2*n {
+		return nil, false
+	}
+	v := make(intmat.Vector, n)
+	for i := range v {
+		v[i] = int64(int16(uint16(b[2*i]) | uint16(b[2*i+1])<<8))
+	}
+	return v, true
+}
+
+// guarded is decide() with an *intmat.OverflowError panic returned as
+// its error, as the engines' callers see it (intmat.Guard).
+func guarded(decide func() (Result, error)) (res Result, err error) {
+	defer intmat.Guard(&err)
+	return decide()
+}
+
+// FuzzDeepNullSpaceVsBruteForce checks the decisions on null spaces of
+// dimension up to 5: S has one or two rows (s2 empty for one), n =
+// len(muRaw) is 6 or 7, and μ_i = 1 + muRaw[i] mod 3. Decide,
+// SpaceAnalyzer.Decide and DecideScratch must each agree with the
+// brute force, and a conflict's witness must be an in-box null vector
+// of T. The seeds are two mappings whose exact step once passed its
+// point budget: S = (1 3 9 27 81 243 729) with μ = 2 and Π = (1, …, 1),
+// and S = (1 2 4 8 16 32) with μ = 3 and Π = (1 2 1 1 1 1).
+func FuzzDeepNullSpaceVsBruteForce(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, int16s(1, 3, 9, 27, 81, 243, 729), int16s(), int16s(1, 1, 1, 1, 1, 1, 1))
+	f.Add([]byte{2, 2, 2, 2, 2, 2}, int16s(1, 2, 4, 8, 16, 32), int16s(), int16s(1, 2, 1, 1, 1, 1))
+	f.Add([]byte{0, 1, 2, 0, 1, 2}, int16s(1, -1, 0, 2, 0, 1), int16s(0, 1, 1, 0, -1, 0), int16s(3, 1, 2, 1, 1, 2))
+	f.Fuzz(func(t *testing.T, muRaw, s1, s2, piRaw []byte) {
+		n := len(muRaw)
+		if n < 6 || n > 7 {
+			return
+		}
+		mu := make(intmat.Vector, n)
+		for i, m := range muRaw {
+			mu[i] = 1 + int64(m%3)
+		}
+		set := uda.IndexSet{Upper: mu}
+		var rows [][]int64
+		for _, raw := range [][]byte{s1, s2} {
+			if len(raw) == 0 {
+				continue
+			}
+			row, ok := decodeInt16s(raw, n)
+			if !ok {
+				return
+			}
+			rows = append(rows, row)
+		}
+		pi, ok := decodeInt16s(piRaw, n)
+		if len(rows) == 0 || !ok {
+			return
+		}
+		S := intmat.FromRows(rows...)
+		T := S.AppendRow(pi)
+		if S.Rank() != S.Rows() || T.Rank() != T.Rows() {
+			return
+		}
+		free, bf := BruteForce(T, set)
+		sa, err := NewSpaceAnalyzer(S, set)
+		if err != nil {
+			t.Fatalf("NewSpaceAnalyzer: %v", err)
+		}
+		sc := GetScratch()
+		defer PutScratch(sc)
+		deciders := []struct {
+			name   string
+			decide func() (Result, error)
+		}{
+			{"Decide", func() (Result, error) { return Decide(T, set) }},
+			{"SpaceAnalyzer.Decide", func() (Result, error) { return sa.Decide(pi) }},
+			{"DecideScratch", func() (Result, error) { return sa.DecideScratch(sc, pi) }},
+		}
+		for _, d := range deciders {
+			res, err := guarded(d.decide)
+			var oe *intmat.OverflowError
+			if errors.As(err, &oe) {
+				continue // entries past int64, not a decision property
+			}
+			if err != nil {
+				t.Fatalf("%s(S=%v Π=%v μ=%v): %v", d.name, S, pi, mu, err)
+			}
+			if res.ConflictFree != free {
+				t.Fatalf("%s(S=%v Π=%v μ=%v) = %v, brute force conflict-free=%v (witness %v)", d.name, S, pi, mu, res, free, bf)
+			}
+			if g := res.Witness; !res.ConflictFree && g != nil {
+				if g.IsZero() || !T.MulVec(g).IsZero() || Feasible(set, g) {
+					t.Fatalf("%s(S=%v Π=%v μ=%v): witness %v (%s) is not an in-box null vector of T", d.name, S, pi, mu, g, res.Method)
+				}
+			}
+		}
+	})
+}

@@ -124,32 +124,21 @@ func (sc *Scratch) bind(sa *SpaceAnalyzer) {
 		if sc.cache == nil {
 			sc.cache, sc.peak = intmat.NewVecMap[Result](scratchKeepMin), scratchKeepMin
 		}
-		q := len(sa.W)
-		if cap(sc.h) < q {
-			sc.h = make(intmat.Vector, q)
-			sc.hc = make(intmat.Vector, q)
-		}
 	}
 }
 
-// DecideScratch is Decide with scratch-backed storage, the
-// conflict-vector table and the decision cache. It returns exactly the
-// verdict Decide would. When sc holds sa's table of in-box null(S)
-// vectors (table.go, built by bind), a Π that annihilates one of them
-// has a conflict, reported with that vector as witness and Method
-// "conflict-table". Every other Π goes to the cache: on a miss the computation is step-for-step the one Decide
-// performs; on a hit the stored Result is returned as-is — its verdict
-// is valid for every Π with the same h line because the
-// conflict-vector lattice W·null(h) depends only on that line, though
-// the Method and Witness reflect the candidate that populated the
-// entry. Callers must treat the Result (including any Witness) as
-// read-only; it may be shared with the cache, and a table witness is
-// valid only until sc is bound to another analyzer or released.
-func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, error) {
-	sc.bind(sa)
+// project returns h = Π·W in sc's reused storage, or ErrRank when it is
+// zero: Π is then a rational combination of the rows of S.
+func (sa *SpaceAnalyzer) project(sc *Scratch, pi intmat.Vector) (intmat.Vector, error) {
 	q := len(sa.W)
 	if q == 0 {
-		return Result{}, ErrRank
+		// S is already square nonsingular: rank(T) = k would need
+		// k = n+1 ≤ n.
+		return nil, ErrRank
+	}
+	if cap(sc.h) < q {
+		sc.h = make(intmat.Vector, q)
+		sc.hc = make(intmat.Vector, q)
 	}
 	h := sc.h[:q]
 	allZero := true
@@ -160,7 +149,29 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 		}
 	}
 	if allZero {
-		return Result{}, ErrRank
+		return nil, ErrRank
+	}
+	return h, nil
+}
+
+// DecideScratch is Decide with scratch-backed storage, the
+// conflict-vector table and the decision cache. It returns exactly the
+// verdict Decide would. When sc holds sa's table of in-box null(S)
+// vectors (table.go, built by bind), a Π that annihilates one of them
+// has a conflict, reported with that vector as witness and Method
+// "conflict-table". Every other Π goes to the cache: on a miss it runs
+// decideFresh, the routine Decide runs; on a hit the stored Result is
+// returned as-is — its verdict is valid for every Π with the same h
+// line because the conflict-vector lattice W·null(h) depends only on
+// that line, though the Method and Witness reflect the candidate that
+// populated the entry. Callers must treat the Result (including any Witness) as
+// read-only; it may be shared with the cache, and a table witness is
+// valid only until sc is bound to another analyzer or released.
+func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, error) {
+	sc.bind(sa)
+	h, err := sa.project(sc, pi)
+	if err != nil {
+		return Result{}, err
 	}
 	if sc.tabOK && boxNormFits(pi, sa.Set.Upper) {
 		if w, ok := sc.tab.scan(h); ok {
@@ -168,7 +179,7 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 			return Result{Witness: w, Method: "conflict-table"}, nil
 		}
 	}
-	hc := sc.hc[:q]
+	hc := sc.hc[:len(h)]
 	copy(hc, h)
 	canonicalizeDirection(hc)
 	key := intmat.KeyFor(hc)
@@ -177,7 +188,7 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 		return res, nil
 	}
 	sc.misses++
-	res, err := sa.decideScratchFresh(sc, h, pi)
+	res, err := sa.decideFresh(sc, h)
 	if err != nil {
 		return Result{}, err
 	}
@@ -191,17 +202,27 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 	return res, nil
 }
 
-// decideScratchFresh recomputes the decision for h = Π·W with
-// arena-backed scratch — the same pipeline as NullBasisFor + the
-// criterion ladder, minus the heap traffic.
-func (sa *SpaceAnalyzer) decideScratchFresh(sc *Scratch, h intmat.Vector, pi intmat.Vector) (Result, error) {
+// decideFresh decides h = Π·W from scratch: the null lattice of h
+// mapped through W, size-reduced, then the criterion ladder.
+func (sa *SpaceAnalyzer) decideFresh(sc *Scratch, h intmat.Vector) (Result, error) {
+	basis, err := sa.freshBasis(sc, h)
+	if err != nil {
+		return Result{}, err
+	}
+	return sa.decideFromBasis(sc.ar, basis)
+}
+
+// freshBasis returns a size-reduced basis of the conflict-vector
+// lattice W·null(h) of [S; Π], arena-backed: it lives until sc's arena
+// is next reset, which freshBasis itself does first.
+func (sa *SpaceAnalyzer) freshBasis(sc *Scratch, h intmat.Vector) ([]intmat.Vector, error) {
 	ar := sc.ar
 	// Safe: everything previously handed out by ar is dead — cached
 	// Results hold only heap clones.
 	ar.Reset()
 	inner, err := intmat.RowNullBasisAppend(sc.inner[:0], ar, h)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	sc.inner = inner[:0]
 	n := sa.S.Cols()
@@ -221,7 +242,7 @@ func (sa *SpaceAnalyzer) decideScratchFresh(sc *Scratch, h intmat.Vector, pi int
 	}
 	sc.basis = basis[:0]
 	sizeReduceBasis(basis)
-	return sa.decideFromBasis(basis, pi)
+	return basis, nil
 }
 
 // canonicalizeDirection reduces h in place to the canonical

@@ -1,15 +1,15 @@
 package conflict
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 
 	"lodim/internal/intmat"
 )
 
-// This file implements the conflict-vector table of a Scratch. By
-// Theorem 2.2, T = [S; Π] has a conflict iff null(T) holds a γ ≠ 0
+// This file implements the walk over the in-box vectors of a lattice
+// that decides conflicts exactly, and the conflict-vector table of a
+// Scratch that it lists. By Theorem 2.2, T = [S; Π] has a conflict iff null(T) holds a γ ≠ 0
 // with |γ_i| ≤ μ_i for every i. Every such γ lies in null(S), which
 // does not depend on Π, and it lies in null(T) iff Π·γ = 0. So the
 // in-box vectors of null(S) can be listed once per space mapping, and
@@ -34,7 +34,7 @@ import (
 const tableMinDim = 3
 
 // tableMaxPoints caps the work of a build: the box of the free
-// coordinates the enumeration walks may hold at most this many points.
+// coordinates the walk visits may hold at most this many points.
 // Past it the analyzer gets no table and every decision takes the
 // cache-and-criterion path. The corpus boxes have at most 343 points;
 // on a 14 297-point box a build takes about 1 ms, the time of some 900
@@ -42,8 +42,9 @@ const tableMinDim = 3
 // itself there (EXPERIMENTS.md).
 const tableMaxPoints = 1 << 14
 
-// errTableCap reports a build whose box passes tableMaxPoints.
-var errTableCap = errors.New("conflict: conflict-vector table past its cap")
+// tableMaxDim is the largest q a table holds: scan moves an entry
+// through a fixed buffer of this many coordinates.
+const tableMaxDim = 8
 
 // conflictTable lists the primitive in-box vectors of null(S), one per
 // ± pair, in scan order. Entries found by a scan move to the front:
@@ -77,7 +78,7 @@ func (t *conflictTable) scan(h intmat.Vector) (intmat.Vector, bool) {
 		}
 		j := t.id[e]
 		if e > 0 {
-			var hold [8]int64
+			var hold [tableMaxDim]int64
 			b := append(hold[:0], t.beta[off:off+q]...)
 			copy(t.beta[q:off+q], t.beta[:off])
 			copy(t.beta, b)
@@ -91,24 +92,62 @@ func (t *conflictTable) scan(h intmat.Vector) (intmat.Vector, bool) {
 	return nil, false
 }
 
-// build lists the table for the null(S) basis w over the box |γ_i| ≤
-// mu_i, reusing t's storage and taking its scratch from ar. It picks
-// the q = len(w) coordinates F with the smallest box whose q×q block M
-// of w is nonsingular, walks every γ_F in that box with first non-zero
-// entry positive, recovers β = M⁻¹·γ_F through the adjugate (kept
-// incrementally along the walk) and keeps the integral β whose
-// γ = W·β lies in the box and is primitive. It fails, leaving no
-// table, when that box holds more than tableMaxPoints points
-// (errTableCap) or the arithmetic overflows int64.
-func (t *conflictTable) build(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector) (err error) {
-	defer intmat.Guard(&err)
+// build lists every vector walkBox visits for the null(S) basis w over
+// the box |γ_i| ≤ mu_i, reusing t's storage and taking its scratch from
+// ar. It fails, leaving no table, when q passes tableMaxDim, when the
+// walk's box passes tableMaxPoints (ErrBudget) or when the arithmetic
+// overflows int64.
+func (t *conflictTable) build(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector) error {
 	q, n := len(w), len(mu)
 	t.q, t.n = q, n
 	t.beta, t.id, t.gamma = t.beta[:0], t.id[:0], t.gamma[:0]
+	if q > tableMaxDim {
+		return ErrBudget
+	}
+	return walkBox(ar, w, mu, tableMaxPoints, func(beta, gamma intmat.Vector) bool {
+		t.beta = append(t.beta, beta...)
+		t.id = append(t.id, int32(len(t.id)))
+		t.gamma = append(t.gamma, gamma...)
+		return true
+	})
+}
+
+// exactWitness is the exact decision of Theorem 2.2 on a lattice basis
+// w: it returns a heap copy of the first vector walkBox visits, the
+// canonical non-feasible conflict vector, or nil when the box holds no
+// lattice vector but 0. It fails with ErrBudget when the walk's box
+// passes enumBudget points.
+func exactWitness(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector) (witness intmat.Vector, err error) {
+	err = walkBox(ar, w, mu, enumBudget, func(_, gamma intmat.Vector) bool {
+		witness = gamma.Clone()
+		return false
+	})
+	return witness, err
+}
+
+// walkBox calls visit, until it returns false, on every primitive
+// vector γ of the lattice with basis w that lies in the box
+// |γ_i| ≤ mu_i, one of each ± pair: γ canonical (first non-zero entry
+// positive), with its coordinates β in w (γ = W·β). It picks the
+// q = len(w) coordinates F with the smallest box ∏_{i∈F}(2μ_i + 1)
+// whose q×q block M of w is nonsingular, walks every γ_F in that box
+// with first non-zero entry positive, recovers β = M⁻¹·γ_F through the
+// adjugate (kept incrementally along the walk) and visits the integral
+// β whose γ = W·β lies in the box and is primitive. Every in-box γ is
+// reached, since γ_F determines β. It fails with ErrBudget, visiting
+// nothing, when that box holds more than maxPoints points, and with
+// *intmat.OverflowError when the arithmetic overflows int64. beta and
+// gamma are arena scratch, valid only during the visit.
+func walkBox(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector, maxPoints int64, visit func(beta, gamma intmat.Vector) bool) (err error) {
+	defer intmat.Guard(&err)
+	q, n := len(w), len(mu)
+	if q == 0 {
+		return nil
+	}
 	m := ar.Mat(q, q)
-	free := freeCoordinates(ar, m, w, mu)
+	free := freeCoordinates(ar, m, w, mu, maxPoints)
 	if free == nil {
-		return errTableCap
+		return ErrBudget
 	}
 	block(m, w, free)
 	det, adj := intmat.DetIn(ar, m), intmat.AdjugateInto(ar.Mat(q, q), ar, m)
@@ -128,10 +167,8 @@ func (t *conflictTable) build(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vec
 	}
 	beta, gamma := ar.Vec(q), ar.Vec(n)
 	for {
-		if first := x.FirstNonZero(); first >= 0 && x[first] > 0 && admit(w, mu, det, num, beta, gamma) {
-			t.beta = append(t.beta, beta...)
-			t.id = append(t.id, int32(len(t.id)))
-			t.gamma = append(t.gamma, gamma...)
+		if first := x.FirstNonZero(); first >= 0 && x[first] > 0 && admit(w, mu, det, num, beta, gamma) && !visit(beta, gamma) {
+			return nil
 		}
 		r := 0
 		for ; r < q; r++ {
@@ -199,16 +236,13 @@ func admit(w []intmat.Vector, mu intmat.Vector, det int64, num, beta, gamma intm
 
 // freeCoordinates returns the q = len(w) coordinates whose box
 // ∏(2μ_i + 1) is smallest among those whose q×q block of w is
-// nonsingular, or nil when every such box passes tableMaxPoints; m is
-// q×q scratch. A lattice basis has full column rank, so some block is
+// nonsingular, or nil when every such box passes maxPoints; m is q×q
+// scratch. A lattice basis has full column rank, so some block is
 // nonsingular.
-func freeCoordinates(ar *intmat.Arena, m *intmat.Matrix, w []intmat.Vector, mu intmat.Vector) []int {
+func freeCoordinates(ar *intmat.Arena, m *intmat.Matrix, w []intmat.Vector, mu intmat.Vector, maxPoints int64) []int {
 	q, n := len(w), len(mu)
-	if q > 8 {
-		return nil // scan keeps a moved entry in a fixed buffer
-	}
 	var best []int
-	bestPoints := int64(tableMaxPoints) + 1
+	bestPoints := maxPoints + 1
 	pick := make([]int, 0, q)
 	var walk func(from int, points int64)
 	walk = func(from int, points int64) {
@@ -223,7 +257,7 @@ func freeCoordinates(ar *intmat.Arena, m *intmat.Matrix, w []intmat.Vector, mu i
 			if mu[i] >= bestPoints {
 				continue
 			}
-			p := points * (2*mu[i] + 1) // both factors are below 2^16
+			p := points * (2*mu[i] + 1) // both factors are at most 2·maxPoints + 1
 			if p >= bestPoints {
 				continue
 			}

@@ -13,99 +13,28 @@ import (
 // the closed-form conditions of Theorems 4.3, 4.4, 4.5, 4.6, 4.7, 4.8.
 
 // ErrBudget reports that the exact enumeration would visit more lattice
-// points than the configured budget allows.
+// points than its budget allows.
 var ErrBudget = errors.New("conflict: exact enumeration budget exceeded")
 
-// enumBudget caps the number of β-lattice points ExactDecision may
-// visit. The mapping problems of the paper stay far below this.
+// enumBudget caps the box an exact decision walks (walkBox). A box
+// never holds more points than the β box ∏(2·Σ_i |v_{t,i}|·μ_i + 1) of
+// the rows of V = U⁻¹ (DESIGN.md), so every decision within this budget
+// there stays within it here. The mapping problems of the paper stay
+// far below it.
 const enumBudget = 50_000_000
 
 // ExactDecision decides conflict-freeness exactly for any k < n: T has
 // a computational conflict iff the null lattice of T contains a nonzero
 // vector γ with |γ_i| ≤ μ_i for all i (by Theorem 2.2 such a γ is a
-// non-feasible conflict vector after division by its gcd). The lattice
-// is enumerated in the β-coordinates of Theorem 4.2: every candidate γ
-// satisfies β = Vγ with β_1 = … = β_k = 0, so the free coordinates
-// β_{k+1}, …, β_n are bounded by |β_t| ≤ Σ_i |v_{t,i}|·μ_i. The
-// returned witness, when present, is the canonicalized non-feasible
-// conflict vector.
+// non-feasible conflict vector after division by its gcd). It walks the
+// in-box vectors of the null basis of Theorem 4.2 (walkBox) and stops
+// at the first; the returned witness, when present, is that canonical
+// non-feasible conflict vector.
 func (a *Analysis) ExactDecision() (conflictFree bool, witness intmat.Vector, err error) {
-	defer intmat.Guard(&err)
-	k, n := a.K(), a.N()
-	if k >= n {
-		return true, nil, nil
-	}
-	basis := a.NullBasis()
-	V := a.H.V()
-	// Bounds on the free β coordinates.
-	bounds := make([]int64, n-k)
-	total := int64(1)
-	for t := range bounds {
-		var b int64
-		row := V.Row(k + t)
-		for i := 0; i < n; i++ {
-			abs := row[i]
-			if abs < 0 {
-				abs = -abs
-			}
-			b += abs * a.Set.Upper[i]
-		}
-		bounds[t] = b
-		if total <= enumBudget {
-			total *= 2*b + 1
-		}
-	}
-	if total > enumBudget {
-		return false, nil, fmt.Errorf("%w: %d points", ErrBudget, total)
-	}
-	// Odometer over β ∈ ∏[-bound_t, bound_t], skipping zero.
-	beta := make(intmat.Vector, n-k)
-	for t := range beta {
-		beta[t] = -bounds[t]
-	}
-	gamma := intmat.NewVector(n)
-	for {
-		if !beta.IsZero() {
-			for i := range gamma {
-				gamma[i] = 0
-			}
-			inBox := true
-			for t, b := range beta {
-				if b == 0 {
-					continue
-				}
-				u := basis[t]
-				for i := range gamma {
-					gamma[i] += b * u[i]
-				}
-			}
-			for i, g := range gamma {
-				if g < 0 {
-					g = -g
-				}
-				if g > a.Set.Upper[i] {
-					inBox = false
-					break
-				}
-			}
-			if inBox {
-				return false, gamma.Canonical(), nil
-			}
-		}
-		// Increment.
-		t := 0
-		for t < len(beta) {
-			beta[t]++
-			if beta[t] <= bounds[t] {
-				break
-			}
-			beta[t] = -bounds[t]
-			t++
-		}
-		if t == len(beta) {
-			return true, nil, nil
-		}
-	}
+	ar := intmat.GetArena()
+	defer intmat.PutArena(ar)
+	witness, err = exactWitness(ar, a.NullBasis(), a.Set.Upper)
+	return err == nil && witness == nil, witness, err
 }
 
 // Theorem43 checks necessary condition 2: in every column of V = U⁻¹,

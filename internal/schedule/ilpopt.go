@@ -61,7 +61,9 @@ func FindOptimalILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*Resu
 	// Exact verification (the gcd caveat): accept only if the true
 	// conflict decision agrees; otherwise fall back to enumeration from
 	// the ILP bound, which remains optimal.
-	if r, ok := newCandCtx(algo, s, opts, nil, nil).try(pi); ok {
+	if r, ok, err := verifyILP(algo, s, opts, pi); err != nil {
+		return nil, err
+	} else if ok {
 		r.Candidates = sol.Nodes
 		r.Method = "ilp"
 		return r, nil
@@ -76,6 +78,18 @@ func FindOptimalILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*Resu
 	}
 	fb.Method = "ilp+fallback"
 	return fb, nil
+}
+
+// verifyILP applies Procedure 5.1's step-5 tests to an ILP witness Π.
+// A failure of the tests other than a rejection is returned as err.
+func verifyILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, pi intmat.Vector) (*Result, bool, error) {
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
+		return nil, false, err
+	}
+	cctx := newCandCtx(algo, s, opts, analyzer, nil)
+	r, ok := cctx.try(pi)
+	return r, ok, cctx.takeErr()
 }
 
 // ilpFormulation builds the shared constraint system of the (5.1)–(5.2)
@@ -235,7 +249,9 @@ func FindWeightedILP(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, o
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := newCandCtx(algo, s, opts, nil, nil).try(pi); ok {
+	if r, ok, err := verifyILP(algo, s, opts, pi); err != nil {
+		return nil, err
+	} else if ok {
 		r.Candidates = sol.Nodes
 		r.Method = "ilp-weighted"
 		return r, nil
@@ -264,6 +280,8 @@ func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, 
 	wk := getWalker(algo)
 	defer putWalker(wk)
 	cctx := newCandCtx(algo, s, opts, analyzer, wk.depCols)
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
 	var best *Result
 	var bestObj int64
 	for cost := int64(1); cost <= maxCost; cost++ {
@@ -271,7 +289,7 @@ func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, 
 			break
 		}
 		if _, err := wk.walk(context.TODO(), cost, func(pi intmat.Vector, _ int64) bool {
-			r, ok := cctx.tryValid(pi, nil)
+			r, ok := cctx.tryValid(pi, sc)
 			if !ok {
 				return true
 			}

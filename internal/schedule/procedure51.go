@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,14 +50,10 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 	// The factored analyzer caches the Π-independent null(S) basis so
 	// each candidate costs a handful of gcd steps instead of a full
 	// Hermite reduction; it is exact (theorem certificates with an
-	// enumeration fallback). Rank-deficient S surfaces on first use.
-	var analyzer *conflict.SpaceAnalyzer
-	if !opts.NoFactorization {
-		var err error
-		analyzer, err = conflict.NewSpaceAnalyzer(s, algo.Set)
-		if err != nil {
-			return nil, err
-		}
+	// enumeration fallback).
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
+		return nil, err
 	}
 	return findOptimalWith(ctx, algo, s, opts, analyzer, nil)
 }
@@ -76,7 +73,7 @@ type innerEnv struct {
 }
 
 // findOptimalWith is the enumeration engine behind FindOptimal with a
-// caller-supplied (possibly nil) factored analyzer. The joint optimizer
+// caller-supplied factored analyzer. The joint optimizer
 // (spaceopt.go) builds one analyzer per space-mapping candidate and
 // shares it between this search and the array-metric evaluation, so the
 // Π-independent Hermite work happens exactly once per S.
@@ -352,8 +349,8 @@ func pickWinner(results []*Result, opts *Options) int {
 }
 
 // candCtx carries the per-search state of Procedure 5.1's step-5 tests:
-// the optional factored analyzer and the cached dependence columns
-// (Matrix.Col allocates a fresh vector per call).
+// the factored analyzer and the cached dependence columns (Matrix.Col
+// allocates a fresh vector per call).
 type candCtx struct {
 	algo     *uda.Algorithm
 	s        *intmat.Matrix
@@ -361,10 +358,10 @@ type candCtx struct {
 	analyzer *conflict.SpaceAnalyzer
 	depCols  []intmat.Vector
 
-	// errMu guards err, the first arithmetic failure observed by any
-	// worker. try runs inside evaluateLevel's goroutines, where a panic
-	// would crash the process instead of unwinding to the caller's
-	// Guard — so overflow is captured here and re-surfaced by takeErr.
+	// errMu guards err, the first failure observed by any worker. try
+	// runs inside evaluateLevel's goroutines, where a panic would crash
+	// the process instead of unwinding to the caller's Guard — so
+	// failures are captured here and re-surfaced by takeErr.
 	errMu sync.Mutex
 	err   error
 }
@@ -392,40 +389,33 @@ func (c *candCtx) takeErr() error {
 	return c.err
 }
 
-// try applies the four tests of Procedure 5.1's step 5 to a single Π,
-// using the pre-built factored analyzer when available. The analyzer
-// also subsumes the rank(T) = k test: it reports ErrRank exactly when Π
-// is a rational combination of S's rows.
+// try applies the four tests of Procedure 5.1's step 5 to a single Π
+// with a pooled conflict scratch, for callers that test a Π or two.
 func (c *candCtx) try(pi intmat.Vector) (*Result, bool) {
 	if !Valid(pi, c.algo.D) {
 		return nil, false
 	}
-	return c.tryValid(pi, nil)
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
+	return c.tryValid(pi, sc)
 }
 
 // tryValid is try on a Π already known to satisfy ΠD > 0 (one a walker
-// visits): tests 2–4 only. A per-worker conflict scratch, when given,
-// routes the decision through the arena-backed incremental path
-// (conflict.DecideScratch). The verdict is identical either way; only
-// the allocation profile and the informational Method/Witness of the
-// conflict Result can differ.
+// visits): tests 2–4 only, with the caller's conflict scratch. The
+// analyzer subsumes the rank(T) = k test: it reports ErrRank exactly
+// when Π is a rational combination of S's rows, which rejects Π. Any
+// other decision error is recorded (recordErr) and fails the search:
+// treating it as a rejection could report a later Π as optimal.
 func (c *candCtx) tryValid(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
 	algo, s, opts := c.algo, c.s, c.opts
-	var res conflict.Result
-	var err error
-	switch {
-	case c.analyzer != nil && sc != nil:
-		res, err = c.analyzer.DecideScratch(sc, pi)
-	case c.analyzer != nil:
-		res, err = c.analyzer.Decide(pi)
-	default:
-		t := s.AppendRow(pi)
-		if t.Rank() != t.Rows() {
-			return nil, false
+	res, err := c.analyzer.DecideScratch(sc, pi)
+	if err != nil {
+		if !errors.Is(err, conflict.ErrRank) {
+			c.recordErr(err)
 		}
-		res, err = conflict.Decide(t, algo.Set)
+		return nil, false
 	}
-	if err != nil || !res.ConflictFree {
+	if !res.ConflictFree {
 		return nil, false
 	}
 	t, err := TotalTimeChecked(pi, algo.Set)

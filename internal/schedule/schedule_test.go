@@ -443,8 +443,12 @@ func TestMinimizeBuffers(t *testing.T) {
 	}
 	// Exhaustive confirmation: no equal-cost schedule beats the winner.
 	minBuf := best.Decomp.TotalBuffers()
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
 	enumerate(algo.Set.Upper, best.Time-1, func(pi intmat.Vector) bool {
-		r, ok := newCandCtx(algo, s, &Options{Machine: machine}, nil, nil).try(pi)
+		r, ok := newCandCtx(algo, s, &Options{Machine: machine}, analyzer, nil).try(pi)
 		if ok && r.Decomp.TotalBuffers() < minBuf {
 			t.Errorf("Π = %v has %d buffers < winner's %d", pi, r.Decomp.TotalBuffers(), minBuf)
 			return false
@@ -457,9 +461,55 @@ func TestMinimizeBuffers(t *testing.T) {
 	}
 }
 
-// TestNoFactorizationAblationAgrees: disabling the factored analysis
-// must not change any result.
-func TestNoFactorizationAblationAgrees(t *testing.T) {
+// referenceResult is what referenceSearch finds.
+type referenceResult struct {
+	pi         intmat.Vector
+	time       int64
+	candidates int
+	conflict   conflict.Result
+}
+
+// referenceSearch is a plain Procedure 5.1 to check the engine
+// against: it streams enumerate over the levels 1, 2, … up to the
+// default cost ceiling, counting every Π, and decides each Π passing
+// ΠD > 0 with a full conflict.Decide of T = [S; Π] (ErrRank rejects
+// Π). No factored analyzer, scratch, table or cache is involved.
+func referenceSearch(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix) referenceResult {
+	t.Helper()
+	maxCost := maxCostOr(0, algo.Set)
+	candidates := 0
+	for cost := int64(1); cost <= maxCost; cost++ {
+		var found *referenceResult
+		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
+			candidates++
+			if !Valid(pi, algo.D) {
+				return true
+			}
+			res, err := conflict.Decide(s.AppendRow(pi), algo.Set)
+			if errors.Is(err, conflict.ErrRank) {
+				return true
+			}
+			if err != nil {
+				t.Fatalf("%s: Decide(Π = %v): %v", algo.Name, pi, err)
+			}
+			if !res.ConflictFree {
+				return true
+			}
+			found = &referenceResult{pi: pi.Clone(), time: TotalTime(pi, algo.Set), candidates: candidates, conflict: res}
+			return false
+		})
+		if found != nil {
+			return *found
+		}
+	}
+	t.Fatalf("%s: reference search found no schedule up to cost %d", algo.Name, maxCost)
+	return referenceResult{}
+}
+
+// TestFactoredSearchMatchesReference: the factored engine, with its
+// scratch, table and cache, finds the reference search's Π, time and
+// candidate count.
+func TestFactoredSearchMatchesReference(t *testing.T) {
 	cases := []struct {
 		algo *uda.Algorithm
 		s    *intmat.Matrix
@@ -473,16 +523,13 @@ func TestNoFactorizationAblationAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.algo.Name, err)
 		}
-		slow, err := FindOptimal(c.algo, c.s, &Options{NoFactorization: true})
-		if err != nil {
-			t.Fatalf("%s: %v", c.algo.Name, err)
+		slow := referenceSearch(t, c.algo, c.s)
+		if fast.Time != slow.time || !fast.Mapping.Pi.Equal(slow.pi) {
+			t.Errorf("%s: factored (Π=%v t=%d) vs reference (Π=%v t=%d)",
+				c.algo.Name, fast.Mapping.Pi, fast.Time, slow.pi, slow.time)
 		}
-		if fast.Time != slow.Time || !fast.Mapping.Pi.Equal(slow.Mapping.Pi) {
-			t.Errorf("%s: factored (Π=%v t=%d) vs full (Π=%v t=%d)",
-				c.algo.Name, fast.Mapping.Pi, fast.Time, slow.Mapping.Pi, slow.Time)
-		}
-		if fast.Candidates != slow.Candidates {
-			t.Errorf("%s: candidate counts differ: %d vs %d", c.algo.Name, fast.Candidates, slow.Candidates)
+		if fast.Candidates != slow.candidates {
+			t.Errorf("%s: candidate counts differ: %d vs %d", c.algo.Name, fast.Candidates, slow.candidates)
 		}
 	}
 }
@@ -490,8 +537,9 @@ func TestNoFactorizationAblationAgrees(t *testing.T) {
 func BenchmarkProcedure51Factored(b *testing.B) {
 	// A k = n−2 instance (4-D bit-level convolution into a 1-D array):
 	// the codimension-2 regime is where the factored analysis pays off,
-	// since the full path needs a complete Hermite decomposition per
-	// candidate while the factored path runs one single-row reduction.
+	// since the full path (referenceSearch) needs a complete Hermite
+	// decomposition per candidate while the factored path runs one
+	// single-row reduction.
 	algo := uda.BitLevelConvolution(3, 2, 2)
 	s := intmat.FromRows([]int64{1, 1, 0, 0})
 	b.Run("factored", func(b *testing.B) {
@@ -503,9 +551,7 @@ func BenchmarkProcedure51Factored(b *testing.B) {
 	})
 	b.Run("full-hnf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := FindOptimal(algo, s, &Options{NoFactorization: true}); err != nil {
-				b.Fatal(err)
-			}
+			referenceSearch(b, algo, s)
 		}
 	})
 }
@@ -544,5 +590,25 @@ func BenchmarkILPMatmul(b *testing.B) {
 		if _, err := FindOptimalILP(algo, s, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDeepNullSpaceOptimum is the regression test for exact decisions
+// that used to fail on their point budget and count as conflicts: for
+// n = 7, D = I, μ = 2 and S = (1 3 9 27 81 243 729), null(S) has
+// dimension 6, and 3476 ΠD ≥ 1 passers reach the exact step. Each
+// must be decided, so Π = (1, …, 1), with t = 15, is the optimum.
+func TestDeepNullSpaceOptimum(t *testing.T) {
+	algo := &uda.Algorithm{Name: "deep-null-space", Set: uda.Cube(7, 2), D: intmat.Identity(7)}
+	s := intmat.FromRows([]int64{1, 3, 9, 27, 81, 243, 729})
+	res, err := FindOptimal(algo, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Time != 15 || !res.Mapping.Pi.Equal(intmat.Vec(1, 1, 1, 1, 1, 1, 1)) {
+		t.Fatalf("Π = %v, t = %d; want Π = (1, …, 1), t = 15", res.Mapping.Pi, res.Time)
+	}
+	if free, w := conflict.BruteForce(res.Mapping.T, algo.Set); !free {
+		t.Fatalf("winner has conflict %v", w)
 	}
 }

@@ -171,9 +171,9 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 				return nil
 			}
 		}
-		r, ok := evaluateSpaceMapping(algo, s, pi, opts)
+		r, ok, err := evaluateSpaceMapping(algo, s, pi, opts)
 		if !ok {
-			return nil
+			return err
 		}
 		results[i] = r
 		offerMin(&bestCost, r.Cost)
@@ -633,20 +633,25 @@ func searchErr(ctx context.Context, errs []error) error {
 
 // evaluateSpaceMapping checks validity and conflict-freeness of [S; Π]
 // and computes the Problem 6.1 metrics. The analyzer's Decide subsumes
-// the rank(T) = k test (ErrRank when Π lies in the row space of S).
-func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool) {
+// the rank(T) = k test (ErrRank when Π lies in the row space of S),
+// which rejects S like a conflict does; any other decision error is
+// returned, to fail the search.
+func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool, error) {
 	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
 	if err != nil {
-		return nil, false
+		return nil, false, nil
 	}
 	res, err := analyzer.Decide(pi)
+	if err != nil && !errors.Is(err, conflict.ErrRank) {
+		return nil, false, err
+	}
 	if err != nil || !res.ConflictFree {
-		return nil, false
+		return nil, false, nil
 	}
 	m := &Mapping{Algo: algo, S: s.Clone(), Pi: pi.Clone(), T: s.AppendRow(pi)}
 	if opts.Schedule.Machine != nil {
 		if _, err := opts.Schedule.Machine.Decompose(s, algo.D, pi); err != nil {
-			return nil, false
+			return nil, false, nil
 		}
 	}
 	procs := countProcessorImages(s, algo.Set)
@@ -658,7 +663,7 @@ func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vecto
 		WireLength: wire,
 		Cost:       procs + weight*wire,
 		Time:       TotalTime(pi, algo.Set),
-	}, true
+	}, true, nil
 }
 
 // wireLength returns Σ_i ‖S·d̄_i‖₁, without materializing S·D.

@@ -29,8 +29,8 @@ func TestFindSpaceMappingMatmul(t *testing.T) {
 		t.Fatalf("winning mapping has conflict %v:\n%v", w, res.Mapping.T)
 	}
 	// The paper's S is among the feasible candidates but costs more.
-	paper, ok := evaluateSpaceMapping(algo, intmat.FromRows([]int64{1, 1, -1}), pi, &SpaceOptions{})
-	if !ok {
+	paper, ok, err := evaluateSpaceMapping(algo, intmat.FromRows([]int64{1, 1, -1}), pi, &SpaceOptions{})
+	if err != nil || !ok {
 		t.Fatal("paper S rejected")
 	}
 	if paper.Processors != 13 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/uda"
 )
@@ -187,19 +188,19 @@ func TestSearchStatsHNFCounters(t *testing.T) {
 		t.Errorf("joint HNFFromScratch = %d, want ≥ 1", joint.Stats.HNFFromScratch)
 	}
 
-	// A NoFactorization run never touches the scratch path.
-	plain, err := FindOptimal(algo, s, &Options{NoFactorization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Stats.ConflictTable != 0 || plain.Stats.HNFIncremental != 0 || plain.Stats.HNFFromScratch != 0 {
-		t.Errorf("NoFactorization run reported hnf counters: %+v", plain.Stats)
+	// The table answers a conflict without changing what the search
+	// finds: the reference search, which decides every Π with a full
+	// conflict.Decide, finds the same winner after as many candidates.
+	plain := referenceSearch(t, bit.Mapping.Algo, bit.Mapping.S)
+	if !bit.Mapping.Pi.Equal(plain.pi) || bit.Time != plain.time || bit.Candidates != plain.candidates {
+		t.Errorf("table run found Π=%v t=%d after %d candidates, reference Π=%v t=%d after %d",
+			bit.Mapping.Pi, bit.Time, bit.Candidates, plain.pi, plain.time, plain.candidates)
 	}
 }
 
 // TestScratchSearchMatchesUncached: the scratch cache must not change
 // what the search finds — same Π, time, conflict verdict, and effort
-// counters as the factored-but-uncached and the unfactored engines.
+// counters as the uncached reference search.
 func TestScratchSearchMatchesUncached(t *testing.T) {
 	cases := []struct {
 		algo *uda.Algorithm
@@ -214,18 +215,15 @@ func TestScratchSearchMatchesUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := FindOptimal(c.algo, c.s, &Options{NoFactorization: true})
-		if err != nil {
-			t.Fatal(err)
+		plain := referenceSearch(t, c.algo, c.s)
+		if !cached.Mapping.Pi.Equal(plain.pi) {
+			t.Fatalf("winner differs: cached Π=%v, plain Π=%v", cached.Mapping.Pi, plain.pi)
 		}
-		if !cached.Mapping.Pi.Equal(plain.Mapping.Pi) {
-			t.Fatalf("winner differs: cached Π=%v, plain Π=%v", cached.Mapping.Pi, plain.Mapping.Pi)
-		}
-		if cached.Time != plain.Time || cached.Candidates != plain.Candidates {
+		if cached.Time != plain.time || cached.Candidates != plain.candidates {
 			t.Fatalf("effort differs: cached (t=%d, cand=%d) plain (t=%d, cand=%d)",
-				cached.Time, cached.Candidates, plain.Time, plain.Candidates)
+				cached.Time, cached.Candidates, plain.time, plain.candidates)
 		}
-		if cached.Conflict.ConflictFree != plain.Conflict.ConflictFree {
+		if cached.Conflict.ConflictFree != plain.conflict.ConflictFree {
 			t.Fatalf("conflict verdict differs for Π=%v", cached.Mapping.Pi)
 		}
 	}
@@ -293,7 +291,11 @@ func TestCandCtxCapturesOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := intmat.FromRows([]int64{0, 1})
-	cctx := newCandCtx(algo, s, &Options{}, nil, nil)
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx := newCandCtx(algo, s, &Options{}, analyzer, nil)
 	// Π = (3, 1) passes ΠD > 0, full rank and conflict-freeness
 	// (T = [[0,1],[3,1]] is nonsingular, hence injective), but its
 	// total time 1 + 3·(2^63 − 2) + 1 overflows int64.
@@ -301,7 +303,7 @@ func TestCandCtxCapturesOverflow(t *testing.T) {
 	if _, ok := cctx.try(pi); ok {
 		t.Fatal("overflowing candidate reported success")
 	}
-	err := cctx.takeErr()
+	err = cctx.takeErr()
 	var oe *intmat.OverflowError
 	if !errors.As(err, &oe) {
 		t.Fatalf("takeErr() = %v, want *intmat.OverflowError", err)

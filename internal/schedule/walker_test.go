@@ -294,13 +294,17 @@ func FuzzWalkerVsEnumerate(f *testing.F) {
 // returns the first passing every test, with the count.
 func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (*Result, error) {
 	cctx := newCandCtx(algo, s, opts, analyzer, nil)
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
 	candidates := 0
 	for cost := int64(1); cost <= opts.MaxCost; cost++ {
 		stats.costLevels.Add(1)
 		var found *Result
 		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
 			candidates++
-			found, _ = cctx.try(pi)
+			if Valid(pi, algo.D) {
+				found, _ = cctx.tryValid(pi, sc)
+			}
 			return found == nil
 		})
 		if found != nil {
@@ -408,6 +412,8 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) ([][3]s
 	}
 	cStar := int64(math.MaxInt64)
 	var records []paretoRecord
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
 	for i, s := range cands {
 		if symPruned[i] {
 			stats.prunedOrbit.Add(1)
@@ -429,7 +435,10 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) ([][3]s
 			var lvlBuf int64
 			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
 				stats.scheduleCandidates.Add(1)
-				if r, ok := cctx.try(pi); ok {
+				if !Valid(pi, algo.D) {
+					return true
+				}
+				if r, ok := cctx.tryValid(pi, sc); ok {
 					if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
 						lvlMapping, lvlBuf = r.Mapping, b
 					}
