@@ -90,6 +90,9 @@ bench-diff:
 # hits both alike. Every run's exit status is checked, and every
 # guarded row must appear in both captures. Raw output lands in
 # BENCH_guard_base.txt and BENCH_guard.txt. Run on a quiet machine.
+# A change that means to move a custom unit names it on the command
+# line, e.g. DECLARE='BenchmarkJointMapping/matmul/workers=2:pruned';
+# there is no default.
 BASE ?= HEAD
 GUARD_BENCHTIME ?= 1s
 GUARD_ROWS = Engines/procedure/mu=8 JointMapping/transitive-closure/workers=1 JointMapping/matmul/workers=2 JointMapping/bitlevel-00026/workers=1 JointMapping/bit-matmul/workers=1 JobLifecycle ServiceCacheHit ServicePareto MetricsScrape
@@ -109,7 +112,7 @@ bench-guard:
 	$(GO) run ./internal/tools/benchjson < BENCH_guard_base.txt > BENCH_guard_base.json && \
 	$(GO) run ./internal/tools/benchjson < BENCH_guard.txt > BENCH_guard.json && \
 	$(GO) run ./internal/tools/benchjson -diff -threshold 0.02 -fail \
-		-require '$(addprefix Benchmark,$(GUARD_ROWS))' BENCH_guard_base.json BENCH_guard.json
+		-require '$(addprefix Benchmark,$(GUARD_ROWS))' -declare '$(DECLARE)' BENCH_guard_base.json BENCH_guard.json
 
 # Short fuzz campaigns on every fuzz target (seed corpora always run
 # under plain `make test`).

@@ -453,8 +453,8 @@ func BenchmarkBitSerialMatMul(b *testing.B) {
 // distinct problem of the committed corpus (bitlevel/00026: μ = 3⁴,
 // dependences e1–e4 and (1,1,0,0)) and on a 2-D array (corpus
 // matmul/00000: μ = (4,4,7), where every evaluated S reaches the
-// multi-row processor count), sequentially and with the outer candidate
-// loop fanned across two workers, plus the bit-level matrix product
+// multi-row processor count), sequentially and with each level's live
+// space mappings split across two workers, plus the bit-level matrix product
 // μ = (1, 2) sequentially. The custom units report the search effort —
 // space candidates enumerated versus pruned before evaluation and, on
 // the sequential rows, schedule candidates counted and cost levels
@@ -498,8 +498,8 @@ func BenchmarkJointMapping(b *testing.B) {
 				b.ReportMetric(float64(res.Candidates), "candidates")
 				b.ReportMetric(float64(res.Pruned), "pruned")
 				if workers == 1 {
-					// At two workers the incumbent races the inner
-					// searches, so these counts vary from run to run.
+					// The counts are the same at two workers; the
+					// sequential rows report them once.
 					b.ReportMetric(float64(res.Stats.ScheduleCandidates), "sched")
 					b.ReportMetric(float64(res.Stats.CostLevels), "levels")
 					// Conflict decisions by method: found in the

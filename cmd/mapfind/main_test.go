@@ -149,8 +149,8 @@ func TestStatsJSONJoint(t *testing.T) {
 		if st.Pruned() < 1 || st.PrunedOrbit < 1 {
 			t.Errorf("workers=%d: orbit pruning counter empty: %+v", workers, st)
 		}
-		if workers == 1 && st.PrunedIncumbent < 1 {
-			t.Errorf("workers=1: incumbent pruning counter empty: %+v", st)
+		if st.PrunedLowerBound < 1 || st.PrunedIncumbent != 0 {
+			t.Errorf("workers=%d: lower-bound pruning counter empty, or an incumbent count: %+v", workers, st)
 		}
 		if st.SpaceCandidates < 1 || st.ScheduleCandidates < 1 || st.CostLevels < 1 {
 			t.Errorf("workers=%d: effort counters empty: %+v", workers, st)

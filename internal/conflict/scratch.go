@@ -7,17 +7,40 @@ import (
 )
 
 // Scratch carries the per-worker state that makes repeated conflict
-// decisions against one SpaceAnalyzer allocation-free and incremental:
-// an arena for the decomposition scratch and a decision cache keyed by
-// the canonical direction of h = Π·W. Neighbouring Π candidates in the
-// lex-ordered searches very often produce the same h line — shifting Π
-// by a row of S leaves h unchanged entirely, and scalings of h have the
-// same null lattice — so the cache turns the dominant per-candidate
-// Hermite reduction into a map lookup. A Scratch is not safe for
-// concurrent use; the engines keep one per worker goroutine.
+// decisions allocation-free: an arena for the decomposition scratch and
+// the reused vectors of a decision. Its embedded Memo is the decision
+// state DecideScratch uses; DecideMemo takes another one, so a worker
+// can serve many space mappings, each keeping its own Memo. A Scratch
+// is not safe for concurrent use; the engines keep one per worker
+// goroutine.
 type Scratch struct {
+	Memo
+	ar *intmat.Arena
+	// built is where bind builds a table before copying it to its memo,
+	// so a memo's table takes exactly the storage it needs.
+	built conflictTable
+
+	h     intmat.Vector   // Π·W, heap-backed, reused across calls
+	hc    intmat.Vector   // canonical direction of h (primitive, first non-zero > 0)
+	inner []intmat.Vector // reused header slice for the inner null basis
+	basis []intmat.Vector // reused header slice for the combined basis
+}
+
+// Memo is the decision state of one SpaceAnalyzer: its conflict-vector
+// table and a decision cache keyed by the canonical direction of
+// h = Π·W. Neighbouring Π candidates in the lex-ordered searches very
+// often produce the same h line — shifting Π by a row of S leaves h
+// unchanged entirely, and scalings of h have the same null lattice — so
+// the cache turns the dominant per-candidate Hermite reduction into a
+// map lookup. A Memo holds no arena and keeps a lone cache entry
+// inline, making the map for a second one: a search can keep one per
+// space mapping, and most of them store one entry or none.
+type Memo struct {
 	owner *SpaceAnalyzer
-	ar    *intmat.Arena
+	// The cache: the map once made, else first when held.
+	held  bool
+	key   intmat.TupleKey
+	first Result
 	cache *intmat.VecMap[Result]
 	// peak is the most entries cache has held since it was made: Go
 	// maps never shrink, so it stands for the map's capacity.
@@ -31,11 +54,6 @@ type Scratch struct {
 	// tab is owner's conflict-vector table when tabOK (table.go).
 	tabOK bool
 	tab   conflictTable
-
-	h     intmat.Vector   // Π·W, heap-backed, reused across calls
-	hc    intmat.Vector   // canonical direction of h (primitive, first non-zero > 0)
-	inner []intmat.Vector // reused header slice for the inner null basis
-	basis []intmat.Vector // reused header slice for the combined basis
 }
 
 // scratchCacheLimit bounds the decision cache. A search probes at most
@@ -57,7 +75,10 @@ const scratchKeepSlack = 4
 // scratchKeepMin is the smallest cache a reset ever replaces.
 const scratchKeepMin = 64
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+var (
+	scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+	memoPool    = sync.Pool{New: func() any { return new(Memo) }}
+)
 
 // GetScratch returns a scratch from the package pool.
 func GetScratch() *Scratch {
@@ -81,50 +102,89 @@ func PutScratch(sc *Scratch) {
 	scratchPool.Put(sc)
 }
 
+// GetMemo returns a memo from the package pool.
+func GetMemo() *Memo { return memoPool.Get().(*Memo) }
+
+// PutMemo releases m to the pool without its cache and table: a
+// search keeping a memo per space mapping returns hundreds at once, and
+// pooled memos each keeping the largest storage they ever held would
+// pin megabytes (a corpus replay of joint searches on two goroutines
+// peaked at 19 MB of RSS instead of 14 MB). Drain m's counters first.
+func PutMemo(m *Memo) {
+	*m = Memo{}
+	memoPool.Put(m)
+}
+
 // resetCache empties the decision cache at a cost proportional to what
 // it holds: a cache not much larger than its contents is cleared in
 // place (or left alone when empty), and an oversized one is replaced
 // (see scratchKeepSlack). A search whose conflicts the table answers
 // may store nothing at all, so an empty cache can be oversized too.
-func (sc *Scratch) resetCache() {
-	if sc.cache == nil {
+func (m *Memo) resetCache() {
+	m.held, m.first = false, Result{}
+	if m.cache == nil {
 		return
 	}
-	n := sc.cache.Len()
-	sc.peak = max(sc.peak, n)
-	if sc.peak <= scratchKeepSlack*max(n, scratchKeepMin) {
+	n := m.cache.Len()
+	m.peak = max(m.peak, n)
+	if m.peak <= scratchKeepSlack*max(n, scratchKeepMin) {
 		if n > 0 {
-			sc.cache.Clear()
+			m.cache.Clear()
 		}
 		return
 	}
-	sc.cache, sc.peak = intmat.NewVecMap[Result](n), n
+	m.cache, m.peak = intmat.NewVecMap[Result](n), n
 }
 
 // TakeStats drains and returns the decision counters: table decisions
 // (a conflict found in the conflict-vector table), hit decisions
 // (answered incrementally from a previous decomposition) and miss
 // decisions (decomposed from scratch).
-func (sc *Scratch) TakeStats() (table, hits, misses int64) {
-	table, hits, misses = sc.table, sc.hits, sc.misses
-	sc.table, sc.hits, sc.misses = 0, 0, 0
+func (m *Memo) TakeStats() (table, hits, misses int64) {
+	table, hits, misses = m.table, m.hits, m.misses
+	m.table, m.hits, m.misses = 0, 0, 0
 	return table, hits, misses
 }
 
-// bind points sc at sa, resetting the cache when the analyzer changes
+// bind points m at sa, resetting the cache when the analyzer changes
 // (the cache key is expressed in coordinates of sa.W) and building sa's
-// conflict-vector table when null(S) has dimension tableMinDim or more.
-// One scratch can thus serve a worker's whole sequence of searches,
+// conflict-vector table on sc when null(S) has dimension tableMinDim or
+// more. One memo can thus serve a worker's whole sequence of searches,
 // each paying only for the entries the previous one stored.
-func (sc *Scratch) bind(sa *SpaceAnalyzer) {
-	if sc.owner != sa {
-		sc.owner = sa
-		sc.resetCache()
-		sc.tabOK = len(sa.W) >= tableMinDim && sc.tab.build(sc.ar, sa.W, sa.Set.Upper) == nil
-		if sc.cache == nil {
-			sc.cache, sc.peak = intmat.NewVecMap[Result](scratchKeepMin), scratchKeepMin
+func (m *Memo) bind(sa *SpaceAnalyzer, sc *Scratch) {
+	if m.owner != sa {
+		m.owner = sa
+		m.resetCache()
+		m.tabOK = len(sa.W) >= tableMinDim && sc.built.build(sc.ar, sa.W, sa.Set.Upper) == nil
+		if m.tabOK {
+			m.tab.copyFrom(&sc.built)
 		}
 	}
+}
+
+// load and store are the decision cache's lookup and insertion.
+func (m *Memo) load(key intmat.TupleKey) (Result, bool) {
+	switch {
+	case m.cache != nil:
+		return m.cache.Load(key)
+	case m.held && m.key == key:
+		return m.first, true
+	}
+	return Result{}, false
+}
+
+func (m *Memo) store(key intmat.TupleKey, res Result) {
+	switch {
+	case m.cache != nil:
+	case !m.held:
+		m.held, m.key, m.first = true, key, res
+		return
+	default:
+		m.cache = intmat.NewVecMap[Result](0)
+		m.cache.Store(m.key, m.first)
+		m.held, m.first = false, Result{}
+	}
+	m.cache.Store(key, res)
 }
 
 // project returns h = Π·W in sc's reused storage, or ErrRank when it is
@@ -155,27 +215,34 @@ func (sa *SpaceAnalyzer) project(sc *Scratch, pi intmat.Vector) (intmat.Vector, 
 }
 
 // DecideScratch is Decide with scratch-backed storage, the
-// conflict-vector table and the decision cache. It returns exactly the
-// verdict Decide would. When sc holds sa's table of in-box null(S)
-// vectors (table.go, built by bind), a Π that annihilates one of them
-// has a conflict, reported with that vector as witness and Method
-// "conflict-table". Every other Π goes to the cache: on a miss it runs
-// decideFresh, the routine Decide runs; on a hit the stored Result is
-// returned as-is — its verdict is valid for every Π with the same h
-// line because the conflict-vector lattice W·null(h) depends only on
-// that line, though the Method and Witness reflect the candidate that
-// populated the entry. Callers must treat the Result (including any Witness) as
-// read-only; it may be shared with the cache, and a table witness is
-// valid only until sc is bound to another analyzer or released.
+// conflict-vector table and the decision cache of sc's own Memo; see
+// DecideMemo.
 func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, error) {
-	sc.bind(sa)
+	return sa.DecideMemo(sc, &sc.Memo, pi)
+}
+
+// DecideMemo is Decide with sc's storage and m's conflict-vector table
+// and decision cache. It returns exactly the verdict Decide would. When
+// m holds sa's table of in-box null(S) vectors (table.go, built by
+// bind), a Π that annihilates one of them has a conflict, reported with
+// that vector as witness and Method "conflict-table". Every other Π
+// goes to the cache: on a miss it runs decideFresh, the routine Decide
+// runs; on a hit the stored Result is returned as-is — its verdict is
+// valid for every Π with the same h line because the conflict-vector
+// lattice W·null(h) depends only on that line, though the Method and
+// Witness reflect the candidate that populated the entry. Callers must
+// treat the Result (including any Witness) as read-only; it may be
+// shared with the cache, and a table witness is valid only until m is
+// bound to another analyzer or released.
+func (sa *SpaceAnalyzer) DecideMemo(sc *Scratch, m *Memo, pi intmat.Vector) (Result, error) {
+	m.bind(sa, sc)
 	h, err := sa.project(sc, pi)
 	if err != nil {
 		return Result{}, err
 	}
-	if sc.tabOK && boxNormFits(pi, sa.Set.Upper) {
-		if w, ok := sc.tab.scan(h); ok {
-			sc.table++
+	if m.tabOK && boxNormFits(pi, sa.Set.Upper) {
+		if w, ok := m.tab.scan(h); ok {
+			m.table++
 			return Result{Witness: w, Method: "conflict-table"}, nil
 		}
 	}
@@ -183,22 +250,21 @@ func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, e
 	copy(hc, h)
 	canonicalizeDirection(hc)
 	key := intmat.KeyFor(hc)
-	if res, ok := sc.cache.Load(key); ok {
-		sc.hits++
+	if res, ok := m.load(key); ok {
+		m.hits++
 		return res, nil
 	}
-	sc.misses++
+	m.misses++
 	res, err := sa.decideFresh(sc, h)
 	if err != nil {
 		return Result{}, err
 	}
 	// The ladder only ever returns heap vectors (Canonical copies), so
 	// the Result is safe to retain past the next arena Reset.
-	if n := sc.cache.Len(); n >= scratchCacheLimit {
-		sc.peak = max(sc.peak, n)
-		sc.cache.Clear()
+	if m.cache != nil && m.cache.Len() >= scratchCacheLimit {
+		m.resetCache()
 	}
-	sc.cache.Store(key, res)
+	m.store(key, res)
 	return res, nil
 }
 

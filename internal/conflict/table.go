@@ -112,6 +112,15 @@ func (t *conflictTable) build(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vec
 	})
 }
 
+// copyFrom makes t a copy of b in t's storage, growing it to exactly
+// what b holds when it is short.
+func (t *conflictTable) copyFrom(b *conflictTable) {
+	t.q, t.n = b.q, b.n
+	t.beta = append(t.beta[:0], b.beta...)
+	t.id = append(t.id[:0], b.id...)
+	t.gamma = append(t.gamma[:0], b.gamma...)
+}
+
 // exactWitness is the exact decision of Theorem 2.2 on a lattice basis
 // w: it returns a heap copy of the first vector walkBox visits, the
 // canonical non-feasible conflict vector, or nil when the box holds no

@@ -10,7 +10,7 @@ import (
 
 // This file counts processor images |S(J)|, which the joint and Pareto
 // searches need once per evaluated space mapping, plus the per-row
-// lower bound that prunes space mappings before their inner search.
+// lower bound that prunes space mappings the searches cannot use.
 
 // imageCounter holds the reusable buffers of the image-count kernels.
 // The package functions borrow one from imageCounters, so the searches

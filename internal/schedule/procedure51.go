@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +28,9 @@ import (
 //  4. when a machine is configured, realizability SD = PK within slack.
 //
 // Within one objective level candidates are visited in lexicographic
-// order, making the result deterministic.
+// order, making the result deterministic. It is the level walk of the
+// joint search (levelWalk) with one space mapping, on the calling
+// goroutine.
 func FindOptimal(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*Result, error) {
 	return FindOptimalContext(context.Background(), algo, s, opts)
 }
@@ -36,8 +40,10 @@ func FindOptimal(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*Result,
 // so a cancelled or expired context stops the search promptly. When the
 // context ends before a schedule is found the context's error is
 // returned (not ErrNoSchedule — an interrupted search proves nothing
-// about feasibility).
-func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*Result, error) {
+// about feasibility). An int64 overflow anywhere in the search is
+// returned as an error.
+func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (_ *Result, err error) {
+	defer intmat.Guard(&err)
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -47,305 +53,382 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 	if s.Cols() != algo.Dim() {
 		return nil, fmt.Errorf("schedule: S has %d columns, algorithm dimension is %d", s.Cols(), algo.Dim())
 	}
-	// The factored analyzer caches the Π-independent null(S) basis so
-	// each candidate costs a handful of gcd steps instead of a full
-	// Hermite reduction; it is exact (theorem certificates with an
-	// enumeration fallback).
-	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	// One span per Π search, with a child per cost level.
+	ctx, span := trace.Start(ctx, "pi-search")
+	defer span.End()
+	startAt := time.Now()
+	stats := &statsCollector{}
+	j := getLevelWalk(algo, &SpaceOptions{Schedule: *opts}, stats, 1)
+	defer j.release()
+	if err := j.add(s, 0, 0, &j.sc.Memo); err != nil {
+		return nil, err
+	}
+	best, err := j.run(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	return findOptimalWith(ctx, algo, s, opts, analyzer, nil)
-}
-
-// ctxCheckMask paces the in-level cancellation checks: a walk step or
-// a rejected candidate costs nanoseconds, so a level walk polls the
-// context once every 256 steps, and the level-synchronous evaluation
-// once every 256 candidates (plus once per level).
-const ctxCheckMask = 255
-
-// innerEnv is what a joint or Pareto call lends each of its inner Π
-// searches: the call's shared counters and the calling worker's state,
-// which that worker keeps for the whole call.
-type innerEnv struct {
-	stats *statsCollector
-	ws    *workerState // nil: the search takes its own from the pools
-}
-
-// findOptimalWith is the enumeration engine behind FindOptimal with a
-// caller-supplied factored analyzer. The joint optimizer
-// (spaceopt.go) builds one analyzer per space-mapping candidate and
-// shares it between this search and the array-metric evaluation, so the
-// Π-independent Hermite work happens exactly once per S.
-//
-// env is nil for a top-level search, which owns a fresh collector,
-// attaches its snapshot to the winning Result and formats ErrNoSchedule
-// with the algorithm, S and the cost bound. An inner search (non-nil
-// env) adds its level and candidate counts to env.stats once, at its
-// end, and reports a bare ErrNoSchedule: its caller only tests for the
-// sentinel. Each level is walked by a piWalker, which visits only the Π
-// passing ΠD ≥ 1 and counts the rest: a level adds its winner's
-// ordinal + 1, or its raw size when no Π wins — at any worker count.
-// An int64 overflow anywhere in the search is returned as an error.
-func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, env *innerEnv) (_ *Result, err error) {
-	ownStats := env == nil
-	var stats *statsCollector
-	var ws *workerState
-	if ownStats {
-		stats = &statsCollector{}
-	} else {
-		stats, ws = env.stats, env.ws
+	if best == nil {
+		return nil, fmt.Errorf("%w: algorithm %q, S =\n%v, cost ≤ %d", ErrNoSchedule, algo.Name, s, maxCostOr(opts.MaxCost, algo.Set))
 	}
-	// One span per Π search: a top-level Procedure 5.1 run gets its own,
-	// and each joint-search inner search becomes a child of its worker
-	// span. Candidate counts land as attributes at the end — per-span
-	// totals, never per-candidate spans.
-	ctx, span := trace.Start(ctx, "pi-search")
-	candidates := 0
-	levels := int64(0)
-	defer func() {
-		span.SetInt("candidates", int64(candidates))
-		span.SetInt("levels", levels)
-		if err != nil {
-			span.SetStr("error", err.Error())
-		}
-		span.End()
-	}()
-	defer intmat.Guard(&err)
-	startAt := time.Now()
-	maxCost, minCost := maxCostOr(opts.MaxCost, algo.Set), max(opts.MinCost, 1)
-	if opts.MinimizeBuffers && opts.Machine == nil {
-		return nil, fmt.Errorf("schedule: MinimizeBuffers requires a Machine")
-	}
-	// One conflict scratch per evaluation worker, held across cost
-	// levels: the scratch's decision cache is what makes neighbouring
-	// candidates incremental (adjacent levels re-probe the same h
-	// lines), so it must survive level boundaries. A sequential inner
-	// search uses the worker state its caller lends; otherwise the
-	// states come from the pools, and their counters drain into stats
-	// before the snapshot and again — idempotently — when they are
-	// released.
-	var own *workerStates
-	if ws == nil || opts.Workers > 1 {
-		own = newWorkerStates(algo, opts.Workers, max(opts.Workers, 1))
-		defer own.release(stats)
-		ws = own.get(0)
-	}
-	wk := ws.walk
-	cctx := newCandCtx(algo, s, opts, analyzer, wk.depCols)
-	levelSync := opts.Workers > 1 || opts.MinimizeBuffers
-	done := ctx.Done()
-	var lv *levelPassers // the level-synchronous path's passers, reused across levels
-	var found *Result
-	for cost := minCost; cost <= maxCost && found == nil; cost++ {
-		if isDone(done) {
-			return nil, ctx.Err()
-		}
-		levels++
-		// Cost-level spans only for a top-level search: a joint run's
-		// hundreds of inner searches would multiply them into noise
-		// (and through the per-trace span cap), while their level
-		// counts are already on the pi-search span.
-		var levelSpan *trace.Span
-		if ownStats {
-			_, levelSpan = trace.Start(ctx, "level")
-			levelSpan.SetInt("cost", cost)
-		}
-		var seen int64
-		if levelSync {
-			// Level-synchronous evaluation: test the level's ΠD ≥ 1
-			// passers (in parallel when configured), then apply the
-			// deterministic selection rule over all of them.
-			if lv == nil {
-				lv = &levelPassers{n: len(wk.pi)}
-			}
-			lv.pis, lv.ords = lv.pis[:0], lv.ords[:0]
-			seen, err = wk.walk(ctx, cost, func(pi intmat.Vector, ord int64) bool {
-				lv.pis = append(lv.pis, pi...)
-				lv.ords = append(lv.ords, ord)
-				return true
-			})
-			if err == nil {
-				results := evaluateLevel(ctx, lv, cctx, ws.sc, own)
-				// A context that ended mid-level may have left earlier
-				// (potentially winning) candidates unevaluated, so the
-				// level's verdict cannot be trusted — report the
-				// interruption instead.
-				if isDone(done) {
-					err = ctx.Err()
-				} else if i := pickWinner(results, opts); i >= 0 {
-					found = results[i]
-					if !opts.MinimizeBuffers {
-						seen = lv.ords[i] + 1
-					}
-				}
-			}
-		} else {
-			// Sequential fast path: the first passer in enumeration
-			// order wins, so evaluation can stop early.
-			seen, err = wk.walk(ctx, cost, func(pi intmat.Vector, _ int64) bool {
-				r, ok := cctx.tryValid(pi, ws.sc)
-				if ok {
-					found = r
-				}
-				return !ok
-			})
-		}
-		candidates += int(seen)
-		levelSpan.SetInt("candidates", seen)
-		levelSpan.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	stats.costLevels.Add(levels)
-	stats.scheduleCandidates.Add(int64(candidates))
-	if ownStats {
-		own.release(stats)
-	}
-	// An arithmetic overflow recorded by a worker invalidates the whole
-	// run — the enumeration may have mis-ranked candidates — and takes
-	// precedence over both a winner and ErrNoSchedule.
-	if err := cctx.takeErr(); err != nil {
-		return nil, err
-	}
-	if found == nil {
-		if !ownStats {
-			return nil, ErrNoSchedule
-		}
-		return nil, fmt.Errorf("%w: algorithm %q, S =\n%v, cost ≤ %d", ErrNoSchedule, algo.Name, s, maxCost)
-	}
-	found.Candidates = candidates
-	found.Method = "procedure-5.1"
+	found := best.res
 	if opts.SelfCheck {
 		if err := runSelfCheck(found.Mapping); err != nil {
 			return nil, err
 		}
 	}
-	if ownStats {
-		elapsed := time.Since(startAt)
-		found.Stats = stats.snapshot("procedure-5.1", max(opts.Workers, 1), 0, elapsed, elapsed)
-		found.Stats.annotateSpan(span)
-		found.Trace = trace.SummaryFromContext(ctx)
-	}
+	elapsed := time.Since(startAt)
+	found.Stats = stats.snapshot("procedure-5.1", 1, 0, elapsed, elapsed)
+	found.Stats.annotateSpan(span)
+	found.Trace = trace.SummaryFromContext(ctx)
 	return found, nil
 }
 
-// levelPassers is one level's ΠD ≥ 1 passers, gathered for the
-// level-synchronous path: the Π back to back, n entries each, and each
-// one's ordinal among all Π of the level.
-type levelPassers struct {
-	n    int
-	pis  []int64
-	ords []int64
-}
+// ctxCheckMask paces the in-level cancellation checks: a walk step
+// costs nanoseconds, so a level walk polls the context once every 256
+// steps.
+const ctxCheckMask = 255
 
-// pi returns entry i as a read-only view into the level's storage.
-func (lv *levelPassers) pi(i int) intmat.Vector {
-	return intmat.Vector(lv.pis[i*lv.n : (i+1)*lv.n : (i+1)*lv.n])
-}
+// walkChunk is how many passers a walk of several S buffers before it
+// tests them S by S, on the helpers too, and closes the S that cannot
+// win. (A variable, so tests can move the boundaries.)
+var walkChunk = 256
 
-// evaluateLevel runs tests 2–4 on one objective level's ΠD > 0
-// passers, fanning the work across opts.Workers goroutines. The result
-// slice is aligned with the level's entries (nil = rejected), so
-// selection order is independent of scheduling. A done context stops
-// the evaluation early (checked once per chunk); the caller detects the
-// interruption via ctx.Err.
+// walkFanoutMin is the fewest decisions (open S × buffered passers) a
+// chunk hands to the helper goroutines; a smaller one is tested on the
+// walking goroutine alone, as waking the helpers would cost more.
+const walkFanoutMin = 64
+
+// levelWalk is Procedure 5.1 for many space mappings at once, the
+// engine of FindOptimal (one S) and of the joint search (every
+// candidate S). ΠD ≥ 1 depends on D and μ alone, so one walk of the
+// objective levels, from max(MinCost, 1) up, serves every live S: each
+// passer is tested against every S still open, each S with its own
+// analyzer and decision memo, which it keeps for the whole call. The
+// first level where some S has a conflict-free passer holds the
+// optimum time; the walk finishes it, so each S keeps the passer its
+// own search would pick — its first conflict-free passer in walk
+// order, or its fewest-buffer one under MinimizeBuffers — and jointLess
+// selects among them. With prune set, an S whose cost lower bound
+// exceeds the best exact cost found at that level is closed, as is a
+// settled S costing more.
 //
-// A sequential evaluation uses sc; goroutine w of a parallel one uses
-// the conflict scratch of own's worker state w — scratches are
-// single-owner, and this indexing keeps each one on exactly one
-// goroutine per level while its decision cache persists across levels.
-func evaluateLevel(ctx context.Context, lv *levelPassers, cctx *candCtx, sc *conflict.Scratch, own *workerStates) []*Result {
-	results := make([]*Result, len(lv.ords))
-	workers := cctx.opts.Workers
-	done := ctx.Done()
-	if workers <= 1 {
-		for i := range results {
-			if i&ctxCheckMask == 0 && isDone(done) {
-				return results
-			}
-			if r, ok := cctx.tryValid(lv.pi(i), sc); ok {
-				results[i] = r
-			}
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	next := int64(0)
-	// Many candidates are rejected in nanoseconds (the scratch's
-	// decision cache answers repeated h lines), so workers claim chunks
-	// rather than single indexes — per-item atomics would cost more than
-	// the work itself.
-	const chunk = 512
-	// bestIdx is a monotone watermark: once a passer at index i exists,
-	// later indexes cannot win the earliest-passer rule, so workers skip
-	// them. Under MinimizeBuffers every passer matters and the watermark
-	// stays disabled.
-	n := int64(len(results))
-	bestIdx := n
-	useWatermark := !cctx.opts.MinimizeBuffers
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *conflict.Scratch) {
-			defer wg.Done()
-			for {
-				if isDone(done) {
-					return
-				}
-				lo := (atomic.AddInt64(&next, 1) - 1) * chunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+chunk, n)
-				if useWatermark && lo > atomic.LoadInt64(&bestIdx) {
-					continue
-				}
-				for i := lo; i < hi; i++ {
-					if useWatermark && i > atomic.LoadInt64(&bestIdx) {
-						break
-					}
-					if r, ok := cctx.tryValid(lv.pi(int(i)), sc); ok {
-						results[i] = r
-						if useWatermark {
-							for {
-								cur := atomic.LoadInt64(&bestIdx)
-								if i >= cur || atomic.CompareAndSwapInt64(&bestIdx, cur, i) {
-									break
-								}
-							}
-						}
-					}
-				}
-			}
-		}(own.get(w).sc)
-	}
-	wg.Wait()
-	return results
+// A walk of several S buffers its passers in chunks and tests each
+// chunk S by S, which keeps one S's memo hot across the chunk; with
+// workers ≥ 2, helper goroutines held for the whole call split the open
+// S of each chunk with the walking goroutine. Every S sees its passers
+// in walk order whoever tests it, and S are closed only at chunk
+// boundaries, so every decision and count is the same at any worker
+// count. A lone S (FindOptimal) tests each passer as the walk visits
+// it, so the walk stops at its pick.
+type levelWalk struct {
+	algo   *uda.Algorithm
+	opts   Options // the options of the step-5 tests
+	weight int64
+	prune  bool
+	stats  *statsCollector
+	live   []walkS
+	wk     *piWalker
+	sc     *conflict.Scratch // the walking goroutine's
+	pis    []int64           // the passers buffered for testing, n entries each
+	ords   []int64           // each buffered passer's ordinal in its level
+	open   int               // the S open at the last closing
+	errs   firstErr
+	done   <-chan struct{}
+
+	// Each helper waits for a token on start per chunk it is handed,
+	// claims S through next with the walking goroutine, and reports the
+	// token done on wg.
+	helpers int
+	start   chan struct{}
+	next    atomic.Int64
+	wg      sync.WaitGroup
 }
 
-// pickWinner applies the deterministic selection rule to one level's
-// results and returns the winner's index, or −1: earliest passer, or —
-// under MinimizeBuffers — the passer with the fewest total buffers
-// (earliest among equals).
-func pickWinner(results []*Result, opts *Options) int {
-	best := -1
-	for i, r := range results {
-		if r == nil {
-			continue
+// walkS is one live space mapping of a walk and what it found.
+type walkS struct {
+	cctx     candCtx // its step-5 state: S, analyzer and decision memo
+	wire, lb int64   // its wire term and its cost lower bound
+	// res is its pick at the final level, ord the pick's ordinal in the
+	// level, procs and cost its exact array metrics once res is set
+	// (when the walk has several S to rank).
+	res         *Result
+	ord         int64
+	procs, cost int64
+	closed      bool // no longer tested
+}
+
+var walkPool = sync.Pool{New: func() any { return new(levelWalk) }}
+
+// getLevelWalk returns a pooled walk prepared for up to n live S. The
+// step-5 tests certify nothing: callers self-check their winner.
+func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *statsCollector, n int) *levelWalk {
+	j := walkPool.Get().(*levelWalk)
+	*j = levelWalk{algo: algo, opts: opts.Schedule, weight: wireWeightOrDefault(opts), prune: !opts.NoPrune,
+		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0], ords: j.ords[:0],
+		wk: getWalker(algo), sc: conflict.GetScratch()}
+	j.opts.Workers, j.opts.SelfCheck = 0, false
+	return j
+}
+
+// add makes s a live S of the walk, with its wire term, cost lower
+// bound and decision memo: a pooled one, or for a lone S the walking
+// scratch's own, which the scratch pool keeps warm between searches.
+func (j *levelWalk) add(s *intmat.Matrix, wire, lb int64, memo *conflict.Memo) error {
+	analyzer, err := conflict.NewSpaceAnalyzer(s, j.algo.Set)
+	if err != nil {
+		return err
+	}
+	j.live = append(j.live, walkS{wire: wire, lb: lb, cctx: candCtx{algo: j.algo, s: s, opts: &j.opts,
+		analyzer: analyzer, depCols: j.wk.depCols, memo: memo, firstErr: &j.errs}})
+	return nil
+}
+
+// run walks the levels and returns the winning S, its res completed
+// with the Procedure 5.1 count and method, or nil when no level up to
+// MaxCost has a conflict-free passer for any S. Each level gets a
+// "level" span; the span of ctx gets the walk's counts, and stats its
+// counts and the memos' decision counters.
+func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) {
+	candidates, levels := int64(0), int64(0)
+	defer func() {
+		for i := range j.live {
+			j.stats.drainMemo(j.live[i].cctx.memo)
 		}
-		if best < 0 {
-			best = i
-			if !opts.MinimizeBuffers {
-				return best
+		j.stats.costLevels.Add(levels)
+		j.stats.scheduleCandidates.Add(candidates)
+		span := trace.FromContext(ctx)
+		span.SetInt("candidates", candidates)
+		span.SetInt("levels", levels)
+	}()
+	if j.opts.MinimizeBuffers && j.opts.Machine == nil {
+		return nil, errors.New("schedule: MinimizeBuffers requires a Machine")
+	}
+	if len(j.live) == 0 {
+		return nil, nil
+	}
+	j.done, j.open = ctx.Done(), len(j.live)
+	j.spawn(ctx, workers)
+	visit := j.visit
+	var below, seen int64 // the raw Π of the levels below the current one, and of it
+	var best *walkS
+	var bestR JointResult
+	maxCost := maxCostOr(j.opts.MaxCost, j.algo.Set)
+	for cost := max(j.opts.MinCost, 1); cost <= maxCost && best == nil; cost++ {
+		if isDone(j.done) {
+			return nil, ctx.Err()
+		}
+		levels++
+		below += seen
+		_, levelSpan := trace.Start(ctx, "level")
+		levelSpan.SetInt("cost", cost)
+		seen, err = j.wk.walk(ctx, cost, visit)
+		if err == nil && len(j.ords) > 0 {
+			j.flush()
+		}
+		if err == nil {
+			err = j.errs.takeErr()
+		}
+		if err == nil && isDone(j.done) {
+			err = ctx.Err()
+		}
+		levelSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		last := int64(-1) // the latest pick in the level
+		for i := range j.live {
+			js := &j.live[i]
+			if js.res == nil {
+				continue
 			}
-			continue
+			if r := js.joint(); best == nil || jointLess(&r, &bestR) {
+				best, bestR = js, r
+			}
+			last = max(last, js.ord)
 		}
-		if r.Decomp.TotalBuffers() < results[best].Decomp.TotalBuffers() {
-			best = i
+		// The level's count is what a search stopping at its last pick
+		// counts — all of the level under MinimizeBuffers.
+		if best != nil && !j.opts.MinimizeBuffers {
+			seen = last + 1
+		}
+		candidates += seen
+	}
+	if best == nil {
+		return nil, nil
+	}
+	// What the winner's own Procedure 5.1 search counts: every Π below
+	// its level, and those of its level up to its pick.
+	count := below + seen
+	if !j.opts.MinimizeBuffers {
+		count = below + best.ord + 1
+	}
+	best.res.Candidates, best.res.Method = int(count), "procedure-5.1"
+	return best, nil
+}
+
+// joint is js's pick as a joint result.
+func (js *walkS) joint() JointResult {
+	return JointResult{
+		SpaceResult:    SpaceResult{Mapping: js.res.Mapping, Processors: js.procs, WireLength: js.wire, Cost: js.cost, Time: js.res.Time},
+		ScheduleResult: js.res,
+	}
+}
+
+// visit takes the walk's next passer and reports whether the walk
+// should go on: it buffers the passer, flushing every walkChunk of
+// them, or tests it at once against a lone S.
+func (j *levelWalk) visit(pi intmat.Vector, ord int64) bool {
+	if len(j.live) > 1 {
+		j.pis, j.ords = append(j.pis, pi...), append(j.ords, ord)
+		return len(j.ords) < walkChunk || j.flush()
+	}
+	j.try(&j.live[0], pi, ord, j.sc)
+	return !j.live[0].closed
+}
+
+// flush tests the buffered passers against every open S, on the helpers
+// too when there is enough work, and then closes the S that can no
+// longer win.
+func (j *levelWalk) flush() bool {
+	j.next.Store(0)
+	if j.helpers > 0 && j.open*len(j.ords) >= walkFanoutMin {
+		j.wg.Add(j.helpers)
+		for range j.helpers {
+			j.start <- struct{}{}
+		}
+		j.claim(j.sc)
+		j.wg.Wait()
+	} else {
+		j.claim(j.sc)
+	}
+	j.pis, j.ords = j.pis[:0], j.ords[:0]
+	return j.close()
+}
+
+// close closes every S that can no longer win: one whose cost — or,
+// unsettled, cost lower bound — exceeds the best exact cost settled so
+// far. It reports whether the walk should go on: some S is open, and
+// nothing failed or was cancelled.
+func (j *levelWalk) close() bool {
+	best := int64(math.MaxInt64)
+	for i := range j.live {
+		if js := &j.live[i]; js.res != nil {
+			best = min(best, js.cost)
 		}
 	}
-	return best
+	j.open = 0
+	for i := range j.live {
+		js := &j.live[i]
+		bound := js.lb
+		if js.res != nil {
+			bound = js.cost
+		}
+		if j.prune && bound > best {
+			js.closed = true
+		}
+		if !js.closed {
+			j.open++
+		}
+	}
+	return j.open > 0 && !isDone(j.done) && j.errs.takeErr() == nil
+}
+
+// claim tests the buffered passers against open S, claimed one at a
+// time, with scratch sc, and returns how many it tested.
+func (j *levelWalk) claim(sc *conflict.Scratch) (claimed int64) {
+	var err error // an overflow, which must fail the search, not the process
+	defer func() {
+		if err != nil {
+			j.errs.recordErr(err)
+		}
+	}()
+	defer intmat.Guard(&err)
+	for {
+		i := int(j.next.Add(1) - 1)
+		if i >= len(j.live) || isDone(j.done) {
+			return claimed
+		}
+		if js := &j.live[i]; !js.closed {
+			j.test(js, sc)
+			claimed++
+		}
+	}
+}
+
+// test runs the buffered passers, in walk order, through try until js
+// closes.
+func (j *levelWalk) test(js *walkS, sc *conflict.Scratch) {
+	n := j.wk.n
+	for i, ord := range j.ords {
+		if j.try(js, j.pis[i*n:(i+1)*n:(i+1)*n], ord, sc); js.closed {
+			return
+		}
+	}
+}
+
+// try runs passer pi, the ord-th Π of its level, through the step-5
+// tests of js. The first conflict-free passer settles js, closing it —
+// or, under MinimizeBuffers, js keeps testing the level for the passer
+// with the fewest buffers (the first among equals).
+func (j *levelWalk) try(js *walkS, pi intmat.Vector, ord int64, sc *conflict.Scratch) {
+	r, ok := js.cctx.tryValid(pi, sc)
+	switch {
+	case !ok:
+		return
+	case js.res == nil && len(j.live) > 1:
+		js.procs = countProcessorImages(js.cctx.s, j.algo.Set)
+		js.cost = js.procs + j.weight*js.wire
+	case js.res != nil && r.Decomp.TotalBuffers() >= js.res.Decomp.TotalBuffers():
+		return
+	}
+	js.res, js.ord = r, ord
+	js.closed = !j.opts.MinimizeBuffers
+}
+
+// spawn starts the walk's helper goroutines for workers ≥ 2, each under
+// a "worker" span and with its own scratch.
+func (j *levelWalk) spawn(ctx context.Context, workers int) {
+	j.helpers = effectiveWorkers(workers, len(j.live)) - 1
+	if j.helpers == 0 {
+		return
+	}
+	j.start = make(chan struct{}, j.helpers) // one token per helper and chunk
+	for w := 1; w <= j.helpers; w++ {
+		go func() {
+			_, span := trace.Start(ctx, "worker")
+			span.SetInt("worker", int64(w))
+			sc := conflict.GetScratch()
+			claimed := int64(0)
+			for range j.start {
+				claimed += j.claim(sc)
+				j.wg.Done()
+			}
+			conflict.PutScratch(sc)
+			span.SetInt("claimed", claimed)
+			span.End()
+			j.wg.Done()
+		}()
+	}
+}
+
+// release stops the helpers and returns the memos, the scratch, the
+// walker and j itself to their pools.
+func (j *levelWalk) release() {
+	if j.start != nil {
+		j.wg.Add(j.helpers)
+		close(j.start)
+		j.wg.Wait()
+	}
+	for i := range j.live {
+		if m := j.live[i].cctx.memo; m != &j.sc.Memo {
+			conflict.PutMemo(m)
+		}
+	}
+	conflict.PutScratch(j.sc)
+	putWalker(j.wk)
+	clear(j.live)
+	*j = levelWalk{live: j.live[:0], pis: j.pis, ords: j.ords}
+	walkPool.Put(j)
 }
 
 // candCtx carries the per-search state of Procedure 5.1's step-5 tests:
@@ -357,36 +440,36 @@ type candCtx struct {
 	opts     *Options
 	analyzer *conflict.SpaceAnalyzer
 	depCols  []intmat.Vector
-
-	// errMu guards err, the first failure observed by any worker. try
-	// runs inside evaluateLevel's goroutines, where a panic would crash
-	// the process instead of unwinding to the caller's Guard — so
-	// failures are captured here and re-surfaced by takeErr.
-	errMu sync.Mutex
-	err   error
+	// memo is the decision state of S when the search keeps one per S;
+	// nil uses the state of each worker's scratch.
+	memo *conflict.Memo
+	// firstErr receives the search's failures; a joint walk shares one
+	// between all its S.
+	*firstErr
 }
+
+// firstErr keeps the first failure any worker of a search records;
+// later ones are dropped. Decisions run inside worker goroutines, where
+// a panic would crash the process instead of unwinding to the caller's
+// Guard — so failures are captured here (by tryValid, or around a
+// worker's loop) and re-surfaced by takeErr.
+type firstErr struct{ err atomic.Pointer[error] }
 
 // newCandCtx builds the step-5 state for one S. depCols are algo's
 // dependence columns already extracted (a walker's); only bufferDepth
 // reads them.
 func newCandCtx(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, depCols []intmat.Vector) *candCtx {
-	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, depCols: depCols}
+	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, depCols: depCols, firstErr: new(firstErr)}
 }
 
-// recordErr stores the first failure; later ones are dropped.
-func (c *candCtx) recordErr(err error) {
-	c.errMu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.errMu.Unlock()
-}
+func (f *firstErr) recordErr(err error) { f.err.CompareAndSwap(nil, &err) }
 
 // takeErr returns the recorded failure, if any.
-func (c *candCtx) takeErr() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.err
+func (f *firstErr) takeErr() error {
+	if err := f.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // try applies the four tests of Procedure 5.1's step 5 to a single Π
@@ -401,14 +484,19 @@ func (c *candCtx) try(pi intmat.Vector) (*Result, bool) {
 }
 
 // tryValid is try on a Π already known to satisfy ΠD > 0 (one a walker
-// visits): tests 2–4 only, with the caller's conflict scratch. The
+// visits): tests 2–4 only, with the caller's conflict scratch and the
+// decision memo of S (c.memo, or else the scratch's own). The
 // analyzer subsumes the rank(T) = k test: it reports ErrRank exactly
 // when Π is a rational combination of S's rows, which rejects Π. Any
 // other decision error is recorded (recordErr) and fails the search:
 // treating it as a rejection could report a later Π as optimal.
 func (c *candCtx) tryValid(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
 	algo, s, opts := c.algo, c.s, c.opts
-	res, err := c.analyzer.DecideScratch(sc, pi)
+	memo := c.memo
+	if memo == nil {
+		memo = &sc.Memo
+	}
+	res, err := c.analyzer.DecideMemo(sc, memo, pi)
 	if err != nil {
 		if !errors.Is(err, conflict.ErrRank) {
 			c.recordErr(err)

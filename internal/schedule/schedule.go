@@ -147,20 +147,12 @@ type Options struct {
 	// paper's appendix (and condition 5 of its reference [23]). Only
 	// meaningful together with Machine.
 	RequireSingleHop bool
-	// Workers sets the number of goroutines evaluating candidates in
-	// FindOptimal (0 or 1 = sequential). The result is deterministic
-	// regardless of parallelism: within one objective level every
-	// passing candidate is collected and the one earliest in
-	// enumeration order wins, exactly as in the sequential search.
-	//
-	// Parallelism pays off only on searches that test hundreds of
-	// millions of Π, and only with real cores to spare: most candidate
-	// tests take tens of nanoseconds, and the sequential path stops at
-	// the first passer. FindOptimal on a 2-core VM, Workers = 2 against
-	// Workers = 1: bit-level convolution (3, 2, 2) 0.60–0.69 ms against
-	// 0.30–0.39 ms; matmul μ = 40 8.3–8.9 ms against 3.0–4.7 ms;
-	// bit-matmul μ = (3, 3) with S = (1, 1, 1, 0, 0), 555 M candidates,
-	// 2.96–3.29 s against 3.78–3.84 s. See BenchmarkParallelSearch.
+	// Workers sets the number of goroutines that split the space
+	// mappings of a joint, Pareto or Problem 6.1 search (0 or 1 =
+	// sequential); the result is the same at any count. FindOptimal
+	// searches its one S on the calling goroutine: most candidate tests
+	// take tens of nanoseconds, and splitting one level's passers paid
+	// off only on searches testing hundreds of millions of Π.
 	Workers int
 	// MinimizeBuffers breaks ties among time-optimal schedules by the
 	// total buffer count of the machine realization (the paper's

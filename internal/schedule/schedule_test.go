@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"lodim/internal/array"
@@ -275,15 +276,6 @@ func TestFindOptimalNoSolution(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Errorf("message %q, want %q", err, want)
 	}
-	// An inner search of a joint or Pareto call reports the bare
-	// sentinel: its caller tests for it and drops any message.
-	analyzer, aerr := conflict.NewSpaceAnalyzer(s, algo.Set)
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	if _, err := findOptimalWith(context.Background(), algo, s, &Options{MaxCost: 3}, analyzer, &innerEnv{stats: &statsCollector{}}); err != ErrNoSchedule {
-		t.Errorf("inner search: err = %v, want the bare ErrNoSchedule", err)
-	}
 }
 
 func TestFindOptimalShapeError(t *testing.T) {
@@ -385,9 +377,9 @@ func TestFindOptimalIsTrulyOptimal(t *testing.T) {
 	}
 }
 
-// TestParallelSearchDeterministic: the parallel evaluator must return
-// exactly the sequential result — value, Candidates and the
-// ScheduleCandidates counter — for every worker count.
+// TestParallelSearchDeterministic: FindOptimal returns exactly the
+// sequential result — value, Candidates and the ScheduleCandidates
+// counter — for every worker count.
 func TestParallelSearchDeterministic(t *testing.T) {
 	cases := []struct {
 		algo *uda.Algorithm
@@ -506,6 +498,224 @@ func referenceSearch(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix) refere
 	return referenceResult{}
 }
 
+// referenceProcedure51 is Procedure 5.1 for one S as FindOptimal ran it
+// before the level walk: each level walked by a piWalker, its passers
+// tested in walk order with one scratch, until the first conflict-free
+// one (the fewest-buffer one of the level under MinimizeBuffers). It
+// returns nil when no level up to MaxCost has one.
+func referenceProcedure51(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix, opts *Options) *Result {
+	t.Helper()
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk := getWalker(algo)
+	defer putWalker(wk)
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
+	cctx := newCandCtx(algo, s, opts, analyzer, wk.depCols)
+	candidates := int64(0)
+	for cost := max(opts.MinCost, 1); cost <= maxCostOr(opts.MaxCost, algo.Set); cost++ {
+		var found *Result
+		seen, err := wk.walk(context.Background(), cost, func(pi intmat.Vector, _ int64) bool {
+			r, ok := cctx.tryValid(pi, sc)
+			if ok && (found == nil || r.Decomp.TotalBuffers() < found.Decomp.TotalBuffers()) {
+				found = r
+			}
+			return !ok || opts.MinimizeBuffers
+		})
+		if err == nil {
+			err = cctx.takeErr()
+		}
+		if err != nil {
+			t.Fatalf("%s: S =\n%v: %v", algo.Name, s, err)
+		}
+		if candidates += seen; found != nil {
+			found.Candidates, found.Method = int(candidates), "procedure-5.1"
+			return found
+		}
+	}
+	return nil
+}
+
+// referenceJoint is the S-major joint search that the level walk
+// replaced, at one worker: one referenceProcedure51 search per orbit
+// representative S in candidate order, each bounded by the best time
+// found so far, and, once that time reaches the first level holding a
+// ΠD ≥ 1 passer, S whose cost lower bound loses to the incumbent
+// skipped. It returns nil when no S has a schedule.
+func referenceJoint(t testing.TB, algo *uda.Algorithm, dims int, opts *SpaceOptions) *JointResult {
+	t.Helper()
+	cands, err := collectSpaceMappings(algo.Dim(), dims, maxEntryOrDefault(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	symPruned := symmetryPruned(cands, axisAutomorphisms(algo, nil))
+	weight := wireWeightOrDefault(opts)
+	baseMaxCost := maxCostOr(opts.Schedule.MaxCost, algo.Set)
+	wk := getWalker(algo)
+	defer putWalker(wk)
+	tFloor := int64(-1)
+	if c, err := wk.firstValidLevel(context.Background(), baseMaxCost); err != nil {
+		t.Fatal(err)
+	} else if c > 0 {
+		tFloor = 1 + c
+	}
+	incT, incC := int64(math.MaxInt64), int64(math.MaxInt64)
+	var best *JointResult
+	for i, s := range cands {
+		if symPruned[i] {
+			continue
+		}
+		wire := wireLength(s, algo.D)
+		costLB := processorLowerBound(s, algo.Set.Upper) + weight*wire
+		if tFloor > 0 && incT <= tFloor && costLB > incC {
+			continue
+		}
+		schedOpts := opts.Schedule
+		schedOpts.MaxCost = min(baseMaxCost, incT-1)
+		res := referenceProcedure51(t, algo, s, &schedOpts)
+		if res == nil || res.Time == incT && costLB > incC {
+			continue
+		}
+		procs := countProcessorImages(s, algo.Set)
+		r := &JointResult{
+			SpaceResult:    SpaceResult{Mapping: res.Mapping, Processors: procs, WireLength: wire, Cost: procs + weight*wire, Time: res.Time},
+			ScheduleResult: res,
+		}
+		if best == nil || jointLess(r, best) {
+			best = r
+		}
+		if r.Time < incT || (r.Time == incT && r.Cost < incC) {
+			incT, incC = r.Time, r.Cost
+		}
+	}
+	if best != nil {
+		best.Candidates = len(cands)
+	}
+	return best
+}
+
+// jointIdentity is every field of a joint result that the level walk
+// must reproduce from referenceJoint: the mapping, its metrics, the
+// winner's Procedure 5.1 count and method, and its conflict method.
+func jointIdentity(r *JointResult) string {
+	if r == nil {
+		return "no schedule"
+	}
+	return fmt.Sprintf("%s method=%s conflict=%s", jointFingerprint(r), r.ScheduleResult.Method, r.ScheduleResult.Conflict.Method)
+}
+
+// TestJointWalkMatchesReferenceOnCorpus: on every corpus problem that
+// differs from the others by its exact bounds, dependences and search
+// knobs (a sample under -short or -race), the level walk at one and two workers
+// agrees with referenceJoint on S, Π, time, processors, wire, cost,
+// space and schedule candidate counts, and methods; and FindOptimal on
+// the winning S, at one, two and four workers, agrees with
+// referenceProcedure51 on Π, time, candidate count and methods.
+func TestJointWalkMatchesReferenceOnCorpus(t *testing.T) {
+	problems := distinctCorpus(t)
+	if testing.Short() || intmat.RaceEnabled {
+		problems = corpusSample(t, 6, 21)
+	}
+	for _, p := range problems {
+		algo := p.algorithm()
+		ref := referenceJoint(t, algo, p.Dims, &SpaceOptions{MaxEntry: p.MaxEntry, Schedule: Options{MaxCost: p.MaxCost}})
+		want := jointIdentity(ref)
+		for _, workers := range []int{1, 2} {
+			opts := &SpaceOptions{MaxEntry: p.MaxEntry, Schedule: Options{MaxCost: p.MaxCost, Workers: workers}}
+			res, err := FindJointMapping(algo, p.Dims, opts)
+			if err != nil && !errors.Is(err, ErrNoSchedule) {
+				t.Fatalf("%s workers=%d: %v", p.ID, workers, err)
+			}
+			if got := jointIdentity(res); got != want {
+				t.Fatalf("%s workers=%d:\n got %s\nwant %s", p.ID, workers, got, want)
+			}
+			if res != nil && res.Stats.Engine != "joint-6.2" {
+				t.Fatalf("%s workers=%d: engine %q", p.ID, workers, res.Stats.Engine)
+			}
+		}
+		if ref == nil {
+			continue
+		}
+		s := ref.Mapping.S
+		want = resultIdentity(referenceProcedure51(t, algo, s, &Options{MaxCost: p.MaxCost}))
+		for _, workers := range []int{1, 2, 4} {
+			res, err := FindOptimal(algo, s, &Options{MaxCost: p.MaxCost, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s FindOptimal workers=%d: %v", p.ID, workers, err)
+			}
+			if got := resultIdentity(res); got != want || res.Stats.ScheduleCandidates != int64(res.Candidates) {
+				t.Fatalf("%s FindOptimal workers=%d:\n got %s (stats %d)\nwant %s", p.ID, workers, got, res.Stats.ScheduleCandidates, want)
+			}
+		}
+	}
+}
+
+// resultIdentity is every field of a Procedure 5.1 result that
+// FindOptimal must reproduce from referenceProcedure51.
+func resultIdentity(r *Result) string {
+	return fmt.Sprintf("Pi=%v t=%d cands=%d method=%s conflict=%s", r.Mapping.Pi, r.Time, r.Candidates, r.Method, r.Conflict.Method)
+}
+
+// TestJointWalkMatchesReferenceSmallChunks: with chunks of one
+// passer, the walk closes S by cost, and stops, between passers of the
+// final level; on the distinct corpus problems (a sample under -short
+// or -race)
+// it still agrees with referenceJoint at one and two workers.
+func TestJointWalkMatchesReferenceSmallChunks(t *testing.T) {
+	defer func(n int) { walkChunk = n }(walkChunk)
+	walkChunk = 1
+	problems := distinctCorpus(t)
+	if testing.Short() || intmat.RaceEnabled {
+		problems = corpusSample(t, 4, 5)
+	}
+	for _, p := range problems {
+		algo := p.algorithm()
+		want := jointIdentity(referenceJoint(t, algo, p.Dims, &SpaceOptions{MaxEntry: p.MaxEntry, Schedule: Options{MaxCost: p.MaxCost}}))
+		for _, workers := range []int{1, 2} {
+			res, err := FindJointMapping(algo, p.Dims, &SpaceOptions{MaxEntry: p.MaxEntry, Schedule: Options{MaxCost: p.MaxCost, Workers: workers}})
+			if err != nil && !errors.Is(err, ErrNoSchedule) {
+				t.Fatalf("%s workers=%d: %v", p.ID, workers, err)
+			}
+			if got := jointIdentity(res); got != want {
+				t.Fatalf("%s workers=%d:\n got %s\nwant %s", p.ID, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestJointWalkMatchesReferenceOptions: with a machine, with single-hop
+// transfers required, and with the fewest-buffer tie-break, on two
+// library algorithms and with chunks of 1 and 256 passers, the level
+// walk agrees with referenceJoint.
+func TestJointWalkMatchesReferenceOptions(t *testing.T) {
+	defer func(n int) { walkChunk = n }(walkChunk)
+	machine := array.NearestNeighbor(1)
+	for _, algo := range []*uda.Algorithm{uda.MatMul(4), uda.TransitiveClosure(4)} {
+		for _, sched := range []Options{
+			{Machine: machine},
+			{Machine: machine, RequireSingleHop: true},
+			{Machine: machine, MinimizeBuffers: true},
+		} {
+			want := jointIdentity(referenceJoint(t, algo, 1, &SpaceOptions{Schedule: sched}))
+			for _, walkChunk = range []int{1, 256} {
+				for _, workers := range []int{1, 2} {
+					opts := &SpaceOptions{Schedule: sched}
+					opts.Schedule.Workers = workers
+					res, err := FindJointMapping(algo, 1, opts)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", algo.Name, sched, err)
+					}
+					if got := jointIdentity(res); got != want {
+						t.Fatalf("%s %+v chunk=%d workers=%d:\n got %s\nwant %s", algo.Name, sched, walkChunk, workers, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFactoredSearchMatchesReference: the factored engine, with its
 // scratch, table and cache, finds the reference search's Π, time and
 // candidate count.
@@ -554,21 +764,6 @@ func BenchmarkProcedure51Factored(b *testing.B) {
 			referenceSearch(b, algo, s)
 		}
 	})
-}
-
-func BenchmarkParallelSearch(b *testing.B) {
-	algo := uda.BitLevelConvolution(3, 2, 2)
-	s := intmat.FromRows([]int64{1, 1, 0, 0})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := &Options{Workers: workers}
-			for i := 0; i < b.N; i++ {
-				if _, err := FindOptimal(algo, s, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkProcedure51Matmul(b *testing.B) {

@@ -35,12 +35,12 @@ import (
 // negation (which relabel the array without changing its geometry) are
 // enumerated once.
 //
-// The search engine fans candidates across Schedule.Workers goroutines
-// and prunes with three exact rules (see DESIGN.md, "Joint search
-// engine"): axis-symmetry orbits keep only their lexicographically
-// least member, a processor-count lower bound rejects candidates that
-// cannot beat the incumbent cost, and the shared incumbent time bounds
-// every inner schedule search. All three preserve the sequential
+// Problem 6.1 fans its candidates across Schedule.Workers goroutines;
+// Problem 6.2 walks the schedule levels once for every candidate (see
+// levelWalk and DESIGN.md, "Joint search engine"). Both prune with two
+// exact rules: axis-symmetry orbits keep only their lexicographically
+// least member, and a processor-count lower bound rejects candidates
+// that cannot beat the best cost found. Both preserve the sequential
 // winner, so results are identical at any worker count.
 
 // SpaceOptions configures FindSpaceMapping and FindJointMapping.
@@ -49,11 +49,11 @@ type SpaceOptions struct {
 	MaxEntry int64
 	// WireWeight scales the wire-length term of the cost (default 1).
 	WireWeight int64
-	// Schedule options applied to the inner Π search (joint problem
-	// only); the Machine option also applies to Problem 6.1. The
-	// Workers field parallelizes the *outer* space-mapping search in
-	// both problems (the joint inner searches always run sequentially,
-	// which keeps their candidate counts deterministic).
+	// Schedule options applied to the Π search (joint problem only);
+	// the Machine option also applies to Problem 6.1. The Workers field
+	// splits the space mappings in both problems: Problem 6.1's
+	// candidates, and the S the joint walk tests within each level
+	// (every count stays the same at any worker count).
 	Schedule Options
 	// NoPrune disables symmetry and lower-bound pruning, forcing every
 	// candidate through full evaluation. The winner is unaffected; the
@@ -74,18 +74,18 @@ type SpaceResult struct {
 	// Candidates counts space mappings enumerated (including pruned
 	// ones).
 	Candidates int
-	// Pruned counts space mappings rejected before evaluation, by
-	// symmetry or by cost lower bound. With Workers > 1 the lower-bound
-	// rule races the incumbent, so Pruned may vary between runs; the
-	// winning mapping never does.
+	// Pruned counts space mappings rejected by symmetry or by cost lower
+	// bound. The joint search counts, after the fact, the S whose bound
+	// exceeds the winner's cost, the same at any worker count; in
+	// Problem 6.1 at Workers > 1 the bound races the best cost found,
+	// so Pruned may vary between runs. The winning mapping never does.
 	Pruned int
 	// Time is the total execution time (joint problem: of the winning
 	// schedule; Problem 6.1: of the given Π).
 	Time int64
 	// Stats carries the structured search statistics: per-rule pruning
-	// counts, inner-search effort, and phase wall times. Unlike Pruned,
-	// the per-rule counters are exact for orbit pruning and may vary
-	// between runs for the incumbent-racing rules at Workers > 1.
+	// counts, schedule-search effort, and phase wall times (see
+	// SearchStats for what each counts per engine).
 	Stats *SearchStats
 	// Trace references the span trace recorded for this search when the
 	// caller's context carried an active trace span; nil when tracing is
@@ -228,27 +228,25 @@ type JointResult struct {
 // are rarely useful for space mappings but can be enabled through
 // MaxEntry.
 //
-// The outer candidate loop runs on Schedule.Workers goroutines sharing
-// a (time, cost) incumbent that tightens every inner search's cost
-// ceiling; selection is by the total order of jointLess (time, cost,
-// processors, Π key, S rows) over fully evaluated candidates, so the
-// winner is identical at any worker count and never depends on
-// discovery order. Inner searches that exhaust their bound report ErrNoSchedule
-// and are skipped; any other inner error aborts the whole search.
+// One level walk serves every candidate S (levelWalk): it stops at the
+// first level where some S has a conflict-free Π, and selection is by
+// the total order of jointLess (time, cost, processors, Π key, S rows)
+// over the S settled there, so the winner is identical at any worker
+// count and never depends on discovery order. ErrNoSchedule reports
+// that no S has a schedule up to MaxCost.
 func FindJointMapping(algo *uda.Algorithm, arrayDims int, opts *SpaceOptions) (*JointResult, error) {
 	return FindJointMappingContext(context.Background(), algo, arrayDims, opts)
 }
 
 // FindJointMappingContext is FindJointMapping with cancellation: the
-// outer candidate loop checks ctx before every claim and each inner Π
-// search polls it between objective levels and every few hundred
-// candidates, so a cancelled request stops burning workers promptly.
-// When the context ends before the search completes, the context's
-// error is returned (never ErrNoSchedule — an interrupted search proves
-// nothing about feasibility). The first real (non-ErrNoSchedule) inner
-// error also cancels the remaining candidates instead of letting the
-// workers drain the whole list.
-func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, opts *SpaceOptions) (*JointResult, error) {
+// level walk polls ctx every few hundred steps and between the S it
+// tests, so a cancelled request stops burning workers promptly. When
+// the context ends before the search completes, the context's error is
+// returned (never ErrNoSchedule — an interrupted search proves nothing
+// about feasibility). An int64 overflow, in the walk or in any S's
+// conflict decisions, fails the whole search.
+func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, opts *SpaceOptions) (_ *JointResult, err error) {
+	defer intmat.Guard(&err)
 	if opts == nil {
 		opts = &SpaceOptions{}
 	}
@@ -267,128 +265,46 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	if err != nil {
 		return nil, err
 	}
-	weight := wireWeightOrDefault(opts)
-	baseMaxCost := maxCostOr(opts.Schedule.MaxCost, algo.Set)
-	// Each worker keeps one conflict scratch and one level walker for
-	// the whole call: binding the scratch to the next S's analyzer
-	// resets its decision cache at a cost proportional to what the
-	// previous inner search stored, and the walker keeps its count
-	// tables and the levels it found barren.
-	ws := newWorkerStates(algo, opts.Schedule.Workers, len(cands))
-	defer ws.release(stats) // on the early returns; idempotent
-	// tFloor is a lower bound on the total time of *any* candidate: the
-	// cheapest Π satisfying ΠD > 0 alone (ignoring conflicts). Once the
-	// incumbent reaches it, time cannot improve further, so candidates
-	// whose cost lower bound loses the tie-break skip their inner
-	// search entirely.
-	tFloor := int64(-1)
-	if !opts.NoPrune {
-		c, err := ws.get(0).walk.firstValidLevel(ctx, baseMaxCost)
-		if err != nil {
-			return nil, fmt.Errorf("schedule: joint search: %w", err)
-		}
-		if c > 0 {
-			tFloor = 1 + c
-		}
-	}
-	inc := newIncumbent()
-	results := make([]*JointResult, len(cands))
-	var prunedCount atomic.Int64
 	collectDur := time.Since(startAt)
 	searchAt := time.Now()
-	err = forEachCandidate(ctx, len(cands), opts.Schedule.Workers, func(wctx context.Context, w, i int) error {
-		s := cands[i]
+	j := getLevelWalk(algo, opts, stats, len(cands))
+	defer j.release()
+	weight := wireWeightOrDefault(opts)
+	for i, s := range cands {
 		if symPruned[i] {
-			prunedCount.Add(1)
 			stats.prunedOrbit.Add(1)
-			return nil
+			continue
 		}
 		wire := wireLength(s, algo.D)
-		costLB := processorLowerBound(s, algo.Set.Upper) + weight*wire
-		if !opts.NoPrune && tFloor > 0 {
-			if iT, iC := inc.snapshot(); iT <= tFloor && costLB > iC {
-				prunedCount.Add(1)
-				stats.prunedLowerBound.Add(1)
-				return nil
-			}
+		if err := j.add(s, wire, processorLowerBound(s, algo.Set.Upper)+weight*wire, conflict.GetMemo()); err != nil {
+			return nil, err
 		}
-		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
-		if err != nil {
-			return err
-		}
-		schedOpts := opts.Schedule
-		// The outer loop owns the parallelism; a sequential inner
-		// search also keeps the winner's Candidates count independent
-		// of worker scheduling.
-		schedOpts.Workers = 0
-		// Self-checking every inner winner would certify hundreds of
-		// losing candidates; only the final joint winner is certified
-		// (below, after selection).
-		schedOpts.SelfCheck = false
-		// Bound the inner search by the incumbent: anything strictly
-		// above the incumbent's time cannot win on the primary
-		// criterion, but ties must stay reachable for the cost
-		// tie-break — hence MaxCost = time − 1 (time = 1 + cost).
-		bound := baseMaxCost
-		if iT := inc.time(); iT != math.MaxInt64 && iT-1 < bound {
-			bound = iT - 1
-		}
-		if bound < 1 {
-			stats.prunedIncumbent.Add(1)
-			return nil
-		}
-		schedOpts.MaxCost = bound
-		stats.innerSearches.Add(1)
-		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, &innerEnv{stats: stats, ws: ws.get(w)})
-		if errors.Is(err, ErrNoSchedule) {
-			return nil // bounded out or genuinely unschedulable: skip
-		}
-		if err != nil {
-			return err
-		}
-		iT, iC := inc.snapshot()
-		if res.Time > iT {
-			stats.prunedIncumbent.Add(1)
-			return nil // incumbent improved since the bound was read
-		}
-		if !opts.NoPrune && res.Time == iT && costLB > iC {
-			stats.prunedIncumbent.Add(1)
-			return nil // can only tie on time and already loses on cost
-		}
-		procs := countProcessorImages(s, algo.Set)
-		cost := procs + weight*wire
-		results[i] = &JointResult{
-			SpaceResult: SpaceResult{
-				Mapping:    res.Mapping,
-				Processors: procs,
-				WireLength: wire,
-				Cost:       cost,
-				Time:       res.Time,
-			},
-			ScheduleResult: res,
-		}
-		inc.offer(res.Time, cost)
-		return nil
-	})
-	ws.release(stats)
+	}
+	stats.innerSearches.Add(int64(len(j.live)))
+	wctx, walkSpan := trace.Start(ctx, "pi-search")
+	winner, err := j.run(wctx, opts.Schedule.Workers)
+	walkSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: joint search: %w", err)
 	}
-	var best *JointResult
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if best == nil || jointLess(r, best) {
-			best = r
-		}
-	}
-	if best == nil {
+	if winner == nil {
 		return nil, fmt.Errorf("%w: no conflict-free joint mapping with |entries| ≤ %d",
 			ErrNoSchedule, maxEntryOrDefault(opts))
 	}
+	r := winner.joint()
+	best := &r
+	if !opts.NoPrune {
+		// The lower bound prunes the live S whose bound exceeds the
+		// winner's cost, counted after the walk, so the count is the
+		// same at any worker count.
+		for i := range j.live {
+			if j.live[i].lb > best.Cost {
+				stats.prunedLowerBound.Add(1)
+			}
+		}
+	}
 	best.Candidates = len(cands)
-	best.Pruned = int(prunedCount.Load())
+	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
 	if opts.Schedule.SelfCheck {
 		if err := runSelfCheck(best.Mapping); err != nil {
 			return nil, err
@@ -436,42 +352,8 @@ func wireWeightOrDefault(opts *SpaceOptions) int64 {
 	return 1
 }
 
-// incumbent is the shared (time, cost) bound of the joint search,
-// lexicographically tightened as candidates complete. The time is
-// mirrored in an atomic so the hot bound-read needs no lock; the pair
-// is read and written under the mutex.
-type incumbent struct {
-	mu sync.Mutex
-	t  atomic.Int64
-	c  int64
-}
-
-func newIncumbent() *incumbent {
-	inc := &incumbent{c: math.MaxInt64}
-	inc.t.Store(math.MaxInt64)
-	return inc
-}
-
-func (inc *incumbent) time() int64 { return inc.t.Load() }
-
-func (inc *incumbent) snapshot() (int64, int64) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.t.Load(), inc.c
-}
-
-func (inc *incumbent) offer(t, c int64) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	cur := inc.t.Load()
-	if t < cur || (t == cur && c < inc.c) {
-		inc.t.Store(t)
-		inc.c = c
-	}
-}
-
-// workerState is what one worker of a joint or Pareto call keeps for
-// the whole call: a conflict scratch and a level walker, both pooled.
+// workerState is what one worker of a Pareto call keeps for the whole
+// call: a conflict scratch and a level walker, both pooled.
 type workerState struct {
 	sc   *conflict.Scratch
 	walk *piWalker
@@ -502,7 +384,7 @@ func (s *workerStates) get(w int) *workerState {
 func (s *workerStates) release(stats *statsCollector) {
 	for w := range s.ws {
 		if st := &s.ws[w]; st.sc != nil {
-			stats.drainScratch(st.sc)
+			stats.drainMemo(&st.sc.Memo)
 			conflict.PutScratch(st.sc)
 			putWalker(st.walk)
 			*st = workerState{}
@@ -550,7 +432,7 @@ func collectCandidates(ctx context.Context, algo *uda.Algorithm, dims int, maxEn
 // Each parallel worker runs under its own "worker" trace span carrying
 // the count of candidates it claimed — the batching level the tracing
 // layer attributes candidate work to (fn receives the worker's span
-// context, so inner searches nest under it). The sequential path adds
+// context, so per-candidate spans nest under it). The sequential path adds
 // no span: its work already nests under the caller's phase span.
 func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx context.Context, w, i int) error) error {
 	searchCtx, cancel := context.WithCancel(ctx)

@@ -32,22 +32,30 @@ type SearchStats struct {
 	// PrunedOrbit counts candidates removed by the axis-symmetry
 	// orbit rule before any evaluation.
 	PrunedOrbit int64 `json:"pruned_orbit,omitempty"`
-	// PrunedLowerBound counts candidates removed because their
-	// processor/cost lower bound already exceeded the best known cost.
+	// PrunedLowerBound counts candidates whose processor/cost lower
+	// bound exceeds a cost found. For "joint-6.2" it is the live S
+	// whose bound exceeds the winner's cost, the same at any worker
+	// count; for "space-6.1" the candidates skipped against the best
+	// cost found so far, which races it at Workers > 1.
 	PrunedLowerBound int64 `json:"pruned_lower_bound,omitempty"`
-	// PrunedIncumbent counts candidates removed by the shared
-	// incumbent-time cut (including post-search discards).
+	// PrunedIncumbent is 0: no engine has an incumbent-time cut since
+	// the joint search walks each level once. The field stays for the
+	// readers of the stats' JSON and metrics.
 	PrunedIncumbent int64 `json:"pruned_incumbent,omitempty"`
-	// InnerSearches counts Procedure 5.1 invocations launched by the
-	// joint search (one per surviving space candidate).
+	// InnerSearches counts the space mappings whose schedules were
+	// searched: for "joint-6.2" the live S (every candidate but the
+	// orbit-pruned ones), each tested in the one level walk; for
+	// "pareto-front" the per-S staircases run.
 	InnerSearches int64 `json:"inner_searches,omitempty"`
 
-	// ScheduleCandidates counts schedule vectors Π examined across all
-	// Procedure 5.1 cost levels (equals Result.Candidates for a pure
-	// schedule search; aggregates over inner searches for joint runs).
+	// ScheduleCandidates counts the raw Π the level walks counted, the
+	// ΠD ≥ 1 passers and the Π they skipped alike: Result.Candidates for
+	// a pure schedule search, the one walk's count for "joint-6.2", and
+	// the sum over the staircases for "pareto-front".
 	ScheduleCandidates int64 `json:"schedule_candidates"`
-	// CostLevels counts objective levels f = Σ|π_i|μ_i the Procedure
-	// 5.1 enumeration stepped through (aggregate over inner searches).
+	// CostLevels counts objective levels f = Σ|π_i|μ_i walked: each
+	// level once for "procedure-5.1" and "joint-6.2", summed over the
+	// staircases for "pareto-front".
 	CostLevels int64 `json:"cost_levels"`
 
 	// ConflictTable counts conflict decisions answered by the
@@ -147,14 +155,10 @@ type statsCollector struct {
 	hnfFromScratch     atomic.Int64
 }
 
-// drainScratch folds a worker scratch's cache counters into the
-// collector; called when a worker finishes with (or releases) its
-// scratch. Nil-safe on both sides.
-func (c *statsCollector) drainScratch(sc *conflict.Scratch) {
-	if c == nil || sc == nil {
-		return
-	}
-	table, hits, misses := sc.TakeStats()
+// drainMemo folds a decision memo's counters into the collector;
+// called when a search releases the memo (or the scratch holding it).
+func (c *statsCollector) drainMemo(m *conflict.Memo) {
+	table, hits, misses := m.TakeStats()
 	c.conflictTable.Add(table)
 	c.hnfIncremental.Add(hits)
 	c.hnfFromScratch.Add(misses)

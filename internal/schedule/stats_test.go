@@ -68,14 +68,14 @@ func TestSearchStatsJoint(t *testing.T) {
 		t.Errorf("SpaceCandidates = %d, Candidates = %d", st.SpaceCandidates, res.Candidates)
 	}
 	// The matmul cube is symmetric and heavily prunable: both the orbit
-	// rule and the incumbent cut must have fired, and the per-rule split
-	// reconciles with the legacy Pruned counter (which only counts
-	// pre-evaluation discards: orbit + lower bound).
-	if st.PrunedOrbit < 1 {
-		t.Errorf("PrunedOrbit = %d, want ≥ 1", st.PrunedOrbit)
+	// rule and the lower bound must have fired, the level walk has no
+	// incumbent cut, and the per-rule split reconciles with the legacy
+	// Pruned counter.
+	if st.PrunedOrbit < 1 || st.PrunedLowerBound < 1 {
+		t.Errorf("PrunedOrbit = %d, PrunedLowerBound = %d, want ≥ 1", st.PrunedOrbit, st.PrunedLowerBound)
 	}
-	if st.PrunedIncumbent < 1 {
-		t.Errorf("PrunedIncumbent = %d, want ≥ 1", st.PrunedIncumbent)
+	if st.PrunedIncumbent != 0 {
+		t.Errorf("PrunedIncumbent = %d, want 0", st.PrunedIncumbent)
 	}
 	if got := st.PrunedOrbit + st.PrunedLowerBound; got != int64(res.Pruned) {
 		t.Errorf("orbit+lb = %d, legacy Pruned = %d", got, res.Pruned)

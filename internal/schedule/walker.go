@@ -59,6 +59,7 @@ type piWalker struct {
 	passers int64           // passers visited in this walk
 	polls   int
 	done    <-chan struct{}
+	stopped bool // done was seen closed during this walk
 }
 
 // cut is the admissibility test of one coordinate against one column.
@@ -192,8 +193,8 @@ func (wk *piWalker) stride(i int, x int64) int64 {
 // arithmetic progression t ≡ (x/g)·inv (mod w_{n−1}/g), inv the inverse
 // of w_{n−2}/g. Every such t adds 2 but t = x/w_{n−2} (budget 0 left),
 // which adds 1. Above that P_i unrolls to a loop that ends in the
-// tables, polling the context; once it has ended, the loop returns a
-// partial sum the walk drops.
+// tables, polling the context; once it has ended, every loop returns at
+// its next step, with a partial sum the walk drops.
 func (wk *piWalker) countFree(i int, r int64) int64 {
 	if i == wk.n-1 {
 		switch {
@@ -226,7 +227,7 @@ func (wk *piWalker) strideFree(i int, x int64) int64 {
 		return total
 	}
 	for ; x >= wk.rows; x -= w {
-		if wk.polls++; wk.polls&ctxCheckMask == 0 && isDone(wk.done) {
+		if wk.halted() {
 			return total
 		}
 		total = satAdd(total, wk.count(i+1, x))
@@ -277,8 +278,9 @@ func (wk *piWalker) grow(cost int64) {
 // false. It returns the count a walk of the raw level reports: the
 // stopping Π's ordinal + 1, or else the level's size. It fails with
 // ctx's error when ctx ends during the walk (polled every
-// ctxCheckMask+1 steps and once at its end), and with *OverflowError
-// when a count or a product ΠD passes int64. fn must not keep pi.
+// ctxCheckMask+1 steps and once at its end; the first poll to see it
+// stops every loop of the walk), and with *OverflowError when a count
+// or a product ΠD passes int64. fn must not keep pi.
 func (wk *piWalker) walk(ctx context.Context, cost int64, fn func(pi intmat.Vector, ord int64) bool) (_ int64, err error) {
 	if cost < int64(len(wk.barren)) && wk.barren[cost] > 0 {
 		return wk.barren[cost] - 1, nil
@@ -287,10 +289,10 @@ func (wk *piWalker) walk(ctx context.Context, cost int64, fn func(pi intmat.Vect
 	if cost < wk.tabCost {
 		wk.grow(cost)
 	}
-	wk.ord, wk.passers, wk.done = 0, 0, ctx.Done()
+	wk.ord, wk.passers, wk.done, wk.stopped = 0, 0, ctx.Done(), false
 	clear(wk.part[:wk.m])
 	stopped := wk.count(0, cost) > 0 && !wk.descend(0, cost, fn)
-	if isDone(wk.done) {
+	if wk.stopped || isDone(wk.done) {
 		return wk.ord, ctx.Err()
 	}
 	if !stopped && cost < wk.tabCost && wk.passers == 0 && wk.ord < math.MaxInt64 {
@@ -304,7 +306,7 @@ func (wk *piWalker) walk(ctx context.Context, cost int64, fn func(pi intmat.Vect
 // r left for π_i … π_{n−1} (N_i(r) > 0). It reports false when the walk
 // stops: fn returned false or the context ended.
 func (wk *piWalker) descend(i int, r int64, fn func(pi intmat.Vector, ord int64) bool) bool {
-	if wk.polls++; wk.polls&ctxCheckMask == 0 && isDone(wk.done) {
+	if wk.halted() {
 		return false
 	}
 	m, w := wk.m, wk.w[i]
@@ -334,7 +336,7 @@ func (wk *piWalker) descend(i int, r int64, fn func(pi intmat.Vector, ord int64)
 	}
 	wk.ord = intmat.AddChecked(wk.ord, wk.values(i, r, -top, lo-1))
 	p, q, d := wk.part[i*m:(i+1)*m], wk.part[(i+1)*m:(i+2)*m], wk.d[i*m:(i+1)*m]
-	for v := lo; v <= hi; v++ {
+	for v := lo; v <= hi && !wk.stopped; v++ {
 		rest := r - max(v, -v)*w
 		if wk.count(i+1, rest) == 0 {
 			continue
@@ -349,6 +351,15 @@ func (wk *piWalker) descend(i int, r int64, fn func(pi intmat.Vector, ord int64)
 	}
 	wk.ord = intmat.AddChecked(wk.ord, wk.values(i, r, hi+1, top))
 	return true
+}
+
+// halted polls the context every ctxCheckMask+1 steps of the walk and
+// reports whether it has ended; once it has, every later call does too.
+func (wk *piWalker) halted() bool {
+	if wk.polls++; !wk.stopped && wk.polls&ctxCheckMask == 0 {
+		wk.stopped = isDone(wk.done)
+	}
+	return wk.stopped
 }
 
 // partial returns p + v·d, or math.MinInt64 when p is or the result

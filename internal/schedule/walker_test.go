@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+	"time"
 
 	"lodim/internal/conflict"
 	"lodim/internal/intmat"
@@ -483,17 +484,15 @@ type manifestProblem struct {
 	MaxCost      int64     `json:"max_cost"`
 }
 
-// corpusSample draws perFamily problems of every family from the
-// committed manifest with a seeded RNG.
-func corpusSample(t *testing.T, perFamily int, seed int64) []manifestProblem {
+// corpusProblems returns the committed manifest's problems in order.
+func corpusProblems(t *testing.T) []manifestProblem {
 	t.Helper()
 	f, err := os.Open("../../corpus/manifest.jsonl")
 	if err != nil {
 		t.Skipf("corpus manifest unavailable: %v", err)
 	}
 	defer f.Close()
-	byFamily := map[string][]manifestProblem{}
-	var families []string
+	var out []manifestProblem
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for first := true; sc.Scan(); first = false {
@@ -504,13 +503,25 @@ func corpusSample(t *testing.T, perFamily int, seed int64) []manifestProblem {
 		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, p)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// corpusSample draws perFamily problems of every family from the
+// committed manifest with a seeded RNG.
+func corpusSample(t *testing.T, perFamily int, seed int64) []manifestProblem {
+	t.Helper()
+	byFamily := map[string][]manifestProblem{}
+	var families []string
+	for _, p := range corpusProblems(t) {
 		if byFamily[p.Family] == nil {
 			families = append(families, p.Family)
 		}
 		byFamily[p.Family] = append(byFamily[p.Family], p)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var out []manifestProblem
@@ -518,6 +529,21 @@ func corpusSample(t *testing.T, perFamily int, seed int64) []manifestProblem {
 		ps := byFamily[fam]
 		for i := 0; i < perFamily && i < len(ps); i++ {
 			out = append(out, ps[rng.Intn(len(ps))])
+		}
+	}
+	return out
+}
+
+// distinctCorpus returns the committed manifest's problems, the first
+// of each group that shares its bounds, dependences and search knobs.
+func distinctCorpus(t *testing.T) []manifestProblem {
+	t.Helper()
+	seen := map[string]bool{}
+	var out []manifestProblem
+	for _, p := range corpusProblems(t) {
+		if key := fmt.Sprint(p.Bounds, p.Dependencies, p.Dims, p.MaxEntry, p.MaxCost); !seen[key] {
+			seen[key] = true
+			out = append(out, p)
 		}
 	}
 	return out
@@ -534,8 +560,8 @@ func (p manifestProblem) algorithm() *uda.Algorithm {
 // TestWalkerMatchesStreamingOnCorpus: at Workers=1, on a seeded corpus
 // sample, the joint and Pareto searches walking their levels pick the
 // same winners and fronts as the streaming references, with equal
-// ScheduleResult.Candidates and equal ScheduleCandidates, CostLevels and
-// InnerSearches counters.
+// ScheduleResult.Candidates and orbit counts, and, for Pareto, equal
+// ScheduleCandidates, CostLevels and InnerSearches counters.
 func TestWalkerMatchesStreamingOnCorpus(t *testing.T) {
 	perFamily := 8
 	if testing.Short() {
@@ -555,9 +581,7 @@ func TestWalkerMatchesStreamingOnCorpus(t *testing.T) {
 			if g, w := jointFingerprint(got), jointFingerprint(want); g != w {
 				t.Fatalf("%s joint:\n got %s\nwant %s", p.ID, g, w)
 			}
-			g, w := got.Stats, wantStats
-			if g.ScheduleCandidates != w.ScheduleCandidates || g.CostLevels != w.CostLevels || g.InnerSearches != w.InnerSearches ||
-				g.PrunedOrbit != w.PrunedOrbit || g.PrunedLowerBound != w.PrunedLowerBound || g.PrunedIncumbent != w.PrunedIncumbent {
+			if g, w := got.Stats, wantStats; g.PrunedOrbit != w.PrunedOrbit {
 				t.Fatalf("%s joint stats:\n got %v\nwant %v", p.ID, g, w)
 			}
 		}
@@ -745,5 +769,60 @@ func TestSearchPastTableCap(t *testing.T) {
 		if err != nil || len(front.Front) == 0 || front.Front[0].Mapping.Pi.String() != want {
 			t.Fatalf("FindPareto workers=%d: %v (%v), want Π = %s first", workers, front, err, want)
 		}
+	}
+}
+
+// seedOverflowAlgo is the shape of the past-cap probes: μ = 1⁶ with the
+// dependence columns e₁ − c·e₂, e₂, …, e₆, whose optimum is
+// Π = (c+1, 1, …, 1), and the two-row S of the conflict fuzz seed
+// seed-overflow, whose entries reach 16 080.
+func seedOverflowAlgo(c int64) (*uda.Algorithm, *intmat.Matrix) {
+	d := intmat.Identity(6)
+	d.Set(1, 0, -c)
+	s := intmat.FromRows([]int64{1, -1, 0, 97, 0, 12848}, []int64{0, -16080, 49, 12353, 0, -207})
+	return &uda.Algorithm{Name: "seed-overflow", Set: uda.Cube(6, 1), D: d}, s
+}
+
+// TestWalkerHonoursDeadlinePastCap: at level 10⁵, past the n = 6 count
+// tables' cap, the level's count runs through nested table-free count
+// loops; a search that starts there stops within 100 ms of its
+// deadline.
+func TestWalkerHonoursDeadlinePastCap(t *testing.T) {
+	algo, s := seedOverflowAlgo(100000)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := FindOptimalContext(ctx, algo, s, &Options{MinCost: 100000, MaxCost: 200000})
+	if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed > 300*time.Millisecond {
+		t.Fatalf("search returned %v after %v, want the deadline within 300ms", err, elapsed)
+	}
+}
+
+// TestWorkerOverflowIsAnError: the seed-overflow S decides
+// Π = (100001, 1, …, 1) with an int64 overflow. Inside the helper
+// goroutines of a Workers = 2 level walk that fails the search instead
+// of the process.
+func TestWorkerOverflowIsAnError(t *testing.T) {
+	algo, s := seedOverflowAlgo(100000)
+	pi := intmat.Vec(100001, 1, 1, 1, 1, 1)
+	// Two S and a chunk of copies of Π: enough decisions to wake the
+	// helper.
+	j := getLevelWalk(algo, &SpaceOptions{}, &statsCollector{}, 2)
+	defer j.release()
+	for range 2 {
+		if err := j.add(s, 0, 0, conflict.GetMemo()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.spawn(context.Background(), 2)
+	for range walkFanoutMin {
+		j.pis, j.ords = append(j.pis, pi...), append(j.ords, 0)
+	}
+	if j.flush() {
+		t.Fatal("the walk goes on after an overflow")
+	}
+	var oe *intmat.OverflowError
+	if err := j.errs.takeErr(); !errors.As(err, &oe) {
+		t.Fatalf("error %v, want an *intmat.OverflowError", err)
 	}
 }

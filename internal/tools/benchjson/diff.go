@@ -7,17 +7,20 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // metricDelta is the before/after pair for one metric of one benchmark.
 // Pct is the relative change (new-old)/old; +Inf when old was zero and
 // new is not. Regressed applies the higher-is-worse rule against the
-// caller's threshold, or, for a custom unit, marks any change.
+// caller's threshold, or, for a custom unit, marks any change that the
+// caller did not declare (Declared).
 type metricDelta struct {
 	Unit      string
 	Old, New  float64
 	Pct       float64
 	Regressed bool
+	Declared  bool
 }
 
 // benchDiff is the comparison of one benchmark across two reports.
@@ -113,6 +116,49 @@ func diffReports(oldRep, newRep *Report, threshold float64) []benchDiff {
 	return out
 }
 
+// declared is the -declare set: benchmark name → the custom units whose
+// change is intended.
+type declared map[string]map[string]bool
+
+// parseDeclared reads a -declare value: tokens separated by spaces or
+// commas, each NAME:unit naming a benchmark and one of its custom
+// units, or a bare unit adding to the NAME before it, so that
+// 'NAME:a,b OTHER:c' declares a and b of NAME and c of OTHER. The
+// standard metrics (ns/op, B/op, allocs/op) cannot be declared.
+func parseDeclared(s string) (declared, error) {
+	d := declared{}
+	name := ""
+	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' }) {
+		unit := tok
+		if i := strings.LastIndexByte(tok, ':'); i >= 0 {
+			name, unit = tok[:i], tok[i+1:]
+		}
+		switch {
+		case name == "" || unit == "":
+			return nil, fmt.Errorf("benchjson: -declare entry %q: want NAME:unit", tok)
+		case unit == "ns/op" || unit == "B/op" || unit == "allocs/op":
+			return nil, fmt.Errorf("benchjson: -declare entry %q: only custom units can be declared", tok)
+		}
+		if d[name] == nil {
+			d[name] = map[string]bool{}
+		}
+		d[name][unit] = true
+	}
+	return d, nil
+}
+
+// apply turns every regression of a declared unit into a declared
+// change.
+func (d declared) apply(diffs []benchDiff) {
+	for i := range diffs {
+		for j := range diffs[i].Metrics {
+			if m := &diffs[i].Metrics[j]; m.Regressed && d[diffs[i].Name][m.Unit] {
+				m.Regressed, m.Declared = false, true
+			}
+		}
+	}
+}
+
 func fmtPct(p float64) string {
 	if math.IsInf(p, 1) {
 		return "+inf%"
@@ -141,6 +187,9 @@ func writeDiff(w io.Writer, diffs []benchDiff, threshold float64) int {
 			cell := fmt.Sprintf("%s %s→%s (%s)", m.Unit, fmtVal(m.Old), fmtVal(m.New), fmtPct(m.Pct))
 			if m.Regressed {
 				cell += " REGRESSED"
+			}
+			if m.Declared {
+				cell += " DECLARED"
 			}
 			line += "  " + cell
 		}
@@ -190,8 +239,9 @@ func missingRequired(oldRep, newRep *Report, required []string) []string {
 // runDiff implements `benchjson -diff OLD NEW`: exit status 1 when any
 // benchmark regressed beyond the threshold and -fail was given, or when
 // a benchmark named in required is missing from either report; 2 on
-// usage/IO errors.
-func runDiff(oldPath, newPath string, threshold float64, failOnRegression bool, required []string) int {
+// usage/IO errors. A change of a custom unit named in decl is printed
+// as DECLARED and is no regression.
+func runDiff(oldPath, newPath string, threshold float64, failOnRegression bool, required []string, decl declared) int {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -202,7 +252,9 @@ func runDiff(oldPath, newPath string, threshold float64, failOnRegression bool, 
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	regressions := writeDiff(os.Stdout, diffReports(oldRep, newRep, threshold), threshold)
+	diffs := diffReports(oldRep, newRep, threshold)
+	decl.apply(diffs)
+	regressions := writeDiff(os.Stdout, diffs, threshold)
 	missing := missingRequired(oldRep, newRep, required)
 	for _, name := range missing {
 		fmt.Fprintf(os.Stdout, "%s MISSING: required in both reports\n", name)

@@ -94,3 +94,67 @@ func TestMissingRequired(t *testing.T) {
 		t.Errorf("missing = %v, want %v", got, want)
 	}
 }
+
+func TestDeclaredUnitChanges(t *testing.T) {
+	decl, err := parseDeclared("BenchmarkA:sched,levels BenchmarkB:pruned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRep := rep(
+		Benchmark{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, Custom: map[string]float64{"sched": 10, "levels": 3, "pruned": 1}},
+		Benchmark{Pkg: "p", Name: "BenchmarkB", NsPerOp: 100, Custom: map[string]float64{"pruned": 4}},
+	)
+	newRep := rep(
+		Benchmark{Pkg: "p", Name: "BenchmarkA", NsPerOp: 101, Custom: map[string]float64{"sched": 5, "levels": 3, "pruned": 2}},
+		Benchmark{Pkg: "p", Name: "BenchmarkB", NsPerOp: 103, Custom: map[string]float64{"pruned": 7}},
+	)
+	diffs := diffReports(oldRep, newRep, 0.02)
+	decl.apply(diffs)
+	byName := map[string]benchDiff{}
+	for _, d := range diffs {
+		byName[d.Name] = d
+	}
+	units := func(name string) map[string]metricDelta {
+		out := map[string]metricDelta{}
+		for _, m := range byName[name].Metrics {
+			out[m.Unit] = m
+		}
+		return out
+	}
+	// A: the declared sched change passes, the undeclared pruned change
+	// still regresses, and the unchanged declared levels is plain.
+	a := units("BenchmarkA")
+	if m := a["sched"]; m.Regressed || !m.Declared {
+		t.Errorf("declared sched: %+v", m)
+	}
+	if m := a["pruned"]; !m.Regressed || m.Declared {
+		t.Errorf("undeclared pruned: %+v", m)
+	}
+	if m := a["levels"]; m.Regressed || m.Declared {
+		t.Errorf("unchanged levels: %+v", m)
+	}
+	// B: the declared unit passes, but ns/op +3% still fails at 2%.
+	b := units("BenchmarkB")
+	if m := b["pruned"]; m.Regressed || !m.Declared {
+		t.Errorf("declared pruned: %+v", m)
+	}
+	if m := b["ns/op"]; !m.Regressed {
+		t.Errorf("ns/op +3%% at 2%%: %+v", m)
+	}
+	var sb strings.Builder
+	if n := writeDiff(&sb, diffs, 0.02); n != 2 {
+		t.Errorf("regressions = %d, want 2 (A's pruned, B's ns/op)", n)
+	}
+	if out := sb.String(); !strings.Contains(out, "sched 10→5 (-50.0%) DECLARED") {
+		t.Errorf("output lacks the declared change:\n%s", out)
+	}
+
+	for _, bad := range []string{"sched", "BenchmarkA:", "BenchmarkA:ns/op", ":sched"} {
+		if _, err := parseDeclared(bad); err == nil {
+			t.Errorf("parseDeclared(%q) accepted", bad)
+		}
+	}
+	if d, err := parseDeclared("BenchmarkA:sched,BenchmarkB:pruned"); err != nil || !d["BenchmarkA"]["sched"] || !d["BenchmarkB"]["pruned"] || d["BenchmarkA"]["pruned"] {
+		t.Errorf("comma-separated entries: %v, %v", d, err)
+	}
+}

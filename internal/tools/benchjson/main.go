@@ -20,7 +20,10 @@
 // nonzero, so the comparison can gate CI. -require lists benchmark
 // names (space-separated) that must appear in both documents; a missing
 // one also makes the exit status nonzero, so a guard cannot pass on a
-// benchmark that failed to run or was renamed.
+// benchmark that failed to run or was renamed. -declare names the
+// custom units a change means to move, as NAME:unit entries ('NAME:a,b'
+// declares two units of NAME): their changes are printed as DECLARED
+// and do not fail the comparison.
 //
 // Repeated rows of one benchmark (a -count N run, or several rounds
 // appended to one input) collapse into one row holding each metric's
@@ -157,13 +160,18 @@ func main() {
 	threshold := flag.Float64("threshold", 0.10, "relative worsening beyond which a metric is REGRESSED")
 	fail := flag.Bool("fail", false, "with -diff: exit nonzero when any benchmark regressed")
 	require := flag.String("require", "", "with -diff: space-separated benchmark names that must appear in both reports")
+	declare := flag.String("declare", "", "with -diff: NAME:unit[,unit] entries whose custom units may change")
 	flag.Parse()
 	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -diff [-threshold 0.10] [-fail] [-require 'NAME ...'] OLD.json NEW.json")
+		decl, err := parseDeclared(*declare)
+		if err != nil || flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -diff [-threshold 0.10] [-fail] [-require 'NAME ...'] [-declare 'NAME:unit,...'] OLD.json NEW.json")
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
 			os.Exit(2)
 		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *threshold, *fail, strings.Fields(*require)))
+		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *threshold, *fail, strings.Fields(*require), decl))
 	}
 	rep, err := parse(os.Stdin)
 	if err != nil {

@@ -201,7 +201,7 @@ func TestCustomUnitChangeRegresses(t *testing.T) {
 		if c.want {
 			wantExit = 1
 		}
-		if got := runDiff(oldPath, newPath, 0.02, true, nil); got != wantExit {
+		if got := runDiff(oldPath, newPath, 0.02, true, nil, nil); got != wantExit {
 			t.Errorf("%s: -fail exit = %d, want %d", c.name, got, wantExit)
 		}
 	}
