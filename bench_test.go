@@ -478,6 +478,12 @@ func BenchmarkJointMapping(b *testing.B) {
 		// The bit-level matrix product of the paper's motivating case, at
 		// its smallest non-trivial size: most of its Π fail ΠD ≥ 1.
 		{uda.BitLevelMatMul(1, 2), 1, []int{1}},
+		// bitlevel/00026 on a 2-D array: the 780 candidates of shape
+		// (4, 2, 1), where the per-candidate prelude weighs most. The
+		// shape catalogue is process-wide, so every iteration but the
+		// first (and the whole row after an earlier one built the
+		// shape) measures the search over an already-built shape.
+		{bitlevel, 2, []int{1}},
 	}
 	for _, c := range cases {
 		for _, workers := range c.workers {

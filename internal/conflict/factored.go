@@ -27,34 +27,63 @@ type SpaceAnalyzer struct {
 	S   *intmat.Matrix
 	Set uda.IndexSet
 	// W is a lattice basis of null(S) ∩ Z^n (columns). For the empty
-	// space mapping (0 rows) it is the identity basis.
+	// space mapping (0 rows) it is the identity basis. It is read-only:
+	// analyzers built by NewSpaceAnalyzerBasis share it.
 	W []intmat.Vector
 }
 
 // NewSpaceAnalyzer validates S (full row rank, matching dimension) and
 // computes the null(S) lattice basis.
 func NewSpaceAnalyzer(s *intmat.Matrix, set uda.IndexSet) (*SpaceAnalyzer, error) {
-	if s.Cols() != set.Dim() {
-		return nil, fmt.Errorf("conflict: S has %d columns, index set dimension is %d", s.Cols(), set.Dim())
-	}
-	if err := set.Validate(); err != nil {
+	if err := checkSpace(s, set); err != nil {
 		return nil, err
 	}
-	sa := &SpaceAnalyzer{S: s, Set: set}
+	w, err := NullBasis(s)
+	if err != nil {
+		return nil, err
+	}
+	return &SpaceAnalyzer{S: s, Set: set, W: w}, nil
+}
+
+// NewSpaceAnalyzerBasis is NewSpaceAnalyzer with the null(S) basis
+// supplied: w must be NullBasis(s), for callers that keep the bases of
+// the space mappings they search across searches. The analyzer only
+// reads w, so one basis may back the analyzers of many searches.
+func NewSpaceAnalyzerBasis(s *intmat.Matrix, set uda.IndexSet, w []intmat.Vector) (*SpaceAnalyzer, error) {
+	if err := checkSpace(s, set); err != nil {
+		return nil, err
+	}
+	return &SpaceAnalyzer{S: s, Set: set, W: w}, nil
+}
+
+// checkSpace checks that S has the index set's dimension and that the
+// index set is valid.
+func checkSpace(s *intmat.Matrix, set uda.IndexSet) error {
+	if s.Cols() != set.Dim() {
+		return fmt.Errorf("conflict: S has %d columns, index set dimension is %d", s.Cols(), set.Dim())
+	}
+	return set.Validate()
+}
+
+// NullBasis returns a lattice basis of null(S) ∩ Z^n (columns) for a
+// space mapping S of full row rank: the identity basis for the empty
+// mapping (0 rows), the single-row extended-gcd reduction for one row,
+// the trailing columns of the Hermite multiplier otherwise. The basis
+// depends on S alone, never on an index set.
+func NullBasis(s *intmat.Matrix) ([]intmat.Vector, error) {
 	n := s.Cols()
 	if s.Rows() == 0 {
-		for j := 0; j < n; j++ {
-			e := intmat.NewVector(n)
-			e[j] = 1
-			sa.W = append(sa.W, e)
+		w := make([]intmat.Vector, n)
+		for j := range w {
+			w[j] = intmat.NewVector(n)
+			w[j][j] = 1
 		}
-		return sa, nil
+		return w, nil
 	}
 	if s.Rows() == 1 {
 		// One-row space mappings (linear arrays) are by far the most
-		// common, and the joint optimizer builds one analyzer per
-		// enumerated S — the single-row extended-gcd reduction computes
-		// the same null lattice as the general Hermite form without its
+		// common — the single-row extended-gcd reduction computes the
+		// same null lattice as the general Hermite form without its
 		// arbitrary-precision cost.
 		w, err := intmat.RowNullBasis(s.Row(0))
 		if err != nil {
@@ -63,15 +92,13 @@ func NewSpaceAnalyzer(s *intmat.Matrix, set uda.IndexSet) (*SpaceAnalyzer, error
 			}
 			return nil, err
 		}
-		sa.W = w
-		return sa, nil
+		return w, nil
 	}
 	h, err := intmat.HermiteNormalForm(s)
 	if err != nil {
 		return nil, fmt.Errorf("conflict: space mapping: %w", err)
 	}
-	sa.W = h.NullBasis()
-	return sa, nil
+	return h.NullBasis(), nil
 }
 
 // sizeReduceBasis applies pairwise Lagrange-style size reduction in

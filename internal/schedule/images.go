@@ -285,30 +285,3 @@ func (ic *imageCounter) rowImageSize(row intmat.Vector, upper intmat.Vector) int
 	}
 	return count
 }
-
-// processorLowerBound returns a lower bound on |S(J)|: each row of S,
-// alone, already distinguishes rowImageSize many processor images, so
-// the maximum over rows bounds the count from below. Exact for 1-row S.
-func processorLowerBound(s *intmat.Matrix, upper intmat.Vector) int64 {
-	ic := getImageCounter()
-	defer ic.release()
-	lb := int64(1)
-	for r := 0; r < s.Rows(); r++ {
-		row := ic.rowOf(s, r)
-		n := ic.rowImageSize(row, upper)
-		if n < 0 {
-			// Range too wide to tabulate: along any axis with a
-			// non-zero coefficient the row takes μ_i + 1 distinct
-			// values with the other coordinates fixed.
-			for i, c := range row {
-				if c != 0 && upper[i]+1 > n {
-					n = upper[i] + 1
-				}
-			}
-		}
-		if n > lb {
-			lb = n
-		}
-	}
-	return lb
-}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/trace"
 	"lodim/internal/uda"
@@ -268,14 +267,14 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	// fixes time and buffers, the index-space isomorphism fixes |S(J)|,
 	// and uniform row relabeling of S·D preserves column distinctness,
 	// fixing links).
-	cands, symPruned, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(&opts.Space), opts.Space.NoPrune, nil, stats)
+	cands, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(&opts.Space), opts.Space.NoPrune, nil, stats)
 	if err != nil {
 		return nil, err
 	}
 	baseMaxCost := maxCostOr(opts.Space.Schedule.MaxCost, algo.Set)
 	// One conflict scratch and one level walker per worker for the
 	// whole call, as in the joint search.
-	ws := newWorkerStates(algo, opts.Space.Schedule.Workers, len(cands))
+	ws := newWorkerStates(algo, opts.Space.Schedule.Workers, cands.len())
 	defer ws.release(stats) // on the early returns; idempotent
 	// No Π satisfies ΠD > 0 below the first level holding one, so every
 	// candidate starts its level walk there; −1 proves infeasibility
@@ -301,21 +300,21 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 		}
 		return bound
 	}
-	records := make([][]paretoRecord, len(cands))
+	records := make([][]paretoRecord, cands.len())
 	var prunedCount atomic.Int64
 	collectDur := time.Since(startAt)
 	searchAt := time.Now()
-	err = forEachCandidate(ctx, len(cands), opts.Space.Schedule.Workers, func(wctx context.Context, w, i int) error {
-		s := cands[i]
-		if symPruned[i] {
+	err = forEachCandidate(ctx, cands.len(), opts.Space.Schedule.Workers, func(wctx context.Context, w, i int) error {
+		if cands.pruned[i] {
 			prunedCount.Add(1)
 			stats.prunedOrbit.Add(1)
 			return nil
 		}
-		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+		analyzer, err := cands.analyzer(i, algo.Set)
 		if err != nil {
 			return err
 		}
+		s := analyzer.S
 		schedOpts := opts.Space.Schedule
 		schedOpts.Workers = 0
 		schedOpts.SelfCheck = false
@@ -428,7 +427,7 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 		Front:      front,
 		Best:       selectBest(front, opts),
 		TimeBound:  timeBound,
-		Candidates: len(cands),
+		Candidates: cands.len(),
 		Pruned:     int(prunedCount.Load()),
 	}
 	if opts.Space.Schedule.SelfCheck {
@@ -438,7 +437,7 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 			}
 		}
 	}
-	res.Stats = stats.snapshot("pareto-front", effectiveWorkers(opts.Space.Schedule.Workers, len(cands)),
+	res.Stats = stats.snapshot("pareto-front", effectiveWorkers(opts.Space.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	res.Stats.annotateSpan(span)
 	res.Trace = trace.SummaryFromContext(ctx)

@@ -58,11 +58,13 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 	defer span.End()
 	startAt := time.Now()
 	stats := &statsCollector{}
-	j := getLevelWalk(algo, &SpaceOptions{Schedule: *opts}, stats, 1)
-	defer j.release()
-	if err := j.add(s, 0, 0, &j.sc.Memo); err != nil {
+	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+	if err != nil {
 		return nil, err
 	}
+	j := getLevelWalk(algo, &SpaceOptions{Schedule: *opts}, stats, 1)
+	defer j.release()
+	j.add(analyzer, 0, 0, &j.sc.Memo)
 	best, err := j.run(ctx, 1)
 	if err != nil {
 		return nil, err
@@ -170,17 +172,13 @@ func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *statsCollector
 	return j
 }
 
-// add makes s a live S of the walk, with its wire term, cost lower
-// bound and decision memo: a pooled one, or for a lone S the walking
-// scratch's own, which the scratch pool keeps warm between searches.
-func (j *levelWalk) add(s *intmat.Matrix, wire, lb int64, memo *conflict.Memo) error {
-	analyzer, err := conflict.NewSpaceAnalyzer(s, j.algo.Set)
-	if err != nil {
-		return err
-	}
-	j.live = append(j.live, walkS{wire: wire, lb: lb, cctx: candCtx{algo: j.algo, s: s, opts: &j.opts,
+// add makes the S of analyzer a live S of the walk, with its wire
+// term, cost lower bound and decision memo: a pooled one, or for a lone
+// S the walking scratch's own, which the scratch pool keeps warm
+// between searches.
+func (j *levelWalk) add(analyzer *conflict.SpaceAnalyzer, wire, lb int64, memo *conflict.Memo) {
+	j.live = append(j.live, walkS{wire: wire, lb: lb, cctx: candCtx{algo: j.algo, s: analyzer.S, opts: &j.opts,
 		analyzer: analyzer, depCols: j.wk.depCols, memo: memo, firstErr: &j.errs}})
-	return nil
 }
 
 // run walks the levels and returns the winning S, its res completed
@@ -190,13 +188,13 @@ func (j *levelWalk) add(s *intmat.Matrix, wire, lb int64, memo *conflict.Memo) e
 // counts and the memos' decision counters.
 func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) {
 	candidates, levels := int64(0), int64(0)
+	span := trace.FromContext(ctx) // resolved once: the level spans are its children
 	defer func() {
 		for i := range j.live {
 			j.stats.drainMemo(j.live[i].cctx.memo)
 		}
 		j.stats.costLevels.Add(levels)
 		j.stats.scheduleCandidates.Add(candidates)
-		span := trace.FromContext(ctx)
 		span.SetInt("candidates", candidates)
 		span.SetInt("levels", levels)
 	}()
@@ -219,7 +217,7 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 		}
 		levels++
 		below += seen
-		_, levelSpan := trace.Start(ctx, "level")
+		levelSpan := span.Child("level")
 		levelSpan.SetInt("cost", cost)
 		seen, err = j.wk.walk(ctx, cost, visit)
 		if err == nil && len(j.ords) > 0 {

@@ -550,7 +550,7 @@ func referenceJoint(t testing.TB, algo *uda.Algorithm, dims int, opts *SpaceOpti
 	if err != nil {
 		t.Fatal(err)
 	}
-	symPruned := symmetryPruned(cands, axisAutomorphisms(algo, nil))
+	symPruned := symmetryPruned(cands, axisAutomorphismsByKey(algo, nil))
 	weight := wireWeightOrDefault(opts)
 	baseMaxCost := maxCostOr(opts.Schedule.MaxCost, algo.Set)
 	wk := getWalker(algo)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,19 +141,19 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	span.SetInt("dims", int64(arrayDims))
 	startAt := time.Now()
 	stats := &statsCollector{}
-	cands, symPruned, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(opts), opts.NoPrune, pi, stats)
+	cands, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(opts), opts.NoPrune, pi, stats)
 	if err != nil {
 		return nil, err
 	}
+	cands.price(algo)
 	collectDur := time.Since(startAt)
 	weight := wireWeightOrDefault(opts)
-	results := make([]*SpaceResult, len(cands))
+	results := make([]*SpaceResult, cands.len())
 	var bestCost, prunedCount atomic.Int64
 	bestCost.Store(math.MaxInt64)
 	searchAt := time.Now()
-	err = forEachCandidate(ctx, len(cands), opts.Schedule.Workers, func(_ context.Context, _, i int) error {
-		s := cands[i]
-		if symPruned[i] {
+	err = forEachCandidate(ctx, cands.len(), opts.Schedule.Workers, func(_ context.Context, _, i int) error {
+		if cands.pruned[i] {
 			prunedCount.Add(1)
 			stats.prunedOrbit.Add(1)
 			return nil
@@ -164,14 +163,14 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 			// bound plus its exact wire term; the incumbent only
 			// decreases, so a strict > here can never discard a
 			// candidate tying the final minimum.
-			lb := processorLowerBound(s, algo.Set.Upper) + weight*wireLength(s, algo.D)
+			lb := cands.lowerBound(i) + weight*cands.wire(i, algo.D)
 			if lb > bestCost.Load() {
 				prunedCount.Add(1)
 				stats.prunedLowerBound.Add(1)
 				return nil
 			}
 		}
-		r, ok, err := evaluateSpaceMapping(algo, s, pi, opts)
+		r, ok, err := evaluateSpaceMapping(algo, cands, i, pi, opts)
 		if !ok {
 			return err
 		}
@@ -195,14 +194,14 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 		return nil, fmt.Errorf("%w: no conflict-free space mapping with |entries| ≤ %d for Π = %v",
 			ErrNoSchedule, maxEntryOrDefault(opts), pi)
 	}
-	best.Candidates = len(cands)
+	best.Candidates = cands.len()
 	best.Pruned = int(prunedCount.Load())
 	if opts.Schedule.SelfCheck {
 		if err := runSelfCheck(best.Mapping); err != nil {
 			return nil, err
 		}
 	}
-	best.Stats = stats.snapshot("space-6.1", effectiveWorkers(opts.Schedule.Workers, len(cands)),
+	best.Stats = stats.snapshot("space-6.1", effectiveWorkers(opts.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	best.Stats.annotateSpan(span)
 	best.Trace = trace.SummaryFromContext(ctx)
@@ -261,24 +260,27 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	span.SetInt("dims", int64(arrayDims))
 	startAt := time.Now()
 	stats := &statsCollector{}
-	cands, symPruned, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(opts), opts.NoPrune, nil, stats)
+	cands, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(opts), opts.NoPrune, nil, stats)
 	if err != nil {
 		return nil, err
 	}
+	cands.price(algo)
 	collectDur := time.Since(startAt)
 	searchAt := time.Now()
-	j := getLevelWalk(algo, opts, stats, len(cands))
+	j := getLevelWalk(algo, opts, stats, cands.len())
 	defer j.release()
 	weight := wireWeightOrDefault(opts)
-	for i, s := range cands {
-		if symPruned[i] {
+	for i, pruned := range cands.pruned {
+		if pruned {
 			stats.prunedOrbit.Add(1)
 			continue
 		}
-		wire := wireLength(s, algo.D)
-		if err := j.add(s, wire, processorLowerBound(s, algo.Set.Upper)+weight*wire, conflict.GetMemo()); err != nil {
+		analyzer, err := cands.analyzer(i, algo.Set)
+		if err != nil {
 			return nil, err
 		}
+		wire := cands.wire(i, algo.D)
+		j.add(analyzer, wire, cands.lowerBound(i)+weight*wire, conflict.GetMemo())
 	}
 	stats.innerSearches.Add(int64(len(j.live)))
 	wctx, walkSpan := trace.Start(ctx, "pi-search")
@@ -303,14 +305,14 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 			}
 		}
 	}
-	best.Candidates = len(cands)
+	best.Candidates = cands.len()
 	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
 	if opts.Schedule.SelfCheck {
 		if err := runSelfCheck(best.Mapping); err != nil {
 			return nil, err
 		}
 	}
-	best.Stats = stats.snapshot("joint-6.2", effectiveWorkers(opts.Schedule.Workers, len(cands)),
+	best.Stats = stats.snapshot("joint-6.2", effectiveWorkers(opts.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	best.ScheduleResult.Stats = best.Stats
 	best.Stats.annotateSpan(span)
@@ -390,29 +392,6 @@ func (s *workerStates) release(stats *statsCollector) {
 			*st = workerState{}
 		}
 	}
-}
-
-// collectCandidates is the prelude of the space-mapping searches, under
-// one "collect" span: the canonical candidate list, each candidate's
-// orbit mark (all false under noPrune; with pi non-nil, Problem 6.1's
-// fixed schedule, only automorphisms fixing pi count), and the
-// candidate count added to stats.
-func collectCandidates(ctx context.Context, algo *uda.Algorithm, dims int, maxEntry int64, noPrune bool, pi intmat.Vector, stats *statsCollector) ([]*intmat.Matrix, []bool, error) {
-	_, span := trace.Start(ctx, "collect")
-	defer span.End()
-	cands, err := collectSpaceMappings(algo.Dim(), dims, maxEntry)
-	if err != nil {
-		return nil, nil, err
-	}
-	var symPruned []bool
-	if noPrune {
-		symPruned = make([]bool, len(cands))
-	} else {
-		symPruned = symmetryPruned(cands, axisAutomorphisms(algo, pi))
-	}
-	span.SetInt("candidates", int64(len(cands)))
-	stats.spaceCandidates.Add(int64(len(cands)))
-	return cands, symPruned, nil
 }
 
 // forEachCandidate runs fn(ctx, w, i) for i in [0, count) on up to
@@ -514,15 +493,16 @@ func searchErr(ctx context.Context, errs []error) error {
 }
 
 // evaluateSpaceMapping checks validity and conflict-freeness of [S; Π]
-// and computes the Problem 6.1 metrics. The analyzer's Decide subsumes
-// the rank(T) = k test (ErrRank when Π lies in the row space of S),
-// which rejects S like a conflict does; any other decision error is
-// returned, to fail the search.
-func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool, error) {
-	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+// for candidate i and computes the Problem 6.1 metrics. The analyzer's
+// Decide subsumes the rank(T) = k test (ErrRank when Π lies in the row
+// space of S), which rejects S like a conflict does; any other decision
+// error is returned, to fail the search.
+func evaluateSpaceMapping(algo *uda.Algorithm, cands *candidates, i int, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool, error) {
+	analyzer, err := cands.analyzer(i, algo.Set)
 	if err != nil {
 		return nil, false, nil
 	}
+	s := analyzer.S
 	res, err := analyzer.Decide(pi)
 	if err != nil && !errors.Is(err, conflict.ErrRank) {
 		return nil, false, err
@@ -530,14 +510,14 @@ func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vecto
 	if err != nil || !res.ConflictFree {
 		return nil, false, nil
 	}
-	m := &Mapping{Algo: algo, S: s.Clone(), Pi: pi.Clone(), T: s.AppendRow(pi)}
+	m := &Mapping{Algo: algo, S: s, Pi: pi.Clone(), T: s.AppendRow(pi)}
 	if opts.Schedule.Machine != nil {
 		if _, err := opts.Schedule.Machine.Decompose(s, algo.D, pi); err != nil {
 			return nil, false, nil
 		}
 	}
 	procs := countProcessorImages(s, algo.Set)
-	wire := wireLength(s, algo.D)
+	wire := cands.wire(i, algo.D)
 	weight := wireWeightOrDefault(opts)
 	return &SpaceResult{
 		Mapping:    m,
@@ -546,190 +526,4 @@ func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vecto
 		Cost:       procs + weight*wire,
 		Time:       TotalTime(pi, algo.Set),
 	}, true, nil
-}
-
-// wireLength returns Σ_i ‖S·d̄_i‖₁, without materializing S·D.
-func wireLength(s *intmat.Matrix, d *intmat.Matrix) int64 {
-	var total int64
-	for c := 0; c < d.Cols(); c++ {
-		for r := 0; r < s.Rows(); r++ {
-			var x int64
-			for i := 0; i < s.Cols(); i++ {
-				x = intmat.AddChecked(x, intmat.MulChecked(s.At(r, i), d.At(i, c)))
-			}
-			total = intmat.AddChecked(total, intmat.AbsChecked(x))
-		}
-	}
-	return total
-}
-
-// axisAutomorphisms returns the non-identity coordinate permutations σ
-// (encoded as p with (σv)_i = v_{p[i]}) under which the algorithm is
-// invariant: μ_{p[i]} = μ_i for all i and the multiset of dependence
-// columns of D maps onto itself. When pi is non-nil (Problem 6.1's
-// fixed schedule) Π must additionally be invariant. Applying such a σ
-// to a space mapping relabels the index space by an isomorphism, so
-// every mapping in the resulting orbit shares its time, processor
-// count, wire length — and hence its search metrics — exactly.
-func axisAutomorphisms(algo *uda.Algorithm, pi intmat.Vector) [][]int {
-	n := algo.Dim()
-	mu := algo.Set.Upper
-	cols := make([]intmat.Vector, algo.NumDeps())
-	colCount := make(map[string]int, len(cols))
-	for i := range cols {
-		cols[i] = algo.D.Col(i)
-		colCount[cols[i].String()]++
-	}
-	var perms [][]int
-	p := make([]int, n)
-	used := make([]bool, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			identity := true
-			for j, v := range p {
-				if v != j {
-					identity = false
-					break
-				}
-			}
-			if identity {
-				return
-			}
-			cnt := make(map[string]int, len(colCount))
-			pc := make(intmat.Vector, n)
-			for _, c := range cols {
-				for j := 0; j < n; j++ {
-					pc[j] = c[p[j]]
-				}
-				cnt[pc.String()]++
-			}
-			for k, v := range colCount {
-				if cnt[k] != v {
-					return
-				}
-			}
-			perms = append(perms, append([]int(nil), p...))
-			return
-		}
-		for v := 0; v < n; v++ {
-			if used[v] || mu[v] != mu[i] {
-				continue
-			}
-			if pi != nil && pi[v] != pi[i] {
-				continue
-			}
-			used[v] = true
-			p[i] = v
-			rec(i + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
-	return perms
-}
-
-// symmetryPruned marks every candidate that is not the
-// lexicographically least member of its automorphism orbit. The
-// enumeration emits candidates in lexicographic matrix order
-// (canonical rows ascending), each orbit image is itself an enumerated
-// candidate (permuting coordinates of canonical rows and
-// re-canonicalizing stays within the row set, preserves rank and
-// distinctness), and orbit members share all search metrics — so
-// keeping only the least member preserves the (metric, enumeration
-// index) winner exactly.
-func symmetryPruned(cands []*intmat.Matrix, perms [][]int) []bool {
-	pruned := make([]bool, len(cands))
-	if len(perms) == 0 {
-		return pruned
-	}
-	for ci, s := range cands {
-		rows := make([]intmat.Vector, s.Rows())
-		for r := range rows {
-			rows[r] = s.Row(r)
-		}
-		for _, p := range perms {
-			img := make([]intmat.Vector, len(rows))
-			for r, row := range rows {
-				pr := make(intmat.Vector, len(row))
-				for j := range pr {
-					pr[j] = row[p[j]]
-				}
-				if fz := pr.FirstNonZero(); fz >= 0 && pr[fz] < 0 {
-					for j := range pr {
-						pr[j] = -pr[j]
-					}
-				}
-				img[r] = pr
-			}
-			slices.SortFunc(img, slices.Compare[intmat.Vector])
-			if slices.CompareFunc(img, rows, slices.Compare[intmat.Vector]) < 0 {
-				pruned[ci] = true
-				break
-			}
-		}
-	}
-	return pruned
-}
-
-// collectSpaceMappings materializes the canonical candidate list in
-// enumeration (lexicographic) order, so the parallel search can index
-// candidates stably.
-func collectSpaceMappings(n, rows int, maxEntry int64) ([]*intmat.Matrix, error) {
-	var out []*intmat.Matrix
-	err := enumerateSpaceMappings(n, rows, maxEntry, func(s *intmat.Matrix) bool {
-		out = append(out, s.Clone())
-		return true
-	})
-	return out, err
-}
-
-// enumerateSpaceMappings visits every (rows×n) integer matrix with
-// entries in [−maxEntry, maxEntry], full row rank, and rows in
-// canonical orientation and order: each row's first non-zero entry is
-// positive (negating a row merely relabels array coordinates) and rows
-// appear in a fixed generation order without repetition (reordering
-// rows merely relabels axes), so each geometric array is visited once.
-// The visitor returns false to stop early.
-func enumerateSpaceMappings(n, rows int, maxEntry int64, visit func(*intmat.Matrix) bool) error {
-	if rows < 1 {
-		return fmt.Errorf("schedule: need at least one space row")
-	}
-	// Generate canonical rows once.
-	var rowSet []intmat.Vector
-	var gen func(i int, v intmat.Vector)
-	gen = func(i int, v intmat.Vector) {
-		if i == n {
-			if fz := v.FirstNonZero(); fz >= 0 && v[fz] > 0 {
-				rowSet = append(rowSet, v.Clone())
-			}
-			return
-		}
-		for e := -maxEntry; e <= maxEntry; e++ {
-			v[i] = e
-			gen(i+1, v)
-		}
-		v[i] = 0
-	}
-	gen(0, make(intmat.Vector, n))
-
-	s := intmat.New(rows, n)
-	var rec func(r, start int) bool
-	rec = func(r, start int) bool {
-		if r == rows {
-			if s.Rank() != rows {
-				return true
-			}
-			return visit(s)
-		}
-		for c := start; c < len(rowSet); c++ {
-			s.SetRow(r, rowSet[c])
-			if !rec(r+1, c+1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 0)
-	return nil
 }

@@ -293,10 +293,11 @@ func TestFindJointMappingConflictFreeAllWorkers(t *testing.T) {
 
 // TestJointSearchAllocs bounds the allocations of a whole Workers=1
 // joint search on MatMul(4) (13 space mappings, 5 inner searches). The
-// bound is 3 above the 605 measured when it was set (before the
-// per-candidate overhead was cut the search took 696), fewer than one
-// per inner search, so a per-S allocation in the prelude, the inner
-// search or the image count cannot creep back unnoticed.
+// bound is 3 above the 136 measured when it was set (605 before the
+// shape catalogue, 696 before the per-candidate overhead was cut),
+// fewer than one per inner search, so a per-S allocation in the
+// prelude, the inner search or the image count cannot creep back
+// unnoticed.
 func TestJointSearchAllocs(t *testing.T) {
 	if intmat.RaceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -311,7 +312,7 @@ func TestJointSearchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 608
+	const bound = 139
 	if got > bound {
 		t.Fatalf("a Workers=1 joint search on MatMul(4) takes %v allocations, bound %d", got, bound)
 	}

@@ -29,7 +29,8 @@ func TestFindSpaceMappingMatmul(t *testing.T) {
 		t.Fatalf("winning mapping has conflict %v:\n%v", w, res.Mapping.T)
 	}
 	// The paper's S is among the feasible candidates but costs more.
-	paper, ok, err := evaluateSpaceMapping(algo, intmat.FromRows([]int64{1, 1, -1}), pi, &SpaceOptions{})
+	cands, i := candidateOf(t, algo, intmat.FromRows([]int64{1, 1, -1}))
+	paper, ok, err := evaluateSpaceMapping(algo, cands, i, pi, &SpaceOptions{})
 	if err != nil || !ok {
 		t.Fatal("paper S rejected")
 	}
@@ -127,10 +128,13 @@ func TestFindJointMappingTransitiveClosure(t *testing.T) {
 }
 
 func TestEnumerateSpaceMappingsCanonical(t *testing.T) {
-	count := 0
+	sh, err := lookupShape(2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
-	err := enumerateSpaceMappings(2, 1, 1, func(s *intmat.Matrix) bool {
-		count++
+	for i := range sh.count() {
+		s := sh.matrix(i)
 		key := s.String()
 		if seen[key] {
 			t.Errorf("duplicate candidate %s", key)
@@ -140,27 +144,23 @@ func TestEnumerateSpaceMappingsCanonical(t *testing.T) {
 		if fz := r.FirstNonZero(); fz < 0 || r[fz] <= 0 {
 			t.Errorf("non-canonical row %v", r)
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	// Canonical non-zero rows over {-1,0,1}^2: (0,1), (1,-1), (1,0), (1,1) → 4.
-	if count != 4 {
-		t.Errorf("candidate count = %d, want 4", count)
+	if sh.count() != 4 {
+		t.Errorf("candidate count = %d, want 4", sh.count())
 	}
 }
 
 func TestEnumerateSpaceMappingsRankFilter(t *testing.T) {
 	// All 2-row candidates over {-1,0,1}^2 must be nonsingular.
-	err := enumerateSpaceMappings(2, 2, 1, func(s *intmat.Matrix) bool {
-		if s.Rank() != 2 {
-			t.Errorf("rank-deficient candidate\n%v", s)
-		}
-		return true
-	})
+	sh, err := lookupShape(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range sh.count() {
+		if s := sh.matrix(i); s.Rank() != 2 {
+			t.Errorf("rank-deficient candidate\n%v", s)
+		}
 	}
 }
 

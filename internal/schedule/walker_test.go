@@ -330,7 +330,7 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 	if err != nil {
 		return nil, nil, err
 	}
-	symPruned := symmetryPruned(cands, axisAutomorphisms(algo, nil))
+	symPruned := symmetryPruned(cands, axisAutomorphismsByKey(algo, nil))
 	stats.spaceCandidates.Add(int64(len(cands)))
 	weight := wireWeightOrDefault(opts)
 	baseMaxCost := maxCostOr(opts.Schedule.MaxCost, algo.Set)
@@ -404,7 +404,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) ([][3]s
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	symPruned := symmetryPruned(cands, axisAutomorphisms(algo, nil))
+	symPruned := symmetryPruned(cands, axisAutomorphismsByKey(algo, nil))
 	stats.spaceCandidates.Add(int64(len(cands)))
 	baseMaxCost := maxCostOr(opts.Space.Schedule.MaxCost, algo.Set)
 	floor := streamingFloor(algo, baseMaxCost)
@@ -810,9 +810,11 @@ func TestWorkerOverflowIsAnError(t *testing.T) {
 	j := getLevelWalk(algo, &SpaceOptions{}, &statsCollector{}, 2)
 	defer j.release()
 	for range 2 {
-		if err := j.add(s, 0, 0, conflict.GetMemo()); err != nil {
+		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+		if err != nil {
 			t.Fatal(err)
 		}
+		j.add(analyzer, 0, 0, conflict.GetMemo())
 	}
 	j.spawn(context.Background(), 2)
 	for range walkFanoutMin {

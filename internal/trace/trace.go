@@ -247,6 +247,17 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return withSpan(ctx, child), child
 }
 
+// Child opens a child of s named name — what Start does on a context
+// carrying s, without the context lookup — for a loop that opens many
+// spans under one parent it resolved once. It returns nil on a nil
+// span (tracing off) and at the per-trace span cap.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.newChild(name)
+}
+
 // newChild allocates and links a child span, honoring the per-trace
 // cap.
 func (s *Span) newChild(name string) *Span {

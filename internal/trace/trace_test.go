@@ -169,6 +169,37 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestChildMatchesStart: Span.Child links the span Start would under a
+// context carrying its parent, honours the span cap, and is a
+// non-allocating no-op on the nil span of the disabled path.
+func TestChildMatchesStart(t *testing.T) {
+	var nilSpan *Span
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c := nilSpan.Child("level")
+		c.SetInt("cost", 1)
+		c.End()
+	}); allocs != 0 {
+		t.Fatalf("nil Child allocates %.1f per op, want 0", allocs)
+	}
+	tr := New(Config{MaxSpans: 3})
+	ctx, root := tr.StartRoot(context.Background(), "r", "")
+	_, started := Start(ctx, "level")
+	child := root.Child("level")
+	if child == nil || root.Child("level") != nil {
+		t.Fatal("Child must open one span, then stop at MaxSpans=3")
+	}
+	child.End()
+	started.End()
+	root.End()
+	kids := root.Children()
+	if len(kids) != 2 || kids[0] != started || kids[1] != child || child.Name() != "level" {
+		t.Fatalf("children %v, want the Start span then the Child span", kids)
+	}
+	if got := root.Trace().Dropped(); got != 1 {
+		t.Fatalf("Trace.Dropped = %d, want 1", got)
+	}
+}
+
 func TestMaxSpansDropsAndCounts(t *testing.T) {
 	tr := New(Config{MaxSpans: 3})
 	ctx, root := tr.StartRoot(context.Background(), "r", "")

@@ -2,8 +2,7 @@ package uda
 
 import (
 	"fmt"
-
-	"lodim/internal/intmat"
+	"slices"
 )
 
 // This file computes dataflow-limit quantities of an algorithm: the
@@ -13,67 +12,78 @@ import (
 // natural baseline column next to the achieved linear-schedule times in
 // the experiment tables.
 
-// FreeSchedule returns the earliest firing time of every index point
+// freeLevels returns the earliest firing time of every index point
 // under pure dataflow execution (unbounded processors): level(j̄) =
-// 1 + max over in-set predecessors, with sources at level 1. The map is
-// keyed by the point's String(). Use only on enumerable index sets.
-func (a *Algorithm) FreeSchedule() (map[string]int64, error) {
+// 1 + max over in-set predecessors, with sources at level 1. Levels are
+// indexed by the point's mixed-radix offset in the box, Σ_i j_i·stride_i
+// with the last coordinate fastest — the order of IndexSet.Each. Points
+// are settled in topological order of the dependence graph (Kahn's
+// algorithm), which reaches every point unless the graph has a cycle.
+// Use only on enumerable index sets.
+func (a *Algorithm) freeLevels() ([]int64, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	level := make(map[string]int64, a.Set.Size())
-	// Lexicographic iteration is NOT generally a topological order of
-	// the dependence graph (dependence vectors may have negative
-	// entries), so iterate to a fixed point; each pass finalizes at
-	// least one more level, and the level values are bounded by |J|.
-	// For lex-positive dependence matrices one pass suffices.
-	lexPositiveDeps := true
-	for i := 0; i < a.NumDeps(); i++ {
-		d := a.Dep(i)
-		pos := false
-		for _, x := range d {
-			if x > 0 {
-				pos = true
-				break
-			}
-			if x < 0 {
-				break
-			}
-		}
-		if !pos {
-			lexPositiveDeps = false
-			break
+	n, m, upper := a.Dim(), a.NumDeps(), a.Set.Upper
+	size := a.Set.Size()
+	stride := make([]int64, n)
+	for i, s := n-1, int64(1); i >= 0; i-- {
+		stride[i], s = s, s*(upper[i]+1)
+	}
+	// step[c] is the offset change along dependence c; d[c*n+i] = d_ic.
+	step, d := make([]int64, m), make([]int64, m*n)
+	for c := range m {
+		for i := range n {
+			d[c*n+i] = a.D.At(i, c)
+			step[c] += d[c*n+i] * stride[i]
 		}
 	}
-	passes := 1
-	if !lexPositiveDeps {
-		passes = int(a.Set.Size())
+	j := make([]int64, n)
+	decode := func(off int64) {
+		for i := range n {
+			j[i] = off / stride[i] % (upper[i] + 1)
+		}
 	}
-	for p := 0; p < passes; p++ {
-		changed := false
-		a.Set.Each(func(j intmat.Vector) bool {
-			lv := int64(1)
-			for i := 0; i < a.NumDeps(); i++ {
-				src := j.Sub(a.Dep(i))
-				if !a.Set.Contains(src) {
-					continue
-				}
-				if sl := level[src.String()]; sl+1 > lv {
-					lv = sl + 1
-				}
+	// shifted reports whether j + sign·d̄_c lies in the box.
+	shifted := func(c int, sign int64) bool {
+		for i, x := range d[c*n : (c+1)*n] {
+			if y := j[i] + sign*x; y < 0 || y > upper[i] {
+				return false
 			}
-			if lv != level[j.String()] {
-				level[j.String()] = lv
-				changed = true
+		}
+		return true
+	}
+	indeg := make([]int32, size)
+	level := make([]int64, size)
+	queue := make([]int64, 0, size)
+	for off := range size {
+		decode(off)
+		for c := range m {
+			if shifted(c, -1) {
+				indeg[off]++
 			}
-			return true
-		})
-		if !changed {
-			break
 		}
-		if p == passes-1 && changed && !lexPositiveDeps {
-			return nil, fmt.Errorf("uda: %s: free schedule did not converge — the dependence graph has a cycle", a.Name)
+		if indeg[off] == 0 {
+			level[off] = 1
+			queue = append(queue, off)
 		}
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		decode(u)
+		for c := range m {
+			if !shifted(c, 1) {
+				continue
+			}
+			v := u + step[c]
+			level[v] = max(level[v], level[u]+1)
+			if indeg[v]--; indeg[v] == 0 {
+				queue = append(queue, v)
+			}
+		}
+	}
+	if int64(len(queue)) < size {
+		return nil, fmt.Errorf("uda: %s: free schedule did not converge — the dependence graph has a cycle", a.Name)
 	}
 	return level, nil
 }
@@ -84,15 +94,9 @@ func (a *Algorithm) FreeSchedule() (map[string]int64, error) {
 // many processors. Any valid linear schedule satisfies
 // TotalTime(Π) ≥ CriticalPath.
 func (a *Algorithm) CriticalPath() (int64, error) {
-	levels, err := a.FreeSchedule()
+	levels, err := a.freeLevels()
 	if err != nil {
 		return 0, err
 	}
-	var max int64
-	for _, l := range levels {
-		if l > max {
-			max = l
-		}
-	}
-	return max, nil
+	return slices.Max(levels), nil
 }
