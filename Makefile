@@ -3,7 +3,7 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: all check build test vet fmtcheck bench bench-diff bench-guard race race-hot cluster-e2e loadgen corpus corpus-check fuzz cover experiments examples golden serve clean
+.PHONY: all check build test vet fmtcheck loc bench bench-diff bench-guard race race-hot cluster-e2e loadgen corpus corpus-check fuzz cover experiments examples golden serve clean
 
 all: build vet test
 
@@ -26,6 +26,17 @@ fmtcheck:
 
 test:
 	$(GO) test ./...
+
+# Lines of Go per package: non-blank, non-comment lines of the files the
+# package builds from (test files excluded), then the module's total.
+# Run it before and after a change to get the change's net size.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read pkg dir files; do \
+		[ -n "$$files" ] || continue; \
+		(cd "$$dir" && awk '/^[ \t]*\/\*/ { c = 1 } c { if (/\*\//) c = 0; next } \
+			/^[ \t]*(\/\/.*)?$$/ { next } { n++ } END { print n + 0 }' $$files) | \
+		{ read n; printf '%7d %s\n' "$$n" "$$pkg"; }; \
+	done | awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
 race:
 	$(GO) test -race ./...

@@ -288,7 +288,7 @@ func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, 
 		if best != nil && wTime*(1+cost) >= bestObj {
 			break
 		}
-		if _, err := wk.walk(context.TODO(), cost, func(pi intmat.Vector, _ int64) bool {
+		if err := wk.walk(context.TODO(), cost, func(pi intmat.Vector) bool {
 			r, ok := cctx.tryValid(pi, sc)
 			if !ok {
 				return true

@@ -31,6 +31,10 @@ import (
 // read of it merely produces extra records that the final sequential
 // pass filters out again. Ties between members with equal objective
 // vectors keep the member least under the pinned total order below.
+// The effort counters are not covered: at Workers ≥ 2 a staircase's
+// level bound depends on when it reads the shared bound, so the levels
+// walked, the passers visited and the decisions made vary from run to
+// run.
 
 // Objective indexes one axis of an ObjectiveVector.
 type Objective int
@@ -344,7 +348,8 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 			levels++
 			var lvlMapping *Mapping
 			var lvlBuf int64
-			seen, err := st.walk.walk(wctx, cost, func(pi intmat.Vector, _ int64) bool {
+			err := st.walk.walk(wctx, cost, func(pi intmat.Vector) bool {
+				candidates++
 				r, ok := cctx.tryValid(pi, st.sc)
 				if !ok {
 					return true
@@ -357,7 +362,6 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 				}
 				return true
 			})
-			candidates += seen
 			if err != nil {
 				return err
 			}

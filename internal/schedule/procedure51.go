@@ -132,7 +132,7 @@ type levelWalk struct {
 	wk     *piWalker
 	sc     *conflict.Scratch // the walking goroutine's
 	pis    []int64           // the passers buffered for testing, n entries each
-	ords   []int64           // each buffered passer's ordinal in its level
+	seen   int64             // the passers the walk visited, buffered ones too
 	open   int               // the S open at the last closing
 	errs   firstErr
 	done   <-chan struct{}
@@ -150,9 +150,9 @@ type levelWalk struct {
 type walkS struct {
 	cctx     candCtx // its step-5 state: S, analyzer and decision memo
 	wire, lb int64   // its wire term and its cost lower bound
-	// res is its pick at the final level, ord the pick's ordinal in the
-	// level, procs and cost its exact array metrics once res is set
-	// (when the walk has several S to rank).
+	// res is its pick at the final level, ord the number of passers
+	// the walk visited before it, procs and cost its exact array
+	// metrics once res is set (when the walk has several S to rank).
 	res         *Result
 	ord         int64
 	procs, cost int64
@@ -166,7 +166,7 @@ var walkPool = sync.Pool{New: func() any { return new(levelWalk) }}
 func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *statsCollector, n int) *levelWalk {
 	j := walkPool.Get().(*levelWalk)
 	*j = levelWalk{algo: algo, opts: opts.Schedule, weight: wireWeightOrDefault(opts), prune: !opts.NoPrune,
-		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0], ords: j.ords[:0],
+		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0],
 		wk: getWalker(algo), sc: conflict.GetScratch()}
 	j.opts.Workers, j.opts.SelfCheck = 0, false
 	return j
@@ -186,16 +186,21 @@ func (j *levelWalk) add(analyzer *conflict.SpaceAnalyzer, wire, lb int64, memo *
 // MaxCost has a conflict-free passer for any S. Each level gets a
 // "level" span; the span of ctx gets the walk's counts, and stats its
 // counts and the memos' decision counters.
+//
+// Every open S tests every passer the walk visits below the final
+// level, so the winner's count is the passers before its pick plus the
+// pick, or under MinimizeBuffers all the walk visited; the walk's own
+// count is every passer it visited.
 func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) {
-	candidates, levels := int64(0), int64(0)
+	levels := int64(0)
 	span := trace.FromContext(ctx) // resolved once: the level spans are its children
 	defer func() {
 		for i := range j.live {
 			j.stats.drainMemo(j.live[i].cctx.memo)
 		}
 		j.stats.costLevels.Add(levels)
-		j.stats.scheduleCandidates.Add(candidates)
-		span.SetInt("candidates", candidates)
+		j.stats.scheduleCandidates.Add(j.seen)
+		span.SetInt("candidates", j.seen)
 		span.SetInt("levels", levels)
 	}()
 	if j.opts.MinimizeBuffers && j.opts.Machine == nil {
@@ -207,7 +212,6 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 	j.done, j.open = ctx.Done(), len(j.live)
 	j.spawn(ctx, workers)
 	visit := j.visit
-	var below, seen int64 // the raw Π of the levels below the current one, and of it
 	var best *walkS
 	var bestR JointResult
 	maxCost := maxCostOr(j.opts.MaxCost, j.algo.Set)
@@ -216,11 +220,10 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 			return nil, ctx.Err()
 		}
 		levels++
-		below += seen
 		levelSpan := span.Child("level")
 		levelSpan.SetInt("cost", cost)
-		seen, err = j.wk.walk(ctx, cost, visit)
-		if err == nil && len(j.ords) > 0 {
+		err = j.wk.walk(ctx, cost, visit)
+		if err == nil && len(j.pis) > 0 {
 			j.flush()
 		}
 		if err == nil {
@@ -233,7 +236,6 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 		if err != nil {
 			return nil, err
 		}
-		last := int64(-1) // the latest pick in the level
 		for i := range j.live {
 			js := &j.live[i]
 			if js.res == nil {
@@ -242,23 +244,14 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 			if r := js.joint(); best == nil || jointLess(&r, &bestR) {
 				best, bestR = js, r
 			}
-			last = max(last, js.ord)
 		}
-		// The level's count is what a search stopping at its last pick
-		// counts — all of the level under MinimizeBuffers.
-		if best != nil && !j.opts.MinimizeBuffers {
-			seen = last + 1
-		}
-		candidates += seen
 	}
 	if best == nil {
 		return nil, nil
 	}
-	// What the winner's own Procedure 5.1 search counts: every Π below
-	// its level, and those of its level up to its pick.
-	count := below + seen
-	if !j.opts.MinimizeBuffers {
-		count = below + best.ord + 1
+	count := best.ord + 1
+	if j.opts.MinimizeBuffers {
+		count = j.seen
 	}
 	best.res.Candidates, best.res.Method = int(count), "procedure-5.1"
 	return best, nil
@@ -275,21 +268,25 @@ func (js *walkS) joint() JointResult {
 // visit takes the walk's next passer and reports whether the walk
 // should go on: it buffers the passer, flushing every walkChunk of
 // them, or tests it at once against a lone S.
-func (j *levelWalk) visit(pi intmat.Vector, ord int64) bool {
+func (j *levelWalk) visit(pi intmat.Vector) bool {
+	j.seen++
 	if len(j.live) > 1 {
-		j.pis, j.ords = append(j.pis, pi...), append(j.ords, ord)
-		return len(j.ords) < walkChunk || j.flush()
+		j.pis = append(j.pis, pi...)
+		return j.buffered() < walkChunk || j.flush()
 	}
-	j.try(&j.live[0], pi, ord, j.sc)
+	j.try(&j.live[0], pi, j.seen-1, j.sc)
 	return !j.live[0].closed
 }
+
+// buffered is the number of passers buffered for testing.
+func (j *levelWalk) buffered() int { return len(j.pis) / j.wk.n }
 
 // flush tests the buffered passers against every open S, on the helpers
 // too when there is enough work, and then closes the S that can no
 // longer win.
 func (j *levelWalk) flush() bool {
 	j.next.Store(0)
-	if j.helpers > 0 && j.open*len(j.ords) >= walkFanoutMin {
+	if j.helpers > 0 && j.open*j.buffered() >= walkFanoutMin {
 		j.wg.Add(j.helpers)
 		for range j.helpers {
 			j.start <- struct{}{}
@@ -299,7 +296,7 @@ func (j *levelWalk) flush() bool {
 	} else {
 		j.claim(j.sc)
 	}
-	j.pis, j.ords = j.pis[:0], j.ords[:0]
+	j.pis = j.pis[:0]
 	return j.close()
 }
 
@@ -356,15 +353,15 @@ func (j *levelWalk) claim(sc *conflict.Scratch) (claimed int64) {
 // test runs the buffered passers, in walk order, through try until js
 // closes.
 func (j *levelWalk) test(js *walkS, sc *conflict.Scratch) {
-	n := j.wk.n
-	for i, ord := range j.ords {
-		if j.try(js, j.pis[i*n:(i+1)*n:(i+1)*n], ord, sc); js.closed {
+	n, first := j.wk.n, j.seen-int64(j.buffered())
+	for i := range j.buffered() {
+		if j.try(js, j.pis[i*n:(i+1)*n:(i+1)*n], first+int64(i), sc); js.closed {
 			return
 		}
 	}
 }
 
-// try runs passer pi, the ord-th Π of its level, through the step-5
+// try runs passer pi, the walk's ord-th (from 0), through the step-5
 // tests of js. The first conflict-free passer settles js, closing it —
 // or, under MinimizeBuffers, js keeps testing the level for the passer
 // with the fewest buffers (the first among equals).
@@ -425,7 +422,7 @@ func (j *levelWalk) release() {
 	conflict.PutScratch(j.sc)
 	putWalker(j.wk)
 	clear(j.live)
-	*j = levelWalk{live: j.live[:0], pis: j.pis, ords: j.ords}
+	*j = levelWalk{live: j.live[:0], pis: j.pis}
 	walkPool.Put(j)
 }
 

@@ -179,8 +179,10 @@ type Result struct {
 	Conflict conflict.Result
 	// Decomp is the machine realization when a machine was given.
 	Decomp *array.Decomposition
-	// Candidates counts schedule vectors examined (Procedure 5.1) or
-	// branch-and-bound nodes (ILP); an effort metric for the
+	// Candidates counts the schedule vectors Procedure 5.1 tested for
+	// conflicts — the Π passing ΠD ≥ 1 up to and including the winner,
+	// or through the winner's whole level under MinimizeBuffers — or
+	// the branch-and-bound nodes (ILP); an effort metric for the
 	// formulation-versus-enumeration ablation.
 	Candidates int
 	// Method names the engine: "procedure-5.1" or "ilp".

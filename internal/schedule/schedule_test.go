@@ -463,9 +463,9 @@ type referenceResult struct {
 
 // referenceSearch is a plain Procedure 5.1 to check the engine
 // against: it streams enumerate over the levels 1, 2, … up to the
-// default cost ceiling, counting every Π, and decides each Π passing
-// ΠD > 0 with a full conflict.Decide of T = [S; Π] (ErrRank rejects
-// Π). No factored analyzer, scratch, table or cache is involved.
+// default cost ceiling and decides each Π passing ΠD > 0 with a full
+// conflict.Decide of T = [S; Π] (ErrRank rejects Π), counting the Π it
+// decides. No factored analyzer, scratch, table or cache is involved.
 func referenceSearch(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix) referenceResult {
 	t.Helper()
 	maxCost := maxCostOr(0, algo.Set)
@@ -473,10 +473,10 @@ func referenceSearch(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix) refere
 	for cost := int64(1); cost <= maxCost; cost++ {
 		var found *referenceResult
 		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			candidates++
 			if !Valid(pi, algo.D) {
 				return true
 			}
+			candidates++
 			res, err := conflict.Decide(s.AppendRow(pi), algo.Set)
 			if errors.Is(err, conflict.ErrRank) {
 				return true
@@ -501,8 +501,9 @@ func referenceSearch(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix) refere
 // referenceProcedure51 is Procedure 5.1 for one S as FindOptimal ran it
 // before the level walk: each level walked by a piWalker, its passers
 // tested in walk order with one scratch, until the first conflict-free
-// one (the fewest-buffer one of the level under MinimizeBuffers). It
-// returns nil when no level up to MaxCost has one.
+// one (the fewest-buffer one of the level under MinimizeBuffers),
+// counting the passers it tests. It returns nil when no level up to
+// MaxCost has one.
 func referenceProcedure51(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix, opts *Options) *Result {
 	t.Helper()
 	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
@@ -517,7 +518,8 @@ func referenceProcedure51(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix, o
 	candidates := int64(0)
 	for cost := max(opts.MinCost, 1); cost <= maxCostOr(opts.MaxCost, algo.Set); cost++ {
 		var found *Result
-		seen, err := wk.walk(context.Background(), cost, func(pi intmat.Vector, _ int64) bool {
+		err := wk.walk(context.Background(), cost, func(pi intmat.Vector) bool {
+			candidates++
 			r, ok := cctx.tryValid(pi, sc)
 			if ok && (found == nil || r.Decomp.TotalBuffers() < found.Decomp.TotalBuffers()) {
 				found = r
@@ -530,7 +532,7 @@ func referenceProcedure51(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix, o
 		if err != nil {
 			t.Fatalf("%s: S =\n%v: %v", algo.Name, s, err)
 		}
-		if candidates += seen; found != nil {
+		if found != nil {
 			found.Candidates, found.Method = int(candidates), "procedure-5.1"
 			return found
 		}

@@ -48,14 +48,23 @@ type SearchStats struct {
 	// "pareto-front" the per-S staircases run.
 	InnerSearches int64 `json:"inner_searches,omitempty"`
 
-	// ScheduleCandidates counts the raw Π the level walks counted, the
-	// ΠD ≥ 1 passers and the Π they skipped alike: Result.Candidates for
-	// a pure schedule search, the one walk's count for "joint-6.2", and
-	// the sum over the staircases for "pareto-front".
+	// ScheduleCandidates counts the schedule vectors the level walks
+	// visited: the Π passing ΠD ≥ 1, handed on to the conflict
+	// decisions of the open S (the walker skips every other Π unseen).
+	// It is Result.Candidates for a pure schedule search, the one walk's
+	// passers for "joint-6.2" (with several S, a chunk of passers is
+	// visited before any S tests it, so it may exceed the winner's
+	// count), and the sum over the staircases for "pareto-front".
 	ScheduleCandidates int64 `json:"schedule_candidates"`
 	// CostLevels counts objective levels f = Σ|π_i|μ_i walked: each
 	// level once for "procedure-5.1" and "joint-6.2", summed over the
 	// staircases for "pareto-front".
+	//
+	// For "pareto-front" at Workers ≥ 2, ScheduleCandidates, CostLevels
+	// and the decision counters below differ from run to run: each
+	// staircase's level bound reads the best time the other workers have
+	// found so far, which races them. The front does not: records past
+	// the final window are filtered out.
 	CostLevels int64 `json:"cost_levels"`
 
 	// ConflictTable counts conflict decisions answered by the

@@ -77,68 +77,52 @@ func enumerate(mu intmat.Vector, cost int64, visit func(intmat.Vector) bool) boo
 	return rec(0, cost)
 }
 
-// refLevel is one objective level as enumerate sees it: the Π passing
-// ΠD > 0 in enumeration order, their ordinals among all Π of the level,
-// and the level's raw size.
-type refLevel struct {
-	pis  []string
-	ords []int64
-	raw  int64
-}
-
-func streamingLevel(algo *uda.Algorithm, cost int64) refLevel {
-	var ref refLevel
+// streamingLevel is one objective level as enumerate sees it: the Π
+// passing ΠD > 0, in enumeration order.
+func streamingLevel(algo *uda.Algorithm, cost int64) []string {
+	var pis []string
 	enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
 		if Valid(pi, algo.D) {
-			ref.pis = append(ref.pis, pi.String())
-			ref.ords = append(ref.ords, ref.raw)
+			pis = append(pis, pi.String())
 		}
-		ref.raw++
 		return true
 	})
-	return ref
+	return pis
 }
 
 // streamingFloor is the lowest level holding a Π with ΠD > 0, found by
 // streaming enumerate; −1 when there is none up to maxCost.
 func streamingFloor(algo *uda.Algorithm, maxCost int64) int64 {
 	for cost := int64(1); cost <= maxCost; cost++ {
-		if len(streamingLevel(algo, cost).pis) > 0 {
+		if len(streamingLevel(algo, cost)) > 0 {
 			return cost
 		}
 	}
 	return -1
 }
 
-// walkedLevel is one level as the walker reports it.
-func walkedLevel(t testing.TB, wk *piWalker, cost int64) refLevel {
+// walkedLevel is one level as the walker visits it.
+func walkedLevel(t testing.TB, wk *piWalker, cost int64) []string {
 	t.Helper()
-	var got refLevel
-	raw, err := wk.walk(context.Background(), cost, func(pi intmat.Vector, ord int64) bool {
-		got.pis = append(got.pis, pi.String())
-		got.ords = append(got.ords, ord)
+	var pis []string
+	err := wk.walk(context.Background(), cost, func(pi intmat.Vector) bool {
+		pis = append(pis, pi.String())
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.raw = raw
-	return got
+	return pis
 }
 
 // checkWalker compares every level up to maxLevel of algo, walked twice
-// (the second walk answers barren levels from memory) and once more with
-// the levels past maxLevel/2 walked without tables, with enumerate, and
-// the walker's first valid level with the streaming floor.
+// (the second walk answers barren levels from memory), with enumerate,
+// and the walker's first valid level with the streaming floor.
 func checkWalker(t testing.TB, algo *uda.Algorithm, maxLevel int64) {
 	t.Helper()
 	wk := getWalker(algo)
 	defer putWalker(wk)
-	for pass := 0; pass < 3; pass++ {
-		if pass == 2 {
-			wk.reset(algo)
-			wk.tabCost = maxLevel / 2
-		}
+	for pass := 0; pass < 2; pass++ {
 		for cost := int64(1); cost <= maxLevel; cost++ {
 			got, want := walkedLevel(t, wk, cost), streamingLevel(algo, cost)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -170,10 +154,9 @@ func randomWalkAlgorithm(rng *rand.Rand) *uda.Algorithm {
 }
 
 // TestWalkerMatchesEnumerate: every level the walker walks is enumerate
-// filtered by ΠD > 0 — the same passers in the same order, with the
-// same ordinals and raw size — on random μ and D; a walk stopped at
-// passer k counts its ordinal + 1; a walk whose context ends mid-level
-// returns the context's error.
+// filtered by ΠD > 0 — the same passers in the same order — on random μ
+// and D; a walk stopped at passer k has visited the first k + 1; a walk
+// whose context ends mid-level returns the context's error.
 func TestWalkerMatchesEnumerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 300; trial++ {
@@ -201,24 +184,24 @@ func TestWalkerMatchesEnumerate(t *testing.T) {
 	algo := &uda.Algorithm{Name: "cube", Set: uda.Cube(4, 1), D: intmat.Identity(4)}
 	const cost = 20
 	want := streamingLevel(algo, cost)
-	if len(want.pis) < 300 {
-		t.Fatalf("level %d holds %d passers, the test needs 300", cost, len(want.pis))
+	if len(want) < 300 {
+		t.Fatalf("level %d holds %d passers, the test needs 300", cost, len(want))
 	}
 	wk := getWalker(algo)
-	for _, k := range []int{0, 1, 137, len(want.pis) - 1} {
-		seen := 0
-		got, err := wk.walk(context.Background(), cost, func(intmat.Vector, int64) bool {
-			seen++
-			return seen <= k
+	for _, k := range []int{0, 1, 137, len(want) - 1} {
+		var got []string
+		err := wk.walk(context.Background(), cost, func(pi intmat.Vector) bool {
+			got = append(got, pi.String())
+			return len(got) <= k
 		})
-		if err != nil || got != want.ords[k]+1 {
-			t.Fatalf("stopping at passer %d counted %d (%v), want %d", k, got, err, want.ords[k]+1)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want[:k+1]) {
+			t.Fatalf("stopping at passer %d visited %v (%v), want %v", k, got, err, want[:k+1])
 		}
 	}
-	for _, k := range []int{0, 5, len(want.pis) - 1} {
+	for _, k := range []int{0, 5, len(want) - 1} {
 		ctx, cancel := context.WithCancel(context.Background())
 		seen := 0
-		_, err := wk.walk(ctx, cost, func(intmat.Vector, int64) bool {
+		err := wk.walk(ctx, cost, func(intmat.Vector) bool {
 			if seen++; seen > k {
 				cancel()
 			}
@@ -230,32 +213,6 @@ func TestWalkerMatchesEnumerate(t *testing.T) {
 	}
 	if got := walkedLevel(t, wk, cost); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after a cancelled walk, level %d walks as %v, want %v", cost, got, want)
-	}
-}
-
-// TestWalkerCountOverflow: μ = 1⁸ with the dependence columns e₁ and
-// −e₁ admits no Π at all, so a walk of level 900 visits nothing and
-// only counts — and that level holds about 2.4·10¹⁹ Π, past int64. The
-// walk must fail with *intmat.OverflowError instead of wrapping.
-func TestWalkerCountOverflow(t *testing.T) {
-	n := 8
-	d := intmat.New(n, 2)
-	d.Set(0, 0, 1)
-	d.Set(0, 1, -1)
-	wk := getWalker(&uda.Algorithm{Name: "e1", Set: uda.Cube(n, 1), D: d})
-	visited := 0
-	count, err := wk.walk(context.Background(), 900, func(intmat.Vector, int64) bool {
-		visited++
-		return true
-	})
-	var oe *intmat.OverflowError
-	if !errors.As(err, &oe) || visited != 0 {
-		t.Fatalf("level 900: count %d after %d visits, error %v; want an *intmat.OverflowError and no visit", count, visited, err)
-	}
-	// A level that fits still counts exactly: level 3 holds
-	// Σ_k 2^k·C(8,k)·C(2,k−1) = 16 + 224 + 448 = 688 Π.
-	if count, err := wk.walk(context.Background(), 3, func(intmat.Vector, int64) bool { return true }); err != nil || count != 688 {
-		t.Fatalf("level 3: count %d (%v), want 688", count, err)
 	}
 }
 
@@ -291,8 +248,8 @@ func FuzzWalkerVsEnumerate(f *testing.F) {
 }
 
 // streamingSearch is the reference for a sequential inner search: it
-// streams enumerate over the levels 1…maxCost, counting every Π, and
-// returns the first passing every test, with the count.
+// streams enumerate over the levels 1…maxCost and returns the first Π
+// passing every test, with the count of ΠD > 0 passers it tested.
 func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (*Result, error) {
 	cctx := newCandCtx(algo, s, opts, analyzer, nil)
 	sc := conflict.GetScratch()
@@ -302,8 +259,8 @@ func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analy
 		stats.costLevels.Add(1)
 		var found *Result
 		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			candidates++
 			if Valid(pi, algo.D) {
+				candidates++
 				found, _ = cctx.tryValid(pi, sc)
 			}
 			return found == nil
@@ -435,10 +392,10 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) ([][3]s
 			var lvlMapping *Mapping
 			var lvlBuf int64
 			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				stats.scheduleCandidates.Add(1)
 				if !Valid(pi, algo.D) {
 					return true
 				}
+				stats.scheduleCandidates.Add(1)
 				if r, ok := cctx.tryValid(pi, sc); ok {
 					if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
 						lvlMapping, lvlBuf = r.Mapping, b
@@ -634,75 +591,18 @@ func TestSearchOverflowIsAnError(t *testing.T) {
 	}
 }
 
-// TestWalkerCountsWithoutTables: the counts a walker computes before it
-// has tables equal the tables' on random weights (degenerate axes
-// included), for every coordinate and budget up to 40 (strides but the
-// last coordinate's, which no walk reads), and a table-free count past
-// int64
-// fails the walk: μ = (1, 1) with columns e₁ and −e₁ admits no Π, and
-// level r holds exactly 4r of them.
-func TestWalkerCountsWithoutTables(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		algo := randomWalkAlgorithm(rng)
-		for i := range algo.Set.Upper {
-			algo.Set.Upper[i] = int64(rng.Intn(7))
-		}
-		wk := getWalker(algo)
-		var free [][2]int64
-		for i := 0; i < wk.n; i++ {
-			for r := int64(0); r <= 40; r++ {
-				c := [2]int64{wk.count(i, r)}
-				if i < wk.n-1 { // the walk sums no stride of the last coordinate
-					c[1] = wk.stride(i, r)
-				}
-				free = append(free, c)
-			}
-		}
-		wk.grow(40)
-		for i := 0; i < wk.n; i++ {
-			for r := int64(0); r <= 40; r++ {
-				got := free[i*41+int(r)]
-				if want := wk.count(i, r); got[0] != want {
-					t.Fatalf("μ=%v: N_%d(%d) = %d without tables, %d with", algo.Set.Upper, i, r, got[0], want)
-				}
-				if i == wk.n-1 {
-					continue
-				}
-				if want := wk.stride(i, r); got[1] != want {
-					t.Fatalf("μ=%v: P_%d(%d) = %d without tables, %d with", algo.Set.Upper, i, r, got[1], want)
-				}
-			}
-		}
-		putWalker(wk)
-	}
-
-	d := intmat.New(2, 2)
-	d.Set(0, 0, 1)
-	d.Set(0, 1, -1)
-	wk := getWalker(&uda.Algorithm{Name: "e1", Set: uda.Cube(2, 1), D: d})
-	none := func(intmat.Vector, int64) bool { t.Fatal("a Π passed"); return false }
-	if count, err := wk.walk(context.Background(), 1<<60, none); err != nil || count != 1<<62 {
-		t.Fatalf("level 2⁶⁰: count %d (%v), want 2⁶²", count, err)
-	}
-	var oe *intmat.OverflowError
-	if count, err := wk.walk(context.Background(), 1<<61, none); !errors.As(err, &oe) {
-		t.Fatalf("level 2⁶¹: count %d, error %v; want an *intmat.OverflowError", count, err)
-	}
-}
-
 // skewedIdentity is D = I on μ = (1, 250000): every level below 250001
 // holds two or three Π and no passer, and the first passer, Π = (1, 1),
-// lies at level 250001 — past the count tables' cap for n = 2.
+// lies at level 250001, past the levels a walker remembers.
 func skewedIdentity() *uda.Algorithm {
 	return &uda.Algorithm{Name: "skewed", Set: uda.IndexSet{Upper: intmat.Vec(1, 250000)}, D: intmat.Identity(2)}
 }
 
-// TestWalkerPastTableCap: levels past the count tables' cap walk as
-// enumerate does, on skewed μ whose levels there stay small, with the
-// table never past the cap; a problem without a passer — columns e₁
-// and −e₁ — walks on past the cap until its context ends, in bounded
-// memory.
+// TestWalkerPastTableCap: on skewed μ, whose levels stay small far up,
+// the levels around barrenLevels and from 209714 to 500003 walk as
+// enumerate does; a problem without a passer — columns e₁ and −e₁ —
+// walks on past barrenLevels until its context ends, remembering no
+// level past it.
 func TestWalkerPastTableCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(250))
 	for _, mu := range []intmat.Vector{intmat.Vec(1), intmat.Vec(1, 250000), intmat.Vec(250000, 1), intmat.Vec(500000, 3, 400000)} {
@@ -716,13 +616,10 @@ func TestWalkerPastTableCap(t *testing.T) {
 			}
 		}
 		wk := getWalker(algo)
-		for _, cost := range []int64{wk.tabCost - 1, wk.tabCost, wk.tabCost + 1, wk.tabCost + 2, 250000, 250001, 500003} {
+		for _, cost := range []int64{barrenLevels - 1, barrenLevels, 209714, 209715, 209716, 250000, 250001, 500003} {
 			if got, want := walkedLevel(t, wk, cost), streamingLevel(algo, cost); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("μ=%v D=%v level %d:\n got %v\nwant %v", mu, algo.D, cost, got, want)
 			}
-		}
-		if len(wk.tab) > walkerMaxWords {
-			t.Fatalf("μ=%v: the table grew to %d words", mu, len(wk.tab))
 		}
 	}
 	if got, err := getWalker(skewedIdentity()).firstValidLevel(context.Background(), 1<<40); err != nil || got != 250001 {
@@ -736,23 +633,23 @@ func TestWalkerPastTableCap(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	levels := 0
-	_, err := wk.walk(ctx, wk.tabCost-1, func(intmat.Vector, int64) bool { return true })
-	for cost := wk.tabCost; err == nil; cost++ {
+	var err error
+	for cost := int64(barrenLevels - 25); err == nil; cost++ {
 		if levels++; levels == 50 {
 			cancel()
 		}
-		_, err = wk.walk(ctx, cost, func(intmat.Vector, int64) bool { return true })
+		err = wk.walk(ctx, cost, func(intmat.Vector) bool { return true })
 	}
 	if !errors.Is(err, context.Canceled) || levels < 50 {
-		t.Fatalf("past the cap: %v after %d levels, want context.Canceled after 50", err, levels)
+		t.Fatalf("past the memo: %v after %d levels, want context.Canceled after 50", err, levels)
 	}
-	if len(wk.tab) > walkerMaxWords || int64(len(wk.barren)) > wk.tabCost {
-		t.Fatalf("past the cap: table %d words, %d levels remembered", len(wk.tab), len(wk.barren))
+	if len(wk.barren) > barrenLevels || !wk.barren[barrenLevels-1] {
+		t.Fatalf("past the memo: %d levels remembered, want %d, the last barren", len(wk.barren), barrenLevels)
 	}
 }
 
 // TestSearchPastTableCap: the searches find the skewed problem's only
-// time-optimal Π, (1, 1), at level 250001, past the count tables' cap.
+// time-optimal Π, (1, 1), at level 250001.
 func TestSearchPastTableCap(t *testing.T) {
 	algo := skewedIdentity()
 	want := intmat.Vec(1, 1).String()
@@ -772,38 +669,72 @@ func TestSearchPastTableCap(t *testing.T) {
 	}
 }
 
-// seedOverflowAlgo is the shape of the past-cap probes: μ = 1⁶ with the
-// dependence columns e₁ − c·e₂, e₂, …, e₆, whose optimum is
-// Π = (c+1, 1, …, 1), and the two-row S of the conflict fuzz seed
-// seed-overflow, whose entries reach 16 080.
-func seedOverflowAlgo(c int64) (*uda.Algorithm, *intmat.Matrix) {
-	d := intmat.Identity(6)
+// chainProbe is μ = 1ⁿ with the dependence columns e₁ − c·e₂, e₂, …, eₙ
+// and S = (0 0 1 2 4 8 …). A passer needs π_1 ≥ c·π_2 + 1 and every
+// other π_i ≥ 1, so the levels below c + n hold none, and level c + n
+// holds one, Π = (c+1, 1, …, 1), the optimum. Level c + n − 1 holds
+// about 2ⁿ(c + n)ⁿ⁻¹/(n − 1)! Π in all, past int64 for n = 8 at
+// c = 500.
+func chainProbe(n int, c int64) (*uda.Algorithm, *intmat.Matrix) {
+	d := intmat.Identity(n)
 	d.Set(1, 0, -c)
-	s := intmat.FromRows([]int64{1, -1, 0, 97, 0, 12848}, []int64{0, -16080, 49, 12353, 0, -207})
-	return &uda.Algorithm{Name: "seed-overflow", Set: uda.Cube(6, 1), D: d}, s
+	s := intmat.New(1, n)
+	for i := 2; i < n; i++ {
+		s.Set(0, i, 1<<(i-2))
+	}
+	return &uda.Algorithm{Name: "chain", Set: uda.Cube(n, 1), D: d}, s
 }
 
-// TestWalkerHonoursDeadlinePastCap: at level 10⁵, past the n = 6 count
-// tables' cap, the level's count runs through nested table-free count
-// loops; a search that starts there stops within 100 ms of its
-// deadline.
+// TestSearchCountsPassersPastInt64 is the regression test for counts
+// of every Π a level holds: at n = 8 they wrapped int64, giving a
+// negative Candidates at c = 500, and refused c = 1000 with an int64
+// overflow. FindOptimal answers both, at one and two workers, with
+// the reference's count of passers tested: one, the optimum.
+func TestSearchCountsPassersPastInt64(t *testing.T) {
+	for _, c := range []int64{500, 1000} {
+		algo, s := chainProbe(8, c)
+		want := intmat.Vec(c+1, 1, 1, 1, 1, 1, 1, 1)
+		opts := Options{MaxCost: 2*c + 100}
+		ref := referenceProcedure51(t, algo, s, &opts)
+		if ref == nil || !ref.Mapping.Pi.Equal(want) || ref.Candidates != 1 {
+			t.Fatalf("c=%d: reference found %v, want Π = %v after 1 candidate", c, ref, want)
+		}
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			res, err := FindOptimal(algo, s, &opts)
+			if err != nil {
+				t.Fatalf("c=%d workers=%d: %v", c, workers, err)
+			}
+			if !res.Mapping.Pi.Equal(want) || res.Candidates != ref.Candidates || res.Stats.ScheduleCandidates != int64(ref.Candidates) {
+				t.Fatalf("c=%d workers=%d: Π = %v, %d candidates (stats %d); want Π = %v, %d",
+					c, workers, res.Mapping.Pi, res.Candidates, res.Stats.ScheduleCandidates, want, ref.Candidates)
+			}
+		}
+	}
+}
+
+// TestWalkerHonoursDeadlinePastCap: the chain probe at n = 6, c = 7500
+// walks 7505 levels without a passer, about 8 s of work; a search of
+// it stops within 100 ms of its deadline.
 func TestWalkerHonoursDeadlinePastCap(t *testing.T) {
-	algo, s := seedOverflowAlgo(100000)
+	algo, s := chainProbe(6, 7500)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := FindOptimalContext(ctx, algo, s, &Options{MinCost: 100000, MaxCost: 200000})
+	_, err := FindOptimalContext(ctx, algo, s, &Options{MaxCost: 2*7500 + 100})
 	if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed > 300*time.Millisecond {
 		t.Fatalf("search returned %v after %v, want the deadline within 300ms", err, elapsed)
 	}
 }
 
-// TestWorkerOverflowIsAnError: the seed-overflow S decides
-// Π = (100001, 1, …, 1) with an int64 overflow. Inside the helper
-// goroutines of a Workers = 2 level walk that fails the search instead
-// of the process.
+// TestWorkerOverflowIsAnError: with the two-row S of the conflict fuzz
+// seed seed-overflow, whose entries reach 16 080, the chain probe at
+// n = 6, c = 10⁵ decides Π = (100001, 1, …, 1) with an int64 overflow.
+// Inside the helper goroutines of a Workers = 2 level walk that fails
+// the search instead of the process.
 func TestWorkerOverflowIsAnError(t *testing.T) {
-	algo, s := seedOverflowAlgo(100000)
+	algo, _ := chainProbe(6, 100000)
+	s := intmat.FromRows([]int64{1, -1, 0, 97, 0, 12848}, []int64{0, -16080, 49, 12353, 0, -207})
 	pi := intmat.Vec(100001, 1, 1, 1, 1, 1)
 	// Two S and a chunk of copies of Π: enough decisions to wake the
 	// helper.
@@ -818,8 +749,9 @@ func TestWorkerOverflowIsAnError(t *testing.T) {
 	}
 	j.spawn(context.Background(), 2)
 	for range walkFanoutMin {
-		j.pis, j.ords = append(j.pis, pi...), append(j.ords, 0)
+		j.pis = append(j.pis, pi...)
 	}
+	j.seen = walkFanoutMin
 	if j.flush() {
 		t.Fatal("the walk goes on after an overflow")
 	}

@@ -309,7 +309,7 @@ var registry = []family{
 	labelled("mapserve_search_pruned_total", "Search candidates removed before evaluation, by pruning rule.", "rule", pruneRules[:], nil,
 		func(s *scrape, i int) int64 { return s.pruned[i].Load() }),
 	single("mapserve_search_space_candidates_total", "Space mappings enumerated by the joint search.", "counter", nil, func(s *scrape) int64 { return s.spaceCandidates.Load() }),
-	single("mapserve_search_schedule_candidates_total", "Raw schedule vectors the level walks counted.", "counter", nil, func(s *scrape) int64 { return s.scheduleCandidates.Load() }),
+	single("mapserve_search_schedule_candidates_total", "Schedule vectors meeting every dependence (PiD >= 1) that the level walks visited.", "counter", nil, func(s *scrape) int64 { return s.scheduleCandidates.Load() }),
 	single("mapserve_search_cost_levels_total", "Objective levels stepped through by Procedure 5.1.", "counter", nil, func(s *scrape) int64 { return s.costLevels.Load() }),
 	single("mapserve_search_inner_searches_total", "Space mappings whose schedules the joint and Pareto searches tested.", "counter", nil, func(s *scrape) int64 { return s.innerSearches.Load() }),
 	single("mapserve_trace_spans_total", "Trace spans started.", "counter", tracesOn, func(s *scrape) int64 { return s.spans }),
