@@ -528,7 +528,9 @@ func BenchmarkJointMapping(b *testing.B) {
 
 // BenchmarkPareto measures the multi-objective joint engine (X7): the
 // full non-dominated front over (time, processors, buffers, links) at
-// slack 0 (time-optimal members only) and slack 2 (widened window).
+// slack 0 (time-optimal members only) and slack 2 (widened window),
+// sequentially, and at slack 2 with each level's live space mappings
+// split across two workers (its sched and levels read as at one).
 // The front's head must reproduce the single-objective optimum — the
 // multi-objective sweep costs extra bookkeeping, never optimality.
 func BenchmarkPareto(b *testing.B) {
@@ -538,11 +540,18 @@ func BenchmarkPareto(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, slack := range []int64{0, 2} {
-			b.Run(fmt.Sprintf("%s/slack=%d", algo.Name, slack), func(b *testing.B) {
+		for _, run := range []struct {
+			slack   int64
+			workers int
+		}{{0, 1}, {2, 1}, {2, 2}} {
+			name := fmt.Sprintf("%s/slack=%d", algo.Name, run.slack)
+			if run.workers > 1 {
+				name += fmt.Sprintf("/workers=%d", run.workers)
+			}
+			b.Run(name, func(b *testing.B) {
 				opts := &schedule.ParetoOptions{
-					Space:     schedule.SpaceOptions{Schedule: schedule.Options{Workers: 1}},
-					TimeSlack: slack,
+					Space:     schedule.SpaceOptions{Schedule: schedule.Options{Workers: run.workers}},
+					TimeSlack: run.slack,
 				}
 				var res *schedule.ParetoResult
 				for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,5 +92,43 @@ func TestFindSpaceMappingContextCancelled(t *testing.T) {
 	_, err := FindSpaceMappingContext(ctx, uda.MatMul(4), intmat.Vec(1, 4, 1), 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestFindParetoContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		_, err := FindParetoContext(ctx, uda.MatMul(4), 1, &ParetoOptions{Space: SpaceOptions{Schedule: Options{Workers: workers}}})
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrNoSchedule) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+	}
+}
+
+// TestFindParetoContextDeadline: a 1 ms deadline stops a Pareto search
+// of bit-level matmul, which takes about 0.4 s, promptly with
+// DeadlineExceeded, and the walk's helper goroutines are gone once it
+// returns.
+func TestFindParetoContextDeadline(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		start := time.Now()
+		_, err := FindParetoContext(ctx, uda.BitLevelMatMul(2, 2), 1,
+			&ParetoOptions{Space: SpaceOptions{Schedule: Options{Workers: workers}}})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: err = %v, want context.DeadlineExceeded", workers, err)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("workers=%d: cancellation took %v, want prompt return", workers, elapsed)
+		}
+		for wait := time.Now(); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Since(wait) > time.Second {
+				t.Fatalf("workers=%d: %d goroutines after the search, %d before", workers, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

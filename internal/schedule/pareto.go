@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
+	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/trace"
 	"lodim/internal/uda"
@@ -24,17 +23,13 @@ import (
 // priority or a weighted scalarization *after* the (single) search.
 //
 // Determinism contract: the front — membership, representatives, and
-// order — is a pure function of the problem, independent of
-// Schedule.Workers. Workers only write per-candidate record slots they
-// own; the only cross-worker state is a monotonically decreasing
-// atomic bound on the best feasible time, and any stale (too loose)
-// read of it merely produces extra records that the final sequential
-// pass filters out again. Ties between members with equal objective
-// vectors keep the member least under the pinned total order below.
-// The effort counters are not covered: at Workers ≥ 2 a staircase's
-// level bound depends on when it reads the shared bound, so the levels
-// walked, the passers visited and the decisions made vary from run to
-// run.
+// order — and the effort counters are a pure function of the problem,
+// independent of Schedule.Workers. One level walk serves every space
+// mapping S (levelWalk); workers split the S of a level, each S sees its
+// passers in walk order whoever tests it, and the archive is filled on
+// the walking goroutine between levels. Ties between members with
+// equal objective vectors keep the member least under the pinned total
+// order below.
 
 // Objective indexes one axis of an ObjectiveVector.
 type Objective int
@@ -228,12 +223,6 @@ type ParetoResult struct {
 	Trace      *trace.Summary
 }
 
-// paretoRecord is a worker-local candidate for the archive.
-type paretoRecord struct {
-	mapping *Mapping
-	vec     ObjectiveVector
-}
-
 // FindPareto runs the multi-objective joint search over space
 // mappings S (entries bounded by MaxEntry) and schedules Π, returning
 // the Pareto front over (time, processors, buffers, links).
@@ -241,10 +230,14 @@ func FindPareto(algo *uda.Algorithm, arrayDims int, opts *ParetoOptions) (*Paret
 	return FindParetoContext(context.Background(), algo, arrayDims, opts)
 }
 
-// FindParetoContext is FindPareto with cancellation. The front is
-// identical at any Schedule.Workers count; see the determinism
-// contract at the top of this file.
-func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, opts *ParetoOptions) (*ParetoResult, error) {
+// FindParetoContext is FindPareto with cancellation: the level walk
+// polls ctx as the joint search's does, and an ended context returns
+// its error. The front and the effort counters are identical at any
+// Schedule.Workers count; see the determinism contract at the top of
+// this file. An int64 overflow anywhere in the search is returned as an
+// error.
+func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, opts *ParetoOptions) (_ *ParetoResult, err error) {
+	defer intmat.Guard(&err)
 	if opts == nil {
 		opts = &ParetoOptions{}
 	}
@@ -275,164 +268,75 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	if err != nil {
 		return nil, err
 	}
-	baseMaxCost := maxCostOr(opts.Space.Schedule.MaxCost, algo.Set)
-	// One conflict scratch and one level walker per worker for the
-	// whole call, as in the joint search.
-	ws := newWorkerStates(algo, opts.Space.Schedule.Workers, cands.len())
-	defer ws.release(stats) // on the early returns; idempotent
-	// No Π satisfies ΠD > 0 below the first level holding one, so every
-	// candidate starts its level walk there; −1 proves infeasibility
-	// outright.
-	floor, err := ws.get(0).walk.firstValidLevel(ctx, baseMaxCost)
-	if err != nil {
-		return nil, fmt.Errorf("schedule: pareto search: %w", err)
-	}
-	if floor < 0 {
-		return nil, fmt.Errorf("%w: no Π with ΠD > 0 and Σ|π_i|·μ_i ≤ %d", ErrNoSchedule, baseMaxCost)
-	}
-	// cStar is the cost of the best feasible schedule found so far
-	// (monotonically decreasing); cStar + TimeSlack bounds the level
-	// walk. A stale read only loosens a worker's bound, producing
-	// records beyond the final window that the sequential pass below
-	// filters out — never missing ones inside it.
-	var cStar atomic.Int64
-	cStar.Store(math.MaxInt64)
-	levelBound := func() int64 {
-		bound := baseMaxCost
-		if c := cStar.Load(); c != math.MaxInt64 && c+opts.TimeSlack < bound {
-			bound = c + opts.TimeSlack
-		}
-		return bound
-	}
-	records := make([][]paretoRecord, cands.len())
-	var prunedCount atomic.Int64
 	collectDur := time.Since(startAt)
 	searchAt := time.Now()
-	err = forEachCandidate(ctx, cands.len(), opts.Space.Schedule.Workers, func(wctx context.Context, w, i int) error {
-		if cands.pruned[i] {
-			prunedCount.Add(1)
+	// One level walk for every live S, from level 1: Pareto ignores
+	// MinCost and closes no S by a cost bound.
+	j := getLevelWalk(algo, &opts.Space, stats, cands.len())
+	defer j.release()
+	j.pareto, j.prune, j.opts.MinCost = true, false, 0
+	links := make([]int64, 0, cands.len())
+	for i, pruned := range cands.pruned {
+		if pruned {
 			stats.prunedOrbit.Add(1)
-			return nil
+			continue
 		}
 		analyzer, err := cands.analyzer(i, algo.Set)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("schedule: pareto search: %w", err)
 		}
-		s := analyzer.S
-		schedOpts := opts.Space.Schedule
-		schedOpts.Workers = 0
-		schedOpts.SelfCheck = false
-		schedOpts.MaxCost = baseMaxCost
-		st := ws.get(w)
-		cctx := newCandCtx(algo, s, &schedOpts, analyzer, st.walk.depCols)
-		procs := countProcessorImages(s, algo.Set)
-		links := linkCount(s, algo.D)
-		stats.innerSearches.Add(1)
-		// The staircase counts its levels and candidates privately and
-		// adds them to the shared collector once, when it ends.
-		var levels, candidates int64
-		defer func() {
-			stats.costLevels.Add(levels)
-			stats.scheduleCandidates.Add(candidates)
-		}()
-		done := wctx.Done()
-		// Per-S staircase: time strictly increases with the level, and
-		// processors/links are fixed by S, so a level's winner enters
-		// the record list only when its buffer count strictly improves
-		// on every lower level — anything else is dominated within S.
-		bestBuf := int64(math.MaxInt64)
-		for cost := floor; cost <= levelBound(); cost++ {
-			if isDone(done) {
-				return nil
-			}
-			levels++
-			var lvlMapping *Mapping
-			var lvlBuf int64
-			err := st.walk.walk(wctx, cost, func(pi intmat.Vector) bool {
-				candidates++
-				r, ok := cctx.tryValid(pi, st.sc)
-				if !ok {
-					return true
-				}
-				// Passers come in lexicographic order, so a strict <
-				// keeps the lex-least among equal-buffer winners of the
-				// level.
-				if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
-					lvlMapping, lvlBuf = r.Mapping, b
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if err := cctx.takeErr(); err != nil {
-				return err
-			}
-			if isDone(done) {
-				return nil
-			}
-			if lvlMapping == nil {
+		j.add(analyzer, 0, 0, conflict.GetMemo())
+		links = append(links, linkCount(analyzer.S, algo.D))
+	}
+	stats.innerSearches.Add(int64(len(j.live)))
+	// Time strictly increases with the level, and processors and links
+	// are fixed by S, so an S's pick enters the archive only when its
+	// buffers improve on the S's lower levels (try): anything else is
+	// dominated within S. The first level with a pick is the optimum
+	// cost, and the walk ends TimeSlack levels above it, so every pick
+	// lies in the window.
+	var arch Archive
+	optCost, bound := int64(-1), maxCostOr(opts.Space.Schedule.MaxCost, algo.Set)
+	before := int64(0) // the passers visited below the level
+	err = j.levels(ctx, opts.Space.Schedule.Workers, func(cost int64) bool {
+		for i := range j.live {
+			js := &j.live[i]
+			if js.res == nil || js.ord < before {
 				continue
 			}
-			offerMin(&cStar, cost)
-			if lvlBuf < bestBuf {
-				bestBuf = lvlBuf
-				records[i] = append(records[i], paretoRecord{
-					mapping: lvlMapping,
-					vec: ObjectiveVector{
-						ObjTime:       1 + cost,
-						ObjProcessors: procs,
-						ObjBuffers:    lvlBuf,
-						ObjLinks:      links,
-					},
-				})
-				if bestBuf == 0 {
-					// Buffers cannot improve further and higher levels
-					// only add time: no later record of this S can
-					// survive the archive.
-					return nil
+			if optCost < 0 {
+				optCost = cost
+				if cost+opts.TimeSlack < bound {
+					bound = cost + opts.TimeSlack
 				}
 			}
+			arch.Insert(ParetoMember{Mapping: js.res.Mapping, Vector: ObjectiveVector{
+				ObjTime:       1 + cost,
+				ObjProcessors: js.procs,
+				ObjBuffers:    js.buf,
+				ObjLinks:      links[i],
+			}})
 		}
-		return nil
+		before = j.seen
+		return cost < bound
 	})
-	ws.release(stats)
 	if err != nil {
 		return nil, fmt.Errorf("schedule: pareto search: %w", err)
 	}
-	cBest := cStar.Load()
-	if cBest == math.MaxInt64 {
+	if optCost < 0 {
+		if j.seen == 0 {
+			return nil, fmt.Errorf("%w: no Π with ΠD > 0 and Σ|π_i|·μ_i ≤ %d", ErrNoSchedule, bound)
+		}
 		return nil, fmt.Errorf("%w: no conflict-free joint mapping with |entries| ≤ %d",
 			ErrNoSchedule, maxEntryOrDefault(&opts.Space))
-	}
-	finalBound := baseMaxCost
-	if cBest+opts.TimeSlack < finalBound {
-		finalBound = cBest + opts.TimeSlack
-	}
-	timeBound := 1 + finalBound
-	// Sequential front build in candidate-index order. Discarding
-	// beyond-window records here is exact: dominance requires ≤ on the
-	// time axis, so a member outside the window can never dominate one
-	// inside it.
-	var arch Archive
-	for _, recs := range records {
-		for _, rec := range recs {
-			if rec.vec[ObjTime] <= timeBound {
-				arch.Insert(ParetoMember{Mapping: rec.mapping, Vector: rec.vec})
-			}
-		}
 	}
 	front := arch.Front()
-	if len(front) == 0 {
-		return nil, fmt.Errorf("%w: no conflict-free joint mapping with |entries| ≤ %d",
-			ErrNoSchedule, maxEntryOrDefault(&opts.Space))
-	}
 	res := &ParetoResult{
 		Front:      front,
 		Best:       selectBest(front, opts),
-		TimeBound:  timeBound,
+		TimeBound:  1 + bound,
 		Candidates: cands.len(),
-		Pruned:     int(prunedCount.Load()),
+		Pruned:     int(stats.prunedOrbit.Load()),
 	}
 	if opts.Space.Schedule.SelfCheck {
 		for i := range front {
@@ -472,16 +376,6 @@ func linkCount(s *intmat.Matrix, d *intmat.Matrix) int64 {
 		seen[col.String()] = struct{}{}
 	}
 	return int64(len(seen))
-}
-
-// offerMin lowers v to x if x is smaller (atomic CAS loop).
-func offerMin(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x >= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
 }
 
 // ValidateSelection checks the mode-specific selection knobs (Mode,

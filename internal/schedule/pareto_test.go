@@ -163,10 +163,13 @@ func TestFindParetoMatmulFront(t *testing.T) {
 }
 
 // TestFindParetoWorkerInvariance: the front — members, order, best
-// pick, bound — is identical at Workers=1 and Workers=8, with and
-// without slack. This also locks the archive against
+// pick, bound — and the effort counters are identical at Workers 1, 2
+// and 8, with and without slack. This also locks the archive against
 // discovery-order tie-breaking.
 func TestFindParetoWorkerInvariance(t *testing.T) {
+	counts := func(st *SearchStats) [6]int64 {
+		return [6]int64{st.ScheduleCandidates, st.CostLevels, st.InnerSearches, st.ConflictTable, st.HNFIncremental, st.HNFFromScratch}
+	}
 	algos := []*uda.Algorithm{uda.MatMul(3), uda.TransitiveClosure(2), uda.Convolution(3, 2)}
 	for _, algo := range algos {
 		for _, slack := range []int64{0, 4} {
@@ -174,7 +177,7 @@ func TestFindParetoWorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s slack=%d: %v", algo.Name, slack, err)
 			}
-			for workers := 2; workers <= 8; workers += 6 {
+			for _, workers := range []int{2, 8} {
 				par, err := FindPareto(algo, 1, &ParetoOptions{
 					TimeSlack: slack,
 					Space:     SpaceOptions{Schedule: Options{Workers: workers}},
@@ -188,6 +191,9 @@ func TestFindParetoWorkerInvariance(t *testing.T) {
 				}
 				if seq.Best != par.Best || seq.TimeBound != par.TimeBound {
 					t.Errorf("%s slack=%d: best/bound differ at workers=%d", algo.Name, slack, workers)
+				}
+				if g, w := counts(par.Stats), counts(seq.Stats); g != w {
+					t.Errorf("%s slack=%d: counters %v at workers=%d, %v at workers=1", algo.Name, slack, g, workers, w)
 				}
 			}
 		}
@@ -221,6 +227,54 @@ func TestFindParetoSlackWindow(t *testing.T) {
 	for _, m := range tight.Front {
 		if !haveVec[m.Vector] {
 			t.Errorf("time-optimal vector %v lost with slack", m.Vector)
+		}
+	}
+}
+
+// TestParetoWalkMatchesReferenceOnCorpus: on every corpus problem that
+// differs from the others by its exact bounds, dependences and search
+// knobs (a sample under -short or -race), at slack 0, 1 and 3 and at one
+// and two workers, the Pareto level walk agrees with streamingPareto on
+// the front, best pick, time bound, candidate and pruned counts, the
+// walk's counts, and the error text.
+func TestParetoWalkMatchesReferenceOnCorpus(t *testing.T) {
+	problems := distinctCorpus(t)
+	if testing.Short() || intmat.RaceEnabled {
+		problems = corpusSample(t, 4, 24)
+	}
+	for _, p := range problems {
+		algo := p.algorithm()
+		for _, slack := range []int64{0, 1, 3} {
+			opts := ParetoOptions{TimeSlack: slack, Space: SpaceOptions{MaxEntry: p.MaxEntry, Schedule: Options{MaxCost: p.MaxCost}}}
+			want := paretoIdentity(streamingPareto(algo, p.Dims, &opts))
+			for _, workers := range []int{1, 2} {
+				opts.Space.Schedule.Workers = workers
+				if got := paretoIdentity(FindPareto(algo, p.Dims, &opts)); got != want {
+					t.Fatalf("%s slack=%d workers=%d:\n got %s\nwant %s", p.ID, slack, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFindParetoNoPasser: a problem whose dependence columns e₁ and −e₁
+// admit no Π with ΠD > 0 is refused with the message naming the cost
+// ceiling; one whose ceiling lies below its optimum, with the message
+// naming the entry bound.
+func TestFindParetoNoPasser(t *testing.T) {
+	d := intmat.New(3, 2)
+	d.Set(0, 0, 1)
+	d.Set(0, 1, -1)
+	algo := &uda.Algorithm{Name: "e1", Set: uda.Cube(3, 2), D: d}
+	matmul := uda.MatMul(4) // optimum level 24
+	for _, workers := range []int{1, 2} {
+		_, err := FindPareto(algo, 1, &ParetoOptions{Space: SpaceOptions{Schedule: Options{Workers: workers, MaxCost: 40}}})
+		if want := ErrNoSchedule.Error() + ": no Π with ΠD > 0 and Σ|π_i|·μ_i ≤ 40"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: error %v, want %q", workers, err, want)
+		}
+		_, err = FindPareto(matmul, 1, &ParetoOptions{Space: SpaceOptions{Schedule: Options{Workers: workers, MaxCost: 20}}})
+		if want := ErrNoSchedule.Error() + ": no conflict-free joint mapping with |entries| ≤ 1"; err == nil || err.Error() != want {
+			t.Errorf("matmul workers=%d: error %v, want %q", workers, err, want)
 		}
 	}
 }

@@ -101,18 +101,19 @@ var walkChunk = 256
 const walkFanoutMin = 64
 
 // levelWalk is Procedure 5.1 for many space mappings at once, the
-// engine of FindOptimal (one S) and of the joint search (every
-// candidate S). ΠD ≥ 1 depends on D and μ alone, so one walk of the
-// objective levels, from max(MinCost, 1) up, serves every live S: each
-// passer is tested against every S still open, each S with its own
-// analyzer and decision memo, which it keeps for the whole call. The
-// first level where some S has a conflict-free passer holds the
-// optimum time; the walk finishes it, so each S keeps the passer its
-// own search would pick — its first conflict-free passer in walk
-// order, or its fewest-buffer one under MinimizeBuffers — and jointLess
-// selects among them. With prune set, an S whose cost lower bound
-// exceeds the best exact cost found at that level is closed, as is a
-// settled S costing more.
+// engine of FindOptimal (one S), of the joint search and of the Pareto
+// search (every candidate S). ΠD ≥ 1 depends on D and μ alone, so one
+// walk of the objective levels serves every live S: each passer is
+// tested against every S still open, each S with its own analyzer and
+// decision memo, which it keeps for the whole call. In run, the first
+// level where some S has a conflict-free passer holds the optimum time;
+// the walk finishes it, so each S keeps the passer its own search would
+// pick — its first conflict-free passer in walk order, or its
+// fewest-buffer one under MinimizeBuffers — and jointLess selects among
+// them. With prune set, an S whose cost lower bound exceeds the best
+// exact cost found at that level is closed, as is a settled S costing
+// more. A Pareto walk (pareto set) goes on past that level, and its
+// caller harvests each level's picks (see try).
 //
 // A walk of several S buffers its passers in chunks and tests each
 // chunk S by S, which keeps one S's memo hot across the chunk; with
@@ -127,6 +128,7 @@ type levelWalk struct {
 	opts   Options // the options of the step-5 tests
 	weight int64
 	prune  bool
+	pareto bool
 	stats  *statsCollector
 	live   []walkS
 	wk     *piWalker
@@ -150,11 +152,12 @@ type levelWalk struct {
 type walkS struct {
 	cctx     candCtx // its step-5 state: S, analyzer and decision memo
 	wire, lb int64   // its wire term and its cost lower bound
-	// res is its pick at the final level, ord the number of passers
-	// the walk visited before it, procs and cost its exact array
-	// metrics once res is set (when the walk has several S to rank).
+	// res is its pick, ord the number of passers the walk visited
+	// before it, buf its buffers (under MinimizeBuffers or in a Pareto
+	// walk), procs and cost its exact array metrics once res is set
+	// (when the walk has several S to rank, or is a Pareto walk).
 	res         *Result
-	ord         int64
+	ord, buf    int64
 	procs, cost int64
 	closed      bool // no longer tested
 }
@@ -181,17 +184,49 @@ func (j *levelWalk) add(analyzer *conflict.SpaceAnalyzer, wire, lb int64, memo *
 		analyzer: analyzer, depCols: j.wk.depCols, memo: memo, firstErr: &j.errs}})
 }
 
-// run walks the levels and returns the winning S, its res completed
-// with the Procedure 5.1 count and method, or nil when no level up to
-// MaxCost has a conflict-free passer for any S. Each level gets a
-// "level" span; the span of ctx gets the walk's counts, and stats its
-// counts and the memos' decision counters.
+// run walks the levels from max(MinCost, 1) up and returns the winning
+// S, its res completed with the Procedure 5.1 count and method, or nil
+// when no level up to MaxCost has a conflict-free passer for any S.
 //
 // Every open S tests every passer the walk visits below the final
 // level, so the winner's count is the passers before its pick plus the
 // pick, or under MinimizeBuffers all the walk visited; the walk's own
 // count is every passer it visited.
-func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) {
+func (j *levelWalk) run(ctx context.Context, workers int) (*walkS, error) {
+	if j.opts.MinimizeBuffers && j.opts.Machine == nil {
+		return nil, errors.New("schedule: MinimizeBuffers requires a Machine")
+	}
+	var best *walkS
+	var bestR JointResult
+	err := j.levels(ctx, workers, func(int64) bool {
+		for i := range j.live {
+			js := &j.live[i]
+			if js.res == nil {
+				continue
+			}
+			if r := js.joint(); best == nil || jointLess(&r, &bestR) {
+				best, bestR = js, r
+			}
+		}
+		return best == nil
+	})
+	if err != nil || best == nil {
+		return nil, err
+	}
+	count := best.ord + 1
+	if j.opts.MinimizeBuffers {
+		count = j.seen
+	}
+	best.res.Candidates, best.res.Method = int(count), "procedure-5.1"
+	return best, nil
+}
+
+// levels walks the objective levels from max(MinCost, 1) up to
+// MaxCost, testing each level's passers against every open S, and calls
+// each after every level; it stops when each returns false or no S is
+// open. Each level gets a "level" span; the span of ctx gets the walk's
+// counts, and stats its counts and the memos' decision counters.
+func (j *levelWalk) levels(ctx context.Context, workers int, each func(cost int64) bool) (err error) {
 	levels := int64(0)
 	span := trace.FromContext(ctx) // resolved once: the level spans are its children
 	defer func() {
@@ -203,21 +238,16 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 		span.SetInt("candidates", j.seen)
 		span.SetInt("levels", levels)
 	}()
-	if j.opts.MinimizeBuffers && j.opts.Machine == nil {
-		return nil, errors.New("schedule: MinimizeBuffers requires a Machine")
-	}
 	if len(j.live) == 0 {
-		return nil, nil
+		return nil
 	}
 	j.done, j.open = ctx.Done(), len(j.live)
 	j.spawn(ctx, workers)
 	visit := j.visit
-	var best *walkS
-	var bestR JointResult
 	maxCost := maxCostOr(j.opts.MaxCost, j.algo.Set)
-	for cost := max(j.opts.MinCost, 1); cost <= maxCost && best == nil; cost++ {
+	for cost := max(j.opts.MinCost, 1); cost <= maxCost && j.open > 0; cost++ {
 		if isDone(j.done) {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		levels++
 		levelSpan := span.Child("level")
@@ -233,28 +263,11 @@ func (j *levelWalk) run(ctx context.Context, workers int) (_ *walkS, err error) 
 			err = ctx.Err()
 		}
 		levelSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		for i := range j.live {
-			js := &j.live[i]
-			if js.res == nil {
-				continue
-			}
-			if r := js.joint(); best == nil || jointLess(&r, &bestR) {
-				best, bestR = js, r
-			}
+		if err != nil || !each(cost) {
+			return err
 		}
 	}
-	if best == nil {
-		return nil, nil
-	}
-	count := best.ord + 1
-	if j.opts.MinimizeBuffers {
-		count = j.seen
-	}
-	best.res.Candidates, best.res.Method = int(count), "procedure-5.1"
-	return best, nil
+	return nil
 }
 
 // joint is js's pick as a joint result.
@@ -274,8 +287,10 @@ func (j *levelWalk) visit(pi intmat.Vector) bool {
 		j.pis = append(j.pis, pi...)
 		return j.buffered() < walkChunk || j.flush()
 	}
-	j.try(&j.live[0], pi, j.seen-1, j.sc)
-	return !j.live[0].closed
+	if j.try(&j.live[0], pi, j.seen-1, j.sc); j.live[0].closed {
+		j.open = 0
+	}
+	return j.open > 0
 }
 
 // buffered is the number of passers buffered for testing.
@@ -363,21 +378,30 @@ func (j *levelWalk) test(js *walkS, sc *conflict.Scratch) {
 
 // try runs passer pi, the walk's ord-th (from 0), through the step-5
 // tests of js. The first conflict-free passer settles js, closing it —
-// or, under MinimizeBuffers, js keeps testing the level for the passer
-// with the fewest buffers (the first among equals).
+// or, under MinimizeBuffers, js keeps testing for the passer with the
+// fewest buffers (the first among equals). A Pareto walk picks the same
+// way by bufferDepth, across levels: each pick has fewer buffers than
+// every earlier one, and js stays open until a pick has none.
 func (j *levelWalk) try(js *walkS, pi intmat.Vector, ord int64, sc *conflict.Scratch) {
 	r, ok := js.cctx.tryValid(pi, sc)
-	switch {
-	case !ok:
-		return
-	case js.res == nil && len(j.live) > 1:
-		js.procs = countProcessorImages(js.cctx.s, j.algo.Set)
-		js.cost = js.procs + j.weight*js.wire
-	case js.res != nil && r.Decomp.TotalBuffers() >= js.res.Decomp.TotalBuffers():
+	if !ok {
 		return
 	}
-	js.res, js.ord = r, ord
-	js.closed = !j.opts.MinimizeBuffers
+	var buf int64
+	if j.pareto {
+		buf = bufferDepth(pi, js.cctx.depCols)
+	} else if j.opts.MinimizeBuffers {
+		buf = r.Decomp.TotalBuffers()
+	}
+	switch {
+	case js.res == nil && (len(j.live) > 1 || j.pareto):
+		js.procs = countProcessorImages(js.cctx.s, j.algo.Set)
+		js.cost = js.procs + j.weight*js.wire
+	case js.res != nil && buf >= js.buf:
+		return
+	}
+	js.res, js.ord, js.buf = r, ord, buf
+	js.closed = j.pareto && buf == 0 || !j.pareto && !j.opts.MinimizeBuffers
 }
 
 // spawn starts the walk's helper goroutines for workers ≥ 2, each under

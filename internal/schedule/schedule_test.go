@@ -555,12 +555,8 @@ func referenceJoint(t testing.TB, algo *uda.Algorithm, dims int, opts *SpaceOpti
 	symPruned := symmetryPruned(cands, axisAutomorphismsByKey(algo, nil))
 	weight := wireWeightOrDefault(opts)
 	baseMaxCost := maxCostOr(opts.Schedule.MaxCost, algo.Set)
-	wk := getWalker(algo)
-	defer putWalker(wk)
 	tFloor := int64(-1)
-	if c, err := wk.firstValidLevel(context.Background(), baseMaxCost); err != nil {
-		t.Fatal(err)
-	} else if c > 0 {
+	if c := streamingFloor(algo, baseMaxCost); c > 0 {
 		tFloor = 1 + c
 	}
 	incT, incC := int64(math.MaxInt64), int64(math.MaxInt64)

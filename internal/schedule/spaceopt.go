@@ -152,7 +152,7 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	var bestCost, prunedCount atomic.Int64
 	bestCost.Store(math.MaxInt64)
 	searchAt := time.Now()
-	err = forEachCandidate(ctx, cands.len(), opts.Schedule.Workers, func(_ context.Context, _, i int) error {
+	err = forEachCandidate(ctx, cands.len(), opts.Schedule.Workers, func(_ context.Context, i int) error {
 		if cands.pruned[i] {
 			prunedCount.Add(1)
 			stats.prunedOrbit.Add(1)
@@ -354,50 +354,18 @@ func wireWeightOrDefault(opts *SpaceOptions) int64 {
 	return 1
 }
 
-// workerState is what one worker of a Pareto call keeps for the whole
-// call: a conflict scratch and a level walker, both pooled.
-type workerState struct {
-	sc   *conflict.Scratch
-	walk *piWalker
-}
-
-// workerStates holds one workerState per worker of a call, indexed by
-// forEachCandidate's worker number and filled on first use.
-type workerStates struct {
-	algo *uda.Algorithm
-	ws   []workerState
-}
-
-func newWorkerStates(algo *uda.Algorithm, workers, count int) *workerStates {
-	return &workerStates{algo: algo, ws: make([]workerState, effectiveWorkers(workers, count))}
-}
-
-func (s *workerStates) get(w int) *workerState {
-	st := &s.ws[w]
-	if st.sc == nil {
-		st.sc, st.walk = conflict.GetScratch(), getWalker(s.algo)
-	}
-	return st
-}
-
-// release drains each scratch's cache counters into stats and returns
-// the scratches and walkers to their pools; call it once the workers
-// are done.
-func (s *workerStates) release(stats *statsCollector) {
-	for w := range s.ws {
-		if st := &s.ws[w]; st.sc != nil {
-			stats.drainMemo(&st.sc.Memo)
-			conflict.PutScratch(st.sc)
-			putWalker(st.walk)
-			*st = workerState{}
+// offerMin lowers v to x if x is smaller (atomic CAS loop).
+func offerMin(v *atomic.Int64, x int64) {
+	for {
+		cur := v.Load()
+		if x >= cur || v.CompareAndSwap(cur, x) {
+			return
 		}
 	}
 }
 
-// forEachCandidate runs fn(ctx, w, i) for i in [0, count) on up to
-// workers goroutines (sequentially when workers ≤ 1), where w in
-// [0, effectiveWorkers(workers, count)) names the calling goroutine, so
-// fn can keep per-worker state in a slice indexed by w. fn must confine
+// forEachCandidate runs fn(ctx, i) for i in [0, count) on up to
+// workers goroutines (sequentially when workers ≤ 1). fn must confine
 // writes to slots it owns. A done context stops the loop before the
 // next claim; candidates already handed out finish their fn call
 // (which observes the same context itself when it is expensive).
@@ -413,12 +381,12 @@ func (s *workerStates) release(stats *statsCollector) {
 // layer attributes candidate work to (fn receives the worker's span
 // context, so per-candidate spans nest under it). The sequential path adds
 // no span: its work already nests under the caller's phase span.
-func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx context.Context, w, i int) error) error {
+func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx context.Context, i int) error) error {
 	searchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, count)
-	call := func(ctx context.Context, w, i int) {
-		if err := callGuarded(fn, ctx, w, i); err != nil {
+	call := func(ctx context.Context, i int) {
+		if err := callGuarded(fn, ctx, i); err != nil {
 			errs[i] = err
 			cancel()
 		}
@@ -431,7 +399,7 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 			if searchCtx.Err() != nil {
 				break
 			}
-			call(searchCtx, 0, i)
+			call(searchCtx, i)
 		}
 		return searchErr(ctx, errs)
 	}
@@ -457,7 +425,7 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 					return
 				}
 				claimed++
-				call(wctx, w, i)
+				call(wctx, i)
 			}
 		}(w)
 	}
@@ -465,11 +433,11 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 	return searchErr(ctx, errs)
 }
 
-// callGuarded is fn(ctx, w, i) with an *intmat.OverflowError panic
+// callGuarded is fn(ctx, i) with an *intmat.OverflowError panic
 // returned as its error.
-func callGuarded(fn func(ctx context.Context, w, i int) error, ctx context.Context, w, i int) (err error) {
+func callGuarded(fn func(ctx context.Context, i int) error, ctx context.Context, i int) (err error) {
 	defer intmat.Guard(&err)
-	return fn(ctx, w, i)
+	return fn(ctx, i)
 }
 
 // searchErr is the error of a candidate loop whose calls failed with

@@ -21,7 +21,7 @@ import (
 // the unexported statsCollector that the hot loops write through.
 type SearchStats struct {
 	// Engine names the search that produced the stats:
-	// "procedure-5.1", "space-6.1" or "joint-6.2".
+	// "procedure-5.1", "space-6.1", "joint-6.2" or "pareto-front".
 	Engine string `json:"engine"`
 	// Workers is the effective parallelism of the candidate loop.
 	Workers int `json:"workers"`
@@ -43,28 +43,22 @@ type SearchStats struct {
 	// readers of the stats' JSON and metrics.
 	PrunedIncumbent int64 `json:"pruned_incumbent,omitempty"`
 	// InnerSearches counts the space mappings whose schedules were
-	// searched: for "joint-6.2" the live S (every candidate but the
-	// orbit-pruned ones), each tested in the one level walk; for
-	// "pareto-front" the per-S staircases run.
+	// searched: for "joint-6.2" and "pareto-front" the live S (every
+	// candidate but the orbit-pruned ones), each tested in the one level
+	// walk.
 	InnerSearches int64 `json:"inner_searches,omitempty"`
 
 	// ScheduleCandidates counts the schedule vectors the level walks
 	// visited: the Π passing ΠD ≥ 1, handed on to the conflict
 	// decisions of the open S (the walker skips every other Π unseen).
-	// It is Result.Candidates for a pure schedule search, the one walk's
-	// passers for "joint-6.2" (with several S, a chunk of passers is
-	// visited before any S tests it, so it may exceed the winner's
-	// count), and the sum over the staircases for "pareto-front".
+	// It is Result.Candidates for a pure schedule search, and the one
+	// walk's passers for "joint-6.2" and "pareto-front" (with several S,
+	// a chunk of passers is visited before any S tests it, so it may
+	// exceed the winner's count).
 	ScheduleCandidates int64 `json:"schedule_candidates"`
-	// CostLevels counts objective levels f = Σ|π_i|μ_i walked: each
-	// level once for "procedure-5.1" and "joint-6.2", summed over the
-	// staircases for "pareto-front".
-	//
-	// For "pareto-front" at Workers ≥ 2, ScheduleCandidates, CostLevels
-	// and the decision counters below differ from run to run: each
-	// staircase's level bound reads the best time the other workers have
-	// found so far, which races them. The front does not: records past
-	// the final window are filtered out.
+	// CostLevels counts objective levels f = Σ|π_i|μ_i walked, each
+	// once: for "pareto-front" from level 1 up to the end of its time
+	// window, or to the level where its last S closes.
 	CostLevels int64 `json:"cost_levels"`
 
 	// ConflictTable counts conflict decisions answered by the
@@ -74,7 +68,7 @@ type SearchStats struct {
 	ConflictTable int64 `json:"conflict_table,omitempty"`
 	// HNFIncremental counts conflict decisions answered incrementally —
 	// the candidate's h = Π·W line matched a decomposition already held
-	// by the per-worker scratch cache, so no new Hermite reduction ran.
+	// by the decision memo of its S, so no new Hermite reduction ran.
 	HNFIncremental int64 `json:"hnf_incremental,omitempty"`
 	// HNFFromScratch counts conflict decisions that ran a fresh
 	// decomposition.

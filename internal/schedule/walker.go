@@ -283,25 +283,6 @@ func (wk *piWalker) admissible(i int, r, top int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// firstValidLevel returns the lowest level in [1, maxCost] holding a Π
-// with ΠD ≥ 1, or −1 when there is none. Since total time is 1 + f,
-// one plus it lower-bounds the time of every schedule.
-func (wk *piWalker) firstValidLevel(ctx context.Context, maxCost int64) (int64, error) {
-	for cost := int64(1); cost <= maxCost; cost++ {
-		found := false
-		if err := wk.walk(ctx, cost, func(intmat.Vector) bool {
-			found = true
-			return false
-		}); err != nil {
-			return 0, err
-		}
-		if found {
-			return cost, nil
-		}
-	}
-	return -1, nil
-}
-
 // isDone polls a context's Done channel without blocking. Unlike
 // ctx.Err it takes no lock, so the per-level and per-step checks of the
 // searches cost a channel load.

@@ -116,8 +116,7 @@ func walkedLevel(t testing.TB, wk *piWalker, cost int64) []string {
 }
 
 // checkWalker compares every level up to maxLevel of algo, walked twice
-// (the second walk answers barren levels from memory), with enumerate,
-// and the walker's first valid level with the streaming floor.
+// (the second walk answers barren levels from memory), with enumerate.
 func checkWalker(t testing.TB, algo *uda.Algorithm, maxLevel int64) {
 	t.Helper()
 	wk := getWalker(algo)
@@ -129,10 +128,6 @@ func checkWalker(t testing.TB, algo *uda.Algorithm, maxLevel int64) {
 				t.Fatalf("μ=%v D=%v level %d pass %d:\n got %v\nwant %v", algo.Set.Upper, algo.D, cost, pass, got, want)
 			}
 		}
-	}
-	want := streamingFloor(algo, maxLevel)
-	if got, err := getWalker(algo).firstValidLevel(context.Background(), maxLevel); err != nil || got != want {
-		t.Fatalf("μ=%v D=%v: first valid level %d (%v), want %d", algo.Set.Upper, algo.D, got, err, want)
 	}
 }
 
@@ -352,82 +347,152 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 	return best, stats.snapshot("joint-6.2", 1, 0, 0, 0), nil
 }
 
-// streamingPareto is the Workers=1 reference for FindParetoContext's
-// per-S staircase, streaming enumerate on every level of every S. It
-// returns the front's signature, the time bound and the counters.
-func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) ([][3]string, int64, *SearchStats, error) {
-	stats := &statsCollector{}
+// streamingPareto is the reference for FindParetoContext: the per-S
+// staircase search the level walk replaced, at one worker, on the
+// levels enumerate streams. In candidate order, each live S walks the
+// levels from the first holding a ΠD > 0 passer up to the best time any
+// S has found so far plus the slack (MaxCost before one is found). On
+// each it takes the fewest-buffer passer, the first among equals, when
+// its buffers improve on the S's lower levels, and it stops after a pick
+// without buffers. The picks within the final window make the front.
+//
+// Its Stats are the counts of the one level walk: the levels from 1 up
+// to the window's end — or up to the level where the last S stops, if
+// every S stops inside the window — and their passers, that last level
+// cut after the chunk (for a lone S, the passer) where the last S
+// stopped.
+func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*ParetoResult, error) {
 	cands, err := collectSpaceMappings(algo.Dim(), dims, maxEntryOrDefault(&opts.Space))
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	symPruned := symmetryPruned(cands, axisAutomorphismsByKey(algo, nil))
-	stats.spaceCandidates.Add(int64(len(cands)))
-	baseMaxCost := maxCostOr(opts.Space.Schedule.MaxCost, algo.Set)
-	floor := streamingFloor(algo, baseMaxCost)
-	if floor < 0 {
-		return nil, 0, nil, ErrNoSchedule
-	}
-	cStar := int64(math.MaxInt64)
-	var records []paretoRecord
-	sc := conflict.GetScratch()
-	defer conflict.PutScratch(sc)
-	for i, s := range cands {
-		if symPruned[i] {
-			stats.prunedOrbit.Add(1)
-			continue
-		}
-		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		schedOpts := opts.Space.Schedule
-		schedOpts.Workers, schedOpts.SelfCheck, schedOpts.MaxCost = 0, false, baseMaxCost
-		cctx := newCandCtx(algo, s, &schedOpts, analyzer, getWalker(algo).depCols)
-		procs, links := countProcessorImages(s, algo.Set), linkCount(s, algo.D)
-		stats.innerSearches.Add(1)
-		bestBuf := int64(math.MaxInt64)
-		for cost := floor; cost <= baseMaxCost && (cStar == math.MaxInt64 || cost <= cStar+opts.TimeSlack); cost++ {
-			stats.costLevels.Add(1)
-			var lvlMapping *Mapping
-			var lvlBuf int64
+	maxCost := maxCostOr(opts.Space.Schedule.MaxCost, algo.Set)
+	levels := map[int64][]intmat.Vector{}
+	level := func(cost int64) []intmat.Vector {
+		pis, ok := levels[cost]
+		if !ok {
 			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				if !Valid(pi, algo.D) {
-					return true
-				}
-				stats.scheduleCandidates.Add(1)
-				if r, ok := cctx.tryValid(pi, sc); ok {
-					if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
-						lvlMapping, lvlBuf = r.Mapping, b
-					}
+				if Valid(pi, algo.D) {
+					pis = append(pis, pi.Clone())
 				}
 				return true
 			})
-			if lvlMapping == nil {
+			levels[cost] = pis
+		}
+		return pis
+	}
+	floor := int64(1)
+	for ; floor <= maxCost && len(level(floor)) == 0; floor++ {
+	}
+	if floor > maxCost {
+		return nil, fmt.Errorf("%w: no Π with ΠD > 0 and Σ|π_i|·μ_i ≤ %d", ErrNoSchedule, maxCost)
+	}
+	type stop struct{ cost, at int64 } // the level and the passer after which an S stops
+	var stops []stop
+	cStar := int64(math.MaxInt64)
+	var records []ParetoMember
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
+	live := 0
+	for i, s := range cands {
+		if symPruned[i] {
+			continue
+		}
+		live++
+		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
+		if err != nil {
+			return nil, err
+		}
+		schedOpts := opts.Space.Schedule
+		schedOpts.Workers, schedOpts.SelfCheck = 0, false
+		cctx := newCandCtx(algo, s, &schedOpts, analyzer, getWalker(algo).depCols)
+		procs, links := countProcessorImages(s, algo.Set), linkCount(s, algo.D)
+		bestBuf := int64(math.MaxInt64)
+		for cost := floor; cost <= maxCost && (cStar == math.MaxInt64 || cost <= cStar+opts.TimeSlack); cost++ {
+			var pick *Mapping
+			var pickBuf, pickAt int64
+			for at, pi := range level(cost) {
+				if r, ok := cctx.tryValid(pi, sc); ok {
+					if b := bufferDepth(pi, cctx.depCols); pick == nil || b < pickBuf {
+						pick, pickBuf, pickAt = r.Mapping, b, int64(at)
+					}
+				}
+			}
+			if pick == nil {
 				continue
 			}
 			cStar = min(cStar, cost)
-			if lvlBuf < bestBuf {
-				bestBuf = lvlBuf
-				records = append(records, paretoRecord{mapping: lvlMapping, vec: ObjectiveVector{1 + cost, procs, lvlBuf, links}})
+			if pickBuf < bestBuf {
+				bestBuf = pickBuf
+				records = append(records, ParetoMember{Mapping: pick, Vector: ObjectiveVector{1 + cost, procs, pickBuf, links}})
 				if bestBuf == 0 {
+					stops = append(stops, stop{cost, pickAt})
 					break
 				}
 			}
 		}
 	}
 	if cStar == math.MaxInt64 {
-		return nil, 0, nil, ErrNoSchedule
+		return nil, fmt.Errorf("%w: no conflict-free joint mapping with |entries| ≤ %d", ErrNoSchedule, maxEntryOrDefault(&opts.Space))
 	}
-	timeBound := 1 + min(baseMaxCost, cStar+opts.TimeSlack)
+	end := min(maxCost, cStar+opts.TimeSlack)
 	var arch Archive
 	for _, rec := range records {
-		if rec.vec[ObjTime] <= timeBound {
-			arch.Insert(ParetoMember{Mapping: rec.mapping, Vector: rec.vec})
+		if rec.Vector[ObjTime] <= 1+end {
+			arch.Insert(rec)
 		}
 	}
-	sig := frontSignature(&ParetoResult{Front: arch.Front()})
-	return sig, timeBound, stats.snapshot("pareto-front", 1, 0, 0, 0), nil
+	// The walk's counts: it ends early when every S stops in the window.
+	last := stop{end, -1}
+	if len(stops) == live {
+		last = stops[0]
+		for _, st := range stops[1:] {
+			if st.cost > last.cost || st.cost == last.cost && st.at > last.at {
+				last = st
+			}
+		}
+		if last.cost > end {
+			last = stop{end, -1}
+		}
+	}
+	stats := &statsCollector{}
+	stats.spaceCandidates.Add(int64(len(cands)))
+	stats.prunedOrbit.Add(int64(len(cands) - live))
+	stats.innerSearches.Add(int64(live))
+	stats.costLevels.Add(last.cost)
+	for cost := int64(1); cost <= last.cost; cost++ {
+		n := int64(len(level(cost)))
+		if cost == last.cost && last.at >= 0 {
+			if live == 1 {
+				n = last.at + 1
+			} else {
+				n = min(n, (last.at/int64(walkChunk)+1)*int64(walkChunk))
+			}
+		}
+		stats.scheduleCandidates.Add(n)
+	}
+	front := arch.Front()
+	return &ParetoResult{
+		Front:      front,
+		Best:       selectBest(front, opts),
+		TimeBound:  1 + end,
+		Candidates: len(cands),
+		Pruned:     len(cands) - live,
+		Stats:      stats.snapshot("pareto-front", 1, 0, 0, 0),
+	}, nil
+}
+
+// paretoIdentity is everything of a Pareto search's outcome the level
+// walk must reproduce from streamingPareto: the error text, or the
+// front, best pick, bound and counts.
+func paretoIdentity(res *ParetoResult, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	st := res.Stats
+	return fmt.Sprintf("front=%v best=%d bound=%d candidates=%d pruned=%d sched=%d levels=%d inner=%d",
+		frontSignature(res), res.Best, res.TimeBound, res.Candidates, res.Pruned, st.ScheduleCandidates, st.CostLevels, st.InnerSearches)
 }
 
 // manifestProblem is the problem statement of one corpus manifest line.
@@ -544,20 +609,9 @@ func TestWalkerMatchesStreamingOnCorpus(t *testing.T) {
 		}
 
 		popts := ParetoOptions{Space: space, TimeSlack: 1}
-		wantFront, wantBound, wantPStats, wantErr := streamingPareto(algo, p.Dims, &popts)
-		pres, gotErr := FindParetoContext(ctx, algo, p.Dims, &popts)
-		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && !errors.Is(gotErr, ErrNoSchedule)) {
-			t.Fatalf("%s pareto: error %v, streaming %v", p.ID, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if g := frontSignature(pres); fmt.Sprint(g) != fmt.Sprint(wantFront) || pres.TimeBound != wantBound {
-			t.Fatalf("%s pareto: front %v bound %d, streaming %v bound %d", p.ID, g, pres.TimeBound, wantFront, wantBound)
-		}
-		g, w := pres.Stats, wantPStats
-		if g.ScheduleCandidates != w.ScheduleCandidates || g.CostLevels != w.CostLevels || g.InnerSearches != w.InnerSearches {
-			t.Fatalf("%s pareto stats:\n got %v\nwant %v", p.ID, g, w)
+		wantP := paretoIdentity(streamingPareto(algo, p.Dims, &popts))
+		if got := paretoIdentity(FindParetoContext(ctx, algo, p.Dims, &popts)); got != wantP {
+			t.Fatalf("%s pareto:\n got %s\nwant %s", p.ID, got, wantP)
 		}
 	}
 }
@@ -566,7 +620,10 @@ func TestWalkerMatchesStreamingOnCorpus(t *testing.T) {
 // pass int64 for small Π. Every search returns ErrNoSchedule or an
 // *intmat.OverflowError — never a panic, which inside a worker
 // goroutine would take the whole process down. (FindSpaceMapping's
-// Π = (1, 3) overflows already in its ΠD > 0 check.)
+// Π = (1, 3) overflows already in its ΠD > 0 check.) With the column
+// d̄ = (2⁶², 2⁶²), Π = (0, 1) passes without overflow, but S = (1 1)
+// maps d̄ past int64, so the Pareto search, which counts the links of
+// every live S, returns an *intmat.OverflowError.
 func TestSearchOverflowIsAnError(t *testing.T) {
 	d := intmat.New(2, 2)
 	d.SetCol(0, []int64{0, 1})
@@ -588,6 +645,15 @@ func TestSearchOverflowIsAnError(t *testing.T) {
 		check(fmt.Sprintf("FindPareto workers=%d", workers), err)
 		_, err = FindSpaceMapping(algo, intmat.Vec(1, 3), 1, &SpaceOptions{Schedule: Options{Workers: workers}})
 		check(fmt.Sprintf("FindSpaceMapping workers=%d", workers), err)
+	}
+	d = intmat.New(2, 1)
+	d.SetCol(0, []int64{1 << 62, 1 << 62})
+	algo = &uda.Algorithm{Name: "huge-image", Set: uda.IndexSet{Upper: intmat.Vec(3, 3)}, D: d}
+	for _, workers := range []int{1, 2} {
+		_, err := FindPareto(algo, 1, &ParetoOptions{Space: SpaceOptions{Schedule: Options{Workers: workers}}})
+		if oe := (*intmat.OverflowError)(nil); !errors.As(err, &oe) {
+			t.Errorf("FindPareto huge-image workers=%d: %v, want an *intmat.OverflowError", workers, err)
+		}
 	}
 }
 
@@ -622,14 +688,20 @@ func TestWalkerPastTableCap(t *testing.T) {
 			}
 		}
 	}
-	if got, err := getWalker(skewedIdentity()).firstValidLevel(context.Background(), 1<<40); err != nil || got != 250001 {
-		t.Fatalf("skewed μ: first valid level %d (%v), want 250001", got, err)
+	wk := getWalker(skewedIdentity())
+	for cost := int64(1); cost <= 250000; cost++ {
+		if got := walkedLevel(t, wk, cost); len(got) > 0 {
+			t.Fatalf("skewed μ: level %d walks as %v, want no passer below level 250001", cost, got)
+		}
+	}
+	if got := walkedLevel(t, wk, 250001); fmt.Sprint(got) != "[[1 1]]" {
+		t.Fatalf("skewed μ: level 250001 walks as %v, want the first passer [[1 1]]", got)
 	}
 
 	d := intmat.New(3, 2)
 	d.Set(0, 0, 1)
 	d.Set(0, 1, -1)
-	wk := getWalker(&uda.Algorithm{Name: "e1", Set: uda.Cube(3, 1), D: d})
+	wk = getWalker(&uda.Algorithm{Name: "e1", Set: uda.Cube(3, 1), D: d})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	levels := 0
