@@ -152,6 +152,7 @@ examples:
 	$(GO) run ./examples/transitive
 	$(GO) run ./examples/bitlevel
 	$(GO) run ./examples/frontend
+	$(GO) run ./examples/spaceopt
 
 # Run the mapping-as-a-service HTTP server on :8080 (see README for
 # the curl quickstart).

@@ -51,13 +51,16 @@ func TestFindJointMappingContextCancelled(t *testing.T) {
 }
 
 func TestFindJointMappingContextDeadline(t *testing.T) {
-	// A deliberately large instance: the full joint search takes far
-	// longer than the deadline, so the search must be interrupted and
-	// report DeadlineExceeded promptly.
+	// A deliberately large instance: the full joint search of bit-level
+	// matmul at μ = 3 takes tens of seconds, far longer than the
+	// deadline, so the search must be interrupted and report
+	// DeadlineExceeded promptly. (Transitive closure μ = 30 searches in
+	// a few milliseconds and could finish before a 1 ms deadline fired
+	// on a loaded machine.)
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		_, err := FindJointMappingContext(ctx, uda.TransitiveClosure(30), 1,
+		_, err := FindJointMappingContext(ctx, uda.BitLevelMatMul(3, 3), 1,
 			&SpaceOptions{Schedule: Options{Workers: workers}})
 		elapsed := time.Since(start)
 		cancel()

@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"context"
 	"fmt"
 
 	"lodim/internal/conflict"
@@ -36,14 +35,15 @@ import (
 // returned schedule is verified with the exact conflict decision and,
 // in the rare case the verification fails, the optimizer falls back to
 // Procedure 5.1 starting at the ILP objective — preserving optimality.
-func FindOptimalILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*Result, error) {
+func FindOptimalILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (_ *Result, err error) {
+	defer intmat.Guard(&err)
 	if opts == nil {
 		opts = &Options{}
 	}
 	if err := algo.Validate(); err != nil {
 		return nil, err
 	}
-	base, disjuncts, integer, err := ilpFormulation(algo, s, opts, 1, 0)
+	base, disjuncts, integer, err := ilpFormulation(algo, s, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -92,16 +92,9 @@ func verifyILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, pi intmat.V
 	return r, ok, cctx.takeErr()
 }
 
-// ilpFormulation builds the shared constraint system of the (5.1)–(5.2)
-// family under the scalarized objective
-//
-//	min wTime·Σ μ_i·a_i + wBuf·Σ_k Π·d̄_k
-//
-// — wTime = 1, wBuf = 0 recovers the paper's time-only program, and a
-// positive wBuf adds the buffer-depth axis Σ(Π·d̄_k − 1) up to the
-// constant −wBuf·m, which shifts every objective equally and so
-// changes no argmin.
-func ilpFormulation(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, wTime, wBuf int64) (*lp.Problem, [][]lp.Constraint, []bool, error) {
+// ilpFormulation builds the constraint system of (5.1)–(5.2) under the
+// objective min Σ μ_i·a_i.
+func ilpFormulation(algo *uda.Algorithm, s *intmat.Matrix, opts *Options) (*lp.Problem, [][]lp.Constraint, []bool, error) {
 	n := algo.Dim()
 	if s.Cols() != n || s.Rows() != n-2 {
 		return nil, nil, nil, fmt.Errorf("schedule: ILP formulation needs S ∈ Z^{(n-2)×n}, got %dx%d for n = %d", s.Rows(), s.Cols(), n)
@@ -116,17 +109,8 @@ func ilpFormulation(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, wTime,
 	c := make([]rat.Rat, numVars)
 	lower := make([]lp.Bound, numVars)
 	for i := 0; i < n; i++ {
-		c[n+i] = rat.FromInt(wTime * algo.Set.Upper[i])
+		c[n+i] = rat.FromInt(algo.Set.Upper[i])
 		lower[n+i] = lp.BoundAt(rat.Zero())
-	}
-	if wBuf != 0 {
-		for j := 0; j < n; j++ {
-			var sum int64
-			for k := 0; k < algo.NumDeps(); k++ {
-				sum += algo.D.At(j, k)
-			}
-			c[j] = rat.FromInt(wBuf * sum)
-		}
 	}
 	base := &lp.Problem{NumVars: numVars, C: c, Lower: lower}
 
@@ -204,112 +188,6 @@ func ilpSchedule(sol *ilp.Solution, n int) (intmat.Vector, error) {
 		pi[j] = v
 	}
 	return pi, nil
-}
-
-// FindWeightedILP generalizes FindOptimalILP to the scalarized
-// two-axis objective
-//
-//	min wTime·(1 + Σ μ_i·|π_i|) + wBuf·Σ_k (Π·d̄_k − 1)
-//
-// over schedules Π for a fixed S — the ILP face of the Pareto engine's
-// ModeWeighted restricted to the axes that vary with Π (processors and
-// links are constants of S and only shift the objective). wTime must
-// be ≥ 1 (it bounds the enumeration fallback); wBuf must be ≥ 0.
-//
-// Like FindOptimalILP, the relaxation ignores the conflict vectors'
-// gcd normalization, so the ILP optimum is a lower bound; its witness
-// is accepted only after the exact conflict decision, and a rejected
-// witness falls back to exact weighted enumeration, preserving
-// optimality either way.
-func FindWeightedILP(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	if err := algo.Validate(); err != nil {
-		return nil, err
-	}
-	if wTime < 1 {
-		return nil, fmt.Errorf("schedule: weighted ILP needs a time weight ≥ 1, got %d", wTime)
-	}
-	if wBuf < 0 {
-		return nil, fmt.Errorf("schedule: negative buffer weight %d", wBuf)
-	}
-	base, disjuncts, integer, err := ilpFormulation(algo, s, opts, wTime, wBuf)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := ilp.SolveDisjunctive(base, disjuncts, integer)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("%w: ILP status %v", ErrNoSchedule, sol.Status)
-	}
-	pi, err := ilpSchedule(sol, algo.Dim())
-	if err != nil {
-		return nil, err
-	}
-	if r, ok, err := verifyILP(algo, s, opts, pi); err != nil {
-		return nil, err
-	} else if ok {
-		r.Candidates = sol.Nodes
-		r.Method = "ilp-weighted"
-		return r, nil
-	}
-	fb, err := findWeightedEnum(algo, s, wTime, wBuf, opts)
-	if err != nil {
-		return nil, err
-	}
-	fb.Method = "ilp-weighted+fallback"
-	return fb, nil
-}
-
-// findWeightedEnum is the exact enumeration fallback of FindWeightedILP:
-// it scans objective levels in ascending Σ|π_i|·μ_i order, keeps the
-// first schedule minimizing the scalarized objective, and stops once
-// even a zero-buffer schedule at the current level could not improve —
-// wTime·(1 + cost) alone already reaching the best makes every deeper
-// level futile, because buffers only add (wBuf ≥ 0) and the tie-break
-// prefers the earlier (lower-time, lex-least) witness.
-func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, opts *Options) (*Result, error) {
-	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
-	if err != nil {
-		return nil, err
-	}
-	maxCost := maxCostOr(opts.MaxCost, algo.Set)
-	wk := getWalker(algo)
-	defer putWalker(wk)
-	cctx := newCandCtx(algo, s, opts, analyzer, wk.depCols)
-	sc := conflict.GetScratch()
-	defer conflict.PutScratch(sc)
-	var best *Result
-	var bestObj int64
-	for cost := int64(1); cost <= maxCost; cost++ {
-		if best != nil && wTime*(1+cost) >= bestObj {
-			break
-		}
-		if err := wk.walk(context.TODO(), cost, func(pi intmat.Vector) bool {
-			r, ok := cctx.tryValid(pi, sc)
-			if !ok {
-				return true
-			}
-			obj := wTime*r.Time + wBuf*bufferDepth(pi, cctx.depCols)
-			if best == nil || obj < bestObj {
-				best, bestObj = r, obj
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		if err := cctx.takeErr(); err != nil {
-			return nil, err
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("%w: no conflict-free schedule with Σ|π_i|·μ_i ≤ %d for the given S",
-			ErrNoSchedule, maxCost)
-	}
-	return best, nil
 }
 
 // conflictFormCoefficients returns the n×n matrix F with

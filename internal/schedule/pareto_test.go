@@ -343,41 +343,6 @@ func TestParetoOptionValidation(t *testing.T) {
 	}
 }
 
-// TestFindWeightedILP: the weighted ILP agrees with exact weighted
-// enumeration on the paper's matmul space mapping, for a pure-time
-// objective and for a buffer-heavy one.
-func TestFindWeightedILP(t *testing.T) {
-	algo := uda.MatMul(3)
-	s := intmat.FromRows([]int64{1, 1, -1})
-	for _, w := range [][2]int64{{1, 0}, {1, 5}, {2, 3}} {
-		ilpRes, err := FindWeightedILP(algo, s, w[0], w[1], nil)
-		if err != nil {
-			t.Fatalf("w=%v: %v", w, err)
-		}
-		enumRes, err := findWeightedEnum(algo, s, w[0], w[1], &Options{})
-		if err != nil {
-			t.Fatalf("w=%v enum: %v", w, err)
-		}
-		obj := func(r *Result) int64 {
-			cols := make([]intmat.Vector, algo.NumDeps())
-			for i := range cols {
-				cols[i] = algo.D.Col(i)
-			}
-			return w[0]*r.Time + w[1]*bufferDepth(r.Mapping.Pi, cols)
-		}
-		if obj(ilpRes) != obj(enumRes) {
-			t.Errorf("w=%v: ILP objective %d, enumeration %d (Π %v vs %v)",
-				w, obj(ilpRes), obj(enumRes), ilpRes.Mapping.Pi, enumRes.Mapping.Pi)
-		}
-		if free, wit := conflict.BruteForce(ilpRes.Mapping.T, algo.Set); !free {
-			t.Errorf("w=%v: ILP winner has conflict %v", w, wit)
-		}
-	}
-	if _, err := FindWeightedILP(algo, s, 0, 1, nil); err == nil {
-		t.Error("wTime=0 accepted; the enumeration fallback would not terminate")
-	}
-}
-
 // randomAlgorithm builds a seeded random 3-D uniform dependence
 // algorithm: identity dependences guarantee ΠD > 0 is satisfiable,
 // extra random columns create the tie-rich instances the tie-break

@@ -74,10 +74,9 @@ type SpaceResult struct {
 	// ones).
 	Candidates int
 	// Pruned counts space mappings rejected by symmetry or by cost lower
-	// bound. The joint search counts, after the fact, the S whose bound
-	// exceeds the winner's cost, the same at any worker count; in
-	// Problem 6.1 at Workers > 1 the bound races the best cost found,
-	// so Pruned may vary between runs. The winning mapping never does.
+	// bound: the bound is counted after the fact, as the S whose bound
+	// exceeds the winner's cost, so Pruned is the same at any worker
+	// count.
 	Pruned int
 	// Time is the total execution time (joint problem: of the winning
 	// schedule; Problem 6.1: of the given Π).
@@ -149,26 +148,20 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	collectDur := time.Since(startAt)
 	weight := wireWeightOrDefault(opts)
 	results := make([]*SpaceResult, cands.len())
-	var bestCost, prunedCount atomic.Int64
+	var bestCost atomic.Int64
 	bestCost.Store(math.MaxInt64)
 	searchAt := time.Now()
 	err = forEachCandidate(ctx, cands.len(), opts.Schedule.Workers, func(_ context.Context, i int) error {
 		if cands.pruned[i] {
-			prunedCount.Add(1)
 			stats.prunedOrbit.Add(1)
 			return nil
 		}
-		if !opts.NoPrune {
-			// The candidate's cost is at least the processor lower
-			// bound plus its exact wire term; the incumbent only
-			// decreases, so a strict > here can never discard a
-			// candidate tying the final minimum.
-			lb := cands.lowerBound(i) + weight*cands.wire(i, algo.D)
-			if lb > bestCost.Load() {
-				prunedCount.Add(1)
-				stats.prunedLowerBound.Add(1)
-				return nil
-			}
+		// The candidate's cost is at least the processor lower bound
+		// plus its exact wire term; the incumbent only decreases, so a
+		// strict > here can never discard a candidate tying the final
+		// minimum.
+		if !opts.NoPrune && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > bestCost.Load() {
+			return nil
 		}
 		r, ok, err := evaluateSpaceMapping(algo, cands, i, pi, opts)
 		if !ok {
@@ -194,8 +187,18 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 		return nil, fmt.Errorf("%w: no conflict-free space mapping with |entries| ≤ %d for Π = %v",
 			ErrNoSchedule, maxEntryOrDefault(opts), pi)
 	}
+	if !opts.NoPrune {
+		// Counted after the loop, as the joint search does: the live
+		// candidates whose bound exceeds the winner's cost, the same at
+		// any worker count whichever of them the racing skip caught.
+		for i, pruned := range cands.pruned {
+			if !pruned && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > best.Cost {
+				stats.prunedLowerBound.Add(1)
+			}
+		}
+	}
 	best.Candidates = cands.len()
-	best.Pruned = int(prunedCount.Load())
+	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
 	if opts.Schedule.SelfCheck {
 		if err := runSelfCheck(best.Mapping); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"lodim/internal/conflict"
@@ -109,10 +110,8 @@ func TestFindJointMappingPropagatesInnerErrors(t *testing.T) {
 	}
 }
 
-// jointFingerprint captures every deterministic field of a joint
-// result. Pruned is deliberately excluded: with Workers > 1 the
-// lower-bound rule races the incumbent, so the number of pruned
-// candidates (but never the winner) may vary between runs.
+// jointFingerprint captures the winner and the effort counts of a joint
+// result.
 func jointFingerprint(r *JointResult) string {
 	return fmt.Sprintf("S=%v Pi=%v t=%d cost=%d procs=%d wire=%d cands=%d inner=%d innerT=%d",
 		r.Mapping.S, r.Mapping.Pi, r.Time, r.Cost, r.Processors, r.WireLength,
@@ -175,6 +174,36 @@ func TestFindSpaceMappingDeterministicWorkers(t *testing.T) {
 			par.Processors != seq.Processors || par.Candidates != seq.Candidates {
 			t.Fatalf("workers=%d: got %v cost=%d, want %v cost=%d",
 				workers, par.Mapping.S, par.Cost, seq.Mapping.S, seq.Cost)
+		}
+	}
+}
+
+// TestFindSpaceMappingCountsDeterministic: Pruned and the Stats counters
+// of the Problem 6.1 search are the same at any worker count, run after
+// run, although the in-loop lower-bound skip races the incumbent. On
+// matmul μ = 8 with Π = (1, 8, 1), a count taken inside the loop read
+// Pruned 4 instead of 7 in about one run in 40 at Workers 2.
+func TestFindSpaceMappingCountsDeterministic(t *testing.T) {
+	algo := uda.MatMul(8)
+	pi := intmat.Vec(1, 8, 1)
+	counts := func(workers int) string {
+		res, err := FindSpaceMapping(algo, pi, 1, &SpaceOptions{Schedule: Options{Workers: workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := *res.Stats
+		st.Workers, st.Collect, st.Search, st.Total = 0, 0, 0, 0
+		return fmt.Sprintf("S=%v pruned=%d %+v", res.Mapping.S, res.Pruned, st)
+	}
+	want := counts(1)
+	if !strings.Contains(want, "pruned=7 ") || !strings.Contains(want, "PrunedLowerBound:3 ") {
+		t.Fatalf("Workers 1: %s, want 7 pruned, 3 of them by the lower bound", want)
+	}
+	for rep := 0; rep < 20; rep++ {
+		for _, workers := range []int{1, 2, 8} {
+			if got := counts(workers); got != want {
+				t.Fatalf("workers=%d rep=%d:\n got %s\nwant %s", workers, rep, got, want)
+			}
 		}
 	}
 }

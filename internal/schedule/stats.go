@@ -32,11 +32,9 @@ type SearchStats struct {
 	// PrunedOrbit counts candidates removed by the axis-symmetry
 	// orbit rule before any evaluation.
 	PrunedOrbit int64 `json:"pruned_orbit,omitempty"`
-	// PrunedLowerBound counts candidates whose processor/cost lower
-	// bound exceeds a cost found. For "joint-6.2" it is the live S
-	// whose bound exceeds the winner's cost, the same at any worker
-	// count; for "space-6.1" the candidates skipped against the best
-	// cost found so far, which races it at Workers > 1.
+	// PrunedLowerBound counts the live candidates whose processor/cost
+	// lower bound exceeds the winner's cost ("joint-6.2", "space-6.1"),
+	// counted after the search, so it is the same at any worker count.
 	PrunedLowerBound int64 `json:"pruned_lower_bound,omitempty"`
 	// PrunedIncumbent is 0: no engine has an incumbent-time cut since
 	// the joint search walks each level once. The field stays for the

@@ -655,6 +655,15 @@ func TestSearchOverflowIsAnError(t *testing.T) {
 			t.Errorf("FindPareto huge-image workers=%d: %v, want an *intmat.OverflowError", workers, err)
 		}
 	}
+	// The ILP formulation's conflict forms multiply S's entries: on
+	// S = (3037000500, 1, −3037000500) they pass int64.
+	ident := &uda.Algorithm{Name: "ident", Set: uda.IndexSet{Upper: intmat.Vec(1, 1, 1)}, D: intmat.Identity(3)}
+	for _, search := range []func(*uda.Algorithm, *intmat.Matrix, *Options) (*Result, error){FindOptimal, FindOptimalILP} {
+		_, err := search(ident, intmat.FromRows([]int64{3037000500, 1, -3037000500}), nil)
+		if oe := (*intmat.OverflowError)(nil); !errors.As(err, &oe) {
+			t.Errorf("wide S: %v, want an *intmat.OverflowError", err)
+		}
+	}
 }
 
 // skewedIdentity is D = I on μ = (1, 250000): every level below 250001

@@ -579,34 +579,45 @@ func TestClusterE2EConflictingResultRejected(t *testing.T) {
 	})
 }
 
-// TestClusterE2EPeerResultBeyondSweep covers peer results the
-// verifier's budgeted lattice sweep cannot settle. A conflict-free one
-// with a deep null space is re-decided and accepted. One whose Hermite
-// factorization leaves int64 is refused, answering 400 to a fill and
-// degrading a forward to a local search, and it never panics.
+// TestClusterE2EPeerResultBeyondSweep covers peer results that the
+// verifier's former β-box sweep could not settle within its budget or
+// int64. The conflict-free ones — a deep null space, and a basis with
+// entries near 10³ whose sweep bounds overflowed — are now decided by
+// the lattice search and accepted. One whose Hermite factorization
+// leaves int64 is refused, answering 400 to a fill and degrading a
+// forward to a local search, and it never panics.
 func TestClusterE2EPeerResultBeyondSweep(t *testing.T) {
-	t.Run("deep null space accepted", func(t *testing.T) {
-		p, wire := deepNullSpaceProblem(t)
-		status, tc := peerFill(t, &p, wire)
-		if status != http.StatusOK {
-			t.Fatalf("fill: status %d, want 200", status)
-		}
-		if _, ok := tc.svcs[0].cache.Get(p.key); !ok {
-			t.Error("accepted fill left no cache entry")
-		}
-	})
-
-	// μ = (1, 1, 7, 7) with dependence e4 is already canonical. The
-	// first result overflows the verifier's Hermite factorization, the
-	// second already the rank check.
+	// μ = (1, 1, 7, 7) with dependence e4 is already canonical.
 	req := &MapRequest{Bounds: []int64{1, 1, 7, 7}, Dependencies: [][]int64{{0, 0, 0, 1}}, Dims: 1}
 	algo, dims, err := validateMapRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := mapWorkload.newProblem(req, algo, dims, 0)
+	deep, deepWire := deepNullSpaceProblem(t)
+	for name, c := range map[string]struct {
+		p    *problem[MapRequest]
+		wire *mapWire
+	}{
+		"deep null space accepted": {&deep, deepWire},
+		"wide basis accepted":      {&p, &mapWire{S: [][]int64{{178, -894, 831, 40}}, Pi: []int64{820, 726, 256, 547}, Time: 7168, Processors: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			status, tc := peerFill(t, c.p, c.wire)
+			if status != http.StatusOK {
+				t.Fatalf("fill: status %d, want 200", status)
+			}
+			if _, ok := tc.svcs[0].cache.Get(c.p.key); !ok {
+				t.Error("accepted fill left no cache entry")
+			}
+		})
+	}
+
+	// The first result overflows the verifier's Hermite factorization,
+	// the second already the rank check.
 	for name, wire := range map[string]*mapWire{
-		"hnf overflow":  {S: [][]int64{{178, -894, 831, 40}}, Pi: []int64{820, 726, 256, 547}, Time: 7168, Processors: 1},
+		"hnf overflow": {S: [][]int64{{1898783637, -1930117241, -971266136, -1985023419}},
+			Pi: []int64{573394572, 509016719, -2065724704, 1770185555}, Time: 27933783105, Processors: 1},
 		"rank overflow": {S: [][]int64{{1 << 62, 3, 1, 1}}, Pi: []int64{1 << 40, 5, 1, 1}, Time: 1<<40 + 13, Processors: 1},
 	} {
 		t.Run(name+" fill refused", func(t *testing.T) {

@@ -185,7 +185,11 @@ func TestE2EPermutedVariantHitsCache(t *testing.T) {
 }
 
 // TestE2EDeadline: a 1ms-deadline request on a large instance returns
-// promptly with 504 and leaks no goroutines.
+// promptly with 504 and leaks no goroutines. The instance is bit-level
+// matmul at its default sizes, whose uncancelled joint search takes tens
+// of seconds: an instance that searches in milliseconds (transitive
+// closure μ = 30 takes about 3 ms) can answer 200 before a loaded
+// machine fires the 1 ms deadline.
 func TestE2EDeadline(t *testing.T) {
 	svc, srv := newTestServer(t, Config{Pool: 2, SearchWorkers: 4})
 	// Warm up the HTTP client/server goroutine population first.
@@ -196,7 +200,7 @@ func TestE2EDeadline(t *testing.T) {
 
 	start := time.Now()
 	status, _, body := postJSON(t, srv.URL+"/v1/map",
-		`{"algorithm":"transitive-closure","sizes":[30],"dims":1,"timeout_ms":1}`)
+		`{"algorithm":"bit-matmul","dims":1,"timeout_ms":1}`)
 	elapsed := time.Since(start)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (%s)", status, body)

@@ -662,32 +662,16 @@ func depRows(algo *uda.Algorithm) [][]int64 {
 	return deps
 }
 
-// certifyEnumBudget bounds the β-lattice points the independent
-// verifier sweeps for one map result — a few milliseconds. A result
-// whose null space needs a larger sweep is re-decided by redecideMap.
-const certifyEnumBudget = 1 << 16
-
-// errUndecided marks a result the certify step could neither prove nor
-// refute within its budgets. A peer's result in that state is refused;
-// a local one keeps the proof the search itself found.
-var errUndecided = errors.New("certification undecided within budget")
-
 // certifyMap re-derives a map result independently before it is
 // cached: schedule validity, rank, the total time recomputed from Π and
-// μ, and conflict-freedom from a fresh Hermite factorization with a
-// Theorem 2.2 witness per null-space basis vector. That settles a null
-// space of dimension ≤ 1 at any |J| without enumerating anything; a
-// deeper one needs a sweep of its β lattice, run here within
-// certifyEnumBudget points. A result beyond that budget, or beyond
-// int64 in the verifier's arithmetic, goes to redecideMap. Optimality
-// is not re-proved.
+// μ, and conflict-freedom from a fresh Hermite factorization — a
+// Theorem 2.2 witness per null-space basis vector, then the verifier's
+// exact lattice search when the null space has dimension ≥ 2. Nothing
+// but ctx bounds it. An int64 overflow in the verifier's arithmetic is
+// returned as an *intmat.OverflowError. Optimality is not re-proved.
 func certifyMap(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.JointResult) error {
 	cert, err := verify.CertifyContext(ctx, canonAlgo, res.Mapping.S, res.Mapping.Pi,
-		&verify.Options{SkipOptimality: true, BruteForceLimit: -1, EnumBudget: certifyEnumBudget})
-	var overflow *intmat.OverflowError
-	if errors.Is(err, verify.ErrEnumBudget) || errors.As(err, &overflow) {
-		return redecideMap(canonAlgo, res)
-	}
+		&verify.Options{SkipOptimality: true, BruteForceLimit: -1})
 	if err != nil {
 		return err
 	}
@@ -698,46 +682,6 @@ func certifyMap(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.Joi
 		return fmt.Errorf("service: total time %d does not match recomputed %d", res.Time, cert.TotalTime)
 	}
 	return nil
-}
-
-// redecideMap certifies a map result the verifier's budgeted sweep
-// cannot settle: ΠD > 0 and rank through schedule.NewMapping, the total
-// time recomputed, and conflict-freedom re-decided from scratch by the
-// criterion ladder the search runs on each candidate (Theorems 3.1,
-// 4.5, 4.7 and 4.8, then the exact enumeration within conflict's
-// budget). It therefore accepts every mapping the search can return,
-// at no more cost than the search paid to decide that one candidate.
-func redecideMap(canonAlgo *uda.Algorithm, res *schedule.JointResult) error {
-	m, err := schedule.NewMapping(canonAlgo, res.Mapping.S, res.Mapping.Pi)
-	if err != nil {
-		return err
-	}
-	tt, err := m.TotalTimeChecked()
-	if err != nil {
-		return err
-	}
-	if tt != res.Time {
-		return fmt.Errorf("service: total time %d does not match recomputed %d", res.Time, tt)
-	}
-	dec, err := decideLadder(m, canonAlgo.Set)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUndecided, err)
-	}
-	if !dec.ConflictFree {
-		return fmt.Errorf("service: mapping is not conflict-free (%s, witness %v)", dec.Method, dec.Witness)
-	}
-	return nil
-}
-
-// decideLadder runs the search's conflict decision on one mapping,
-// reporting int64 overflow as an error.
-func decideLadder(m *schedule.Mapping, set uda.IndexSet) (dec conflict.Result, err error) {
-	defer intmat.Guard(&err)
-	sa, err := conflict.NewSpaceAnalyzer(m.S, set)
-	if err != nil {
-		return dec, err
-	}
-	return sa.Decide(m.Pi)
 }
 
 // mapWire is a map result in canonical coordinates, flattened for the

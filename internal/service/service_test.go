@@ -400,46 +400,65 @@ func TestRunSearchReportsCacheLanding(t *testing.T) {
 // Sγ = Πγ = 0 with every |γ_i| ≤ μ_i: Πγ = γ2 + 2γ3 = 0 forces
 // γ2 = γ3 = 0, and then Sγ = γ1 + 7γ4 + 49γ5 + 343γ6 reads γ as
 // balanced base-7 digits, which vanish only at γ = 0. Its null space
-// has dimension 4 and a β box of 10,761,625 points: beyond the
-// independent verifier's enumeration budget, while the search's own
-// criterion ladder decides it by exact enumeration.
+// has dimension 4; a sweep of its β box would visit 10,761,625 points,
+// and the verifier's lattice search visits 9 nodes.
 func deepNullSpaceProblem(t *testing.T) (problem[MapRequest], *mapWire) {
-	t.Helper()
-	req := &MapRequest{
+	return stubProblem(t, &MapRequest{
 		Bounds:       []int64{1, 1, 3, 3, 3, 2},
 		Dependencies: [][]int64{{0, 1, 0, 0, 0, 0}, {0, 0, 1, 0, 0, 0}},
 		Dims:         1,
-	}
+	}, []int64{1, 0, 1, 7, 49, 343}, []int64{0, 1, 2, 0, 0, 0})
+}
+
+// stubProblem is req with the mapping (s, Π), given in request
+// coordinates, as a canonical-coordinate peer result with its total
+// time recomputed.
+func stubProblem(t *testing.T, req *MapRequest, s, pi []int64) (problem[MapRequest], *mapWire) {
+	t.Helper()
 	algo, dims, err := validateMapRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := mapWorkload.newProblem(req, algo, dims, 0)
-	s := p.canon.MatrixToCanonical(intmat.FromRows([]int64{1, 0, 1, 7, 49, 343}))
-	pi := p.canon.VectorToCanonical([]int64{0, 1, 2, 0, 0, 0})
-	wire := &mapWire{S: matrixRows(s), Pi: pi, Time: 8, Processors: 859, Engine: "procedure-5.1", ConflictMethod: "exact-factored-fallback"}
+	cpi := p.canon.VectorToCanonical(pi)
+	tt, err := schedule.TotalTimeChecked(cpi, p.canon.Algo.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := p.canon.MatrixToCanonical(intmat.FromRows(s))
+	wire := &mapWire{S: matrixRows(cs), Pi: cpi, Time: tt, Processors: 859, Engine: "procedure-5.1", ConflictMethod: "exact-factored-fallback"}
 	return p, wire
 }
 
-// TestMapCertifiesDeepNullSpace: certification accepts every winner the
-// search can return, including one whose null space is too deep for the
-// verifier's budgeted lattice sweep.
+// stubMap answers the problem's Map request from a local search stubbed
+// to return wire's mapping.
+func stubMap(t *testing.T, p *problem[MapRequest], wire *mapWire) (*Service, *MapResponse, CacheStatus, error) {
+	t.Helper()
+	res, err := resultFromWire(p.canon.Algo, p.dims, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Pool: 1, SearchWorkers: 1})
+	t.Cleanup(s.Close)
+	s.searchJoint = func(context.Context, *uda.Algorithm, int, *schedule.SpaceOptions) (*schedule.JointResult, error) {
+		return res, nil
+	}
+	resp, status, err := s.Map(context.Background(), p.req)
+	return s, resp, status, err
+}
+
+// TestMapCertifiesDeepNullSpace: the verifier itself decides the deep
+// mapping conflict-free, with no budget, and Map serves and caches it.
 func TestMapCertifiesDeepNullSpace(t *testing.T) {
 	p, wire := deepNullSpaceProblem(t)
 	res, err := resultFromWire(p.canon.Algo, p.dims, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := verify.DecideConflict(res.Mapping.T, p.canon.Algo.Set, 0); !errors.Is(err, verify.ErrEnumBudget) {
-		t.Fatalf("verifier decided the mapping within its default budget (err = %v)", err)
+	if free, wit, err := verify.DecideConflict(context.Background(), res.Mapping.T, p.canon.Algo.Set); err != nil || !free {
+		t.Fatalf("DecideConflict = free %v, witness %v, err %v; want conflict-free", free, wit, err)
 	}
-
-	s := New(Config{Pool: 1, SearchWorkers: 1})
-	defer s.Close()
-	s.searchJoint = func(context.Context, *uda.Algorithm, int, *schedule.SpaceOptions) (*schedule.JointResult, error) {
-		return res, nil
-	}
-	resp, status, err := s.Map(context.Background(), p.req)
+	s, resp, status, err := stubMap(t, &p, wire)
 	if err != nil || status != CacheMiss {
 		t.Fatalf("cold Map: status = %v, err = %v", status, err)
 	}
@@ -448,5 +467,38 @@ func TestMapCertifiesDeepNullSpace(t *testing.T) {
 	}
 	if _, status, err := s.Map(context.Background(), p.req); err != nil || status != CacheHit {
 		t.Errorf("warm Map: status = %v, err = %v, want hit", status, err)
+	}
+}
+
+// TestMapRefusesConflictingResult: a local search that returns a
+// conflicting mapping fails its request and caches nothing. On matmul
+// with S = (1, 1, −1), Π = (1, 1, 1) the null basis vector itself
+// collides. The deep problem with S = [1 0 1 2 6 24] has four in-box
+// basis-feasible vectors, and only the lattice search finds the
+// collision (0, 0, 0, 3, −1, 0).
+func TestMapRefusesConflictingResult(t *testing.T) {
+	deep := &MapRequest{
+		Bounds:       []int64{1, 1, 3, 3, 3, 2},
+		Dependencies: [][]int64{{0, 1, 0, 0, 0, 0}, {0, 0, 1, 0, 0, 0}},
+		Dims:         1,
+	}
+	for name, c := range map[string]struct {
+		req   *MapRequest
+		s, pi []int64
+	}{
+		"basis witness":  {&MapRequest{Algorithm: "matmul", Sizes: []int64{4}, Dims: 1}, []int64{1, 1, -1}, []int64{1, 1, 1}},
+		"lattice search": {deep, []int64{1, 0, 1, 2, 6, 24}, []int64{0, 1, 2, 0, 0, 0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p, wire := stubProblem(t, c.req, c.s, c.pi)
+			s, _, _, err := stubMap(t, &p, wire)
+			var fe *verify.FailureError
+			if !errors.As(err, &fe) || fe.Witness != verify.WitnessConflict {
+				t.Fatalf("Map err = %v, want a %s failure", err, verify.WitnessConflict)
+			}
+			if _, ok := s.cache.Get(p.key); ok {
+				t.Error("conflicting result entered the cache")
+			}
+		})
 	}
 }

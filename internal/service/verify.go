@@ -140,8 +140,9 @@ func (s *Service) VerifyMapping(ctx context.Context, req *VerifyRequest) (*Verif
 	recordStage(ctx, stageSearch, certStart)
 	if err != nil {
 		// Shape problems were screened above, so an engine error here is
-		// a resource limit or arithmetic overflow on this input.
-		return nil, CacheMiss, &BadRequestError{Err: err}
+		// arithmetic overflow on this input (422) or the request's
+		// context ending (504).
+		return nil, CacheMiss, err
 	}
 	// Certificates are small and witness-bounded; a flat size hint keeps
 	// the bytes gauge honest without walking the witness lists.

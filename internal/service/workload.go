@@ -248,11 +248,10 @@ func (w *workload[Req, Res, Wire]) resolve(ctx context.Context, s *Service, p *p
 		return nil, err
 	}
 	// A local result that fails certification is an engine bug, not a
-	// bad request — surface it loudly. One the certifier cannot decide
-	// within its budgets keeps the proof the search itself found: the
-	// search may have taken that verdict from its decision cache, where
-	// another Π with the same null lattice computed it on another basis.
-	if err := w.certify(ctx, p.canon.Algo, res); err != nil && !errors.Is(err, errUndecided) {
+	// bad request — surface it loudly. Nothing uncertified is cached:
+	// an overflow in the verifier's arithmetic is answered 422, like one
+	// in the search.
+	if err := w.certify(ctx, p.canon.Algo, res); err != nil {
 		return nil, fmt.Errorf("service: %s result failed certification: %w", w.kind, err)
 	}
 	s.cache.Add(p.key, res, w.size(p.key, res))

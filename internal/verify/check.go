@@ -15,7 +15,7 @@ import (
 // the engine. A nil return means the certificate's witnesses genuinely
 // prove what the certificate claims.
 //
-// Check deliberately does not re-derive the HNF or re-enumerate the
+// Check deliberately does not re-derive the HNF or re-search the
 // lattice: the witnesses are designed so their *consequences* are
 // cheap to confirm even though finding them is not. (The exception is
 // exhaustiveness of the conflict-free verdict in codimension ≥ 2,

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ const diffInstances = 220
 func TestDifferentialConflictDecisions(t *testing.T) {
 	r := rand.New(rand.NewSource(0x10d1_4a5e))
 	disagreeBF := func(in instance) bool {
-		vFree, _, err := DecideConflict(in.t, in.set(), 0)
+		vFree, _, err := DecideConflict(context.Background(), in.t, in.set())
 		if err != nil {
 			return false
 		}
@@ -31,7 +32,7 @@ func TestDifferentialConflictDecisions(t *testing.T) {
 	}
 	for i := 0; i < diffInstances; i++ {
 		in := genInstance(r)
-		vFree, vWit, err := DecideConflict(in.t, in.set(), 0)
+		vFree, vWit, err := DecideConflict(context.Background(), in.t, in.set())
 		if err != nil {
 			t.Fatalf("instance %d: DecideConflict: %v\n%v", i, err, in)
 		}
@@ -100,7 +101,7 @@ func TestDifferentialClosedFormGamma(t *testing.T) {
 			t.Fatalf("instance %d: closed-form γ = %v, HNF γ = %v\n%v", i, gammaCF, gammaHNF, in)
 		}
 		// Both must make the same feasibility call as the full decision.
-		free, _, err := DecideConflict(in.t, in.set(), 0)
+		free, _, err := DecideConflict(context.Background(), in.t, in.set())
 		if err != nil {
 			t.Fatalf("instance %d: DecideConflict: %v\n%v", i, err, in)
 		}
@@ -170,5 +171,77 @@ func TestMetamorphicPermutationInvariance(t *testing.T) {
 				t.Fatalf("instance %d (perm %v): mapped-back witness %v is feasible", i, perm, back)
 			}
 		}
+	}
+}
+
+// TestDifferentialDeepNullSpace cross-checks the lattice search where
+// it does the work: null spaces of dimension ≥ 3 (n = 5…7, k ≤ n − 3,
+// entries in [−4, 4], μ ≤ 3), against the definitional brute force and
+// the production decision, plus the deep mappings whose β boxes ran to
+// millions of points under the old sweep.
+func TestDifferentialDeepNullSpace(t *testing.T) {
+	seeds := []instance{
+		// The service's deep mapping: conflict-free, null dimension 4.
+		{t: intmat.FromRows([]int64{1, 0, 1, 7, 49, 343}, []int64{0, 1, 2, 0, 0, 0}), mu: intmat.Vec(1, 1, 3, 3, 3, 2)},
+		// The conflict fuzzer's seed: S = (1 3 9 … 729), Π = 1⁷.
+		{t: intmat.FromRows([]int64{1, 3, 9, 27, 81, 243, 729}, []int64{1, 1, 1, 1, 1, 1, 1}), mu: intmat.Vec(2, 2, 2, 2, 2, 2, 2)},
+	}
+	r := rand.New(rand.NewSource(0xdee9))
+	deep := 0
+	for len(seeds) < 2+diffInstances {
+		n := 5 + r.Intn(3)
+		k := 1 + r.Intn(n-3)
+		tm := intmat.New(k, n)
+		for i := 0; i < k; i++ {
+			for j := 0; j < n; j++ {
+				tm.Set(i, j, r.Int63n(9)-4)
+			}
+		}
+		if tm.Rank() != k {
+			continue
+		}
+		mu := make(intmat.Vector, n)
+		for i := range mu {
+			mu[i] = 1 + r.Int63n(3)
+		}
+		seeds = append(seeds, instance{t: tm, mu: mu})
+	}
+	for i, in := range seeds {
+		set := in.set()
+		vFree, vWit, err := DecideConflict(context.Background(), in.t, set)
+		if err != nil {
+			t.Fatalf("instance %d: DecideConflict: %v\n%v", i, err, in)
+		}
+		if in.n()-in.k() >= 3 {
+			deep++
+		}
+		if !set.SizeExceeds(1 << 14) {
+			if bfFree, bfWit := conflict.BruteForce(in.t, set); vFree != bfFree {
+				t.Fatalf("instance %d: verify says free=%v, brute force says free=%v (bf witness %v)\n%v",
+					i, vFree, bfFree, bfWit, in)
+			}
+		}
+		if res, err := conflict.Decide(in.t, set); err == nil && res.ConflictFree != vFree {
+			t.Fatalf("instance %d: verify says free=%v, conflict.Decide says free=%v (method %s)\n%v",
+				i, vFree, res.ConflictFree, res.Method, in)
+		} else if err != nil && !errors.Is(err, conflict.ErrBudget) {
+			t.Fatalf("instance %d: Decide: %v\n%v", i, err, in)
+		}
+		if i == 0 && !vFree {
+			t.Fatalf("the service's deep mapping decided conflicting: witness %v", vWit)
+		}
+		if !vFree {
+			if vWit.IsZero() || conflict.Feasible(set, vWit) {
+				t.Fatalf("instance %d: witness %v is no in-box conflict\n%v", i, vWit, in)
+			}
+			for row := 0; row < in.k(); row++ {
+				if in.t.Row(row).Dot(vWit) != 0 {
+					t.Fatalf("instance %d: witness %v not in null(T)\n%v", i, vWit, in)
+				}
+			}
+		}
+	}
+	if deep < diffInstances {
+		t.Fatalf("%d instances with a null space of dimension ≥ 3, want ≥ %d", deep, diffInstances)
 	}
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 
 	"lodim/internal/conflict"
@@ -27,7 +28,7 @@ func FuzzVerifyVsBruteForce(f *testing.F) {
 		}
 		mu := int64(muRaw%3) + 1
 		set := uda.Cube(4, mu)
-		free, wit, err := DecideConflict(tm, set, 0)
+		free, wit, err := DecideConflict(context.Background(), tm, set)
 		if err != nil {
 			t.Skip("resource limit")
 		}
@@ -81,7 +82,7 @@ func FuzzClosedFormGamma(f *testing.F) {
 		}
 		mu := int64(muRaw%4) + 1
 		set := uda.Cube(3, mu)
-		free, _, err := DecideConflict(tm, set, 0)
+		free, _, err := DecideConflict(context.Background(), tm, set)
 		if err != nil {
 			t.Skip("resource limit")
 		}

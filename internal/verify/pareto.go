@@ -53,7 +53,7 @@ type ParetoMemberCertificate struct {
 	Certificate *Certificate `json:"certificate"`
 	// Recomputed is the independently derived objective vector. When
 	// ProcessorsChecked is false the processor axis echoes the claim
-	// (the index set exceeded the enumeration budget) and the
+	// (the index set exceeded processorImageLimit) and the
 	// certificate says so rather than failing.
 	Recomputed        [ParetoAxes]int64 `json:"recomputed"`
 	ProcessorsChecked bool              `json:"processors_checked"`
@@ -107,7 +107,6 @@ func CertifyPareto(ctx context.Context, algo *uda.Algorithm, members []ParetoInp
 	if err := algo.Validate(); err != nil {
 		return nil, err
 	}
-	opt := opts.withDefaults()
 	cert := &ParetoCertificate{Valid: true, FailedMember: -1, TimeBound: timeBound}
 	if len(members) == 0 {
 		cert.fail(-1, WitnessParetoMember, "claimed front is empty")
@@ -127,7 +126,7 @@ func CertifyPareto(ctx context.Context, algo *uda.Algorithm, members []ParetoInp
 			vectors[i] = m.Vector
 			continue
 		}
-		rec.Recomputed, rec.ProcessorsChecked = recomputeObjectives(algo, m, opt.EnumBudget)
+		rec.Recomputed, rec.ProcessorsChecked = recomputeObjectives(algo, m)
 		cert.Members = append(cert.Members, rec)
 		vectors[i] = rec.Recomputed
 		if rec.Recomputed != m.Vector {
@@ -214,10 +213,10 @@ func compareVectors(a, b intmat.Vector) int {
 // recomputeObjectives derives the member's objective vector from first
 // principles: total time from Equation 4.2's closed form, buffer depth
 // as Σ (Π·d̄_k − 1), links as the distinct non-zero columns of S·D, and
-// the processor count |S(J)| by direct image enumeration when the
-// index set fits the budget (otherwise the claim is echoed and flagged
-// unchecked — consistent with the budget-gated brute-force witnesses).
-func recomputeObjectives(algo *uda.Algorithm, m *ParetoInput, enumBudget int64) ([ParetoAxes]int64, bool) {
+// the processor count |S(J)| by direct image enumeration when |J| is at
+// most processorImageLimit (otherwise the claim is echoed and flagged
+// unchecked — consistent with the size-gated brute-force witnesses).
+func recomputeObjectives(algo *uda.Algorithm, m *ParetoInput) ([ParetoAxes]int64, bool) {
 	var v [ParetoAxes]int64
 	v[0] = totalTime(m.Pi, algo.Set.Upper)
 	for k := 0; k < algo.NumDeps(); k++ {
@@ -239,7 +238,7 @@ func recomputeObjectives(algo *uda.Algorithm, m *ParetoInput, enumBudget int64) 
 		}
 	}
 	v[3] = int64(len(links))
-	if procs, ok := processorImageCount(m.S, algo.Set, enumBudget); ok {
+	if procs, ok := processorImageCount(m.S, algo.Set); ok {
 		v[1] = procs
 		return v, true
 	}
@@ -247,10 +246,13 @@ func recomputeObjectives(algo *uda.Algorithm, m *ParetoInput, enumBudget int64) 
 	return v, false
 }
 
+// processorImageLimit is the |J| ceiling of the direct processor count.
+const processorImageLimit = 5_000_000
+
 // processorImageCount enumerates |S(J)| directly; false when |J|
-// exceeds the budget.
-func processorImageCount(s *intmat.Matrix, set uda.IndexSet, budget int64) (int64, bool) {
-	if budget <= 0 || set.SizeExceeds(budget) {
+// exceeds processorImageLimit.
+func processorImageCount(s *intmat.Matrix, set uda.IndexSet) (int64, bool) {
+	if set.SizeExceeds(processorImageLimit) {
 		return 0, false
 	}
 	rows := make([]intmat.Vector, s.Rows())

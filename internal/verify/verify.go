@@ -9,8 +9,8 @@
 // the sufficient conditions of Theorems 4.5–4.8, size-reduced cached
 // null bases. This package shares none of those code paths. It derives
 // everything again from a fresh Hermite factorization T·U = [L, 0]
-// (Theorem 4.1), its own bounded lattice enumeration, and — below a
-// size cutoff — the definitional conflict.BruteForce ground truth. A
+// (Theorem 4.1), its own exact search of the null lattice, and — below
+// a size cutoff — the definitional conflict.BruteForce ground truth. A
 // bug in the search therefore cannot certify itself.
 //
 // The certificate carries four witness families:
@@ -19,8 +19,8 @@
 //     (condition 1 of Definition 2.2);
 //   - conflict-freeness: per HNF-derived null-basis vector γ, the axis
 //     i with |γ_i| > μ_i (the Theorem 2.2 feasibility witness), plus an
-//     exhaustive enumeration of the bounded conflict lattice for
-//     codimension ≥ 2, plus the brute-force cross-check;
+//     exact search of the null lattice for an in-box vector when the
+//     null space has dimension ≥ 2, plus the brute-force cross-check;
 //   - time optimality: TotalTime(Π) against the best certified lower
 //     bound over the ΠD > 0 cone (closed-form per-dependence bound,
 //     exact cone minimum, dataflow critical path), flagging Optimal
@@ -46,6 +46,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"lodim/internal/conflict"
 	"lodim/internal/intmat"
@@ -104,9 +105,6 @@ const (
 	// DefaultSimulateLimit is the |J| ceiling for the opt-in
 	// simulation witness.
 	DefaultSimulateLimit = 1 << 14
-	// DefaultEnumBudget bounds the β-lattice points enumerated by the
-	// independent exact conflict decision.
-	DefaultEnumBudget = 5_000_000
 	// DefaultOptimalityBudget bounds the schedule vectors enumerated
 	// for the exact Π-cone lower bound.
 	DefaultOptimalityBudget = 2_000_000
@@ -114,10 +112,6 @@ const (
 	// critical-path lower bound (it enumerates the index set).
 	DefaultCriticalPathLimit = 1 << 14
 )
-
-// ErrEnumBudget reports that the independent lattice enumeration
-// exceeded its point budget — an operational limit, not a verdict.
-var ErrEnumBudget = errors.New("verify: conflict-lattice enumeration budget exceeded")
 
 // Options tunes the certification; the zero value selects every
 // default. All limits are resource bounds — they never change a
@@ -133,9 +127,6 @@ type Options struct {
 	// SkipOptimality skips the lower-bound analysis; Optimality is
 	// left empty. Used by the schedule.Options.SelfCheck hook.
 	SkipOptimality bool
-	// EnumBudget bounds the lattice points of the exact conflict
-	// decision (0 = DefaultEnumBudget).
-	EnumBudget int64
 	// OptimalityBudget bounds the candidates of the exact Π-cone
 	// search (0 = DefaultOptimalityBudget).
 	OptimalityBudget int64
@@ -151,9 +142,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.SimulateLimit <= 0 {
 		out.SimulateLimit = DefaultSimulateLimit
-	}
-	if out.EnumBudget <= 0 {
-		out.EnumBudget = DefaultEnumBudget
 	}
 	if out.OptimalityBudget <= 0 {
 		out.OptimalityBudget = DefaultOptimalityBudget
@@ -198,10 +186,13 @@ type HNFWitness struct {
 	Checked bool    `json:"checked"`
 }
 
-// EnumerationWitness summarizes the exhaustive sweep of the bounded
-// conflict lattice: every integer combination γ = Σ β_t·u_t whose β
-// coordinates fit the |β_t| ≤ Σ_i |V_{k+t,i}|·μ_i box (the only region
-// that can hold an in-box γ) was tested.
+// EnumerationWitness records the exact search of the null lattice for a
+// non-zero γ with every |γ_i| ≤ μ_i (see searchLattice). The search
+// writes γ = Σ β_t·c_t over a column-echelon basis c_t and walks β depth
+// first, bounding each β_t by the box at its basis vector's pivot
+// coordinate. Points counts the β_t values it tried, and BetaBounds[t]
+// is the largest |β_t| among them. Both are empty for a null space of
+// dimension ≤ 1, which the basis witnesses settle.
 type EnumerationWitness struct {
 	BetaBounds []int64 `json:"beta_bounds"`
 	Points     int64   `json:"points_enumerated"`
@@ -305,7 +296,7 @@ func VerifyMappingContext(ctx context.Context, m *schedule.Mapping, opts *Option
 
 // Certify independently verifies the mapping (S, Π) of algo and
 // returns the certificate. The returned error is operational (nil
-// inputs, shape mismatch, arithmetic overflow, budget exhaustion) —
+// inputs, shape mismatch, arithmetic overflow, a done context) —
 // an *invalid mapping* is not an error here: it yields a certificate
 // with Valid == false and a named FailedWitness. Use Certificate.Err
 // to convert the verdict into an error.
@@ -313,13 +304,14 @@ func Certify(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Opti
 	return CertifyContext(context.Background(), algo, s, pi, opts)
 }
 
-// CertifyContext is Certify under a caller context. The context is
-// used for tracing only — each certificate stage (schedule witnesses,
-// conflict analysis, brute-force cross-check, simulation, optimality)
-// becomes a child span when the context carries an active trace; the
-// engine itself stays uninterruptible because every stage is budgeted
-// (EnumBudget, BruteForceLimit, SimulateLimit) rather than unbounded.
-// An int64 overflow anywhere in the checks is returned as an
+// CertifyContext is Certify under a caller context. Each certificate
+// stage (schedule witnesses, conflict analysis, brute-force
+// cross-check, simulation, optimality) becomes a child span when the
+// context carries an active trace. The conflict analysis's lattice
+// search has no budget: it polls the context, and a done context ends
+// it with the context's error. Every other stage is bounded by its
+// limit (BruteForceLimit, SimulateLimit, OptimalityBudget). An int64
+// overflow anywhere in the checks is returned as an
 // *intmat.OverflowError.
 func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Options) (_ *Certificate, err error) {
 	defer intmat.Guard(&err)
@@ -375,7 +367,7 @@ func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, 
 
 	// (a) Conflict-freeness from a fresh TU = [L, 0] factorization.
 	_, confSpan := trace.Start(ctx, "conflict-analysis")
-	free, witness, err := analyzeConflicts(cert, t, algo.Set, opt.EnumBudget)
+	free, witness, err := analyzeConflicts(ctx, cert, t, algo.Set)
 	confSpan.End()
 	if err != nil {
 		if errors.Is(err, intmat.ErrRankDeficient) {
@@ -434,19 +426,15 @@ func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, 
 // on a bare mapping matrix, exposed for the differential harness: it
 // shares no code with conflict.Decide's criterion ladder or the
 // factored SpaceAnalyzer. The returned witness (conflict case) is a
-// non-zero lattice vector with every |γ_i| ≤ μ_i.
-func DecideConflict(t *intmat.Matrix, set uda.IndexSet, enumBudget int64) (free bool, witness intmat.Vector, err error) {
+// non-zero lattice vector with every |γ_i| ≤ μ_i. Only ctx bounds it.
+func DecideConflict(ctx context.Context, t *intmat.Matrix, set uda.IndexSet) (free bool, witness intmat.Vector, err error) {
 	defer intmat.Guard(&err)
-	if enumBudget <= 0 {
-		enumBudget = DefaultEnumBudget
-	}
-	cert := &Certificate{Valid: true}
-	return analyzeConflicts(cert, t, set, enumBudget)
+	return analyzeConflicts(ctx, &Certificate{Valid: true}, t, set)
 }
 
 // analyzeConflicts runs the independent conflict analysis, filling the
 // HNF, basis and enumeration witnesses of cert as it goes.
-func analyzeConflicts(cert *Certificate, t *intmat.Matrix, set uda.IndexSet, enumBudget int64) (bool, intmat.Vector, error) {
+func analyzeConflicts(ctx context.Context, cert *Certificate, t *intmat.Matrix, set uda.IndexSet) (bool, intmat.Vector, error) {
 	h, err := intmat.HermiteNormalForm(t)
 	if err != nil {
 		return false, nil, err
@@ -483,13 +471,15 @@ func analyzeConflicts(cert *Certificate, t *intmat.Matrix, set uda.IndexSet, enu
 	}
 	// Basis feasibility settles k = n (no null space) and k = n−1 (the
 	// lattice is {c·γ}, and |c·γ_i| ≥ |γ_i| > μ_i for c ≠ 0). Deeper
-	// codimension needs the exhaustive sweep: a combination of feasible
+	// codimension needs the lattice search: a combination of feasible
 	// basis vectors can itself be infeasible (Example 4.1).
 	if len(basis) <= 1 {
 		cert.Enumeration = &EnumerationWitness{BetaBounds: []int64{}, Points: 0}
 		return true, nil, nil
 	}
-	return enumerateLattice(cert, h, basis, set, enumBudget)
+	witness, ew, err := searchLattice(ctx, basis, set.Upper)
+	cert.Enumeration = ew
+	return witness == nil && err == nil, witness, err
 }
 
 // feasibleIndex returns the first axis i with |γ_i| > μ_i and the
@@ -507,88 +497,132 @@ func feasibleIndex(set uda.IndexSet, gamma intmat.Vector) (int, int64) {
 	return -1, 0
 }
 
-// enumerateLattice exhaustively tests every candidate conflict vector
-// γ = Σ β_t·u_t. Any in-box γ has coordinates β = V·γ with
-// |β_t| ≤ Σ_i |V_{k+t,i}|·μ_i (V = U⁻¹), so sweeping that β box —
-// halved by the γ(−β) = −γ(β) symmetry — is exhaustive.
-func enumerateLattice(cert *Certificate, h *intmat.HNF, basis []intmat.Vector, set uda.IndexSet, budget int64) (free bool, witness intmat.Vector, err error) {
-	defer intmat.Guard(&err)
-	k, n := h.T.Rows(), h.T.Cols()
-	q := len(basis)
-	v := h.V()
-	bounds := make([]int64, q)
-	var points int64 = 1
-	for tIdx := 0; tIdx < q; tIdx++ {
-		var b int64
-		for i := 0; i < n; i++ {
-			b = checkedAdd(b, checkedMul(abs64(v.At(k+tIdx, i)), set.Upper[i]))
-		}
-		bounds[tIdx] = b
-		points = checkedMul(points, checkedAdd(checkedMul(2, b), 1))
-		if points > 2*budget { // symmetry halves the actual visits
-			return false, nil, fmt.Errorf("%w: ≥ %d points against budget %d", ErrEnumBudget, points/2, budget)
-		}
-	}
-	// Precheck the γ accumulation range so the inner loop can use plain
-	// int64 arithmetic: |γ_i| ≤ Σ_t bounds_t·|u_t[i]| must fit.
-	for i := 0; i < n; i++ {
-		var m int64
-		for tIdx, u := range basis {
-			m = checkedAdd(m, checkedMul(bounds[tIdx], abs64(u[i])))
-		}
-	}
-	ew := &EnumerationWitness{BetaBounds: bounds}
-	cert.Enumeration = ew
+// latticePoll is the number of search nodes between two polls of the
+// caller's context.
+const latticePoll = 256
 
-	beta := make([]int64, q)
-	gamma := make(intmat.Vector, n)
-	// Odometer over the β box, visiting only lexicographically positive
-	// β (the first non-zero coordinate positive): γ is odd in β, and
-	// the in-box test is symmetric under negation.
-	for t0 := 0; t0 < q; t0++ {
-		// β_t0 ∈ [1, bounds_t0], β_t ∈ [−bounds_t, bounds_t] for t > t0,
-		// β_t = 0 for t < t0.
-		if bounds[t0] == 0 {
-			continue
-		}
-		for t := range beta {
-			beta[t] = 0
-		}
-		beta[t0] = 1
-		for t := t0 + 1; t < q; t++ {
-			beta[t] = -bounds[t]
-		}
-		for {
-			ew.Points++
-			for i := range gamma {
-				var g int64
-				for t := t0; t < q; t++ {
-					g += beta[t] * basis[t][i]
-				}
-				gamma[i] = g
-			}
-			if idx, _ := feasibleIndex(set, gamma); idx < 0 {
-				return false, gamma.Clone(), nil
-			}
-			// Increment: last coordinate first.
-			t := q - 1
-			for t > t0 {
-				beta[t]++
-				if beta[t] <= bounds[t] {
-					break
-				}
-				beta[t] = -bounds[t]
-				t--
-			}
-			if t == t0 {
-				beta[t0]++
-				if beta[t0] > bounds[t0] {
-					break
-				}
-			}
+// searchLattice decides exactly whether the lattice spanned by basis
+// holds a non-zero γ with every |γ_i| ≤ μ_i, and returns such a γ or
+// nil. The basis must be independent, as the null columns of a verified
+// unimodular U are. The search rows are the coordinates in ascending μ
+// order, and the basis is brought to column-echelon form: cols[t] is
+// zero above its pivot row, the pivot rows strictly increase, and each
+// pivot entry is positive. γ = Σ β_t·cols[t] is then fixed above the
+// pivot row of cols[t] by β_1…β_{t−1}, so a depth-first walk over β
+// bounds β_t by the box at that row and prunes a partial β on the rows
+// between two pivots. Every lattice vector has exactly one β, so the
+// walk is exhaustive; only ctx bounds it. An int64 overflow panics with
+// *intmat.OverflowError.
+func searchLattice(ctx context.Context, basis []intmat.Vector, mu intmat.Vector) (intmat.Vector, *EnumerationWitness, error) {
+	n, q := len(mu), len(basis)
+	order := make([]int, n) // search row r is axis order[r]
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return mu[order[a]] < mu[order[b]] })
+	cols := make([][]int64, q)
+	for t, u := range basis {
+		cols[t] = make([]int64, n)
+		for r, i := range order {
+			cols[t][r] = u[i]
 		}
 	}
-	return true, nil, nil
+	// Extended-gcd column steps, each unimodular, so the columns keep
+	// spanning the same lattice. piv[t+1] is the pivot row of cols[t],
+	// between the sentinels piv[0] = −1 and piv[q+1] = n; rows above r
+	// are zero in the columns from len(piv) − 1 on.
+	piv := []int{-1}
+	for r := 0; r < n && len(piv) <= q; r++ {
+		c := cols[len(piv)-1]
+		for _, o := range cols[len(piv):] {
+			if o[r] == 0 {
+				continue
+			}
+			g, x, y := extGCD(c[r], o[r])
+			a, b := c[r]/g, o[r]/g
+			for i := r; i < n; i++ {
+				c[i], o[i] = checkedAdd(checkedMul(x, c[i]), checkedMul(y, o[i])), checkedAdd(checkedMul(a, o[i]), checkedMul(-b, c[i]))
+			}
+		}
+		if c[r] < 0 {
+			for i := r; i < n; i++ {
+				c[i] = checkedMul(-1, c[i])
+			}
+		}
+		if c[r] != 0 {
+			piv = append(piv, r)
+		}
+	}
+	piv = append(piv, n)
+
+	ew := &EnumerationWitness{BetaBounds: make([]int64, q)}
+	gamma := make([][]int64, q+1) // gamma[t] = Σ_{s<t} β_s·cols[s]
+	for t := range gamma {
+		gamma[t] = make([]int64, n)
+	}
+	// descend tries every β_t the box allows. zero reports β_1…β_{t−1}
+	// all zero; then β_t ≥ 0, since γ is odd in β and the box is
+	// symmetric, so the first non-zero β is positive.
+	var descend func(t int, zero bool) (intmat.Vector, error)
+	descend = func(t int, zero bool) (intmat.Vector, error) {
+		g := gamma[t]
+		// The rows after the previous pivot, up to this one (to the last
+		// row at t = q), are fixed by now.
+		for r := piv[t] + 1; r < piv[t+1]; r++ {
+			if abs64(g[r]) > mu[order[r]] {
+				return nil, nil
+			}
+		}
+		if t == q {
+			if zero {
+				return nil, nil
+			}
+			w := make(intmat.Vector, n)
+			for r, i := range order {
+				w[i] = g[r]
+			}
+			return w, nil
+		}
+		// |g_p + β·col_p| ≤ μ at the pivot row p bounds β.
+		p, col := piv[t+1], cols[t]
+		m := mu[order[p]]
+		lo := checkedMul(-1, floorDiv(checkedAdd(m, g[p]), col[p]))
+		hi := floorDiv(checkedAdd(m, checkedMul(-1, g[p])), col[p])
+		if zero {
+			lo = max(lo, 0)
+		}
+		for beta := lo; beta <= hi; beta++ {
+			if ew.Points%latticePoll == 0 && ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			ew.Points++
+			ew.BetaBounds[t] = max(ew.BetaBounds[t], abs64(beta))
+			for r := range g {
+				gamma[t+1][r] = checkedAdd(g[r], checkedMul(beta, col[r]))
+			}
+			if w, err := descend(t+1, zero && beta == 0); w != nil || err != nil {
+				return w, err
+			}
+		}
+		return nil, nil
+	}
+	w, err := descend(0, true)
+	return w, ew, err
+}
+
+// extGCD returns g = gcd(a, b) > 0 (b ≠ 0) and x, y with x·a + y·b = g.
+func extGCD(a, b int64) (g, x, y int64) {
+	g, x, y = a, 1, 0
+	for g1, x1, y1 := b, int64(0), int64(1); g1 != 0; {
+		k := g / g1
+		g, g1 = g1, g-k*g1
+		x, x1 = x1, x-k*x1
+		y, y1 = y1, y-k*y1
+	}
+	if g < 0 {
+		g, x, y = -g, -x, -y
+	}
+	return g, x, y
 }
 
 // scheduleAllOK reports whether every per-dependence witness passed.
@@ -804,8 +838,17 @@ func abs64(a int64) int64 {
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
+// floorDiv rounds a/b down for b > 0 and a of either sign.
+func floorDiv(a, b int64) int64 {
+	d := a / b
+	if a%b != 0 && a < 0 {
+		d--
+	}
+	return d
+}
+
 // checkedAdd and checkedMul panic with *intmat.OverflowError (captured
-// by intmat.Guard at the enumeration boundary) on int64 overflow.
+// by intmat.Guard at the certification boundary) on int64 overflow.
 func checkedAdd(a, b int64) int64 {
 	s := a + b
 	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -312,7 +313,7 @@ func TestDeepCodimensionEnumeration(t *testing.T) {
 	set := uda.Box(2, 2, 2)
 	// T = [1 5 25]: distinct images for all 27 points (base-5 digits),
 	// conflict-free despite a 2-D conflict lattice.
-	free, wit, err := DecideConflict(intmat.FromRows([]int64{1, 5, 25}), set, 0)
+	free, wit, err := DecideConflict(context.Background(), intmat.FromRows([]int64{1, 5, 25}), set)
 	if err != nil {
 		t.Fatalf("DecideConflict: %v", err)
 	}
@@ -320,7 +321,7 @@ func TestDeepCodimensionEnumeration(t *testing.T) {
 		t.Errorf("injective mapping flagged conflicting: witness %v", wit)
 	}
 	// T = [1 1 4] collides (e.g. j and j + (1,−1,0)).
-	free, wit, err = DecideConflict(intmat.FromRows([]int64{1, 1, 4}), set, 0)
+	free, wit, err = DecideConflict(context.Background(), intmat.FromRows([]int64{1, 1, 4}), set)
 	if err != nil {
 		t.Fatalf("DecideConflict: %v", err)
 	}
@@ -331,16 +332,37 @@ func TestDeepCodimensionEnumeration(t *testing.T) {
 	}
 }
 
-func TestEnumerationBudget(t *testing.T) {
-	// Basis vectors (100,−1,0), (0,100,−1) are individually feasible
-	// (100 > 99), so the verdict needs the lattice sweep — whose β box
-	// is ~4M points. A 10-point budget must surface ErrEnumBudget
-	// instead of hanging.
-	set := uda.Box(99, 99, 99)
-	_, _, err := DecideConflict(intmat.FromRows([]int64{1, 100, 10000}), set, 10)
-	if !errors.Is(err, ErrEnumBudget) {
-		t.Fatalf("err = %v, want ErrEnumBudget", err)
+// TestWideBoxNeedsNoBudget: the basis vectors (100, −1, 0) and
+// (0, 100, −1) of T = [1 100 10000] are individually feasible
+// (100 > 99), so the verdict needs the lattice search. A sweep of the
+// β box V·μ bounds would visit about 4M points; the echelon search
+// settles it in a handful of nodes, with no budget to exhaust.
+func TestWideBoxNeedsNoBudget(t *testing.T) {
+	cert, err := Certify(wideBox(), nil, intmat.Vec(1, 100, 10000), &Options{SkipOptimality: true, BruteForceLimit: -1})
+	if err != nil || !cert.Valid || !cert.ConflictFree {
+		t.Fatalf("Certify = %+v, %v; want a valid, conflict-free certificate", cert, err)
 	}
+	if cert.Enumeration == nil || cert.Enumeration.Points > 10 {
+		t.Errorf("enumeration witness %+v, want a search of at most 10 nodes", cert.Enumeration)
+	}
+}
+
+// TestCertifyCancelled: the lattice search polls the caller's context,
+// so a done context ends certification with the context's error.
+func TestCertifyCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CertifyContext(ctx, wideBox(), nil, intmat.Vec(1, 100, 10000), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CertifyContext err = %v, want context.Canceled", err)
+	}
+}
+
+// wideBox is μ = (99, 99, 99) with the dependence e₁, so that
+// Π = (1, 100, 10000) is a valid schedule with a 2-D null space.
+func wideBox() *uda.Algorithm {
+	d := intmat.New(3, 1)
+	d.SetCol(0, intmat.Vec(1, 0, 0))
+	return &uda.Algorithm{Name: "wide", Set: uda.Box(99, 99, 99), D: d}
 }
 
 // TestCertifyOverflowIsError: a mapping whose Hermite factorization
@@ -358,7 +380,7 @@ func TestCertifyOverflowIsError(t *testing.T) {
 	if _, err := Certify(algo, s, pi, &Options{SkipOptimality: true, BruteForceLimit: -1}); !errors.As(err, &oe) {
 		t.Errorf("Certify err = %v, want *intmat.OverflowError", err)
 	}
-	if _, _, err := DecideConflict(s.AppendRow(pi), algo.Set, 0); !errors.As(err, &oe) {
+	if _, _, err := DecideConflict(context.Background(), s.AppendRow(pi), algo.Set); !errors.As(err, &oe) {
 		t.Errorf("DecideConflict err = %v, want *intmat.OverflowError", err)
 	}
 	members := []ParetoInput{{S: s, Pi: pi}}
