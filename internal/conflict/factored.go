@@ -27,8 +27,8 @@ type SpaceAnalyzer struct {
 	S   *intmat.Matrix
 	Set uda.IndexSet
 	// W is a lattice basis of null(S) ∩ Z^n (columns). For the empty
-	// space mapping (0 rows) it is the identity basis. It is read-only:
-	// analyzers built by NewSpaceAnalyzerBasis share it.
+	// space mapping (0 rows) it is the identity basis. It is read-only,
+	// so the analyzers of many searches may share one basis.
 	W []intmat.Vector
 }
 
@@ -40,17 +40,6 @@ func NewSpaceAnalyzer(s *intmat.Matrix, set uda.IndexSet) (*SpaceAnalyzer, error
 	}
 	w, err := NullBasis(s)
 	if err != nil {
-		return nil, err
-	}
-	return &SpaceAnalyzer{S: s, Set: set, W: w}, nil
-}
-
-// NewSpaceAnalyzerBasis is NewSpaceAnalyzer with the null(S) basis
-// supplied: w must be NullBasis(s), for callers that keep the bases of
-// the space mappings they search across searches. The analyzer only
-// reads w, so one basis may back the analyzers of many searches.
-func NewSpaceAnalyzerBasis(s *intmat.Matrix, set uda.IndexSet, w []intmat.Vector) (*SpaceAnalyzer, error) {
-	if err := checkSpace(s, set); err != nil {
 		return nil, err
 	}
 	return &SpaceAnalyzer{S: s, Set: set, W: w}, nil
@@ -146,20 +135,24 @@ func (sa *SpaceAnalyzer) Decide(pi intmat.Vector) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return sa.decideFresh(sc, h)
+	res, err := sa.decideFresh(sc, h)
+	if res.Witness != nil {
+		res.Witness = res.Witness.Clone() // off the arena PutScratch resets
+	}
+	return res, err
 }
 
 // decideFromBasis runs the criterion ladder over a size-reduced basis
 // of the conflict-vector lattice of [S; Π], with scratch from ar. The
-// basis may be arena-backed — any vector that escapes into the Result
-// goes through Canonical or Clone, which copy.
+// basis may be arena-backed, and so is the Result's witness: it is
+// valid until ar's next Reset.
 func (sa *SpaceAnalyzer) decideFromBasis(ar *intmat.Arena, basis []intmat.Vector) (Result, error) {
 	set := sa.Set
 	switch len(basis) {
 	case 0:
 		return Result{ConflictFree: true, Method: "full-rank-injective"}, nil
 	case 1:
-		gamma := basis[0].Canonical()
+		gamma := canonicalInto(ar.Vec(len(basis[0])), basis[0])
 		if Feasible(set, gamma) {
 			return Result{ConflictFree: true, Method: "theorem-3.1"}, nil
 		}
@@ -183,7 +176,7 @@ func (sa *SpaceAnalyzer) decideFromBasis(ar *intmat.Arena, basis []intmat.Vector
 	// (the contrapositive of Theorem 4.4) and their pairwise sums and
 	// differences — on size-reduced bases these catch almost every
 	// conflicting candidate the optimizers probe.
-	if w, found := quickConflictWitness(basis, set); found {
+	if w := quickConflictWitness(ar, basis, set.Upper); w != nil {
 		return Result{ConflictFree: false, Witness: w, Method: "theorem-4.4-witness"}, nil
 	}
 	w, err := exactWitness(ar, basis, set.Upper)
@@ -194,33 +187,55 @@ func (sa *SpaceAnalyzer) decideFromBasis(ar *intmat.Arena, basis []intmat.Vector
 }
 
 // quickConflictWitness scans small integral combinations of the basis
-// (each vector, pairwise sums/differences) for one inside the box.
-func quickConflictWitness(basis []intmat.Vector, set uda.IndexSet) (intmat.Vector, bool) {
+// (each vector, pairwise sums/differences) for one inside the box |v_i|
+// ≤ mu_i, and returns it canonical in ar's storage, or nil.
+func quickConflictWitness(ar *intmat.Arena, basis []intmat.Vector, mu intmat.Vector) intmat.Vector {
 	inBox := func(v intmat.Vector) bool {
 		for i, x := range v {
 			if x < 0 {
 				x = -x
 			}
-			if x > set.Upper[i] {
+			if x > mu[i] {
 				return false
 			}
 		}
 		return true
 	}
+	v := ar.Vec(len(mu))
 	for _, u := range basis {
 		if inBox(u) {
-			return u.Canonical(), true
+			return canonicalInto(v, u)
 		}
 	}
 	for p := 0; p < len(basis); p++ {
 		for q := p + 1; q < len(basis); q++ {
-			if s := basis[p].Add(basis[q]); inBox(s) {
-				return s.Canonical(), true
+			for i, x := range basis[p] {
+				v[i] = intmat.AddChecked(x, basis[q][i])
 			}
-			if d := basis[p].Sub(basis[q]); inBox(d) {
-				return d.Canonical(), true
+			if inBox(v) {
+				return canonicalInto(v, v)
+			}
+			for i, x := range basis[p] {
+				v[i] = intmat.SubChecked(x, basis[q][i])
+			}
+			if inBox(v) {
+				return canonicalInto(v, v)
 			}
 		}
 	}
-	return nil, false
+	return nil
+}
+
+// canonicalInto writes v's canonical form (divided by the gcd of its
+// entries, first non-zero entry positive) into dst, which may be v, and
+// returns dst.
+func canonicalInto(dst, v intmat.Vector) intmat.Vector {
+	g := max(v.GCD(), 1)
+	if i := v.FirstNonZero(); i >= 0 && v[i] < 0 {
+		g = -g
+	}
+	for i, x := range v {
+		dst[i] = x / g
+	}
+	return dst
 }

@@ -154,13 +154,12 @@ func TestDecideScratchHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAfterLargeSearch: a scratch whose search stored at
-// least scratchCacheLimit decisions is rebound to a second analyzer
+// TestScratchReuseAfterLargeSearch: a scratch whose search stored
+// more than scratchCacheLimit decisions is rebound to a second analyzer
 // and, after a release, reused from the pool; either way its verdicts
-// equal a fresh scratch's. Resets cost in proportion to use: the large
-// search's well-filled cache is cleared in place for the next search,
-// and once a small search has run in it, the oversized map is replaced
-// instead of being cleared at its full size again.
+// equal a fresh scratch's. The large search empties its full cache once
+// and stores on, and the reset drops the slab that grew past
+// slabMaxBytes.
 func TestScratchReuseAfterLargeSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	set := uda.Cube(4, 3)
@@ -181,15 +180,18 @@ func TestScratchReuseAfterLargeSearch(t *testing.T) {
 	}
 	sc := new(Scratch)
 	sc.ar = intmat.GetArena()
-	// Past scratchCacheLimit stored decisions the search clears its
-	// cache once; it then stores on until the cache is well filled again.
-	for stored := 0; stored <= scratchCacheLimit || sc.cache.Len() < scratchCacheLimit/scratchKeepSlack; {
+	// Past scratchCacheLimit stored decisions the search empties its
+	// cache once; it then stores on.
+	stored := 0
+	for stored <= scratchCacheLimit+100 {
 		if _, err := big.DecideScratch(sc, randPi(40)); err == nil {
 			_, _, misses := sc.TakeStats()
 			stored += int(misses)
 		}
 	}
-	large := sc.cache
+	if got, want := sc.count, stored-scratchCacheLimit; got != want {
+		t.Fatalf("cache holds %d lines after %d stored, want %d", got, stored, want)
+	}
 	pis := make([]intmat.Vector, 300)
 	for i := range pis {
 		pis[i] = randPi(4)
@@ -210,17 +212,11 @@ func TestScratchReuseAfterLargeSearch(t *testing.T) {
 		}
 	}
 	compare("rebound", sc)
-	if sc.cache != large {
-		t.Fatal("rebinding after a search that filled its cache replaced the cache instead of clearing it")
+	sc.Reset()
+	if cap(sc.slab.words.buf) != 0 || cap(sc.slab.results.buf) != 0 {
+		t.Fatalf("reset kept a %d-word, %d-result slab past slabMaxBytes", cap(sc.slab.words.buf), cap(sc.slab.results.buf))
 	}
-	small := sc.cache.Len()
-	if _, err := big.DecideScratch(sc, randPi(4)); err != nil && !errors.Is(err, ErrRank) {
-		t.Fatal(err)
-	}
-	if sc.cache == large {
-		t.Fatalf("rebinding after a %d-entry search kept the oversized cache", small)
-	}
-	PutScratch(sc)
+	scratchPool.Put(sc)
 	reused := GetScratch()
 	defer PutScratch(reused)
 	compare("reused", reused)

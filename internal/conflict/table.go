@@ -3,13 +3,14 @@ package conflict
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"lodim/internal/intmat"
 )
 
 // This file implements the walk over the in-box vectors of a lattice
 // that decides conflicts exactly, and the conflict-vector table of a
-// Scratch that it lists. By Theorem 2.2, T = [S; Π] has a conflict iff null(T) holds a γ ≠ 0
+// Memo that it lists. By Theorem 2.2, T = [S; Π] has a conflict iff null(T) holds a γ ≠ 0
 // with |γ_i| ≤ μ_i for every i. Every such γ lies in null(S), which
 // does not depend on Π, and it lies in null(T) iff Π·γ = 0. So the
 // in-box vectors of null(S) can be listed once per space mapping, and
@@ -17,12 +18,12 @@ import (
 // primitive vectors need listing (a multiple in the box puts its
 // primitive part in the box), and only one of each ± pair.
 //
-// The table stores each vector's coordinates β in the lattice basis W
-// of null(S), so Π·γ = (Π·W)·β = h·β costs n − k products with the h
-// the decision computes anyway. A hit decides a conflict with witness
-// γ; a miss proves Π conflict-free, but the decision then takes the
-// usual cache-and-criterion path, so every conflict-free verdict keeps
-// the Method that path names.
+// A decision scans the table on Π itself, ahead of the projection
+// h = Π·W that the cache-and-criterion path needs: a hit decides a
+// conflict with witness γ, and most decisions of a search whose S has a
+// table are hits. A miss proves Π conflict-free, but the decision then
+// takes the usual cache-and-criterion path, so every conflict-free
+// verdict keeps the Method that path names.
 
 // tableMinDim is the smallest dimension q = n − k of null(S) that gets
 // a table. For q ≤ 2, null(h) has dimension q − 1 ≤ 1, so a fresh
@@ -42,54 +43,56 @@ const tableMinDim = 3
 // itself there (EXPERIMENTS.md).
 const tableMaxPoints = 1 << 14
 
-// tableMaxDim is the largest q a table holds: scan moves an entry
-// through a fixed buffer of this many coordinates.
+// tableMaxDim is the largest q that gets a table.
 const tableMaxDim = 8
 
 // conflictTable lists the primitive in-box vectors of null(S), one per
 // ± pair, in scan order. Entries found by a scan move to the front:
 // neighbouring Π in a level walk tend to share their conflict vector.
 type conflictTable struct {
-	q, n int
-	// beta holds entry e's coordinates in W at beta[e*q : e*q+q], id
-	// its vector's index into gamma; both are kept in scan order.
-	beta []int64
-	id   []int32
+	// id holds the listed vectors' indices into gamma, in scan order.
+	id []int32
 	// gamma holds vector j, canonical (primitive, first non-zero entry
 	// positive), at gamma[j*n : j*n+n]; it never moves once built, so a
 	// witness is a view of it.
 	gamma []int64
 }
 
-// scan returns the first listed γ with h·β = 0 and moves its entry to
-// the front. The products wrap instead of being checked: h·β equals
-// Π·γ modulo 2^64, and the caller has checked Σ|π_i|·μ_i < 2^63, which
-// bounds |Π·γ|, so the wrapped sum is zero exactly when Π·γ is.
-func (t *conflictTable) scan(h intmat.Vector) (intmat.Vector, bool) {
-	q := t.q
-	h = h[:q]
-	for e, off := 0, 0; e < len(t.id); e, off = e+1, off+q {
-		var s int64
-		for i, b := range t.beta[off : off+q] {
-			s += h[i] * b
-		}
-		if s != 0 {
+// scan returns the first listed γ with Π·γ = 0, nil when there is
+// none, and moves its entry to the front. ranked reports that some
+// listed γ has Π·γ ≠ 0, which proves Π·W ≠ 0: when it is false after a
+// hit, every listed γ is annihilated and the caller must check that Π
+// is not a combination of S's rows. The products wrap instead of being
+// checked: the caller has checked Σ|π_i|·μ_i < 2^63, which bounds
+// |Π·γ| for an in-box γ, so the wrapped sum is zero exactly when Π·γ
+// is.
+func (t *conflictTable) scan(pi intmat.Vector) (witness intmat.Vector, ranked bool) {
+	for e, j := range t.id {
+		if t.dot(pi, j) != 0 {
 			continue
 		}
-		j := t.id[e]
 		if e > 0 {
-			var hold [tableMaxDim]int64
-			b := append(hold[:0], t.beta[off:off+q]...)
-			copy(t.beta[q:off+q], t.beta[:off])
-			copy(t.beta, b)
 			copy(t.id[1:e+1], t.id[:e])
 			t.id[0] = j
+			ranked = true
+		} else {
+			ranked = slices.ContainsFunc(t.id[1:], func(k int32) bool { return t.dot(pi, k) != 0 })
 		}
-		n := t.n
+		n := len(pi)
 		lo := int(j) * n
-		return intmat.Vector(t.gamma[lo : lo+n : lo+n]), true
+		return intmat.Vector(t.gamma[lo : lo+n : lo+n]), ranked
 	}
-	return nil, false
+	return nil, true
+}
+
+// dot is Π·γ_j in wrapping arithmetic.
+func (t *conflictTable) dot(pi intmat.Vector, j int32) int64 {
+	n := len(pi)
+	var s int64
+	for i, g := range t.gamma[int(j)*n : int(j)*n+n] {
+		s += pi[i] * g
+	}
+	return s
 }
 
 // build lists every vector walkBox visits for the null(S) basis w over
@@ -98,37 +101,37 @@ func (t *conflictTable) scan(h intmat.Vector) (intmat.Vector, bool) {
 // walk's box passes tableMaxPoints (ErrBudget) or when the arithmetic
 // overflows int64.
 func (t *conflictTable) build(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector) error {
-	q, n := len(w), len(mu)
-	t.q, t.n = q, n
-	t.beta, t.id, t.gamma = t.beta[:0], t.id[:0], t.gamma[:0]
-	if q > tableMaxDim {
+	t.id, t.gamma = t.id[:0], t.gamma[:0]
+	if len(w) > tableMaxDim {
 		return ErrBudget
 	}
-	return walkBox(ar, w, mu, tableMaxPoints, func(beta, gamma intmat.Vector) bool {
-		t.beta = append(t.beta, beta...)
+	return walkBox(ar, w, mu, tableMaxPoints, func(_, gamma intmat.Vector) bool {
 		t.id = append(t.id, int32(len(t.id)))
 		t.gamma = append(t.gamma, gamma...)
 		return true
 	})
 }
 
-// copyFrom makes t a copy of b in t's storage, growing it to exactly
-// what b holds when it is short.
-func (t *conflictTable) copyFrom(b *conflictTable) {
-	t.q, t.n = b.q, b.n
-	t.beta = append(t.beta[:0], b.beta...)
-	t.id = append(t.id[:0], b.id...)
-	t.gamma = append(t.gamma[:0], b.gamma...)
+// place makes t a copy of b in regions of sl.
+func (t *conflictTable) place(b *conflictTable, sl *slab) {
+	t.id, t.gamma = sl.ids.take(len(b.id)), sl.words.take(len(b.gamma))
+	copy(t.id, b.id)
+	copy(t.gamma, b.gamma)
+}
+
+// bytes is the storage t's slices hold.
+func (t *conflictTable) bytes() int {
+	return 4*cap(t.id) + 8*cap(t.gamma)
 }
 
 // exactWitness is the exact decision of Theorem 2.2 on a lattice basis
-// w: it returns a heap copy of the first vector walkBox visits, the
-// canonical non-feasible conflict vector, or nil when the box holds no
-// lattice vector but 0. It fails with ErrBudget when the walk's box
-// passes enumBudget points.
+// w: it returns the first vector walkBox visits, the canonical
+// non-feasible conflict vector, in ar's storage, or nil when the box
+// holds no lattice vector but 0. It fails with ErrBudget when the
+// walk's box passes enumBudget points.
 func exactWitness(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector) (witness intmat.Vector, err error) {
 	err = walkBox(ar, w, mu, enumBudget, func(_, gamma intmat.Vector) bool {
-		witness = gamma.Clone()
+		witness = gamma
 		return false
 	})
 	return witness, err

@@ -34,6 +34,9 @@ func (a *Analysis) ExactDecision() (conflictFree bool, witness intmat.Vector, er
 	ar := intmat.GetArena()
 	defer intmat.PutArena(ar)
 	witness, err = exactWitness(ar, a.NullBasis(), a.Set.Upper)
+	if witness != nil {
+		witness = witness.Clone() // off the arena PutArena recycles
+	}
 	return err == nil && witness == nil, witness, err
 }
 

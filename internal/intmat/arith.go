@@ -43,6 +43,10 @@ func overflow(op string) {
 // Pair with Guard at an error-returning boundary.
 func AddChecked(a, b int64) int64 { return addChecked(a, b) }
 
+// SubChecked returns a-b, panicking with *OverflowError on overflow.
+// Pair with Guard at an error-returning boundary.
+func SubChecked(a, b int64) int64 { return subChecked(a, b) }
+
 // MulChecked returns a*b, panicking with *OverflowError on overflow.
 // Pair with Guard at an error-returning boundary.
 func MulChecked(a, b int64) int64 { return mulChecked(a, b) }

@@ -26,8 +26,9 @@ import (
 // retains (spaceShape.bytes, summed over retained shapes). A shape that
 // would pass it is built the same way for the search that asked and
 // then dropped. Every shape of the committed corpus fits many times
-// over: the largest, n = 4 with two rows, takes about 95 KB.
-const catalogueBudget = 2 << 20
+// over: the largest, n = 4 with two rows, takes about 190 KB, half of it
+// the candidates' matrices. The budget keeps (5, 2, 1), at 2.4 MB.
+const catalogueBudget = 4 << 20
 
 // shapeKey names a shape: n columns, k rows, |entries| ≤ maxEntry.
 type shapeKey struct {
@@ -48,9 +49,10 @@ type spaceShape struct {
 	// lexicographically, negation reflects it about center, and the
 	// canonical rows are exactly the codes above center, in order.
 	base, center int64
-	rows         []int64         // the canonical rows, n entries each
-	cands        []int32         // k ascending row indices per candidate
-	w            []intmat.Vector // n−k null(S) basis vectors per candidate, views into one array
+	rows         []int64          // the canonical rows, n entries each
+	cands        []int32          // k ascending row indices per candidate
+	mats         []*intmat.Matrix // each candidate as a matrix
+	w            []intmat.Vector  // n−k null(S) basis vectors per candidate, views into one array
 }
 
 // shapeSlot is the catalogue's entry for one key: the first search of
@@ -134,6 +136,7 @@ func buildShape(n, k int, maxEntry int64) (_ *spaceShape, err error) {
 				flat = append(flat, v...)
 			}
 			sh.cands = append(sh.cands, tuple...)
+			sh.mats = append(sh.mats, s.Clone())
 			return nil
 		}
 		for c := start; c < sh.numRows(); c++ {
@@ -175,14 +178,9 @@ func (sh *spaceShape) basis(i int) []intmat.Vector {
 	return sh.w[i*q : (i+1)*q : (i+1)*q]
 }
 
-// matrix returns candidate i as a fresh matrix the caller owns.
-func (sh *spaceShape) matrix(i int) *intmat.Matrix {
-	s := intmat.New(sh.k, sh.n)
-	for r, c := range sh.tuple(i) {
-		s.SetRow(r, sh.row(int(c)))
-	}
-	return s
-}
+// matrix returns candidate i, which callers must not write: a result
+// that hands S to a caller clones it.
+func (sh *spaceShape) matrix(i int) *intmat.Matrix { return sh.mats[i] }
 
 // rowIndex returns the index of the canonical row ±v, for a non-zero v
 // with entries in [−maxEntry, maxEntry].
@@ -198,13 +196,14 @@ func (sh *spaceShape) rowIndex(v intmat.Vector) int {
 	return int(code - sh.center - 1)
 }
 
-// bytes is the shape's storage: rows, tuples, basis entries and the
-// basis vectors' slice headers. A nil shape takes none.
+// bytes is the shape's storage: rows, tuples, matrices (pointer,
+// header and entries), basis entries and the basis vectors' slice
+// headers. A nil shape takes none.
 func (sh *spaceShape) bytes() int64 {
 	if sh == nil {
 		return 0
 	}
-	return int64(8*len(sh.rows) + 4*len(sh.cands) + len(sh.w)*(24+8*sh.n))
+	return int64(8*len(sh.rows) + 4*len(sh.cands) + len(sh.mats)*(8+48+8*sh.k*sh.n) + len(sh.w)*(24+8*sh.n))
 }
 
 // orbitPruned marks every candidate that is not the lexicographically
@@ -369,10 +368,11 @@ func (cs *candidates) lowerBound(i int) int64 {
 	return lb
 }
 
-// analyzer returns the conflict analyzer of candidate i on the shape's
-// cached null(S) basis. Its S is a fresh matrix the search owns.
-func (cs *candidates) analyzer(i int, set uda.IndexSet) (*conflict.SpaceAnalyzer, error) {
-	return conflict.NewSpaceAnalyzerBasis(cs.shape.matrix(i), set, cs.shape.basis(i))
+// analyzer returns the conflict analyzer of candidate i over set (one
+// the search has validated), on the shape's matrix and null(S) basis,
+// which it only reads.
+func (cs *candidates) analyzer(i int, set uda.IndexSet) conflict.SpaceAnalyzer {
+	return conflict.SpaceAnalyzer{S: cs.shape.matrix(i), Set: set, W: cs.shape.basis(i)}
 }
 
 // wireLength returns Σ_i ‖S·d̄_i‖₁, without materializing S·D, adding

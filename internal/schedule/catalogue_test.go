@@ -194,13 +194,13 @@ func TestCatalogueConcurrentBuild(t *testing.T) {
 
 // shapeContents is a deep copy of a shape's storage.
 func shapeContents(sh *spaceShape) string {
-	return fmt.Sprint(sh.n, sh.k, sh.base, sh.center, sh.rows, sh.cands, sh.w)
+	return fmt.Sprint(sh.n, sh.k, sh.base, sh.center, sh.rows, sh.cands, sh.mats, sh.w)
 }
 
 // TestCatalogueUnchangedBySearches: after joint, Pareto and Problem 6.1
 // searches over a corpus sample — winners whose mappings the test
 // scribbles over included — every shape they used holds what it held
-// before, so no search writes a shared row, tuple or basis.
+// before, so no search writes a shared row, tuple, matrix or basis.
 func TestCatalogueUnchangedBySearches(t *testing.T) {
 	problems := corpusSample(t, 2, 8)
 	before := map[shapeKey]string{}

@@ -87,7 +87,7 @@ func verifyILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, pi intmat.V
 	if err != nil {
 		return nil, false, err
 	}
-	cctx := newCandCtx(algo, s, opts, analyzer, nil)
+	cctx := newCandCtx(algo, s, opts, analyzer)
 	r, ok := cctx.try(pi)
 	return r, ok, cctx.takeErr()
 }

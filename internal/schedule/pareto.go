@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/trace"
 	"lodim/internal/uda"
@@ -281,11 +280,8 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 			stats.prunedOrbit.Add(1)
 			continue
 		}
-		analyzer, err := cands.analyzer(i, algo.Set)
-		if err != nil {
-			return nil, fmt.Errorf("schedule: pareto search: %w", err)
-		}
-		j.add(analyzer, 0, 0, conflict.GetMemo())
+		analyzer := cands.analyzer(i, algo.Set)
+		j.add(analyzer, 0, 0)
 		links = append(links, linkCount(analyzer.S, algo.D))
 	}
 	stats.innerSearches.Add(int64(len(j.live)))
@@ -301,7 +297,7 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	err = j.levels(ctx, opts.Space.Schedule.Workers, func(cost int64) bool {
 		for i := range j.live {
 			js := &j.live[i]
-			if js.res == nil || js.ord < before {
+			if !js.picked || js.ord < before {
 				continue
 			}
 			if optCost < 0 {
@@ -310,7 +306,7 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 					bound = cost + opts.TimeSlack
 				}
 			}
-			arch.Insert(ParetoMember{Mapping: js.res.Mapping, Vector: ObjectiveVector{
+			arch.Insert(ParetoMember{Mapping: ownedMapping(algo, js.analyzer.S, j.pickPi(i)), Vector: ObjectiveVector{
 				ObjTime:       1 + cost,
 				ObjProcessors: js.procs,
 				ObjBuffers:    js.buf,

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lodim/internal/array"
 	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/trace"
@@ -64,7 +65,7 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 	}
 	j := getLevelWalk(algo, &SpaceOptions{Schedule: *opts}, stats, 1)
 	defer j.release()
-	j.add(analyzer, 0, 0, &j.sc.Memo)
+	j.add(*analyzer, 0, 0)
 	best, err := j.run(ctx, 1)
 	if err != nil {
 		return nil, err
@@ -105,7 +106,11 @@ const walkFanoutMin = 64
 // search (every candidate S). ΠD ≥ 1 depends on D and μ alone, so one
 // walk of the objective levels serves every live S: each passer is
 // tested against every S still open, each S with its own analyzer and
-// decision memo, which it keeps for the whole call. In run, the first
+// decision memo, which it keeps for the whole call. The walk owns the
+// storage behind them and keeps it from call to call: one conflict
+// scratch per goroutine, whose slab lends each memo the regions of its
+// conflict-vector table and decision cache (see DESIGN.md, "Joint
+// search engine"). In run, the first
 // level where some S has a conflict-free passer holds the optimum time;
 // the walk finishes it, so each S keeps the passer its own search would
 // pick — its first conflict-free passer in walk order, or its
@@ -132,12 +137,17 @@ type levelWalk struct {
 	stats  *statsCollector
 	live   []walkS
 	wk     *piWalker
-	sc     *conflict.Scratch // the walking goroutine's
-	pis    []int64           // the passers buffered for testing, n entries each
-	seen   int64             // the passers the walk visited, buffered ones too
-	open   int               // the S open at the last closing
-	errs   firstErr
-	done   <-chan struct{}
+	// scs holds a conflict scratch per goroutine: scs[0] the walking
+	// goroutine's, scs[w] helper w's. A memo takes new regions only from
+	// the slab of the goroutine testing it, so no two goroutines ever
+	// take from one slab.
+	scs   []*conflict.Scratch
+	pis   []int64 // the passers buffered for testing, n entries each
+	picks []int64 // live S i's pick at picks[i*n : i*n+n]
+	seen  int64   // the passers the walk visited, buffered ones too
+	open  int     // the S open at the last closing
+	errs  firstErr
+	done  <-chan struct{}
 
 	// Each helper waits for a token on start per chunk it is handed,
 	// claims S through next with the walking goroutine, and reports the
@@ -150,15 +160,20 @@ type levelWalk struct {
 
 // walkS is one live space mapping of a walk and what it found.
 type walkS struct {
-	cctx     candCtx // its step-5 state: S, analyzer and decision memo
-	wire, lb int64   // its wire term and its cost lower bound
-	// res is its pick, ord the number of passers the walk visited
-	// before it, buf its buffers (under MinimizeBuffers or in a Pareto
-	// walk), procs and cost its exact array metrics once res is set
-	// (when the walk has several S to rank, or is a Pareto walk).
-	res         *Result
+	analyzer conflict.SpaceAnalyzer // S, on the shape catalogue's storage
+	memo     conflict.Memo          // its decision state, on the walk's slabs
+	wire, lb int64                  // its wire term and its cost lower bound
+	// When picked, pick is what step 5 recorded of its pick (Π itself
+	// is in the walk's picks), ord the number of passers the walk
+	// visited before it, buf its buffers (under MinimizeBuffers or in a
+	// Pareto walk), procs and cost its exact array metrics (when the
+	// walk has several S to rank, or is a Pareto walk). res is the pick
+	// as a Result, built by run for the winner alone.
+	picked      bool
+	pick        pass
 	ord, buf    int64
 	procs, cost int64
+	res         *Result
 	closed      bool // no longer tested
 }
 
@@ -169,24 +184,31 @@ var walkPool = sync.Pool{New: func() any { return new(levelWalk) }}
 func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *statsCollector, n int) *levelWalk {
 	j := walkPool.Get().(*levelWalk)
 	*j = levelWalk{algo: algo, opts: opts.Schedule, weight: wireWeightOrDefault(opts), prune: !opts.NoPrune,
-		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0],
-		wk: getWalker(algo), sc: conflict.GetScratch()}
+		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0], scs: j.scratches(1),
+		wk: getWalker(algo)}
 	j.opts.Workers, j.opts.SelfCheck = 0, false
 	return j
 }
 
-// add makes the S of analyzer a live S of the walk, with its wire
-// term, cost lower bound and decision memo: a pooled one, or for a lone
-// S the walking scratch's own, which the scratch pool keeps warm
-// between searches.
-func (j *levelWalk) add(analyzer *conflict.SpaceAnalyzer, wire, lb int64, memo *conflict.Memo) {
-	j.live = append(j.live, walkS{wire: wire, lb: lb, cctx: candCtx{algo: j.algo, s: analyzer.S, opts: &j.opts,
-		analyzer: analyzer, depCols: j.wk.depCols, memo: memo, firstErr: &j.errs}})
+// scratches returns j's scratches, grown to at least n.
+func (j *levelWalk) scratches(n int) []*conflict.Scratch {
+	for len(j.scs) < n {
+		j.scs = append(j.scs, conflict.GetScratch())
+	}
+	return j.scs
+}
+
+// add makes the S of analyzer a live S of the walk, with its wire term
+// and cost lower bound. Every S is added before the walk starts: a live
+// S must not move while its memo is bound to its analyzer.
+func (j *levelWalk) add(analyzer conflict.SpaceAnalyzer, wire, lb int64) {
+	j.live = append(j.live, walkS{analyzer: analyzer, wire: wire, lb: lb})
 }
 
 // run walks the levels from max(MinCost, 1) up and returns the winning
-// S, its res completed with the Procedure 5.1 count and method, or nil
-// when no level up to MaxCost has a conflict-free passer for any S.
+// S with its res built and completed with the Procedure 5.1 count and
+// method, or nil when no level up to MaxCost has a conflict-free passer
+// for any S.
 //
 // Every open S tests every passer the walk visits below the final
 // level, so the winner's count is the passers before its pick plus the
@@ -196,42 +218,55 @@ func (j *levelWalk) run(ctx context.Context, workers int) (*walkS, error) {
 	if j.opts.MinimizeBuffers && j.opts.Machine == nil {
 		return nil, errors.New("schedule: MinimizeBuffers requires a Machine")
 	}
-	var best *walkS
-	var bestR JointResult
+	best := -1
 	err := j.levels(ctx, workers, func(int64) bool {
 		for i := range j.live {
-			js := &j.live[i]
-			if js.res == nil {
-				continue
-			}
-			if r := js.joint(); best == nil || jointLess(&r, &bestR) {
-				best, bestR = js, r
+			if j.live[i].picked && (best < 0 || j.less(i, best)) {
+				best = i
 			}
 		}
-		return best == nil
+		return best < 0
 	})
-	if err != nil || best == nil {
+	if err != nil || best < 0 {
 		return nil, err
 	}
-	count := best.ord + 1
+	js := &j.live[best]
+	count := js.ord + 1
 	if j.opts.MinimizeBuffers {
 		count = j.seen
 	}
-	best.res.Candidates, best.res.Method = int(count), "procedure-5.1"
-	return best, nil
+	js.res = js.pick.result(j.algo, js.analyzer.S, j.pickPi(best))
+	js.res.Candidates, js.res.Method = int(count), "procedure-5.1"
+	return js, nil
+}
+
+// pickPi returns live S i's pick, in the walk's storage.
+func (j *levelWalk) pickPi(i int) intmat.Vector {
+	n := j.wk.n
+	return j.picks[i*n : (i+1)*n : (i+1)*n]
+}
+
+// less is jointLess on the picks of live S a and b, without building
+// their results.
+func (j *levelWalk) less(a, b int) bool {
+	x, y := &j.live[a], &j.live[b]
+	mx := Mapping{S: x.analyzer.S, Pi: j.pickPi(a)}
+	my := Mapping{S: y.analyzer.S, Pi: j.pickPi(b)}
+	rx, ry := x.joint(&mx, nil), y.joint(&my, nil)
+	return jointLess(&rx, &ry)
 }
 
 // levels walks the objective levels from max(MinCost, 1) up to
 // MaxCost, testing each level's passers against every open S, and calls
 // each after every level; it stops when each returns false or no S is
 // open. Each level gets a "level" span; the span of ctx gets the walk's
-// counts, and stats its counts and the memos' decision counters.
+// counts, and stats its counts and the scratches' decision counters.
 func (j *levelWalk) levels(ctx context.Context, workers int, each func(cost int64) bool) (err error) {
 	levels := int64(0)
 	span := trace.FromContext(ctx) // resolved once: the level spans are its children
 	defer func() {
-		for i := range j.live {
-			j.stats.drainMemo(j.live[i].cctx.memo)
+		for _, sc := range j.scs {
+			j.stats.drainScratch(sc)
 		}
 		j.stats.costLevels.Add(levels)
 		j.stats.scheduleCandidates.Add(j.seen)
@@ -242,6 +277,7 @@ func (j *levelWalk) levels(ctx context.Context, workers int, each func(cost int6
 		return nil
 	}
 	j.done, j.open = ctx.Done(), len(j.live)
+	j.picks = resize(j.picks, len(j.live)*j.wk.n)
 	j.spawn(ctx, workers)
 	visit := j.visit
 	maxCost := maxCostOr(j.opts.MaxCost, j.algo.Set)
@@ -270,11 +306,12 @@ func (j *levelWalk) levels(ctx context.Context, workers int, each func(cost int6
 	return nil
 }
 
-// joint is js's pick as a joint result.
-func (js *walkS) joint() JointResult {
+// joint is js's pick as a joint result with mapping m and schedule
+// result res.
+func (js *walkS) joint(m *Mapping, res *Result) JointResult {
 	return JointResult{
-		SpaceResult:    SpaceResult{Mapping: js.res.Mapping, Processors: js.procs, WireLength: js.wire, Cost: js.cost, Time: js.res.Time},
-		ScheduleResult: js.res,
+		SpaceResult:    SpaceResult{Mapping: m, Processors: js.procs, WireLength: js.wire, Cost: js.cost, Time: js.pick.time},
+		ScheduleResult: res,
 	}
 }
 
@@ -287,7 +324,7 @@ func (j *levelWalk) visit(pi intmat.Vector) bool {
 		j.pis = append(j.pis, pi...)
 		return j.buffered() < walkChunk || j.flush()
 	}
-	if j.try(&j.live[0], pi, j.seen-1, j.sc); j.live[0].closed {
+	if j.try(0, pi, j.seen-1, j.scs[0]); j.live[0].closed {
 		j.open = 0
 	}
 	return j.open > 0
@@ -306,10 +343,10 @@ func (j *levelWalk) flush() bool {
 		for range j.helpers {
 			j.start <- struct{}{}
 		}
-		j.claim(j.sc)
+		j.claim(j.scs[0])
 		j.wg.Wait()
 	} else {
-		j.claim(j.sc)
+		j.claim(j.scs[0])
 	}
 	j.pis = j.pis[:0]
 	return j.close()
@@ -322,7 +359,7 @@ func (j *levelWalk) flush() bool {
 func (j *levelWalk) close() bool {
 	best := int64(math.MaxInt64)
 	for i := range j.live {
-		if js := &j.live[i]; js.res != nil {
+		if js := &j.live[i]; js.picked {
 			best = min(best, js.cost)
 		}
 	}
@@ -330,7 +367,7 @@ func (j *levelWalk) close() bool {
 	for i := range j.live {
 		js := &j.live[i]
 		bound := js.lb
-		if js.res != nil {
+		if js.picked {
 			bound = js.cost
 		}
 		if j.prune && bound > best {
@@ -358,49 +395,51 @@ func (j *levelWalk) claim(sc *conflict.Scratch) (claimed int64) {
 		if i >= len(j.live) || isDone(j.done) {
 			return claimed
 		}
-		if js := &j.live[i]; !js.closed {
-			j.test(js, sc)
+		if !j.live[i].closed {
+			j.test(i, sc)
 			claimed++
 		}
 	}
 }
 
-// test runs the buffered passers, in walk order, through try until js
-// closes.
-func (j *levelWalk) test(js *walkS, sc *conflict.Scratch) {
+// test runs the buffered passers, in walk order, through try until
+// live S i closes.
+func (j *levelWalk) test(i int, sc *conflict.Scratch) {
 	n, first := j.wk.n, j.seen-int64(j.buffered())
-	for i := range j.buffered() {
-		if j.try(js, j.pis[i*n:(i+1)*n:(i+1)*n], first+int64(i), sc); js.closed {
+	for b := range j.buffered() {
+		if j.try(i, j.pis[b*n:(b+1)*n:(b+1)*n], first+int64(b), sc); j.live[i].closed {
 			return
 		}
 	}
 }
 
 // try runs passer pi, the walk's ord-th (from 0), through the step-5
-// tests of js. The first conflict-free passer settles js, closing it —
-// or, under MinimizeBuffers, js keeps testing for the passer with the
-// fewest buffers (the first among equals). A Pareto walk picks the same
-// way by bufferDepth, across levels: each pick has fewer buffers than
-// every earlier one, and js stays open until a pick has none.
-func (j *levelWalk) try(js *walkS, pi intmat.Vector, ord int64, sc *conflict.Scratch) {
-	r, ok := js.cctx.tryValid(pi, sc)
+// tests of live S i. The first conflict-free passer settles it, closing
+// it — or, under MinimizeBuffers, it keeps testing for the passer with
+// the fewest buffers (the first among equals). A Pareto walk picks the
+// same way by bufferDepth, across levels: each pick has fewer buffers
+// than every earlier one, and the S stays open until a pick has none.
+func (j *levelWalk) try(i int, pi intmat.Vector, ord int64, sc *conflict.Scratch) {
+	js := &j.live[i]
+	p, ok := step5(j.algo, &j.opts, &js.analyzer, sc, &js.memo, &j.errs, pi)
 	if !ok {
 		return
 	}
 	var buf int64
 	if j.pareto {
-		buf = bufferDepth(pi, js.cctx.depCols)
+		buf = bufferDepth(pi, j.wk.depCols)
 	} else if j.opts.MinimizeBuffers {
-		buf = r.Decomp.TotalBuffers()
+		buf = p.decomp.TotalBuffers()
 	}
 	switch {
-	case js.res == nil && (len(j.live) > 1 || j.pareto):
-		js.procs = countProcessorImages(js.cctx.s, j.algo.Set)
+	case !js.picked && (len(j.live) > 1 || j.pareto):
+		js.procs = countProcessorImages(js.analyzer.S, j.algo.Set)
 		js.cost = js.procs + j.weight*js.wire
-	case js.res != nil && buf >= js.buf:
+	case js.picked && buf >= js.buf:
 		return
 	}
-	js.res, js.ord, js.buf = r, ord, buf
+	copy(j.pickPi(i), pi)
+	js.picked, js.pick, js.ord, js.buf = true, p, ord, buf
 	js.closed = j.pareto && buf == 0 || !j.pareto && !j.opts.MinimizeBuffers
 }
 
@@ -411,18 +450,18 @@ func (j *levelWalk) spawn(ctx context.Context, workers int) {
 	if j.helpers == 0 {
 		return
 	}
+	j.scratches(1 + j.helpers)
 	j.start = make(chan struct{}, j.helpers) // one token per helper and chunk
 	for w := 1; w <= j.helpers; w++ {
 		go func() {
 			_, span := trace.Start(ctx, "worker")
 			span.SetInt("worker", int64(w))
-			sc := conflict.GetScratch()
+			sc := j.scs[w]
 			claimed := int64(0)
 			for range j.start {
 				claimed += j.claim(sc)
 				j.wg.Done()
 			}
-			conflict.PutScratch(sc)
 			span.SetInt("claimed", claimed)
 			span.End()
 			j.wg.Done()
@@ -430,40 +469,32 @@ func (j *levelWalk) spawn(ctx context.Context, workers int) {
 	}
 }
 
-// release stops the helpers and returns the memos, the scratch, the
-// walker and j itself to their pools.
+// release stops the helpers, resets the scratches (freeing every
+// memo's regions), and returns the walker and j, with its live S,
+// buffer and scratches, to their pools.
 func (j *levelWalk) release() {
 	if j.start != nil {
 		j.wg.Add(j.helpers)
 		close(j.start)
 		j.wg.Wait()
 	}
-	for i := range j.live {
-		if m := j.live[i].cctx.memo; m != &j.sc.Memo {
-			conflict.PutMemo(m)
-		}
+	for _, sc := range j.scs {
+		sc.Reset()
 	}
-	conflict.PutScratch(j.sc)
 	putWalker(j.wk)
 	clear(j.live)
-	*j = levelWalk{live: j.live[:0], pis: j.pis}
+	*j = levelWalk{live: j.live[:0], pis: j.pis, picks: j.picks, scs: j.scs}
 	walkPool.Put(j)
 }
 
-// candCtx carries the per-search state of Procedure 5.1's step-5 tests:
-// the factored analyzer and the cached dependence columns (Matrix.Col
-// allocates a fresh vector per call).
+// candCtx carries the state of Procedure 5.1's step-5 tests for one S
+// outside a level walk: its factored analyzer.
 type candCtx struct {
 	algo     *uda.Algorithm
 	s        *intmat.Matrix
 	opts     *Options
 	analyzer *conflict.SpaceAnalyzer
-	depCols  []intmat.Vector
-	// memo is the decision state of S when the search keeps one per S;
-	// nil uses the state of each worker's scratch.
-	memo *conflict.Memo
-	// firstErr receives the search's failures; a joint walk shares one
-	// between all its S.
+	// firstErr receives the search's failures.
 	*firstErr
 }
 
@@ -474,11 +505,9 @@ type candCtx struct {
 // worker's loop) and re-surfaced by takeErr.
 type firstErr struct{ err atomic.Pointer[error] }
 
-// newCandCtx builds the step-5 state for one S. depCols are algo's
-// dependence columns already extracted (a walker's); only bufferDepth
-// reads them.
-func newCandCtx(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, depCols []intmat.Vector) *candCtx {
-	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, depCols: depCols, firstErr: new(firstErr)}
+// newCandCtx builds the step-5 state for one S.
+func newCandCtx(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer) *candCtx {
+	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, firstErr: new(firstErr)}
 }
 
 func (f *firstErr) recordErr(err error) { f.err.CompareAndSwap(nil, &err) }
@@ -502,50 +531,77 @@ func (c *candCtx) try(pi intmat.Vector) (*Result, bool) {
 	return c.tryValid(pi, sc)
 }
 
-// tryValid is try on a Π already known to satisfy ΠD > 0 (one a walker
-// visits): tests 2–4 only, with the caller's conflict scratch and the
-// decision memo of S (c.memo, or else the scratch's own). The
-// analyzer subsumes the rank(T) = k test: it reports ErrRank exactly
-// when Π is a rational combination of S's rows, which rejects Π. Any
-// other decision error is recorded (recordErr) and fails the search:
-// treating it as a rejection could report a later Π as optimal.
+// tryValid is try on a Π already known to satisfy ΠD > 0, with the
+// caller's conflict scratch and its own memo; see step5.
 func (c *candCtx) tryValid(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
-	algo, s, opts := c.algo, c.s, c.opts
-	memo := c.memo
-	if memo == nil {
-		memo = &sc.Memo
+	p, ok := step5(c.algo, c.opts, c.analyzer, sc, &sc.Memo, c.firstErr, pi)
+	if !ok {
+		return nil, false
 	}
-	res, err := c.analyzer.DecideMemo(sc, memo, pi)
+	return p.result(c.algo, c.s, pi), true
+}
+
+// pass is what step 5 records of a Π that passes its tests: a level
+// walk keeps one per S and builds a Result only for the picks it
+// reports.
+type pass struct {
+	time   int64
+	method string               // the Method of the conflict-free verdict
+	decomp *array.Decomposition // under a Machine
+}
+
+// result builds the Result of Π passing step 5 for S.
+func (p *pass) result(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector) *Result {
+	return &Result{
+		Mapping:  ownedMapping(algo, s, pi),
+		Time:     p.time,
+		Conflict: conflict.Result{ConflictFree: true, Method: p.method},
+		Decomp:   p.decomp,
+	}
+}
+
+// ownedMapping returns the mapping [S; Π] of a search result, on
+// copies of S and Π that the caller owns.
+func ownedMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector) *Mapping {
+	return &Mapping{Algo: algo, S: s.Clone(), Pi: pi.Clone(), T: s.AppendRow(pi)}
+}
+
+// step5 runs tests 2–4 of Procedure 5.1's step 5 on a Π already known
+// to satisfy ΠD > 0 (one a walker visits), with scratch sc and the
+// decision memo of S. The analyzer subsumes the rank(T) = k test: it
+// reports ErrRank exactly when Π is a rational combination of S's
+// rows, which rejects Π. Any other decision error is recorded in errs
+// and fails the search: treating it as a rejection could report a
+// later Π as optimal. A conflict-free verdict carries no witness, so
+// the pass keeps only its Method.
+func step5(algo *uda.Algorithm, opts *Options, sa *conflict.SpaceAnalyzer, sc *conflict.Scratch, memo *conflict.Memo, errs *firstErr, pi intmat.Vector) (pass, bool) {
+	res, err := sa.DecideMemo(sc, memo, pi)
 	if err != nil {
 		if !errors.Is(err, conflict.ErrRank) {
-			c.recordErr(err)
+			errs.recordErr(err)
 		}
-		return nil, false
+		return pass{}, false
 	}
 	if !res.ConflictFree {
-		return nil, false
+		return pass{}, false
 	}
 	t, err := TotalTimeChecked(pi, algo.Set)
 	if err != nil {
-		c.recordErr(err)
-		return nil, false
+		errs.recordErr(err)
+		return pass{}, false
 	}
-	r := &Result{
-		Mapping:  &Mapping{Algo: algo, S: s, Pi: pi.Clone(), T: s.AppendRow(pi)},
-		Time:     t,
-		Conflict: res,
-	}
+	p := pass{time: t, method: res.Method}
 	if opts.Machine != nil {
-		dec, err := opts.Machine.Decompose(s, algo.D, pi)
+		dec, err := opts.Machine.Decompose(sa.S, algo.D, pi)
 		if err != nil {
-			return nil, false
+			return pass{}, false
 		}
 		if opts.RequireSingleHop && !dec.SingleHop() {
-			return nil, false
+			return pass{}, false
 		}
-		r.Decomp = dec
+		p.decomp = dec
 	}
-	return r, true
+	return p, true
 }
 
 // maxCostOr returns maxCost, or when it is 0 the default ceiling on

@@ -440,7 +440,7 @@ func TestMinimizeBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	enumerate(algo.Set.Upper, best.Time-1, func(pi intmat.Vector) bool {
-		r, ok := newCandCtx(algo, s, &Options{Machine: machine}, analyzer, nil).try(pi)
+		r, ok := newCandCtx(algo, s, &Options{Machine: machine}, analyzer).try(pi)
 		if ok && r.Decomp.TotalBuffers() < minBuf {
 			t.Errorf("Π = %v has %d buffers < winner's %d", pi, r.Decomp.TotalBuffers(), minBuf)
 			return false
@@ -514,7 +514,7 @@ func referenceProcedure51(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix, o
 	defer putWalker(wk)
 	sc := conflict.GetScratch()
 	defer conflict.PutScratch(sc)
-	cctx := newCandCtx(algo, s, opts, analyzer, wk.depCols)
+	cctx := newCandCtx(algo, s, opts, analyzer)
 	candidates := int64(0)
 	for cost := max(opts.MinCost, 1); cost <= maxCostOr(opts.MaxCost, algo.Set); cost++ {
 		var found *Result

@@ -278,12 +278,8 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 			stats.prunedOrbit.Add(1)
 			continue
 		}
-		analyzer, err := cands.analyzer(i, algo.Set)
-		if err != nil {
-			return nil, err
-		}
 		wire := cands.wire(i, algo.D)
-		j.add(analyzer, wire, cands.lowerBound(i)+weight*wire, conflict.GetMemo())
+		j.add(cands.analyzer(i, algo.Set), wire, cands.lowerBound(i)+weight*wire)
 	}
 	stats.innerSearches.Add(int64(len(j.live)))
 	wctx, walkSpan := trace.Start(ctx, "pi-search")
@@ -296,7 +292,7 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 		return nil, fmt.Errorf("%w: no conflict-free joint mapping with |entries| ≤ %d",
 			ErrNoSchedule, maxEntryOrDefault(opts))
 	}
-	r := winner.joint()
+	r := winner.joint(winner.res.Mapping, winner.res)
 	best := &r
 	if !opts.NoPrune {
 		// The lower bound prunes the live S whose bound exceeds the
@@ -469,10 +465,7 @@ func searchErr(ctx context.Context, errs []error) error {
 // space of S), which rejects S like a conflict does; any other decision
 // error is returned, to fail the search.
 func evaluateSpaceMapping(algo *uda.Algorithm, cands *candidates, i int, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool, error) {
-	analyzer, err := cands.analyzer(i, algo.Set)
-	if err != nil {
-		return nil, false, nil
-	}
+	analyzer := cands.analyzer(i, algo.Set)
 	s := analyzer.S
 	res, err := analyzer.Decide(pi)
 	if err != nil && !errors.Is(err, conflict.ErrRank) {
@@ -481,7 +474,7 @@ func evaluateSpaceMapping(algo *uda.Algorithm, cands *candidates, i int, pi intm
 	if err != nil || !res.ConflictFree {
 		return nil, false, nil
 	}
-	m := &Mapping{Algo: algo, S: s, Pi: pi.Clone(), T: s.AppendRow(pi)}
+	m := ownedMapping(algo, s, pi)
 	if opts.Schedule.Machine != nil {
 		if _, err := opts.Schedule.Machine.Decompose(s, algo.D, pi); err != nil {
 			return nil, false, nil

@@ -156,10 +156,10 @@ type statsCollector struct {
 	hnfFromScratch     atomic.Int64
 }
 
-// drainMemo folds a decision memo's counters into the collector;
-// called when a search releases the memo (or the scratch holding it).
-func (c *statsCollector) drainMemo(m *conflict.Memo) {
-	table, hits, misses := m.TakeStats()
+// drainScratch folds the counters of the decisions a conflict scratch
+// made into the collector.
+func (c *statsCollector) drainScratch(sc *conflict.Scratch) {
+	table, hits, misses := sc.TakeStats()
 	c.conflictTable.Add(table)
 	c.hnfIncremental.Add(hits)
 	c.hnfFromScratch.Add(misses)

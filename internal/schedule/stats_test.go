@@ -295,7 +295,7 @@ func TestCandCtxCapturesOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cctx := newCandCtx(algo, s, &Options{}, analyzer, nil)
+	cctx := newCandCtx(algo, s, &Options{}, analyzer)
 	// Π = (3, 1) passes ΠD > 0, full rank and conflict-freeness
 	// (T = [[0,1],[3,1]] is nonsingular, hence injective), but its
 	// total time 1 + 3·(2^63 − 2) + 1 overflows int64.

@@ -246,7 +246,7 @@ func FuzzWalkerVsEnumerate(f *testing.F) {
 // streams enumerate over the levels 1…maxCost and returns the first Π
 // passing every test, with the count of ΠD > 0 passers it tested.
 func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (*Result, error) {
-	cctx := newCandCtx(algo, s, opts, analyzer, nil)
+	cctx := newCandCtx(algo, s, opts, analyzer)
 	sc := conflict.GetScratch()
 	defer conflict.PutScratch(sc)
 	candidates := 0
@@ -406,7 +406,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 		}
 		schedOpts := opts.Space.Schedule
 		schedOpts.Workers, schedOpts.SelfCheck = 0, false
-		cctx := newCandCtx(algo, s, &schedOpts, analyzer, getWalker(algo).depCols)
+		cctx, depCols := newCandCtx(algo, s, &schedOpts, analyzer), getWalker(algo).depCols
 		procs, links := countProcessorImages(s, algo.Set), linkCount(s, algo.D)
 		bestBuf := int64(math.MaxInt64)
 		for cost := floor; cost <= maxCost && (cStar == math.MaxInt64 || cost <= cStar+opts.TimeSlack); cost++ {
@@ -414,7 +414,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 			var pickBuf, pickAt int64
 			for at, pi := range level(cost) {
 				if r, ok := cctx.tryValid(pi, sc); ok {
-					if b := bufferDepth(pi, cctx.depCols); pick == nil || b < pickBuf {
+					if b := bufferDepth(pi, depCols); pick == nil || b < pickBuf {
 						pick, pickBuf, pickAt = r.Mapping, b, int64(at)
 					}
 				}
@@ -826,7 +826,7 @@ func TestWorkerOverflowIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.add(analyzer, 0, 0, conflict.GetMemo())
+		j.add(*analyzer, 0, 0)
 	}
 	j.spawn(context.Background(), 2)
 	for range walkFanoutMin {

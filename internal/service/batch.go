@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"lodim/internal/schedule"
 )
 
 // maxBatchItems bounds one batch request. The ceiling exists so a
@@ -45,11 +47,14 @@ type BatchResponse struct {
 }
 
 // Batch answers every item of a batch request, fanning out across at
-// most the worker-pool width. Items run through the full Map path —
-// cache, singleflight, cluster forwarding, admission — so a batch of
-// permuted duplicates still costs one search, and items beyond the
-// pool+queue budget fail individually with 429 rather than failing the
-// whole batch.
+// most the worker-pool width. Items that share a canonical key are one
+// problem: the first of them runs through the full Map path — cache,
+// singleflight, cluster forwarding, admission — under its own deadline,
+// and the others take its outcome, translated to their own axis order,
+// with its cache disposition. So a batch of permuted duplicates costs
+// one search and its body does not depend on which duplicate reached
+// the cache first. Items beyond the pool+queue budget fail individually
+// with 429 rather than failing the whole batch.
 func (s *Service) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
 	done, err := s.begin()
 	if err != nil {
@@ -64,14 +69,28 @@ func (s *Service) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse,
 	}
 
 	start := time.Now()
-	resp := &BatchResponse{Items: make([]BatchItemResult, len(req.Items))}
+	n := len(req.Items)
+	items := make([]batchItem, n)
+	var leaders []int
+	first := make(map[string]int, n)
+	for i := range req.Items {
+		it := &items[i]
+		it.p, it.err = mapProblem(ctx, &req.Items[i])
+		it.lead = i
+		if it.err != nil {
+			continue
+		}
+		if j, ok := first[it.p.key]; ok {
+			it.lead = j
+		} else {
+			first[it.p.key] = i
+			leaders = append(leaders, i)
+		}
+	}
 	// Fan-out matches the pool width: wider would only grow the
 	// admission queue (risking self-inflicted 429s on large batches),
 	// narrower would idle workers on cache-heavy corpora.
-	workers := s.cfg.Pool
-	if workers > len(req.Items) {
-		workers = len(req.Items)
-	}
+	workers := min(s.cfg.Pool, len(leaders))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -79,17 +98,19 @@ func (s *Service) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse,
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				resp.Items[i] = s.batchItem(ctx, i, &req.Items[i])
+				items[i].run(ctx, s)
 			}
 		}()
 	}
-	for i := range req.Items {
+	for _, i := range leaders {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 
-	for i := range resp.Items {
+	resp := &BatchResponse{Items: make([]BatchItemResult, n)}
+	for i := range items {
+		resp.Items[i] = s.batchResult(ctx, i, &items[i], &items[items[i].lead])
 		if resp.Items[i].Status == http.StatusOK {
 			resp.OK++
 		} else {
@@ -100,16 +121,36 @@ func (s *Service) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse,
 	return resp, nil
 }
 
-// batchItem runs one item through Map under its own clamped deadline.
-func (s *Service) batchItem(ctx context.Context, i int, item *MapRequest) BatchItemResult {
-	itemStart := time.Now()
-	ictx, cancel := context.WithTimeout(ctx, s.EffectiveTimeout(item.TimeoutMS))
+// batchItem is one item of a batch: its problem, or the error that
+// refused it, and the index of the item whose run answers it. A leading
+// item (lead is its own index) also holds its run's outcome.
+type batchItem struct {
+	p    problem[MapRequest]
+	err  error
+	lead int
+
+	res      *schedule.JointResult
+	status   CacheStatus
+	runErr   error
+	duration time.Duration
+}
+
+// run answers a leading item through the Map path under its own clamped
+// deadline.
+func (it *batchItem) run(ctx context.Context, s *Service) {
+	start := time.Now()
+	ictx, cancel := context.WithTimeout(ctx, s.EffectiveTimeout(it.p.req.TimeoutMS))
 	defer cancel()
-	out, cacheStatus, err := s.Map(ictx, item)
-	res := BatchItemResult{
-		Index:      i,
-		Cache:      cacheStatus,
-		DurationMS: float64(time.Since(itemStart).Nanoseconds()) / 1e6,
+	it.res, it.status, it.runErr = mapWorkload.serve(ictx, s, &it.p)
+	it.duration = time.Since(start)
+}
+
+// batchResult renders item i from the run of its leading item.
+func (s *Service) batchResult(ctx context.Context, i int, it, lead *batchItem) BatchItemResult {
+	res := BatchItemResult{Index: i}
+	err := it.err
+	if err == nil {
+		res.Cache, res.DurationMS, err = lead.status, float64(lead.duration.Nanoseconds())/1e6, lead.runErr
 	}
 	if err != nil {
 		status, retryAfter := s.classifyError(err)
@@ -123,7 +164,7 @@ func (s *Service) batchItem(ctx context.Context, i int, item *MapRequest) BatchI
 		return res
 	}
 	res.Status = http.StatusOK
-	res.Response = out
+	res.Response = mapResponse(ctx, &it.p, lead.res)
 	return res
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -160,5 +161,50 @@ func TestBatchRetryAfterMillisecondField(t *testing.T) {
 	_, after := svc.classifyError(ErrOverloaded)
 	if got := after.Milliseconds(); got != 1000 {
 		t.Fatalf("overload hint = %dms, want 1000", got)
+	}
+}
+
+// TestBatchDuplicatesDeterministic: a batch holding two axis
+// permutations of one problem answers with the same body every time,
+// on a cold node too: the duplicates are collapsed before they run, so
+// both items report the one search's disposition instead of the second
+// reading "shared" or "hit" by a race. A second pair, whose search
+// fails on an int64 overflow, shares its 422 and disposition the same
+// way. Durations are the only fields left to vary.
+func TestBatchDuplicatesDeterministic(t *testing.T) {
+	const huge = `{"bounds":[3,3],"dependencies":[[0,1],[1,-4611686018427387904]],"dims":1}`
+	const hugePerm = `{"bounds":[3,3],"dependencies":[[1,0],[-4611686018427387904,1]],"dims":1}`
+	var items []MapRequest
+	if err := json.Unmarshal([]byte("["+e2eBody+","+e2ePerm+","+huge+","+hugePerm+"]"), &items); err != nil {
+		t.Fatal(err)
+	}
+	wantStatus := []int{http.StatusOK, http.StatusOK, http.StatusUnprocessableEntity, http.StatusUnprocessableEntity}
+	var want []byte
+	for run := range 50 {
+		svc := New(Config{Pool: 2, SearchWorkers: 1})
+		resp, err := svc.Batch(context.Background(), &BatchRequest{Items: items})
+		svc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := svc.met.searches.Load(); n != 2 {
+			t.Fatalf("run %d: %d searches, want 2", run, n)
+		}
+		resp.DurationMS = 0
+		for i := range resp.Items {
+			if got := resp.Items[i]; got.Cache != CacheMiss || got.Status != wantStatus[i] {
+				t.Fatalf("run %d: item %d reads status %d, cache %q; want %d, %q", run, i, got.Status, got.Cache, wantStatus[i], CacheMiss)
+			}
+			resp.Items[i].DurationMS = 0
+		}
+		body, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			want = body
+		} else if string(body) != string(want) {
+			t.Fatalf("run %d answered\n%s\nwant\n%s", run, body, want)
+		}
 	}
 }

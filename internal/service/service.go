@@ -599,19 +599,32 @@ func (s *Service) Map(ctx context.Context, req *MapRequest) (*MapResponse, Cache
 	}
 	defer done()
 
-	algo, dims, err := validateMapRequest(req)
+	p, err := mapProblem(ctx, req)
 	if err != nil {
 		return nil, "", err
 	}
-	canonStart := time.Now()
-	p := mapWorkload.newProblem(req, algo, dims, req.TimeoutMS)
-	recordStage(ctx, stageCanonicalize, canonStart)
 	res, status, err := mapWorkload.serve(ctx, s, &p)
 	if err != nil {
 		return nil, status, err
 	}
+	return mapResponse(ctx, &p, res), status, nil
+}
+
+// mapProblem validates and canonicalizes a map request.
+func mapProblem(ctx context.Context, req *MapRequest) (problem[MapRequest], error) {
+	algo, dims, err := validateMapRequest(req)
+	if err != nil {
+		return problem[MapRequest]{}, err
+	}
+	defer recordStage(ctx, stageCanonicalize, time.Now())
+	return mapWorkload.newProblem(req, algo, dims, req.TimeoutMS), nil
+}
+
+// mapResponse translates the canonical result of p into the axis order
+// of p's request.
+func mapResponse(ctx context.Context, p *problem[MapRequest], res *schedule.JointResult) *MapResponse {
 	defer recordStage(ctx, stageTranslate, time.Now())
-	return buildMapResponse(algo, p.canon, p.key, dims, res), status, nil
+	return buildMapResponse(p.algo, p.canon, p.key, p.dims, res)
 }
 
 // buildMapResponse translates a canonical-coordinate result into the
