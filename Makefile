@@ -9,9 +9,10 @@ all: build vet test
 
 # The default pre-commit gate: build, vet, formatting, full tests, the
 # race detector on the concurrent search packages (the full -race run
-# is `make race`), and a stratified replay of the committed scenario
-# corpus against today's engines.
-check: build vet fmtcheck test race-hot corpus-check
+# is `make race`), a stratified replay of the committed scenario
+# corpus against today's engines, and the library examples, which drive
+# the mapping facade end to end (Problems 6.1 and 6.2 among them).
+check: build vet fmtcheck test race-hot corpus-check examples
 
 build:
 	$(GO) build ./...

@@ -252,3 +252,35 @@ func TestDecideScratchPastTableCap(t *testing.T) {
 		t.Fatalf("%d table decisions without a table", table)
 	}
 }
+
+// TestTableBuildAllocFree: building the conflict-vector table of a
+// q = 3 null space, once its storage has grown, takes every scratch
+// from the arena, the free-coordinate choice included.
+func TestTableBuildAllocFree(t *testing.T) {
+	if intmat.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	sa, err := NewSpaceAnalyzer(intmat.FromRows([]int64{1, 1, -1, 2}), uda.Cube(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := len(sa.W); q != 3 {
+		t.Fatalf("null space of dimension %d, want 3", q)
+	}
+	ar := intmat.GetArena()
+	defer intmat.PutArena(ar)
+	var tab conflictTable
+	build := func() {
+		ar.Reset()
+		if err := tab.build(ar, sa.W, sa.Set.Upper); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // grow the table's storage and the arena's blocks
+	if len(tab.id) == 0 {
+		t.Fatal("empty table")
+	}
+	if got := testing.AllocsPerRun(100, build); got > 0 {
+		t.Fatalf("table build allocated %.1f objects/op, want 0", got)
+	}
+}

@@ -204,7 +204,7 @@ func walkBox(ar *intmat.Arena, w []intmat.Vector, mu intmat.Vector, maxPoints in
 }
 
 // block fills m with the rows free of the basis w: m[r][c] = w[c][free[r]].
-func block(m *intmat.Matrix, w []intmat.Vector, free []int) {
+func block(m *intmat.Matrix, w []intmat.Vector, free intmat.Vector) {
 	for r, i := range free {
 		for c, u := range w {
 			m.Set(r, c, u[i])
@@ -250,35 +250,51 @@ func admit(w []intmat.Vector, mu intmat.Vector, det int64, num, beta, gamma intm
 // ∏(2μ_i + 1) is smallest among those whose q×q block of w is
 // nonsingular, or nil when every such box passes maxPoints; m is q×q
 // scratch. A lattice basis has full column rank, so some block is
-// nonsingular.
-func freeCoordinates(ar *intmat.Arena, m *intmat.Matrix, w []intmat.Vector, mu intmat.Vector, maxPoints int64) []int {
-	q, n := len(w), len(mu)
-	var best []int
-	bestPoints := maxPoints + 1
-	pick := make([]int, 0, q)
-	var walk func(from int, points int64)
-	walk = func(from int, points int64) {
-		if len(pick) == q {
+// nonsingular. It walks the q-subsets depth first in lexicographic
+// order, skipping every extension whose box reaches the best found, on
+// storage from ar; the first subset of least box wins.
+func freeCoordinates(ar *intmat.Arena, m *intmat.Matrix, w []intmat.Vector, mu intmat.Vector, maxPoints int64) intmat.Vector {
+	q, n := len(w), int64(len(mu))
+	// pick[:d] is the subset being extended, points[d] its box.
+	pick, points, best := ar.Vec(q), ar.Vec(q+1), ar.Vec(q)
+	bestPoints, found := maxPoints+1, false
+	points[0] = 1
+	d, next := 0, int64(0)
+	for {
+		extended := false
+		if d == q {
 			block(m, w, pick)
 			if intmat.DetIn(ar, m) != 0 {
-				best, bestPoints = append(best[:0], pick...), points
+				copy(best, pick)
+				bestPoints, found = points[q], true
 			}
-			return
+		} else {
+			// Extend pick[:d] by the first coordinate from next on whose
+			// box stays below the best; both factors of that box are at
+			// most 2·maxPoints + 1.
+			for i := next; i <= n-int64(q-d); i++ {
+				if mu[i] >= bestPoints {
+					continue
+				}
+				if p := points[d] * (2*mu[i] + 1); p < bestPoints {
+					pick[d], points[d+1] = i, p
+					d, next, extended = d+1, i+1, true
+					break
+				}
+			}
 		}
-		for i := from; i <= n-(q-len(pick)); i++ {
-			if mu[i] >= bestPoints {
-				continue
-			}
-			p := points * (2*mu[i] + 1) // both factors are at most 2·maxPoints + 1
-			if p >= bestPoints {
-				continue
-			}
-			pick = append(pick, i)
-			walk(i+1, p)
-			pick = pick[:len(pick)-1]
+		if extended {
+			continue
 		}
+		if d == 0 {
+			break
+		}
+		d--
+		next = pick[d] + 1
 	}
-	walk(0, 1)
+	if !found {
+		return nil
+	}
 	return best
 }
 

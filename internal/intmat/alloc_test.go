@@ -18,41 +18,6 @@ func requireAllocs(t *testing.T, want float64, name string, f func()) {
 	}
 }
 
-func TestMulIntoAllocFree(t *testing.T) {
-	m := FromRows([]int64{1, 2, 3}, []int64{4, 5, 6}, []int64{7, 8, 10})
-	o := FromRows([]int64{2, 0, 1}, []int64{1, 3, 0}, []int64{0, 1, 4})
-	dst := New(3, 3)
-	requireAllocs(t, 0, "MulInto", func() {
-		MulInto(dst, m, o)
-	})
-}
-
-func TestHNFIntoAllocFree(t *testing.T) {
-	m := FromRows([]int64{1, 1, -1, 2}, []int64{0, 3, 5, -1})
-	ar := GetArena()
-	defer PutArena(ar)
-	var h HNF
-	requireAllocs(t, 0, "HNFInto(arena)", func() {
-		ar.Reset()
-		if err := HNFInto(&h, m, ar); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestSmithIntoAllocFree(t *testing.T) {
-	m := FromRows([]int64{2, 4, 4}, []int64{-6, 6, 12}, []int64{10, 4, 16})
-	ar := GetArena()
-	defer PutArena(ar)
-	var s SNF
-	requireAllocs(t, 0, "SmithNormalFormInto(arena)", func() {
-		ar.Reset()
-		if err := SmithNormalFormInto(&s, m, ar); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestRowNullBasisAppendAllocFree(t *testing.T) {
 	h := Vec(3, -5, 7, 2)
 	ar := GetArena()

@@ -2,8 +2,9 @@ package intmat
 
 import "sync"
 
-// This file provides the bump allocator behind the in-place ("Into")
-// variants of the package's hot operations. The optimizers decide
+// This file provides the bump allocator behind the arena-backed hot
+// operations (DetIn, AdjugateInto, RowNullBasisAppend) and the conflict
+// decisions' scratch. The optimizers decide
 // conflict-freeness for thousands of candidate mappings per search, and
 // every decision needs a handful of short-lived vectors and small
 // matrices; allocating them from the Go heap made the allocator — not

@@ -15,16 +15,9 @@ func FuzzHNFInvariants(f *testing.F) {
 			[]int64{int64(e), int64(g), int64(h), int64(i)},
 		)
 		hn, err := HermiteNormalForm(T)
-		ar := GetArena()
-		defer PutArena(ar)
-		var ha HNF
-		arenaErr := HNFInto(&ha, T, ar)
 		if err != nil {
 			if T.Rank() == 2 {
 				t.Fatalf("full-rank matrix rejected: %v\n%v", err, T)
-			}
-			if arenaErr == nil {
-				t.Fatalf("arena path accepted what the wrapper rejected:\n%v", T)
 			}
 			return
 		}
@@ -33,10 +26,6 @@ func FuzzHNFInvariants(f *testing.F) {
 		}
 		if err := hn.Verify(); err != nil {
 			t.Fatalf("invariants: %v\nT=\n%v", err, T)
-		}
-		// The arena-backed in-place decomposition must be byte-identical.
-		if arenaErr != nil || !ha.H.Equal(hn.H) || !ha.U.Equal(hn.U) {
-			t.Fatalf("HNFInto(arena) diverged (err=%v) for\n%v", arenaErr, T)
 		}
 		for _, u := range hn.NullBasis() {
 			if !T.MulVec(u).IsZero() {

@@ -38,68 +38,27 @@ type HNF struct {
 // computation first runs an overflow-checked int64 elimination (the
 // common case for the small mapping matrices of the search engines) and
 // falls back to arbitrary precision when an intermediate overflows, so
-// only genuinely oversized results are rejected.
+// only genuinely oversized results are rejected. The int64 fast path
+// mirrors the arbitrary-precision elimination operation for operation,
+// so the two produce identical decompositions.
 func HermiteNormalForm(t *Matrix) (*HNF, error) {
-	h := &HNF{}
-	if err := HNFInto(h, t, nil); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// HNFInto computes the Hermite normal form of t into h, reusing h's
-// matrices when their shapes match (or drawing fresh ones from ar when
-// it is non-nil, in which case h.H and h.U obey the arena's lifetime —
-// valid until ar.Reset). The int64 fast path mirrors the
-// arbitrary-precision elimination operation for operation, so the two
-// produce identical decompositions; on intermediate overflow the big
-// path rebuilds the result on the heap regardless of ar.
-func HNFInto(h *HNF, t *Matrix, ar *Arena) error {
 	k, n := t.Rows(), t.Cols()
 	if k > n {
-		return fmt.Errorf("intmat: HermiteNormalForm of %dx%d matrix: more rows than columns implies rank deficiency: %w", k, n, ErrRankDeficient)
+		return nil, fmt.Errorf("intmat: HermiteNormalForm of %dx%d matrix: more rows than columns implies rank deficiency: %w", k, n, ErrRankDeficient)
 	}
-	h.T = t
-	h.v = nil
-	H := intoMat(h.H, ar, k, n)
-	U := intoMat(h.U, ar, n, n)
-	copy(H.a, t.a)
-	for i := range U.a {
-		U.a[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		U.a[i*n+i] = 1
-	}
+	H, U := t.Clone(), Identity(n)
 	ok, rankDeficient := hnfFastInt64(H, U, k, n)
-	if ok {
-		if rankDeficient {
-			return ErrRankDeficient
-		}
-		h.H, h.U = H, U
-		return nil
+	if !ok {
+		// An int64 intermediate overflowed: redo in arbitrary precision.
+		// The big path replays the identical operation sequence, so it
+		// yields the same decomposition whenever the final entries fit
+		// in int64.
+		return hermiteNormalFormBig(t)
 	}
-	// An int64 intermediate overflowed: redo in arbitrary precision. The
-	// big path replays the identical operation sequence, so it yields the
-	// same decomposition whenever the final entries fit in int64.
-	hb, err := hermiteNormalFormBig(t)
-	if err != nil {
-		return err
+	if rankDeficient {
+		return nil, ErrRankDeficient
 	}
-	h.H, h.U = hb.H, hb.U
-	return nil
-}
-
-// intoMat picks destination storage for an Into-style decomposition:
-// arena-backed when ar is non-nil, otherwise prev when its shape already
-// matches, otherwise a fresh heap matrix.
-func intoMat(prev *Matrix, ar *Arena, rows, cols int) *Matrix {
-	if ar != nil {
-		return ar.Mat(rows, cols)
-	}
-	if prev != nil && prev.rows == rows && prev.cols == cols {
-		return prev
-	}
-	return New(rows, cols)
+	return &HNF{T: t, H: H, U: U}, nil
 }
 
 // hnfFastInt64 runs the column elimination on H and U in checked int64.
@@ -234,7 +193,7 @@ func (m *Matrix) sizeReduce(k int) {
 }
 
 // hermiteNormalFormBig is the arbitrary-precision reference elimination.
-// It is both the overflow fallback of HNFInto and the oracle the
+// It is both the overflow fallback of HermiteNormalForm and the oracle the
 // differential tests compare the int64 fast path against.
 func hermiteNormalFormBig(t *Matrix) (h *HNF, err error) {
 	defer Guard(&err)

@@ -2,149 +2,16 @@ package intmat
 
 import "fmt"
 
-// This file provides the in-place ("Into") counterparts of the
-// allocating Matrix API. Each writes its result into caller-provided
-// storage — typically arena-backed (see arena.go) — and returns it; the
-// allocating methods in matrix.go and decomp.go are thin wrappers that
-// pass freshly made storage. Destination arguments must not alias any
-// input unless a function documents otherwise; all arithmetic is
+// This file holds the arena-backed determinant and adjugate of the
+// conflict decisions: each draws its working storage from a caller's
+// arena (see arena.go) instead of the heap. All arithmetic is
 // overflow-checked and panics with *OverflowError exactly like the
 // allocating API.
 
-// shapeInto validates that dst exists and has the required shape.
-func shapeInto(op string, dst *Matrix, rows, cols int) {
-	if dst == nil {
-		panic(fmt.Sprintf("intmat: %s into nil matrix", op))
-	}
-	if dst.rows != rows || dst.cols != cols {
-		panic(fmt.Sprintf("intmat: %s into %dx%d matrix, want %dx%d", op, dst.rows, dst.cols, rows, cols))
-	}
-}
-
-// MulInto computes dst = m·o and returns dst. dst must be m.Rows() ×
-// o.Cols() and must not alias m or o.
-func MulInto(dst, m, o *Matrix) *Matrix {
-	if m.cols != o.rows {
-		panic(fmt.Sprintf("intmat: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, o.rows, o.cols))
-	}
-	shapeInto("MulInto", dst, m.rows, o.cols)
-	for i := range dst.a {
-		dst.a[i] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			mik := m.a[i*m.cols+k]
-			if mik == 0 {
-				continue
-			}
-			for j := 0; j < o.cols; j++ {
-				dst.a[i*dst.cols+j] = addChecked(dst.a[i*dst.cols+j], mulChecked(mik, o.a[k*o.cols+j]))
-			}
-		}
-	}
-	return dst
-}
-
-// MulVecInto computes dst = m·v (v as a column vector) and returns dst.
-// dst must have length m.Rows() and must not alias v.
-func MulVecInto(dst Vector, m *Matrix, v Vector) Vector {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("intmat: MulVec shape mismatch %dx%d · %d", m.rows, m.cols, len(v)))
-	}
-	if len(dst) != m.rows {
-		panic(fmt.Sprintf("intmat: MulVecInto length %d, want %d", len(dst), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		var s int64
-		for j := 0; j < m.cols; j++ {
-			s = addChecked(s, mulChecked(m.a[i*m.cols+j], v[j]))
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
-// VecMulInto computes dst = v·m (v as a row vector) and returns dst.
-// dst must have length m.Cols() and must not alias v.
-func VecMulInto(dst Vector, v Vector, m *Matrix) Vector {
-	if m.rows != len(v) {
-		panic(fmt.Sprintf("intmat: VecMul shape mismatch %d · %dx%d", len(v), m.rows, m.cols))
-	}
-	if len(dst) != m.cols {
-		panic(fmt.Sprintf("intmat: VecMulInto length %d, want %d", len(dst), m.cols))
-	}
-	for j := 0; j < m.cols; j++ {
-		var s int64
-		for i := 0; i < m.rows; i++ {
-			s = addChecked(s, mulChecked(v[i], m.a[i*m.cols+j]))
-		}
-		dst[j] = s
-	}
-	return dst
-}
-
-// AddInto computes dst = m + o entrywise and returns dst. dst may alias
-// m or o (the update is elementwise).
-func AddInto(dst, m, o *Matrix) *Matrix {
-	if m.rows != o.rows || m.cols != o.cols {
-		panic("intmat: Add shape mismatch")
-	}
-	shapeInto("AddInto", dst, m.rows, m.cols)
-	for i := range dst.a {
-		dst.a[i] = addChecked(m.a[i], o.a[i])
-	}
-	return dst
-}
-
-// SubInto computes dst = m - o entrywise and returns dst. dst may alias
-// m or o.
-func SubInto(dst, m, o *Matrix) *Matrix {
-	if m.rows != o.rows || m.cols != o.cols {
-		panic("intmat: Sub shape mismatch")
-	}
-	shapeInto("SubInto", dst, m.rows, m.cols)
-	for i := range dst.a {
-		dst.a[i] = subChecked(m.a[i], o.a[i])
-	}
-	return dst
-}
-
-// ScaleInto computes dst = c·m and returns dst. dst may alias m.
-func ScaleInto(dst *Matrix, m *Matrix, c int64) *Matrix {
-	shapeInto("ScaleInto", dst, m.rows, m.cols)
-	for i := range dst.a {
-		dst.a[i] = mulChecked(c, m.a[i])
-	}
-	return dst
-}
-
-// TransposeInto computes dst = mᵀ and returns dst. dst must not alias m.
-func TransposeInto(dst, m *Matrix) *Matrix {
-	shapeInto("TransposeInto", dst, m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			dst.a[j*dst.cols+i] = m.a[i*m.cols+j]
-		}
-	}
-	return dst
-}
-
-// SubmatrixInto writes the listed rows and columns of m into dst and
-// returns dst. dst must be len(rows)×len(cols) and must not alias m.
-func SubmatrixInto(dst, m *Matrix, rows, cols []int) *Matrix {
-	shapeInto("SubmatrixInto", dst, len(rows), len(cols))
-	for i, ri := range rows {
-		for j, cj := range cols {
-			dst.a[i*dst.cols+j] = m.At(ri, cj)
-		}
-	}
-	return dst
-}
-
 // minorInto writes m with row di and column dj removed into dst — the
 // cofactor minor — without the index-slice allocations of DeleteRowCol.
+// dst must be (m.Rows()−1)×(m.Cols()−1).
 func minorInto(dst, m *Matrix, di, dj int) *Matrix {
-	shapeInto("minorInto", dst, m.rows-1, m.cols-1)
 	r := 0
 	for i := 0; i < m.rows; i++ {
 		if i == di {
@@ -251,7 +118,9 @@ func AdjugateInto(dst *Matrix, ar *Arena, m *Matrix) *Matrix {
 		panic("intmat: Adjugate of non-square matrix")
 	}
 	n := m.rows
-	shapeInto("AdjugateInto", dst, n, n)
+	if dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("intmat: AdjugateInto into %dx%d matrix, want %dx%d", dst.rows, dst.cols, n, n))
+	}
 	if n == 0 {
 		return dst
 	}

@@ -128,7 +128,13 @@ func (m *Matrix) SetCol(j int, v Vector) {
 
 // Transpose returns mᵀ.
 func (m *Matrix) Transpose() *Matrix {
-	return TransposeInto(New(m.cols, m.rows), m)
+	t := New(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.a[j*t.cols+i] = m.a[i*m.cols+j]
+		}
+	}
+	return t
 }
 
 // Mul returns the matrix product m·o. It panics on shape mismatch and
@@ -137,7 +143,19 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	if m.cols != o.rows {
 		panic(fmt.Sprintf("intmat: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, o.rows, o.cols))
 	}
-	return MulInto(New(m.rows, o.cols), m, o)
+	p := New(m.rows, o.cols)
+	for i := 0; i < m.rows; i++ {
+		for k := 0; k < m.cols; k++ {
+			mik := m.a[i*m.cols+k]
+			if mik == 0 {
+				continue
+			}
+			for j := 0; j < o.cols; j++ {
+				p.a[i*p.cols+j] = addChecked(p.a[i*p.cols+j], mulChecked(mik, o.a[k*o.cols+j]))
+			}
+		}
+	}
+	return p
 }
 
 // MulVec returns the matrix-vector product m·v (v as a column vector).
@@ -145,7 +163,15 @@ func (m *Matrix) MulVec(v Vector) Vector {
 	if m.cols != len(v) {
 		panic(fmt.Sprintf("intmat: MulVec shape mismatch %dx%d · %d", m.rows, m.cols, len(v)))
 	}
-	return MulVecInto(make(Vector, m.rows), m, v)
+	p := make(Vector, m.rows)
+	for i := range p {
+		var s int64
+		for j := 0; j < m.cols; j++ {
+			s = addChecked(s, mulChecked(m.a[i*m.cols+j], v[j]))
+		}
+		p[i] = s
+	}
+	return p
 }
 
 // VecMul returns the vector-matrix product v·m (v as a row vector).
@@ -153,7 +179,15 @@ func (m *Matrix) VecMul(v Vector) Vector {
 	if m.rows != len(v) {
 		panic(fmt.Sprintf("intmat: VecMul shape mismatch %d · %dx%d", len(v), m.rows, m.cols))
 	}
-	return VecMulInto(make(Vector, m.cols), v, m)
+	p := make(Vector, m.cols)
+	for j := range p {
+		var s int64
+		for i := 0; i < m.rows; i++ {
+			s = addChecked(s, mulChecked(v[i], m.a[i*m.cols+j]))
+		}
+		p[j] = s
+	}
+	return p
 }
 
 // Add returns m + o entrywise.
@@ -161,7 +195,11 @@ func (m *Matrix) Add(o *Matrix) *Matrix {
 	if m.rows != o.rows || m.cols != o.cols {
 		panic("intmat: Add shape mismatch")
 	}
-	return AddInto(New(m.rows, m.cols), m, o)
+	r := New(m.rows, m.cols)
+	for i := range r.a {
+		r.a[i] = addChecked(m.a[i], o.a[i])
+	}
+	return r
 }
 
 // Sub returns m - o entrywise.
@@ -169,12 +207,20 @@ func (m *Matrix) Sub(o *Matrix) *Matrix {
 	if m.rows != o.rows || m.cols != o.cols {
 		panic("intmat: Sub shape mismatch")
 	}
-	return SubInto(New(m.rows, m.cols), m, o)
+	r := New(m.rows, m.cols)
+	for i := range r.a {
+		r.a[i] = subChecked(m.a[i], o.a[i])
+	}
+	return r
 }
 
 // Scale returns c·m.
 func (m *Matrix) Scale(c int64) *Matrix {
-	return ScaleInto(New(m.rows, m.cols), m, c)
+	r := New(m.rows, m.cols)
+	for i := range r.a {
+		r.a[i] = mulChecked(c, m.a[i])
+	}
+	return r
 }
 
 // Neg returns -m.

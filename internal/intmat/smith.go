@@ -28,51 +28,16 @@ type SNF struct {
 // overflow-checked int64 elimination handles the common small inputs;
 // on intermediate overflow the computation reruns in big.Int (the
 // result must then fit in int64 or *OverflowError is returned through
-// the error).
+// the error). The int64 fast path mirrors the arbitrary-precision
+// elimination operation for operation — same minimal-pivot choice, same
+// restart points — so the two produce identical decompositions.
 func SmithNormalForm(a *Matrix) (*SNF, error) {
-	s := &SNF{}
-	if err := SmithNormalFormInto(s, a, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SmithNormalFormInto computes the Smith normal form of a into s,
-// reusing s's matrices when their shapes match (or drawing fresh ones
-// from ar when non-nil; the results then obey the arena's lifetime).
-// The int64 fast path mirrors the arbitrary-precision elimination
-// operation for operation — same minimal-pivot choice, same restart
-// points — so the two produce identical decompositions; on intermediate
-// overflow the big path rebuilds the result on the heap regardless of
-// ar.
-func SmithNormalFormInto(s *SNF, a *Matrix, ar *Arena) error {
 	k, n := a.Rows(), a.Cols()
-	s.A = a
-	D := intoMat(s.D, ar, k, n)
-	P := intoMat(s.P, ar, k, k)
-	Q := intoMat(s.Q, ar, n, n)
-	copy(D.a, a.a)
-	setIdentity(P)
-	setIdentity(Q)
-	if smithFastInt64(D, P, Q, k, n) {
-		s.P, s.D, s.Q = P, D, Q
-		return nil
+	D, P, Q := a.Clone(), Identity(k), Identity(n)
+	if !smithFastInt64(D, P, Q, k, n) {
+		return smithNormalFormBig(a)
 	}
-	sb, err := smithNormalFormBig(a)
-	if err != nil {
-		return err
-	}
-	s.P, s.D, s.Q = sb.P, sb.D, sb.Q
-	return nil
-}
-
-func setIdentity(m *Matrix) {
-	for i := range m.a {
-		m.a[i] = 0
-	}
-	for i := 0; i < m.rows && i < m.cols; i++ {
-		m.a[i*m.cols+i] = 1
-	}
+	return &SNF{A: a, P: P, D: D, Q: Q}, nil
 }
 
 // addRowMultiple performs row_dst += c · row_src in checked int64.
@@ -192,7 +157,7 @@ func smithFastInt64(D, P, Q *Matrix, k, n int) (ok bool) {
 }
 
 // smithNormalFormBig is the arbitrary-precision reference elimination —
-// the overflow fallback of SmithNormalFormInto and the oracle for the
+// the overflow fallback of SmithNormalForm and the oracle for the
 // differential tests.
 func smithNormalFormBig(a *Matrix) (s *SNF, err error) {
 	defer Guard(&err)

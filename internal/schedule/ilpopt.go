@@ -87,9 +87,17 @@ func verifyILP(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, pi intmat.V
 	if err != nil {
 		return nil, false, err
 	}
-	cctx := newCandCtx(algo, s, opts, analyzer)
-	r, ok := cctx.try(pi)
-	return r, ok, cctx.takeErr()
+	if !Valid(pi, algo.D) {
+		return nil, false, nil
+	}
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
+	var errs firstErr
+	p, ok := step5(algo, opts, analyzer, sc, &sc.Memo, &errs, pi)
+	if !ok {
+		return nil, false, errs.takeErr()
+	}
+	return p.result(algo, s, pi), true, nil
 }
 
 // ilpFormulation builds the constraint system of (5.1)–(5.2) under the

@@ -334,13 +334,6 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 		Candidates: cands.len(),
 		Pruned:     int(stats.prunedOrbit.Load()),
 	}
-	if opts.Space.Schedule.SelfCheck {
-		for i := range front {
-			if err := runSelfCheck(front[i].Mapping); err != nil {
-				return nil, err
-			}
-		}
-	}
 	res.Stats = stats.snapshot("pareto-front", effectiveWorkers(opts.Space.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	res.Stats.annotateSpan(span)

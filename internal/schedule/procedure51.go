@@ -74,11 +74,6 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 		return nil, fmt.Errorf("%w: algorithm %q, S =\n%v, cost ≤ %d", ErrNoSchedule, algo.Name, s, maxCostOr(opts.MaxCost, algo.Set))
 	}
 	found := best.res
-	if opts.SelfCheck {
-		if err := runSelfCheck(found.Mapping); err != nil {
-			return nil, err
-		}
-	}
 	elapsed := time.Since(startAt)
 	found.Stats = stats.snapshot("procedure-5.1", 1, 0, elapsed, elapsed)
 	found.Stats.annotateSpan(span)
@@ -180,13 +175,14 @@ type walkS struct {
 var walkPool = sync.Pool{New: func() any { return new(levelWalk) }}
 
 // getLevelWalk returns a pooled walk prepared for up to n live S. The
-// step-5 tests certify nothing: callers self-check their winner.
+// step-5 tests certify nothing: the boundaries that hand out a result
+// certify it.
 func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *statsCollector, n int) *levelWalk {
 	j := walkPool.Get().(*levelWalk)
 	*j = levelWalk{algo: algo, opts: opts.Schedule, weight: wireWeightOrDefault(opts), prune: !opts.NoPrune,
 		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0], scs: j.scratches(1),
 		wk: getWalker(algo)}
-	j.opts.Workers, j.opts.SelfCheck = 0, false
+	j.opts.Workers = 0
 	return j
 }
 
@@ -487,28 +483,13 @@ func (j *levelWalk) release() {
 	walkPool.Put(j)
 }
 
-// candCtx carries the state of Procedure 5.1's step-5 tests for one S
-// outside a level walk: its factored analyzer.
-type candCtx struct {
-	algo     *uda.Algorithm
-	s        *intmat.Matrix
-	opts     *Options
-	analyzer *conflict.SpaceAnalyzer
-	// firstErr receives the search's failures.
-	*firstErr
-}
-
-// firstErr keeps the first failure any worker of a search records;
-// later ones are dropped. Decisions run inside worker goroutines, where
-// a panic would crash the process instead of unwinding to the caller's
-// Guard — so failures are captured here (by tryValid, or around a
-// worker's loop) and re-surfaced by takeErr.
+// firstErr keeps the first failure any goroutine of a search records;
+// later ones are dropped. Decisions run inside the walk's helper
+// goroutines, where a panic would crash the process instead of
+// unwinding to the caller's Guard — so failures are captured here (by
+// step5, or around a goroutine's claim loop) and re-surfaced by
+// takeErr.
 type firstErr struct{ err atomic.Pointer[error] }
-
-// newCandCtx builds the step-5 state for one S.
-func newCandCtx(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer) *candCtx {
-	return &candCtx{algo: algo, s: s, opts: opts, analyzer: analyzer, firstErr: new(firstErr)}
-}
 
 func (f *firstErr) recordErr(err error) { f.err.CompareAndSwap(nil, &err) }
 
@@ -518,27 +499,6 @@ func (f *firstErr) takeErr() error {
 		return *err
 	}
 	return nil
-}
-
-// try applies the four tests of Procedure 5.1's step 5 to a single Π
-// with a pooled conflict scratch, for callers that test a Π or two.
-func (c *candCtx) try(pi intmat.Vector) (*Result, bool) {
-	if !Valid(pi, c.algo.D) {
-		return nil, false
-	}
-	sc := conflict.GetScratch()
-	defer conflict.PutScratch(sc)
-	return c.tryValid(pi, sc)
-}
-
-// tryValid is try on a Π already known to satisfy ΠD > 0, with the
-// caller's conflict scratch and its own memo; see step5.
-func (c *candCtx) tryValid(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
-	p, ok := step5(c.algo, c.opts, c.analyzer, sc, &sc.Memo, c.firstErr, pi)
-	if !ok {
-		return nil, false
-	}
-	return p.result(c.algo, c.s, pi), true
 }
 
 // pass is what step 5 records of a Π that passes its tests: a level
@@ -590,18 +550,26 @@ func step5(algo *uda.Algorithm, opts *Options, sa *conflict.SpaceAnalyzer, sc *c
 		errs.recordErr(err)
 		return pass{}, false
 	}
-	p := pass{time: t, method: res.Method}
-	if opts.Machine != nil {
-		dec, err := opts.Machine.Decompose(sa.S, algo.D, pi)
-		if err != nil {
-			return pass{}, false
-		}
-		if opts.RequireSingleHop && !dec.SingleHop() {
-			return pass{}, false
-		}
-		p.decomp = dec
+	dec, ok := realize(opts, sa.S, algo.D, pi)
+	if !ok {
+		return pass{}, false
 	}
-	return p, true
+	return pass{time: t, method: res.Method, decomp: dec}, true
+}
+
+// realize is test 4 of step 5: the realization of [S; Π] on
+// opts.Machine, nil when no machine is configured. ok is false when S·D
+// does not decompose into the machine's primitives within slack, or,
+// under RequireSingleHop, when some transfer needs more than one hop.
+func realize(opts *Options, s, d *intmat.Matrix, pi intmat.Vector) (_ *array.Decomposition, ok bool) {
+	if opts.Machine == nil {
+		return nil, true
+	}
+	dec, err := opts.Machine.Decompose(s, d, pi)
+	if err != nil || opts.RequireSingleHop && !dec.SingleHop() {
+		return nil, false
+	}
+	return dec, true
 }
 
 // maxCostOr returns maxCost, or when it is 0 the default ceiling on

@@ -148,11 +148,14 @@ type Options struct {
 	// meaningful together with Machine.
 	RequireSingleHop bool
 	// Workers sets the number of goroutines that split the space
-	// mappings of a joint, Pareto or Problem 6.1 search (0 or 1 =
+	// mappings of a joint or Pareto search's level walk (0 or 1 =
 	// sequential); the result is the same at any count. FindOptimal
 	// searches its one S on the calling goroutine: most candidate tests
 	// take tens of nanoseconds, and splitting one level's passers paid
-	// off only on searches testing hundreds of millions of Π.
+	// off only on searches testing hundreds of millions of Π. The
+	// Problem 6.1 search (FindSpaceMapping) runs on the calling goroutine
+	// too: its candidate tests take microseconds, and splitting them lost
+	// more to waking goroutines than it saved.
 	Workers int
 	// MinimizeBuffers breaks ties among time-optimal schedules by the
 	// total buffer count of the machine realization (the paper's
@@ -161,13 +164,6 @@ type Options struct {
 	// Machine; within equal time and buffers the enumeration order
 	// still decides.
 	MinimizeBuffers bool
-	// SelfCheck certifies the winning mapping through the independent
-	// verification engine before returning it; a certificate failure
-	// surfaces as an error instead of a wrong answer. The checker is
-	// registered by importing lodim/internal/verify (the mapping facade
-	// and internal/service do so); with no checker registered, a search
-	// with SelfCheck set fails rather than silently skipping the check.
-	SelfCheck bool
 }
 
 // Result is an optimizer's answer.

@@ -264,6 +264,37 @@ func TestRequireSingleHop(t *testing.T) {
 	}
 }
 
+// TestFindSpaceMappingRequireSingleHop: Problem 6.1 honours
+// RequireSingleHop as Procedure 5.1 does. On matmul μ = 3 with
+// Π = (2, 1, 1) and entries up to 2, the cheapest S the linear array
+// realizes, (2, −1, 0), needs two hops for one transfer, and no S the
+// array realizes in single hops is conflict-free: under the option the
+// search, with pruning or without, must report that no mapping exists.
+func TestFindSpaceMappingRequireSingleHop(t *testing.T) {
+	algo := uda.MatMul(3)
+	pi := intmat.Vec(2, 1, 1)
+	machine := array.NearestNeighbor(1)
+	opts := &SpaceOptions{MaxEntry: 2, Schedule: Options{Machine: machine}}
+	plain, err := FindSpaceMapping(algo, pi, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := machine.Decompose(plain.Mapping.S, algo.D, pi)
+	if err != nil || dec.SingleHop() {
+		t.Fatalf("plain winner S = %v: single-hop %v, err %v; want a multi-hop realization", plain.Mapping.S, err == nil && dec.SingleHop(), err)
+	}
+	opts.Schedule.RequireSingleHop = true
+	for _, noPrune := range []bool{false, true} {
+		opts.NoPrune = noPrune
+		res, err := FindSpaceMapping(algo, pi, 1, opts)
+		if err == nil {
+			t.Errorf("NoPrune %v: got S = %v, want ErrNoSchedule", noPrune, res.Mapping.S)
+		} else if !errors.Is(err, ErrNoSchedule) {
+			t.Errorf("NoPrune %v: %v, want ErrNoSchedule", noPrune, err)
+		}
+	}
+}
+
 func TestFindOptimalNoSolution(t *testing.T) {
 	algo := uda.MatMul(4)
 	s := intmat.FromRows([]int64{1, 1, -1})
@@ -439,10 +470,16 @@ func TestMinimizeBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
+	var errs firstErr
 	enumerate(algo.Set.Upper, best.Time-1, func(pi intmat.Vector) bool {
-		r, ok := newCandCtx(algo, s, &Options{Machine: machine}, analyzer).try(pi)
-		if ok && r.Decomp.TotalBuffers() < minBuf {
-			t.Errorf("Π = %v has %d buffers < winner's %d", pi, r.Decomp.TotalBuffers(), minBuf)
+		if !Valid(pi, algo.D) {
+			return true
+		}
+		p, ok := step5(algo, &Options{Machine: machine}, analyzer, sc, &sc.Memo, &errs, pi)
+		if ok && p.decomp.TotalBuffers() < minBuf {
+			t.Errorf("Π = %v has %d buffers < winner's %d", pi, p.decomp.TotalBuffers(), minBuf)
 			return false
 		}
 		return true
@@ -514,20 +551,20 @@ func referenceProcedure51(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix, o
 	defer putWalker(wk)
 	sc := conflict.GetScratch()
 	defer conflict.PutScratch(sc)
-	cctx := newCandCtx(algo, s, opts, analyzer)
+	var errs firstErr
 	candidates := int64(0)
 	for cost := max(opts.MinCost, 1); cost <= maxCostOr(opts.MaxCost, algo.Set); cost++ {
 		var found *Result
 		err := wk.walk(context.Background(), cost, func(pi intmat.Vector) bool {
 			candidates++
-			r, ok := cctx.tryValid(pi, sc)
-			if ok && (found == nil || r.Decomp.TotalBuffers() < found.Decomp.TotalBuffers()) {
-				found = r
+			p, ok := step5(algo, opts, analyzer, sc, &sc.Memo, &errs, pi)
+			if ok && (found == nil || p.decomp.TotalBuffers() < found.Decomp.TotalBuffers()) {
+				found = p.result(algo, s, pi)
 			}
 			return !ok || opts.MinimizeBuffers
 		})
 		if err == nil {
-			err = cctx.takeErr()
+			err = errs.takeErr()
 		}
 		if err != nil {
 			t.Fatalf("%s: S =\n%v: %v", algo.Name, s, err)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lodim/internal/conflict"
@@ -34,13 +31,16 @@ import (
 // negation (which relabel the array without changing its geometry) are
 // enumerated once.
 //
-// Problem 6.1 fans its candidates across Schedule.Workers goroutines;
+// Problem 6.1 tests its candidates one after another on the calling
+// goroutine: one test takes microseconds, and splitting them across
+// goroutines lost more to waking them than it saved (EXPERIMENTS.md).
 // Problem 6.2 walks the schedule levels once for every candidate (see
-// levelWalk and DESIGN.md, "Joint search engine"). Both prune with two
+// levelWalk and DESIGN.md, "Joint search engine"), splitting each
+// level's S across Schedule.Workers goroutines. Both prune with two
 // exact rules: axis-symmetry orbits keep only their lexicographically
 // least member, and a processor-count lower bound rejects candidates
-// that cannot beat the best cost found. Both preserve the sequential
-// winner, so results are identical at any worker count.
+// that cannot beat the best cost found. The joint search preserves the
+// sequential winner, so its results are identical at any worker count.
 
 // SpaceOptions configures FindSpaceMapping and FindJointMapping.
 type SpaceOptions struct {
@@ -49,10 +49,10 @@ type SpaceOptions struct {
 	// WireWeight scales the wire-length term of the cost (default 1).
 	WireWeight int64
 	// Schedule options applied to the Π search (joint problem only);
-	// the Machine option also applies to Problem 6.1. The Workers field
-	// splits the space mappings in both problems: Problem 6.1's
-	// candidates, and the S the joint walk tests within each level
-	// (every count stays the same at any worker count).
+	// the Machine and RequireSingleHop options also apply to Problem
+	// 6.1. The Workers field splits the S the joint walk tests within
+	// each level (every count stays the same at any worker count);
+	// Problem 6.1 ignores it.
 	Schedule Options
 	// NoPrune disables symmetry and lower-bound pruning, forcing every
 	// candidate through full evaluation. The winner is unaffected; the
@@ -75,8 +75,8 @@ type SpaceResult struct {
 	Candidates int
 	// Pruned counts space mappings rejected by symmetry or by cost lower
 	// bound: the bound is counted after the fact, as the S whose bound
-	// exceeds the winner's cost, so Pruned is the same at any worker
-	// count.
+	// exceeds the winner's cost, so the joint search's Pruned is the
+	// same at any worker count.
 	Pruned int
 	// Time is the total execution time (joint problem: of the winning
 	// schedule; Problem 6.1: of the given Π).
@@ -99,10 +99,10 @@ func (r *SpaceResult) String() string {
 // FindSpaceMapping solves Problem 6.1 by exhaustive search over
 // (k−1)×n space mappings with entries bounded by MaxEntry: among all S
 // making T = [S; Π] a valid conflict-free mapping (full rank; machine
-// realizability when configured), it returns the one minimizing
-// |S(J)| + WireWeight·Σ‖S·d̄_i‖₁, breaking ties lexicographically. The
-// search runs on Schedule.Workers goroutines and returns the same
-// winner at any worker count.
+// realizability, and single-hop transfers under RequireSingleHop, when
+// configured), it returns the one minimizing |S(J)| +
+// WireWeight·Σ‖S·d̄_i‖₁, breaking ties lexicographically. The search
+// runs on the calling goroutine.
 func FindSpaceMapping(algo *uda.Algorithm, pi intmat.Vector, arrayDims int, opts *SpaceOptions) (*SpaceResult, error) {
 	return FindSpaceMappingContext(context.Background(), algo, pi, arrayDims, opts)
 }
@@ -111,7 +111,7 @@ func FindSpaceMapping(algo *uda.Algorithm, pi intmat.Vector, arrayDims int, opts
 // context stops the candidate loop promptly and the context's error is
 // returned (an interrupted search proves nothing about feasibility). An
 // int64 overflow, such as in Π·d̄ for huge dependence entries, is
-// returned as an error.
+// returned as an *intmat.OverflowError.
 func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat.Vector, arrayDims int, opts *SpaceOptions) (_ *SpaceResult, err error) {
 	defer intmat.Guard(&err)
 	if opts == nil {
@@ -130,8 +130,7 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 		return nil, fmt.Errorf("schedule: array dimensionality %d out of range [1, n-1]", arrayDims)
 	}
 	// Π is fixed across every candidate, so one checked evaluation here
-	// proves the TotalTime calls inside the worker goroutines (same
-	// inputs) cannot hit the overflow panic.
+	// covers the TotalTime of every candidate.
 	if _, err := TotalTimeChecked(pi, algo.Set); err != nil {
 		return nil, err
 	}
@@ -146,42 +145,10 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	}
 	cands.price(algo)
 	collectDur := time.Since(startAt)
-	weight := wireWeightOrDefault(opts)
-	results := make([]*SpaceResult, cands.len())
-	var bestCost atomic.Int64
-	bestCost.Store(math.MaxInt64)
 	searchAt := time.Now()
-	err = forEachCandidate(ctx, cands.len(), opts.Schedule.Workers, func(_ context.Context, i int) error {
-		if cands.pruned[i] {
-			stats.prunedOrbit.Add(1)
-			return nil
-		}
-		// The candidate's cost is at least the processor lower bound
-		// plus its exact wire term; the incumbent only decreases, so a
-		// strict > here can never discard a candidate tying the final
-		// minimum.
-		if !opts.NoPrune && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > bestCost.Load() {
-			return nil
-		}
-		r, ok, err := evaluateSpaceMapping(algo, cands, i, pi, opts)
-		if !ok {
-			return err
-		}
-		results[i] = r
-		offerMin(&bestCost, r.Cost)
-		return nil
-	})
+	best, err := cheapestSpaceMapping(ctx, algo, cands, pi, opts, stats)
 	if err != nil {
 		return nil, fmt.Errorf("schedule: space search: %w", err)
-	}
-	var best *SpaceResult
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if best == nil || r.Cost < best.Cost {
-			best = r
-		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("%w: no conflict-free space mapping with |entries| ≤ %d for Π = %v",
@@ -189,8 +156,8 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	}
 	if !opts.NoPrune {
 		// Counted after the loop, as the joint search does: the live
-		// candidates whose bound exceeds the winner's cost, the same at
-		// any worker count whichever of them the racing skip caught.
+		// candidates whose bound exceeds the winner's cost.
+		weight := wireWeightOrDefault(opts)
 		for i, pruned := range cands.pruned {
 			if !pruned && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > best.Cost {
 				stats.prunedLowerBound.Add(1)
@@ -199,19 +166,14 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	}
 	best.Candidates = cands.len()
 	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
-	if opts.Schedule.SelfCheck {
-		if err := runSelfCheck(best.Mapping); err != nil {
-			return nil, err
-		}
-	}
-	best.Stats = stats.snapshot("space-6.1", effectiveWorkers(opts.Schedule.Workers, cands.len()),
-		collectDur, time.Since(searchAt), time.Since(startAt))
+	best.Stats = stats.snapshot("space-6.1", 1, collectDur, time.Since(searchAt), time.Since(startAt))
 	best.Stats.annotateSpan(span)
 	best.Trace = trace.SummaryFromContext(ctx)
 	return best, nil
 }
 
-// effectiveWorkers mirrors forEachCandidate's clamping for reporting.
+// effectiveWorkers is the number of goroutines a level walk of count S
+// runs on when asked for workers.
 func effectiveWorkers(workers, count int) int { return max(min(workers, count), 1) }
 
 // JointResult is the outcome of the joint Problem 6.2 search.
@@ -306,11 +268,6 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	}
 	best.Candidates = cands.len()
 	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
-	if opts.Schedule.SelfCheck {
-		if err := runSelfCheck(best.Mapping); err != nil {
-			return nil, err
-		}
-	}
 	best.Stats = stats.snapshot("joint-6.2", effectiveWorkers(opts.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	best.ScheduleResult.Stats = best.Stats
@@ -353,141 +310,63 @@ func wireWeightOrDefault(opts *SpaceOptions) int64 {
 	return 1
 }
 
-// offerMin lowers v to x if x is smaller (atomic CAS loop).
-func offerMin(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x >= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
-// forEachCandidate runs fn(ctx, i) for i in [0, count) on up to
-// workers goroutines (sequentially when workers ≤ 1). fn must confine
-// writes to slots it owns. A done context stops the loop before the
-// next claim; candidates already handed out finish their fn call
-// (which observes the same context itself when it is expensive).
-//
-// The first error fn returns — or raises as an *intmat.OverflowError
-// panic — cancels the context every other call sees, so the claim loop
-// stops handing out candidates and running calls stop early. The
-// result is the error of the call: a real error wins over the
-// cancellations it caused; otherwise ctx's own error, if it ended.
-//
-// Each parallel worker runs under its own "worker" trace span carrying
-// the count of candidates it claimed — the batching level the tracing
-// layer attributes candidate work to (fn receives the worker's span
-// context, so per-candidate spans nest under it). The sequential path adds
-// no span: its work already nests under the caller's phase span.
-func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx context.Context, i int) error) error {
-	searchCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, count)
-	call := func(ctx context.Context, i int) {
-		if err := callGuarded(fn, ctx, i); err != nil {
-			errs[i] = err
-			cancel()
-		}
-	}
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			if searchCtx.Err() != nil {
-				break
-			}
-			call(searchCtx, i)
-		}
-		return searchErr(ctx, errs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wctx, span := trace.Start(searchCtx, "worker")
-			span.SetInt("worker", int64(w))
-			claimed := int64(0)
-			defer func() {
-				span.SetInt("claimed", claimed)
-				span.End()
-			}()
-			for {
-				if wctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= count {
-					return
-				}
-				claimed++
-				call(wctx, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return searchErr(ctx, errs)
-}
-
-// callGuarded is fn(ctx, i) with an *intmat.OverflowError panic
-// returned as its error.
-func callGuarded(fn func(ctx context.Context, i int) error, ctx context.Context, i int) (err error) {
+// cheapestSpaceMapping evaluates the candidates in order and returns the
+// first of least cost, nil when none is conflict-free. A candidate is
+// skipped when its processor lower bound plus its exact wire term
+// exceeds the best cost found: the best only decreases, so the strict >
+// never skips one tying the final minimum. ctx is polled before each
+// candidate; an int64 overflow is returned as an *intmat.OverflowError.
+func cheapestSpaceMapping(ctx context.Context, algo *uda.Algorithm, cands *candidates, pi intmat.Vector, opts *SpaceOptions, stats *statsCollector) (best *SpaceResult, err error) {
 	defer intmat.Guard(&err)
-	return fn(ctx, i)
-}
-
-// searchErr is the error of a candidate loop whose calls failed with
-// errs: the first real error, since the cancellations after it are its
-// consequence; else ctx's error; else any cancellation left over.
-func searchErr(ctx context.Context, errs []error) error {
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return err
+	weight := wireWeightOrDefault(opts)
+	for i, pruned := range cands.pruned {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
+		if pruned {
+			stats.prunedOrbit.Add(1)
+			continue
+		}
+		if best != nil && !opts.NoPrune && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > best.Cost {
+			continue
+		}
+		r, err := evaluateSpaceMapping(algo, cands, i, pi, opts)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		if r != nil && (best == nil || r.Cost < best.Cost) {
+			best = r
 		}
 	}
-	return nil
+	return best, nil
 }
 
 // evaluateSpaceMapping checks validity and conflict-freeness of [S; Π]
-// for candidate i and computes the Problem 6.1 metrics. The analyzer's
-// Decide subsumes the rank(T) = k test (ErrRank when Π lies in the row
-// space of S), which rejects S like a conflict does; any other decision
-// error is returned, to fail the search.
-func evaluateSpaceMapping(algo *uda.Algorithm, cands *candidates, i int, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool, error) {
+// for candidate i and computes the Problem 6.1 metrics; it returns nil
+// when the candidate fails a test of Procedure 5.1's step 5. The
+// analyzer's Decide subsumes the rank(T) = k test (ErrRank when Π lies
+// in the row space of S), which rejects S like a conflict does; any
+// other decision error is returned, to fail the search.
+func evaluateSpaceMapping(algo *uda.Algorithm, cands *candidates, i int, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, error) {
 	analyzer := cands.analyzer(i, algo.Set)
 	s := analyzer.S
 	res, err := analyzer.Decide(pi)
 	if err != nil && !errors.Is(err, conflict.ErrRank) {
-		return nil, false, err
+		return nil, err
 	}
 	if err != nil || !res.ConflictFree {
-		return nil, false, nil
+		return nil, nil
 	}
-	m := ownedMapping(algo, s, pi)
-	if opts.Schedule.Machine != nil {
-		if _, err := opts.Schedule.Machine.Decompose(s, algo.D, pi); err != nil {
-			return nil, false, nil
-		}
+	if _, ok := realize(&opts.Schedule, s, algo.D, pi); !ok {
+		return nil, nil
 	}
 	procs := countProcessorImages(s, algo.Set)
 	wire := cands.wire(i, algo.D)
-	weight := wireWeightOrDefault(opts)
 	return &SpaceResult{
-		Mapping:    m,
+		Mapping:    ownedMapping(algo, s, pi),
 		Processors: procs,
 		WireLength: wire,
-		Cost:       procs + weight*wire,
+		Cost:       procs + wireWeightOrDefault(opts)*wire,
 		Time:       TotalTime(pi, algo.Set),
-	}, true, nil
+	}, nil
 }

@@ -30,8 +30,8 @@ func TestFindSpaceMappingMatmul(t *testing.T) {
 	}
 	// The paper's S is among the feasible candidates but costs more.
 	cands, i := candidateOf(t, algo, intmat.FromRows([]int64{1, 1, -1}))
-	paper, ok, err := evaluateSpaceMapping(algo, cands, i, pi, &SpaceOptions{})
-	if err != nil || !ok {
+	paper, err := evaluateSpaceMapping(algo, cands, i, pi, &SpaceOptions{})
+	if err != nil || paper == nil {
 		t.Fatal("paper S rejected")
 	}
 	if paper.Processors != 13 {

@@ -276,10 +276,10 @@ func TestTotalTimeCheckedAgreement(t *testing.T) {
 	}
 }
 
-// TestCandCtxCapturesOverflow: try runs inside worker goroutines where
-// an overflow panic would crash the process; the candidate context must
-// capture it as an error instead, and the engine surface it via
-// takeErr.
+// TestCandCtxCapturesOverflow: step5, which runs a candidate Π through
+// the tests of one S, runs inside the walk's helper goroutines, where
+// an overflow panic would crash the process; it must record the
+// overflow as an error instead, for the engine to surface via takeErr.
 func TestCandCtxCapturesOverflow(t *testing.T) {
 	huge := int64(math.MaxInt64 - 1)
 	algo := &uda.Algorithm{
@@ -295,15 +295,17 @@ func TestCandCtxCapturesOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cctx := newCandCtx(algo, s, &Options{}, analyzer)
+	sc := conflict.GetScratch()
+	defer conflict.PutScratch(sc)
+	var errs firstErr
 	// Π = (3, 1) passes ΠD > 0, full rank and conflict-freeness
 	// (T = [[0,1],[3,1]] is nonsingular, hence injective), but its
 	// total time 1 + 3·(2^63 − 2) + 1 overflows int64.
 	pi := intmat.Vec(3, 1)
-	if _, ok := cctx.try(pi); ok {
+	if _, ok := step5(algo, &Options{}, analyzer, sc, &sc.Memo, &errs, pi); ok {
 		t.Fatal("overflowing candidate reported success")
 	}
-	err = cctx.takeErr()
+	err = errs.takeErr()
 	var oe *intmat.OverflowError
 	if !errors.As(err, &oe) {
 		t.Fatalf("takeErr() = %v, want *intmat.OverflowError", err)
@@ -311,8 +313,8 @@ func TestCandCtxCapturesOverflow(t *testing.T) {
 }
 
 // TestFindSpaceMappingOverflow: the fixed-Π search evaluates TotalTime
-// inside worker goroutines; the hoisted pre-check must convert an
-// overflowing (Π, μ) pair into an error before the fan-out.
+// for every candidate; the hoisted pre-check must convert an
+// overflowing (Π, μ) pair into an error before the candidate loop.
 func TestFindSpaceMappingOverflow(t *testing.T) {
 	huge := int64(math.MaxInt64 - 1)
 	algo := &uda.Algorithm{

@@ -246,9 +246,9 @@ func FuzzWalkerVsEnumerate(f *testing.F) {
 // streams enumerate over the levels 1…maxCost and returns the first Π
 // passing every test, with the count of ΠD > 0 passers it tested.
 func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (*Result, error) {
-	cctx := newCandCtx(algo, s, opts, analyzer)
 	sc := conflict.GetScratch()
 	defer conflict.PutScratch(sc)
+	var errs firstErr
 	candidates := 0
 	for cost := int64(1); cost <= opts.MaxCost; cost++ {
 		stats.costLevels.Add(1)
@@ -256,7 +256,9 @@ func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analy
 		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
 			if Valid(pi, algo.D) {
 				candidates++
-				found, _ = cctx.tryValid(pi, sc)
+				if p, ok := step5(algo, opts, analyzer, sc, &sc.Memo, &errs, pi); ok {
+					found = p.result(algo, s, pi)
+				}
 			}
 			return found == nil
 		})
@@ -308,7 +310,7 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 			return nil, nil, err
 		}
 		schedOpts := opts.Schedule
-		schedOpts.Workers, schedOpts.SelfCheck, schedOpts.MaxCost = 0, false, baseMaxCost
+		schedOpts.Workers, schedOpts.MaxCost = 0, baseMaxCost
 		if incT != math.MaxInt64 && incT-1 < baseMaxCost {
 			schedOpts.MaxCost = incT - 1
 		}
@@ -394,6 +396,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 	var records []ParetoMember
 	sc := conflict.GetScratch()
 	defer conflict.PutScratch(sc)
+	var errs firstErr
 	live := 0
 	for i, s := range cands {
 		if symPruned[i] {
@@ -405,17 +408,17 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 			return nil, err
 		}
 		schedOpts := opts.Space.Schedule
-		schedOpts.Workers, schedOpts.SelfCheck = 0, false
-		cctx, depCols := newCandCtx(algo, s, &schedOpts, analyzer), getWalker(algo).depCols
+		schedOpts.Workers = 0
+		depCols := getWalker(algo).depCols
 		procs, links := countProcessorImages(s, algo.Set), linkCount(s, algo.D)
 		bestBuf := int64(math.MaxInt64)
 		for cost := floor; cost <= maxCost && (cStar == math.MaxInt64 || cost <= cStar+opts.TimeSlack); cost++ {
 			var pick *Mapping
 			var pickBuf, pickAt int64
 			for at, pi := range level(cost) {
-				if r, ok := cctx.tryValid(pi, sc); ok {
+				if p, ok := step5(algo, &schedOpts, analyzer, sc, &sc.Memo, &errs, pi); ok {
 					if b := bufferDepth(pi, depCols); pick == nil || b < pickBuf {
-						pick, pickBuf, pickAt = r.Mapping, b, int64(at)
+						pick, pickBuf, pickAt = p.result(algo, s, pi).Mapping, b, int64(at)
 					}
 				}
 			}
@@ -643,9 +646,9 @@ func TestSearchOverflowIsAnError(t *testing.T) {
 		check(fmt.Sprintf("FindJointMapping workers=%d", workers), err)
 		_, err = FindPareto(algo, 1, &ParetoOptions{Space: SpaceOptions{Schedule: Options{Workers: workers}}, TimeSlack: 1})
 		check(fmt.Sprintf("FindPareto workers=%d", workers), err)
-		_, err = FindSpaceMapping(algo, intmat.Vec(1, 3), 1, &SpaceOptions{Schedule: Options{Workers: workers}})
-		check(fmt.Sprintf("FindSpaceMapping workers=%d", workers), err)
 	}
+	_, err := FindSpaceMapping(algo, intmat.Vec(1, 3), 1, nil)
+	check("FindSpaceMapping", err)
 	d = intmat.New(2, 1)
 	d.SetCol(0, []int64{1 << 62, 1 << 62})
 	algo = &uda.Algorithm{Name: "huge-image", Set: uda.IndexSet{Upper: intmat.Vec(3, 3)}, D: d}

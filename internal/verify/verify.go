@@ -31,15 +31,14 @@
 //
 // For the same reason, this package stays on intmat's allocating API
 // (HermiteNormalForm, SmithNormalForm, Mul, …) rather than the
-// arena/scratch machinery the search engines use (DESIGN.md §11): the
-// allocating wrappers are one-line shims over the same *Into
-// arithmetic, so the referee exercises identical math with fresh heap
-// storage per call and no aliasing against a searcher's scratch state.
-// Verification runs once per result; allocation here is noise.
+// arena/scratch machinery the search engines use (DESIGN.md §11), so
+// the referee works on fresh heap storage per call with no aliasing
+// against a searcher's scratch state. Verification runs once per
+// result; allocation here is noise.
 //
-// Importing this package (directly, or through the mapping facade or
-// internal/service) registers the self-checker hook that powers
-// schedule.Options.SelfCheck.
+// Every boundary that hands out a search result certifies it
+// explicitly: mapfind -verify, the service's map and Pareto paths, the
+// corpus replay and the mapping facade's Verify.
 package verify
 
 import (
@@ -55,19 +54,6 @@ import (
 	"lodim/internal/trace"
 	"lodim/internal/uda"
 )
-
-func init() {
-	schedule.RegisterSelfChecker(func(m *schedule.Mapping) error {
-		// Winner certification: correctness witnesses only. The
-		// optimality bound is skipped — it re-enumerates the Π cone the
-		// search just walked, doubling search cost for no extra safety.
-		cert, err := VerifyMapping(m, &Options{SkipOptimality: true})
-		if err != nil {
-			return err
-		}
-		return cert.Err()
-	})
-}
 
 // Witness names, used in FailureError.Witness and
 // Certificate.FailedWitness so callers (and the acceptance tests) can
@@ -125,7 +111,8 @@ type Options struct {
 	Simulate      bool
 	SimulateLimit int64
 	// SkipOptimality skips the lower-bound analysis; Optimality is
-	// left empty. Used by the schedule.Options.SelfCheck hook.
+	// left empty. Callers certifying a search's winner set it: the
+	// bound re-enumerates the Π cone the search just walked.
 	SkipOptimality bool
 	// OptimalityBudget bounds the candidates of the exact Π-cone
 	// search (0 = DefaultOptimalityBudget).

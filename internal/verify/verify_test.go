@@ -276,37 +276,6 @@ func TestCertificateJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSelfCheckHook(t *testing.T) {
-	// Importing this package must have registered the schedule hook.
-	algo := uda.MatMul(3)
-	s := intmat.FromRows([]int64{1, 1, -1})
-	res, err := schedule.FindOptimal(algo, s, &schedule.Options{SelfCheck: true})
-	if err != nil {
-		t.Fatalf("FindOptimal with SelfCheck: %v", err)
-	}
-	if res.Mapping == nil {
-		t.Fatal("no mapping returned")
-	}
-	joint, err := schedule.FindJointMapping(algo, 1, &schedule.SpaceOptions{
-		Schedule: schedule.Options{SelfCheck: true},
-	})
-	if err != nil {
-		t.Fatalf("FindJointMapping with SelfCheck: %v", err)
-	}
-	if joint.Mapping == nil {
-		t.Fatal("no joint mapping returned")
-	}
-	space, err := schedule.FindSpaceMapping(algo, intmat.Vec(1, 3, 1), 1, &schedule.SpaceOptions{
-		Schedule: schedule.Options{SelfCheck: true},
-	})
-	if err != nil {
-		t.Fatalf("FindSpaceMapping with SelfCheck: %v", err)
-	}
-	if space.Mapping == nil {
-		t.Fatal("no space mapping returned")
-	}
-}
-
 func TestDeepCodimensionEnumeration(t *testing.T) {
 	// k = 1, n = 3: two basis vectors, so the verdict needs the
 	// independent lattice sweep, not just per-basis feasibility.
