@@ -771,18 +771,14 @@ func BenchmarkJobLifecycle(b *testing.B) {
 }
 
 // BenchmarkExactVsBruteForce quantifies the decision procedures: the
-// lattice enumeration versus the definitional brute force on the
-// Example 2.1 instance.
+// exact decision (conflict.Decide's criterion ladder) versus the
+// definitional brute force on the Example 2.1 instance.
 func BenchmarkExactVsBruteForce(b *testing.B) {
 	T := intmat.FromRows([]int64{1, 7, 1, 1}, []int64{1, 7, 1, 0})
 	set := uda.Cube(4, 6)
 	b.Run("exact-lattice", func(b *testing.B) {
-		a, err := conflict.Analyze(T, set)
-		if err != nil {
-			b.Fatal(err)
-		}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := a.ExactDecision(); err != nil {
+			if _, err := conflict.Decide(T, set); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -108,7 +108,7 @@ type Result struct {
 	// leave it nil).
 	Witness intmat.Vector
 	// Method names the deciding criterion, e.g. "theorem-3.1",
-	// "theorem-4.7", "exact-enumeration".
+	// "theorem-4.7", "exact-factored-fallback".
 	Method string
 }
 
@@ -122,65 +122,41 @@ func (r Result) String() string {
 	return fmt.Sprintf("has conflicts (%s)", r.Method)
 }
 
-// Decide determines conflict-freeness of T over the index set using the
-// strongest applicable criterion from the paper:
-//
-//	k = n   — rank(T) = n makes τ injective on Z^n: always conflict-free.
-//	k = n−1 — Theorem 3.1: the unique conflict vector decides (exact in
-//	          both directions).
-//	k = n−2 — Theorem 4.7 as a fast path confirming conflict-freeness.
-//	k = n−3 — Theorem 4.8, likewise.
-//	any k   — the exact bounded-lattice enumeration as the fallback.
-//
-// The paper states Theorems 4.7 and 4.8 as necessary and sufficient,
-// but the necessity direction has a gap: when a row of the null basis
-// has mixed signs, |u_{i,n−1} + u_{i,n}| can exceed μ_i even though the
-// row fails the same-sign requirement, so a matrix can be conflict-free
-// with condition (1) violated (see the package tests, which exhibit
-// such matrices). Decide therefore treats the theorem conditions as
-// sufficient certificates and resolves the remaining cases with the
-// exact enumeration, keeping the overall decision exact in both
-// directions.
-func Decide(t *intmat.Matrix, set uda.IndexSet) (Result, error) {
-	a, err := Analyze(t, set)
+// Decide determines conflict-freeness of T over the index set. It
+// splits T = [S; Π] into its first k−1 rows and its last row and runs
+// SpaceAnalyzer.Decide, the criterion ladder of the paper: k = n is
+// always conflict-free (rank(T) = n makes τ injective on Z^n), k = n−1
+// is decided by Theorem 3.1's unique conflict vector, Theorems 4.7 and
+// 4.8 certify k = n−2 and n−3, and Theorem 2.2 on the Theorem 4.2
+// lattice decides the rest. A T without rows maps all of Z^n to one
+// point: its conflict lattice is Z^n itself. ErrRank is returned when
+// T does not have full row rank, and an int64 overflow as an
+// *intmat.OverflowError.
+func Decide(t *intmat.Matrix, set uda.IndexSet) (_ Result, err error) {
+	defer intmat.Guard(&err)
+	if t.Cols() != set.Dim() {
+		return Result{}, fmt.Errorf("conflict: T has %d columns, index set dimension is %d", t.Cols(), set.Dim())
+	}
+	k := t.Rows()
+	s := intmat.New(max(k-1, 0), t.Cols())
+	for i := 0; i < k-1; i++ {
+		s.SetRow(i, t.Row(i))
+	}
+	sa, err := NewSpaceAnalyzer(s, set)
+	if errors.Is(err, intmat.ErrRankDeficient) {
+		return Result{}, ErrRank
+	}
 	if err != nil {
 		return Result{}, err
 	}
-	k, n := a.K(), a.N()
-	switch {
-	case k >= n:
-		return Result{ConflictFree: true, Method: "full-rank-injective"}, nil
-	case k == n-1:
-		gamma, err := UniqueConflictVector(t)
-		if err != nil {
-			return Result{}, err
+	if k == 0 {
+		ar := intmat.GetArena()
+		defer intmat.PutArena(ar)
+		res, err := sa.decideFromBasis(ar, sa.W)
+		if res.Witness != nil {
+			res.Witness = res.Witness.Clone() // off the arena PutArena recycles
 		}
-		if Feasible(set, gamma) {
-			return Result{ConflictFree: true, Method: "theorem-3.1"}, nil
-		}
-		return Result{ConflictFree: false, Witness: gamma, Method: "theorem-3.1"}, nil
-	case k == n-2:
-		if a.Theorem47() {
-			return Result{ConflictFree: true, Method: "theorem-4.7"}, nil
-		}
-		return a.exactResult("exact-after-4.7")
-	case k == n-3:
-		if a.Theorem48() {
-			return Result{ConflictFree: true, Method: "theorem-4.8"}, nil
-		}
-		return a.exactResult("exact-after-4.8")
-	default:
-		if a.Theorem45() {
-			return Result{ConflictFree: true, Method: "theorem-4.5"}, nil
-		}
-		return a.exactResult("exact-enumeration")
+		return res, err
 	}
-}
-
-func (a *Analysis) exactResult(method string) (Result, error) {
-	free, witness, err := a.ExactDecision()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{ConflictFree: free, Witness: witness, Method: method}, nil
+	return sa.Decide(t.Row(k - 1))
 }

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"lodim/internal/intmat"
@@ -208,6 +209,30 @@ func TestUniqueConflictVectorAgreesWithAdjugateForm(t *testing.T) {
 	}
 }
 
+// TestDecideCodimensionOneIsTheorem31: at k = n−1 Decide's verdict is
+// Theorem 3.1 on the closed-form unique conflict vector, and a conflict
+// is reported with that vector as witness.
+func TestDecideCodimensionOneIsTheorem31(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(4)
+		T := randFullRank(rng, n-1, n, 3)
+		set := uda.Cube(n, 1+int64(rng.Intn(3)))
+		res, err := Decide(T, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gamma, err := UniqueConflictVector(T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		free := Feasible(set, gamma)
+		if res.Method != "theorem-3.1" || res.ConflictFree != free || !free && !res.Witness.Equal(gamma) {
+			t.Fatalf("Decide(%v, μ=%v) = %v; want theorem-3.1 on γ = %v (feasible %v)", T, set.Upper, res, gamma, free)
+		}
+	}
+}
+
 func TestUniqueConflictVectorRankDeficient(t *testing.T) {
 	T := intmat.FromRows([]int64{1, 2, 3}, []int64{2, 4, 6})
 	if _, err := UniqueConflictVector(T); !errors.Is(err, ErrRank) {
@@ -262,6 +287,42 @@ func TestDecideFullRank(t *testing.T) {
 	}
 	if !res.ConflictFree || res.Method != "full-rank-injective" {
 		t.Errorf("Decide = %v", res)
+	}
+}
+
+// TestDecideEdgeInputs pins the answers on inputs the split T = [S; Π]
+// must treat as the paper does: a T whose decision passes int64 is
+// answered with an *intmat.OverflowError value, not a panic; a T
+// without rows has the conflict lattice Z^n; a rank-deficient T (in S,
+// in Π, or with k > n) is ErrRank; and a column mismatch names T.
+func TestDecideEdgeInputs(t *testing.T) {
+	big := int64(1) << 40
+	res, err := Decide(intmat.FromRows([]int64{big, big, 3}, []int64{big, 7, 2 * big}), uda.Box(2, 2, 2))
+	var oe *intmat.OverflowError
+	if !errors.As(err, &oe) {
+		t.Errorf("entries near 2^40: Decide = %v, %v; want *intmat.OverflowError", res, err)
+	}
+	for n := 1; n <= 4; n++ {
+		res, err := Decide(intmat.New(0, n), uda.Cube(n, 2))
+		if err != nil || res.ConflictFree || res.Witness == nil || Feasible(uda.Cube(n, 2), res.Witness) {
+			t.Errorf("no rows, n=%d: Decide = %v, %v; want a conflict with a non-feasible witness", n, res, err)
+		}
+	}
+	set := uda.Cube(3, 2)
+	for _, T := range []*intmat.Matrix{
+		intmat.FromRows([]int64{1, 2, 3}, []int64{2, 4, 6}, []int64{1, 0, 0}),
+		intmat.FromRows([]int64{0, 0, 0}, []int64{1, 0, 0}),
+		intmat.FromRows([]int64{1, 2, 3}, []int64{2, 4, 6}),
+		intmat.FromRows([]int64{0, 0, 0}),
+		intmat.FromRows([]int64{1, 0, 0}, []int64{0, 1, 0}, []int64{0, 0, 1}, []int64{1, 1, 1}),
+	} {
+		if res, err := Decide(T, set); !errors.Is(err, ErrRank) {
+			t.Errorf("Decide(%v) = %v, %v; want ErrRank", T, res, err)
+		}
+	}
+	_, err = Decide(intmat.FromRows([]int64{1, 2}), set)
+	if want := "conflict: T has 2 columns, index set dimension is 3"; err == nil || err.Error() != want {
+		t.Errorf("column mismatch: %v, want %q", err, want)
 	}
 }
 

@@ -123,11 +123,10 @@ func sizeReduceBasis(basis []intmat.Vector) {
 }
 
 // Decide determines conflict-freeness of [S; Π] exactly, using the
-// factored basis and the same criterion ladder as the package-level
-// Decide. It runs the fresh decision of DecideScratch on a pooled
-// scratch, without the conflict-vector table or the decision cache.
-// ErrRank is returned when Π is a rational combination of the rows of
-// S (rank(T) < k).
+// factored basis and the criterion ladder of decideFromBasis. It runs
+// the fresh decision of DecideMemo on a pooled scratch, without the
+// conflict-vector table or the decision cache. ErrRank is returned when
+// Π is a rational combination of the rows of S (rank(T) < k).
 func (sa *SpaceAnalyzer) Decide(pi intmat.Vector) (Result, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
@@ -146,6 +145,18 @@ func (sa *SpaceAnalyzer) Decide(pi intmat.Vector) (Result, error) {
 // of the conflict-vector lattice of [S; Π], with scratch from ar. The
 // basis may be arena-backed, and so is the Result's witness: it is
 // valid until ar's next Reset.
+//
+// The ladder follows the basis size q = n − k: q = 0 is injective,
+// q = 1 is Theorem 3.1, Theorems 4.7 (q = 2), 4.8 (q = 3) and 4.5
+// (q ≥ 4) certify conflict-freeness, and Theorem 2.2 on the lattice
+// decides what they leave. The paper states Theorems 4.7 and 4.8 as
+// necessary and sufficient, but the necessity direction has a gap: when
+// a row of the null basis has mixed signs, |u_{i,n−1} + u_{i,n}| can
+// exceed μ_i even though the row fails the same-sign requirement, so a
+// matrix can be conflict-free with condition (1) violated (the package
+// tests exhibit such matrices). The ladder therefore treats the theorem
+// conditions as sufficient certificates only and resolves the remaining
+// cases exactly, keeping the decision exact in both directions.
 func (sa *SpaceAnalyzer) decideFromBasis(ar *intmat.Arena, basis []intmat.Vector) (Result, error) {
 	set := sa.Set
 	switch len(basis) {

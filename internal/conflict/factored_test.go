@@ -218,14 +218,6 @@ func BenchmarkFactoredVsFullDecide(b *testing.B) {
 			}
 		}
 	})
-	b.Run("full", func(b *testing.B) {
-		T := S.AppendRow(pi)
-		for i := 0; i < b.N; i++ {
-			if _, err := Decide(T, set); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // TestSizeReduceBasisFixpoint: sizeReduceBasis ends at a fixpoint, so

@@ -54,7 +54,7 @@ func FuzzDecideVsBruteForce(f *testing.F) {
 }
 
 // FuzzFactoredVsFull cross-checks the factored SpaceAnalyzer against
-// the full decision on arbitrary 1×3 space mappings and schedules.
+// the brute force on arbitrary 1×3 space mappings and schedules.
 func FuzzFactoredVsFull(f *testing.F) {
 	f.Add(int8(1), int8(1), int8(-1), int8(1), int8(4), int8(1), uint8(4))
 	f.Add(int8(0), int8(0), int8(1), int8(5), int8(1), int8(1), uint8(4))
@@ -78,13 +78,9 @@ func FuzzFactoredVsFull(f *testing.F) {
 		if err != nil {
 			t.Fatalf("factored: %v", err)
 		}
-		slow, err := Decide(T, set)
-		if err != nil {
-			t.Fatalf("full: %v", err)
-		}
-		if fast.ConflictFree != slow.ConflictFree {
-			t.Fatalf("factored=%v full=%v for S=%v Π=%v μ=%d",
-				fast.ConflictFree, slow.ConflictFree, S.Row(0), pi, mu)
+		if free, bf := BruteForce(T, set); fast.ConflictFree != free {
+			t.Fatalf("factored=%v brute force=%v (witness %v) for S=%v Π=%v μ=%d",
+				fast.ConflictFree, free, bf, S.Row(0), pi, mu)
 		}
 	})
 }
@@ -133,7 +129,7 @@ func FuzzDecideScratchVsBruteForce(f *testing.F) {
 				pi[j] = entry()
 			}
 			T := S.AppendRow(pi)
-			res, err := sa.DecideScratch(sc, pi)
+			res, err := sa.DecideMemo(sc, &sc.Memo, pi)
 			if T.Rank() != rows+1 {
 				if !errors.Is(err, ErrRank) {
 					t.Fatalf("S=%v Π=%v: rank-deficient T answered %v, %v", S, pi, res, err)
@@ -145,7 +141,7 @@ func FuzzDecideScratchVsBruteForce(f *testing.F) {
 			}
 			free, bf := BruteForce(T, set)
 			if res.ConflictFree != free {
-				t.Fatalf("S=%v Π=%v μ=%v: DecideScratch %v, brute force conflict-free=%v (witness %v)", S, pi, mu, res, free, bf)
+				t.Fatalf("S=%v Π=%v μ=%v: DecideMemo %v, brute force conflict-free=%v (witness %v)", S, pi, mu, res, free, bf)
 			}
 			if g := res.Witness; !res.ConflictFree && g != nil {
 				if g.IsZero() || !T.MulVec(g).IsZero() || Feasible(set, g) {
@@ -192,7 +188,7 @@ func guarded(decide func() (Result, error)) (res Result, err error) {
 // FuzzDeepNullSpaceVsBruteForce checks the decisions on null spaces of
 // dimension up to 5: S has one or two rows (s2 empty for one), n =
 // len(muRaw) is 6 or 7, and μ_i = 1 + muRaw[i] mod 3. Decide,
-// SpaceAnalyzer.Decide and DecideScratch must each agree with the
+// SpaceAnalyzer.Decide and DecideMemo must each agree with the
 // brute force, and a conflict's witness must be an in-box null vector
 // of T. The seeds are two mappings whose exact step once passed its
 // point budget: S = (1 3 9 27 81 243 729) with μ = 2 and Π = (1, …, 1),
@@ -244,7 +240,7 @@ func FuzzDeepNullSpaceVsBruteForce(f *testing.F) {
 		}{
 			{"Decide", func() (Result, error) { return Decide(T, set) }},
 			{"SpaceAnalyzer.Decide", func() (Result, error) { return sa.Decide(pi) }},
-			{"DecideScratch", func() (Result, error) { return sa.DecideScratch(sc, pi) }},
+			{"DecideMemo", func() (Result, error) { return sa.DecideMemo(sc, &sc.Memo, pi) }},
 		}
 		for _, d := range deciders {
 			res, err := guarded(d.decide)

@@ -12,10 +12,10 @@ import (
 // Scratch carries the per-goroutine state that makes repeated conflict
 // decisions allocation-free: an arena for the decomposition scratch,
 // the reused vectors of a decision, and the slab that lends storage to
-// the memos bound through it. Its embedded Memo is the decision state
-// DecideScratch uses; DecideMemo takes another one, so a goroutine can
-// serve many space mappings, each keeping its own Memo. A Scratch is
-// not safe for concurrent use; the engines keep one per goroutine.
+// the memos bound through it. DecideMemo takes the Memo to decide with,
+// its embedded one or another, so a goroutine can serve many space
+// mappings, each keeping its own Memo. A Scratch is not safe for
+// concurrent use; the engines keep one per goroutine.
 type Scratch struct {
 	Memo
 	// table counts the decisions made with sc that a conflict-vector
@@ -310,13 +310,6 @@ func (sa *SpaceAnalyzer) project(sc *Scratch, pi intmat.Vector) (intmat.Vector, 
 		return nil, ErrRank
 	}
 	return h, nil
-}
-
-// DecideScratch is Decide with scratch-backed storage, the
-// conflict-vector table and the decision cache of sc's own Memo; see
-// DecideMemo.
-func (sa *SpaceAnalyzer) DecideScratch(sc *Scratch, pi intmat.Vector) (Result, error) {
-	return sa.DecideMemo(sc, &sc.Memo, pi)
 }
 
 // DecideMemo is Decide with sc's storage and m's conflict-vector table

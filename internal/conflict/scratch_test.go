@@ -54,13 +54,13 @@ func TestDecideScratchAgreesWithDecide(t *testing.T) {
 				pis = append(pis, pi)
 			}
 			want, wantErr := sa.Decide(pi)
-			got, gotErr := sa.DecideScratch(sc, pi)
+			got, gotErr := sa.DecideMemo(sc, &sc.Memo, pi)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("error mismatch: Decide=%v DecideScratch=%v (S=\n%v Π=%v)", wantErr, gotErr, S, pi)
+				t.Fatalf("error mismatch: Decide=%v DecideMemo=%v (S=\n%v Π=%v)", wantErr, gotErr, S, pi)
 			}
 			if wantErr != nil {
 				if errors.Is(wantErr, ErrRank) != errors.Is(gotErr, ErrRank) {
-					t.Fatalf("error class mismatch: Decide=%v DecideScratch=%v", wantErr, gotErr)
+					t.Fatalf("error class mismatch: Decide=%v DecideMemo=%v", wantErr, gotErr)
 				}
 				continue
 			}
@@ -109,7 +109,7 @@ func TestDecideScratchRebind(t *testing.T) {
 	pi := intmat.Vec(2, 0, 1)
 	for _, sa := range []*SpaceAnalyzer{sa1, sa2, sa1} {
 		want, err1 := sa.Decide(pi)
-		got, err2 := sa.DecideScratch(sc, pi)
+		got, err2 := sa.DecideMemo(sc, &sc.Memo, pi)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("errors: %v %v", err1, err2)
 		}
@@ -137,16 +137,16 @@ func TestDecideScratchHitAllocFree(t *testing.T) {
 	sc := GetScratch()
 	defer PutScratch(sc)
 	pi := intmat.Vec(4, 1, 2)
-	if _, err := sa.DecideScratch(sc, pi); err != nil { // populate the cache
+	if _, err := sa.DecideMemo(sc, &sc.Memo, pi); err != nil { // populate the cache
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := sa.DecideScratch(sc, pi); err != nil {
+		if _, err := sa.DecideMemo(sc, &sc.Memo, pi); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got > 0 {
-		t.Fatalf("cache-hit DecideScratch allocated %.1f objects/op, want 0", got)
+		t.Fatalf("cache-hit DecideMemo allocated %.1f objects/op, want 0", got)
 	}
 	_, hits, _ := sc.TakeStats()
 	if hits == 0 {
@@ -184,7 +184,7 @@ func TestScratchReuseAfterLargeSearch(t *testing.T) {
 	// cache once; it then stores on.
 	stored := 0
 	for stored <= scratchCacheLimit+100 {
-		if _, err := big.DecideScratch(sc, randPi(40)); err == nil {
+		if _, err := big.DecideMemo(sc, &sc.Memo, randPi(40)); err == nil {
 			_, _, misses := sc.TakeStats()
 			stored += int(misses)
 		}
@@ -204,8 +204,8 @@ func TestScratchReuseAfterLargeSearch(t *testing.T) {
 		fresh := GetScratch()
 		defer PutScratch(fresh)
 		for _, pi := range pis {
-			want, wantErr := next.DecideScratch(fresh, pi)
-			got, gotErr := next.DecideScratch(sc, pi)
+			want, wantErr := next.DecideMemo(fresh, &fresh.Memo, pi)
+			got, gotErr := next.DecideMemo(sc, &sc.Memo, pi)
 			if (wantErr == nil) != (gotErr == nil) || got.ConflictFree != want.ConflictFree {
 				t.Fatalf("%s: Π=%v verdict %v (%v), fresh scratch %v (%v)", what, pi, got.ConflictFree, gotErr, want.ConflictFree, wantErr)
 			}
@@ -240,9 +240,9 @@ func TestDecideScratchPastTableCap(t *testing.T) {
 			pi[i] = rng.Int63n(7) - 3
 		}
 		want, wantErr := sa.Decide(pi)
-		got, gotErr := sa.DecideScratch(sc, pi)
+		got, gotErr := sa.DecideMemo(sc, &sc.Memo, pi)
 		if (wantErr == nil) != (gotErr == nil) || got.ConflictFree != want.ConflictFree {
-			t.Fatalf("Π=%v: DecideScratch %v (%v), Decide %v (%v)", pi, got, gotErr, want, wantErr)
+			t.Fatalf("Π=%v: DecideMemo %v (%v), Decide %v (%v)", pi, got, gotErr, want, wantErr)
 		}
 	}
 	if sc.tabOK {

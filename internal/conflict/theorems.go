@@ -8,9 +8,9 @@ import (
 	"lodim/internal/uda"
 )
 
-// This file implements the general-case machinery of Section 4: the
-// exact decision procedure built on the Theorem 4.2 representation, and
-// the closed-form conditions of Theorems 4.3, 4.4, 4.5, 4.6, 4.7, 4.8.
+// This file implements the closed-form conditions of Section 4,
+// Theorems 4.3, 4.4, 4.5, 4.6, 4.7 and 4.8, on the Theorem 4.2
+// representation of the conflict vectors.
 
 // ErrBudget reports that the exact enumeration would visit more lattice
 // points than its budget allows.
@@ -22,23 +22,6 @@ var ErrBudget = errors.New("conflict: exact enumeration budget exceeded")
 // there stays within it here. The mapping problems of the paper stay
 // far below it.
 const enumBudget = 50_000_000
-
-// ExactDecision decides conflict-freeness exactly for any k < n: T has
-// a computational conflict iff the null lattice of T contains a nonzero
-// vector γ with |γ_i| ≤ μ_i for all i (by Theorem 2.2 such a γ is a
-// non-feasible conflict vector after division by its gcd). It walks the
-// in-box vectors of the null basis of Theorem 4.2 (walkBox) and stops
-// at the first; the returned witness, when present, is that canonical
-// non-feasible conflict vector.
-func (a *Analysis) ExactDecision() (conflictFree bool, witness intmat.Vector, err error) {
-	ar := intmat.GetArena()
-	defer intmat.PutArena(ar)
-	witness, err = exactWitness(ar, a.NullBasis(), a.Set.Upper)
-	if witness != nil {
-		witness = witness.Clone() // off the arena PutArena recycles
-	}
-	return err == nil && witness == nil, witness, err
-}
 
 // Theorem43 checks necessary condition 2: in every column of V = U⁻¹,
 // at least one of the first k entries must be non-zero. A violation

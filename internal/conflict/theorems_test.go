@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -23,8 +24,9 @@ func randFullRank(rng *rand.Rand, k, n int, amp int64) *intmat.Matrix {
 }
 
 // TestExactMatchesBruteForce is the central correctness test: the
-// HNF-based exact decision agrees with the definitional brute force on
-// hundreds of random mapping matrices across shapes.
+// exact decision agrees with the definitional brute force on hundreds
+// of random mapping matrices across shapes, and every conflict it
+// reports comes with a non-feasible conflict vector.
 func TestExactMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ k, n int }{{1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}, {1, 4}}
@@ -32,14 +34,11 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 120; trial++ {
 			T := randFullRank(rng, sh.k, sh.n, 4)
 			set := uda.Cube(sh.n, 1+int64(rng.Intn(3)))
-			a, err := Analyze(T, set)
+			res, err := Decide(T, set)
 			if err != nil {
-				t.Fatalf("Analyze: %v", err)
+				t.Fatalf("Decide(%v): %v", T, err)
 			}
-			gotFree, witness, err := a.ExactDecision()
-			if err != nil {
-				t.Fatalf("ExactDecision(%v): %v", T, err)
-			}
+			gotFree, witness := res.ConflictFree, res.Witness
 			wantFree, bfWitness := BruteForce(T, set)
 			if gotFree != wantFree {
 				t.Fatalf("shape %dx%d μ=%v:\n%v\nexact says free=%v, brute force says %v (bf witness %v)",
@@ -131,12 +130,12 @@ func TestTheorem47NecessityGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, witness, err := a.ExactDecision()
+	res, err := Decide(T, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !free {
-		t.Fatalf("construction is not conflict-free (witness %v); adjust the example", witness)
+	if !res.ConflictFree {
+		t.Fatalf("construction is not conflict-free (%v); adjust the example", res)
 	}
 	if bfFree, w := BruteForce(T, set); !bfFree {
 		t.Fatalf("brute force found conflict %v", w)
@@ -144,17 +143,10 @@ func TestTheorem47NecessityGap(t *testing.T) {
 	if a.Theorem47() {
 		t.Skip("Theorem 4.7 conditions hold for the computed basis; gap not exhibited by this U")
 	}
-	// The gap: conflict-free, yet Theorem 4.7 says no. Decide must still
-	// answer correctly via the exact fallback.
-	res, err := Decide(T, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ConflictFree {
-		t.Errorf("Decide = %v, want conflict-free via exact fallback", res)
-	}
-	if res.Method != "exact-after-4.7" {
-		t.Errorf("Decide method = %s, want exact-after-4.7", res.Method)
+	// The gap: conflict-free, yet Theorem 4.7 says no. Decide must
+	// answer through the exact fallback.
+	if res.Method != "exact-factored-fallback" {
+		t.Errorf("Decide method = %s, want exact-factored-fallback", res.Method)
 	}
 }
 
@@ -270,13 +262,6 @@ func TestTheorem48ConstructedPositive(t *testing.T) {
 	if !a.Theorem48() {
 		t.Errorf("Theorem 4.8 rejected the constructed positive; basis = %v", a.NullBasis())
 	}
-	free, witness, err := a.ExactDecision()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !free {
-		t.Errorf("exact decision found conflict %v", witness)
-	}
 	res, err := Decide(T, set)
 	if err != nil {
 		t.Fatal(err)
@@ -367,17 +352,14 @@ func TestExample41NonFeasibleCombination(t *testing.T) {
 		[]int64{1, 7, 1, 0},
 	)
 	set := uda.Cube(4, 6)
-	a, err := Analyze(T, set)
+	res, err := Decide(T, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, witness, err := a.ExactDecision()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free {
+	if res.ConflictFree {
 		t.Fatal("Example 4.1 matrix reported conflict-free")
 	}
+	witness := res.Witness
 	// The canonical non-feasible vector is [1,0,-1,0] (or another vector
 	// inside the box); verify the witness is genuinely inside the box.
 	for i, g := range witness {
@@ -400,33 +382,29 @@ func TestTheorem47PanicsOnWrongCodimension(t *testing.T) {
 	a.Theorem47()
 }
 
-func TestExactDecisionBudget(t *testing.T) {
-	// A huge box with a dense V forces the budget error.
-	T := intmat.FromRows([]int64{1, 1000000, 1, 1}, []int64{1, 1, 1000000, 1})
-	set := uda.Cube(4, 1000000)
-	a, err := Analyze(T, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = a.ExactDecision()
-	if err == nil {
-		t.Skip("budget not exceeded at this scale")
+// TestDecideBudget: the Theorem 4.7 necessity-gap lattice scaled by
+// a = 10⁵, u1 = (10a, −2a, 1, 0) and u2 = (−2a, 10a, 0, 1), on the box
+// μ = (5a, 5a, 10⁶, 10⁶). No certificate holds and no basis vector, sum
+// or difference lies in the box, so the decision falls to the lattice
+// walk, whose smallest box of two free coordinates holds (10a + 1)²
+// points, past enumBudget.
+func TestDecideBudget(t *testing.T) {
+	const a = 100_000
+	T := intmat.FromRows([]int64{1, 0, -10 * a, 2 * a}, []int64{0, 1, 2 * a, -10 * a})
+	set := uda.Box(5*a, 5*a, 1_000_000, 1_000_000)
+	if res, err := Decide(T, set); !errors.Is(err, ErrBudget) {
+		t.Fatalf("Decide = %v, %v; want ErrBudget", res, err)
 	}
 }
 
-func BenchmarkExactDecision2x4(b *testing.B) {
+func BenchmarkDecide2x4(b *testing.B) {
 	T := intmat.FromRows(
 		[]int64{1, 7, 1, 1},
 		[]int64{1, 7, 1, 0},
 	)
 	set := uda.Cube(4, 6)
-	a, err := Analyze(T, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.ExactDecision(); err != nil {
+		if _, err := Decide(T, set); err != nil {
 			b.Fatal(err)
 		}
 	}

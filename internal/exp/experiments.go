@@ -336,10 +336,11 @@ func Gap() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	free, _, err := an.ExactDecision()
+	res, err := conflict.Decide(T, set)
 	if err != nil {
 		return nil, err
 	}
+	free := res.ConflictFree
 	bfFree, _ := conflict.BruteForce(T, set)
 	a.Figures = append(a.Figures, fmt.Sprintf("T:\n%v\nμ = %v\nnull basis: %v", T, set.Upper, an.NullBasis()))
 	a.Tables = append(a.Tables, Table{Columns: []string{"check", "result"}, Rows: [][]string{

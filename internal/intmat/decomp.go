@@ -3,72 +3,12 @@ package intmat
 import "fmt"
 
 // Det returns the determinant of a square matrix, computed exactly with
-// fraction-free Bareiss elimination. Intermediate values that overflow
-// int64 are transparently recomputed with arbitrary precision; the
-// function panics with *OverflowError only if the determinant itself
-// does not fit in int64. It panics if m is not square.
-func (m *Matrix) Det() int64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("intmat: Det of non-square %dx%d matrix", m.rows, m.cols))
-	}
-	if d, ok := m.detInt64Try(); ok {
-		return d
-	}
-	return m.detBig()
-}
-
-// detInt64Try runs the int64 fast path, reporting ok = false when the
-// intermediate arithmetic overflows.
-func (m *Matrix) detInt64Try() (d int64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isOverflow := r.(*OverflowError); isOverflow {
-				ok = false
-				return
-			}
-			panic(r)
-		}
-	}()
-	return m.detInt64(), true
-}
-
-func (m *Matrix) detInt64() int64 {
-	n := m.rows
-	if n == 0 {
-		return 1
-	}
-	w := m.Clone()
-	sign := int64(1)
-	prev := int64(1)
-	for k := 0; k < n-1; k++ {
-		// Pivot: find a non-zero entry in column k at or below row k.
-		if w.At(k, k) == 0 {
-			p := -1
-			for i := k + 1; i < n; i++ {
-				if w.At(i, k) != 0 {
-					p = i
-					break
-				}
-			}
-			if p < 0 {
-				return 0
-			}
-			w.swapRows(k, p)
-			sign = -sign
-		}
-		pkk := w.At(k, k)
-		for i := k + 1; i < n; i++ {
-			for j := k + 1; j < n; j++ {
-				// Bareiss update: exact division by the previous pivot.
-				num := subChecked(mulChecked(w.At(i, j), pkk), mulChecked(w.At(i, k), w.At(k, j)))
-				w.Set(i, j, num/prev)
-			}
-			w.Set(i, k, 0)
-		}
-		prev = pkk
-	}
-	return mulChecked(sign, w.At(n-1, n-1))
-}
+// fraction-free Bareiss elimination (DetIn on heap scratch).
+// Intermediate values that overflow int64 are transparently recomputed
+// with arbitrary precision; the function panics with *OverflowError
+// only if the determinant itself does not fit in int64. It panics if m
+// is not square.
+func (m *Matrix) Det() int64 { return DetIn(nil, m) }
 
 // Rank returns the rank of m, computed exactly with fraction-free
 // Bareiss elimination with full pivoting.
@@ -108,34 +48,10 @@ func (m *Matrix) Rank() int {
 	return r
 }
 
-// Cofactor returns the (i, j) cofactor of a square matrix m:
-// (-1)^(i+j) times the determinant of m with row i and column j removed.
-func (m *Matrix) Cofactor(i, j int) int64 {
-	if m.rows != m.cols {
-		panic("intmat: Cofactor of non-square matrix")
-	}
-	d := m.DeleteRowCol(i, j).Det()
-	if (i+j)%2 != 0 {
-		return negChecked(d)
-	}
-	return d
-}
-
 // Adjugate returns the adjugate (classical adjoint) of a square matrix:
-// Adj(m)[i][j] = Cofactor(j, i), so that m·Adj(m) = det(m)·I.
-func (m *Matrix) Adjugate() *Matrix {
-	if m.rows != m.cols {
-		panic("intmat: Adjugate of non-square matrix")
-	}
-	n := m.rows
-	adj := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			adj.Set(j, i, m.Cofactor(i, j))
-		}
-	}
-	return adj
-}
+// Adj(m)[i][j] is the (j, i) cofactor, so that m·Adj(m) = det(m)·I
+// (AdjugateInto on heap scratch).
+func (m *Matrix) Adjugate() *Matrix { return AdjugateInto(New(m.rows, m.cols), nil, m) }
 
 // IsUnimodular reports whether m is square, integral (always true here)
 // and has determinant ±1.

@@ -107,13 +107,14 @@ func TestCofactorAndAdjugate(t *testing.T) {
 	if got := adj.Mul(m); !got.Equal(want) {
 		t.Errorf("adj(m)·m =\n%v\nwant\n%v", got, want)
 	}
-	// Spot-check one cofactor by hand: C(0,0) = det([[4,5],[0,6]]) = 24.
-	if got := m.Cofactor(0, 0); got != 24 {
-		t.Errorf("Cofactor(0,0) = %d, want 24", got)
+	// Spot-check cofactors by hand, read off adj(m)[j][i] = C(i,j):
+	// C(0,0) = det([[4,5],[0,6]]) = 24.
+	if got := adj.At(0, 0); got != 24 {
+		t.Errorf("C(0,0) = adj[0][0] = %d, want 24", got)
 	}
 	// C(0,1) = -det([[0,5],[1,6]]) = 5.
-	if got := m.Cofactor(0, 1); got != 5 {
-		t.Errorf("Cofactor(0,1) = %d, want 5", got)
+	if got := adj.At(1, 0); got != 5 {
+		t.Errorf("C(0,1) = adj[1][0] = %d, want 5", got)
 	}
 }
 

@@ -214,22 +214,55 @@ func TestRowNullBasisAppendMatches(t *testing.T) {
 	}
 }
 
-// TestInplaceMatchesAllocating: the arena-backed adjugate and
-// determinant produce the same results as the allocating methods.
+// TestInplaceMatchesAllocating: the Bareiss determinant and the
+// adjugate, on arena and on heap scratch, equal the arbitrary-precision
+// determinant and the cofactors computed from it. Every fourth matrix
+// has entries as large as its determinant allows (Hadamard's bound
+// stays under 2^62): at n = 3 and 4 its Bareiss intermediates can pass
+// int64, so the arbitrary-precision fallback runs too (asserted).
 func TestInplaceMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	ar := GetArena()
 	defer PutArena(ar)
+	wide := [...]int64{1: 1 << 40, 2: 1 << 30, 3: 1 << 18, 4: 1 << 12}
+	fallbacks := 0
 	for trial := 0; trial < 2000; trial++ {
 		ar.Reset()
 		n := 1 + rng.Intn(4)
-		sq := randomMatrix(rng, n, n, 12)
-		if got := AdjugateInto(ar.Mat(n, n), ar, sq); !got.Equal(sq.Adjugate()) {
-			t.Fatalf("AdjugateInto mismatch for\n%v", sq)
+		bound := int64(12)
+		if trial%4 == 3 {
+			bound = wide[n]
 		}
-		if got, want := DetIn(ar, sq), sq.Det(); got != want {
-			t.Fatalf("DetIn = %d, Det = %d for\n%v", got, want, sq)
+		sq := randomMatrix(rng, n, n, bound)
+		if _, ok := detDestructiveTry(sq.Clone()); !ok {
+			fallbacks++
 		}
+		want := sq.detBig()
+		if got := DetIn(ar, sq); got != want {
+			t.Fatalf("DetIn = %d, detBig = %d for\n%v", got, want, sq)
+		}
+		if got := sq.Det(); got != want {
+			t.Fatalf("Det = %d, detBig = %d for\n%v", got, want, sq)
+		}
+		cof := New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				d := minorInto(New(n-1, n-1), sq, i, j).detBig()
+				if (i+j)%2 != 0 {
+					d = -d
+				}
+				cof.Set(j, i, d)
+			}
+		}
+		if got := AdjugateInto(ar.Mat(n, n), ar, sq); !got.Equal(cof) {
+			t.Fatalf("AdjugateInto =\n%v\nwant\n%v\nfor\n%v", got, cof, sq)
+		}
+		if got := sq.Adjugate(); !got.Equal(cof) {
+			t.Fatalf("Adjugate =\n%v\nwant\n%v\nfor\n%v", got, cof, sq)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no determinant took the arbitrary-precision fallback")
 	}
 }
 

@@ -2,15 +2,16 @@ package intmat
 
 import "fmt"
 
-// This file holds the arena-backed determinant and adjugate of the
-// conflict decisions: each draws its working storage from a caller's
-// arena (see arena.go) instead of the heap. All arithmetic is
-// overflow-checked and panics with *OverflowError exactly like the
-// allocating API.
+// This file holds the package's one determinant and one adjugate: each
+// draws its working storage from a caller's arena (see arena.go), or
+// from the heap when the arena is nil, as Matrix.Det and
+// Matrix.Adjugate do. All arithmetic is overflow-checked: a Bareiss
+// elimination whose intermediates pass int64 is redone in arbitrary
+// precision (detBig), and only a result past int64 panics with
+// *OverflowError.
 
 // minorInto writes m with row di and column dj removed into dst — the
-// cofactor minor — without the index-slice allocations of DeleteRowCol.
-// dst must be (m.Rows()−1)×(m.Cols()−1).
+// cofactor minor. dst must be (m.Rows()−1)×(m.Cols()−1).
 func minorInto(dst, m *Matrix, di, dj int) *Matrix {
 	r := 0
 	for i := 0; i < m.rows; i++ {
@@ -73,8 +74,8 @@ func (w *Matrix) detDestructive() int64 {
 }
 
 // DetIn computes det(m) using arena-backed scratch for the elimination
-// working copy (heap scratch when ar is nil). Like Det it transparently
-// falls back to arbitrary precision when the int64 Bareiss intermediates
+// working copy (heap scratch when ar is nil). It transparently falls
+// back to arbitrary precision when the int64 Bareiss intermediates
 // overflow, and panics with *OverflowError only if the determinant
 // itself does not fit.
 func DetIn(ar *Arena, m *Matrix) int64 {

@@ -248,24 +248,6 @@ func (m *Matrix) Submatrix(rows, cols []int) *Matrix {
 	return s
 }
 
-// DeleteRowCol returns m with row i and column j removed — the minor
-// matrix used for cofactor expansion.
-func (m *Matrix) DeleteRowCol(i, j int) *Matrix {
-	rows := make([]int, 0, m.rows-1)
-	for r := 0; r < m.rows; r++ {
-		if r != i {
-			rows = append(rows, r)
-		}
-	}
-	cols := make([]int, 0, m.cols-1)
-	for c := 0; c < m.cols; c++ {
-		if c != j {
-			cols = append(cols, c)
-		}
-	}
-	return m.Submatrix(rows, cols)
-}
-
 // HStack returns [m | o], the horizontal concatenation.
 func (m *Matrix) HStack(o *Matrix) *Matrix {
 	if m.rows != o.rows {

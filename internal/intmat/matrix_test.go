@@ -149,7 +149,7 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestSubmatrixAndDeleteRowCol(t *testing.T) {
+func TestSubmatrixAndMinor(t *testing.T) {
 	m := FromRows(
 		[]int64{1, 2, 3},
 		[]int64{4, 5, 6},
@@ -159,9 +159,9 @@ func TestSubmatrixAndDeleteRowCol(t *testing.T) {
 	if !s.Equal(FromRows([]int64{2, 3}, []int64{8, 9})) {
 		t.Errorf("Submatrix = %v", s)
 	}
-	d := m.DeleteRowCol(1, 1)
+	d := minorInto(New(2, 2), m, 1, 1)
 	if !d.Equal(FromRows([]int64{1, 3}, []int64{7, 9})) {
-		t.Errorf("DeleteRowCol = %v", d)
+		t.Errorf("minorInto = %v", d)
 	}
 }
 

@@ -270,7 +270,7 @@ const wireOverflow = -1
 // one's orbit mark (all false under noPrune; with pi non-nil, Problem
 // 6.1's fixed schedule, only automorphisms fixing pi count), and the
 // candidate count added to stats.
-func collectCandidates(ctx context.Context, algo *uda.Algorithm, dims int, maxEntry int64, noPrune bool, pi intmat.Vector, stats *statsCollector) (*candidates, error) {
+func collectCandidates(ctx context.Context, algo *uda.Algorithm, dims int, maxEntry int64, noPrune bool, pi intmat.Vector, stats *SearchStats) (*candidates, error) {
 	_, span := trace.Start(ctx, "collect")
 	defer span.End()
 	sh, err := lookupShape(algo.Dim(), dims, maxEntry)
@@ -284,7 +284,7 @@ func collectCandidates(ctx context.Context, algo *uda.Algorithm, dims int, maxEn
 		cs.pruned = sh.orbitPruned(axisAutomorphisms(algo, pi))
 	}
 	span.SetInt("candidates", int64(sh.count()))
-	stats.spaceCandidates.Add(int64(sh.count()))
+	stats.SpaceCandidates += int64(sh.count())
 	return cs, nil
 }
 

@@ -84,7 +84,7 @@ func TestCataloguePricesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := collectCandidates(ctx, algo, p.Dims, maxEntry, false, nil, &statsCollector{})
+		cs, err := collectCandidates(ctx, algo, p.Dims, maxEntry, false, nil, &SearchStats{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestCataloguePricesMatchReference(t *testing.T) {
 		if want := symmetryPruned(ref, axisAutomorphismsByKey(algo, nil)); !slices.Equal(cs.pruned, want) {
 			t.Fatalf("%s: orbit marks differ from the matrix reference", p.ID)
 		}
-		all, err := collectCandidates(ctx, algo, p.Dims, maxEntry, true, nil, &statsCollector{})
+		all, err := collectCandidates(ctx, algo, p.Dims, maxEntry, true, nil, &SearchStats{})
 		if err != nil {
 			t.Fatal(err)
 		}

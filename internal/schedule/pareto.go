@@ -256,7 +256,7 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	defer span.End()
 	span.SetInt("dims", int64(arrayDims))
 	startAt := time.Now()
-	stats := &statsCollector{}
+	stats := &SearchStats{}
 	// Orbit pruning is Pareto-exact: an axis automorphism maps every
 	// feasible (S, Π) of a candidate to a feasible pair of its orbit
 	// representative with the identical objective vector (μ-invariance
@@ -277,14 +277,14 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	links := make([]int64, 0, cands.len())
 	for i, pruned := range cands.pruned {
 		if pruned {
-			stats.prunedOrbit.Add(1)
+			stats.PrunedOrbit++
 			continue
 		}
 		analyzer := cands.analyzer(i, algo.Set)
 		j.add(analyzer, 0, 0)
 		links = append(links, linkCount(analyzer.S, algo.D))
 	}
-	stats.innerSearches.Add(int64(len(j.live)))
+	stats.InnerSearches += int64(len(j.live))
 	// Time strictly increases with the level, and processors and links
 	// are fixed by S, so an S's pick enters the archive only when its
 	// buffers improve on the S's lower levels (try): anything else is
@@ -332,9 +332,9 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 		Best:       selectBest(front, opts),
 		TimeBound:  1 + bound,
 		Candidates: cands.len(),
-		Pruned:     int(stats.prunedOrbit.Load()),
+		Pruned:     int(stats.PrunedOrbit),
 	}
-	res.Stats = stats.snapshot("pareto-front", effectiveWorkers(opts.Space.Schedule.Workers, cands.len()),
+	res.Stats = stats.finish("pareto-front", effectiveWorkers(opts.Space.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	res.Stats.annotateSpan(span)
 	res.Trace = trace.SummaryFromContext(ctx)

@@ -58,7 +58,7 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 	ctx, span := trace.Start(ctx, "pi-search")
 	defer span.End()
 	startAt := time.Now()
-	stats := &statsCollector{}
+	stats := &SearchStats{}
 	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 	}
 	found := best.res
 	elapsed := time.Since(startAt)
-	found.Stats = stats.snapshot("procedure-5.1", 1, 0, elapsed, elapsed)
+	found.Stats = stats.finish("procedure-5.1", 1, 0, elapsed, elapsed)
 	found.Stats.annotateSpan(span)
 	found.Trace = trace.SummaryFromContext(ctx)
 	return found, nil
@@ -129,7 +129,7 @@ type levelWalk struct {
 	weight int64
 	prune  bool
 	pareto bool
-	stats  *statsCollector
+	stats  *SearchStats
 	live   []walkS
 	wk     *piWalker
 	// scs holds a conflict scratch per goroutine: scs[0] the walking
@@ -177,7 +177,7 @@ var walkPool = sync.Pool{New: func() any { return new(levelWalk) }}
 // getLevelWalk returns a pooled walk prepared for up to n live S. The
 // step-5 tests certify nothing: the boundaries that hand out a result
 // certify it.
-func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *statsCollector, n int) *levelWalk {
+func getLevelWalk(algo *uda.Algorithm, opts *SpaceOptions, stats *SearchStats, n int) *levelWalk {
 	j := walkPool.Get().(*levelWalk)
 	*j = levelWalk{algo: algo, opts: opts.Schedule, weight: wireWeightOrDefault(opts), prune: !opts.NoPrune,
 		stats: stats, live: slices.Grow(j.live[:0], n), pis: j.pis[:0], scs: j.scratches(1),
@@ -264,8 +264,8 @@ func (j *levelWalk) levels(ctx context.Context, workers int, each func(cost int6
 		for _, sc := range j.scs {
 			j.stats.drainScratch(sc)
 		}
-		j.stats.costLevels.Add(levels)
-		j.stats.scheduleCandidates.Add(j.seen)
+		j.stats.CostLevels += levels
+		j.stats.ScheduleCandidates += j.seen
 		span.SetInt("candidates", j.seen)
 		span.SetInt("levels", levels)
 	}()

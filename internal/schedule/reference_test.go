@@ -218,7 +218,7 @@ func processorLowerBound(s *intmat.Matrix, upper intmat.Vector) int64 {
 // every orbit kept, and the index of s among them.
 func candidateOf(t testing.TB, algo *uda.Algorithm, s *intmat.Matrix) (*candidates, int) {
 	t.Helper()
-	cs, err := collectCandidates(context.Background(), algo, s.Rows(), 1, true, nil, &statsCollector{})
+	cs, err := collectCandidates(context.Background(), algo, s.Rows(), 1, true, nil, &SearchStats{})
 	if err != nil {
 		t.Fatal(err)
 	}

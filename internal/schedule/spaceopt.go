@@ -138,7 +138,7 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	defer span.End()
 	span.SetInt("dims", int64(arrayDims))
 	startAt := time.Now()
-	stats := &statsCollector{}
+	stats := &SearchStats{}
 	cands, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(opts), opts.NoPrune, pi, stats)
 	if err != nil {
 		return nil, err
@@ -160,13 +160,13 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 		weight := wireWeightOrDefault(opts)
 		for i, pruned := range cands.pruned {
 			if !pruned && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > best.Cost {
-				stats.prunedLowerBound.Add(1)
+				stats.PrunedLowerBound++
 			}
 		}
 	}
 	best.Candidates = cands.len()
-	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
-	best.Stats = stats.snapshot("space-6.1", 1, collectDur, time.Since(searchAt), time.Since(startAt))
+	best.Pruned = int(stats.PrunedOrbit + stats.PrunedLowerBound)
+	best.Stats = stats.finish("space-6.1", 1, collectDur, time.Since(searchAt), time.Since(startAt))
 	best.Stats.annotateSpan(span)
 	best.Trace = trace.SummaryFromContext(ctx)
 	return best, nil
@@ -224,7 +224,7 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	defer span.End()
 	span.SetInt("dims", int64(arrayDims))
 	startAt := time.Now()
-	stats := &statsCollector{}
+	stats := &SearchStats{}
 	cands, err := collectCandidates(ctx, algo, arrayDims, maxEntryOrDefault(opts), opts.NoPrune, nil, stats)
 	if err != nil {
 		return nil, err
@@ -237,13 +237,13 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	weight := wireWeightOrDefault(opts)
 	for i, pruned := range cands.pruned {
 		if pruned {
-			stats.prunedOrbit.Add(1)
+			stats.PrunedOrbit++
 			continue
 		}
 		wire := cands.wire(i, algo.D)
 		j.add(cands.analyzer(i, algo.Set), wire, cands.lowerBound(i)+weight*wire)
 	}
-	stats.innerSearches.Add(int64(len(j.live)))
+	stats.InnerSearches += int64(len(j.live))
 	wctx, walkSpan := trace.Start(ctx, "pi-search")
 	winner, err := j.run(wctx, opts.Schedule.Workers)
 	walkSpan.End()
@@ -262,13 +262,13 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 		// same at any worker count.
 		for i := range j.live {
 			if j.live[i].lb > best.Cost {
-				stats.prunedLowerBound.Add(1)
+				stats.PrunedLowerBound++
 			}
 		}
 	}
 	best.Candidates = cands.len()
-	best.Pruned = int(stats.prunedOrbit.Load() + stats.prunedLowerBound.Load())
-	best.Stats = stats.snapshot("joint-6.2", effectiveWorkers(opts.Schedule.Workers, cands.len()),
+	best.Pruned = int(stats.PrunedOrbit + stats.PrunedLowerBound)
+	best.Stats = stats.finish("joint-6.2", effectiveWorkers(opts.Schedule.Workers, cands.len()),
 		collectDur, time.Since(searchAt), time.Since(startAt))
 	best.ScheduleResult.Stats = best.Stats
 	best.Stats.annotateSpan(span)
@@ -316,7 +316,7 @@ func wireWeightOrDefault(opts *SpaceOptions) int64 {
 // exceeds the best cost found: the best only decreases, so the strict >
 // never skips one tying the final minimum. ctx is polled before each
 // candidate; an int64 overflow is returned as an *intmat.OverflowError.
-func cheapestSpaceMapping(ctx context.Context, algo *uda.Algorithm, cands *candidates, pi intmat.Vector, opts *SpaceOptions, stats *statsCollector) (best *SpaceResult, err error) {
+func cheapestSpaceMapping(ctx context.Context, algo *uda.Algorithm, cands *candidates, pi intmat.Vector, opts *SpaceOptions, stats *SearchStats) (best *SpaceResult, err error) {
 	defer intmat.Guard(&err)
 	weight := wireWeightOrDefault(opts)
 	for i, pruned := range cands.pruned {
@@ -324,7 +324,7 @@ func cheapestSpaceMapping(ctx context.Context, algo *uda.Algorithm, cands *candi
 			return nil, err
 		}
 		if pruned {
-			stats.prunedOrbit.Add(1)
+			stats.PrunedOrbit++
 			continue
 		}
 		if best != nil && !opts.NoPrune && cands.lowerBound(i)+weight*cands.wire(i, algo.D) > best.Cost {

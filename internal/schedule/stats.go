@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"lodim/internal/conflict"
@@ -17,8 +16,9 @@ import (
 // SpaceResult.Stats, and is the unit the service's Prometheus pruning
 // counters aggregate over.
 //
-// The counter fields are plain int64 snapshots — the atomics live in
-// the unexported statsCollector that the hot loops write through.
+// A search writes its counters on its calling goroutine: the level
+// walk's helper goroutines only count into their conflict scratches,
+// which the walk drains after the helpers have finished.
 type SearchStats struct {
 	// Engine names the search that produced the stats:
 	// "procedure-5.1", "space-6.1", "joint-6.2" or "pareto-front".
@@ -140,49 +140,19 @@ func (s *SearchStats) annotateSpan(span *trace.Span) {
 	}
 }
 
-// statsCollector is the write side of SearchStats: atomic counters the
-// candidate loops bump from many goroutines, snapshotted once at the
-// end of the search.
-type statsCollector struct {
-	spaceCandidates    atomic.Int64
-	prunedOrbit        atomic.Int64
-	prunedLowerBound   atomic.Int64
-	prunedIncumbent    atomic.Int64
-	innerSearches      atomic.Int64
-	scheduleCandidates atomic.Int64
-	costLevels         atomic.Int64
-	conflictTable      atomic.Int64
-	hnfIncremental     atomic.Int64
-	hnfFromScratch     atomic.Int64
+// finish records the identity and the wall times of a search in s and
+// returns s.
+func (s *SearchStats) finish(engine string, workers int, collect, search, total time.Duration) *SearchStats {
+	s.Engine, s.Workers = engine, workers
+	s.Collect, s.Search, s.Total = collect, search, total
+	return s
 }
 
 // drainScratch folds the counters of the decisions a conflict scratch
-// made into the collector.
-func (c *statsCollector) drainScratch(sc *conflict.Scratch) {
+// made into s.
+func (s *SearchStats) drainScratch(sc *conflict.Scratch) {
 	table, hits, misses := sc.TakeStats()
-	c.conflictTable.Add(table)
-	c.hnfIncremental.Add(hits)
-	c.hnfFromScratch.Add(misses)
-}
-
-// snapshot freezes the counters into a SearchStats. The caller fills
-// the identity and timing fields.
-func (c *statsCollector) snapshot(engine string, workers int, collect, search, total time.Duration) *SearchStats {
-	return &SearchStats{
-		Engine:             engine,
-		Workers:            workers,
-		SpaceCandidates:    c.spaceCandidates.Load(),
-		PrunedOrbit:        c.prunedOrbit.Load(),
-		PrunedLowerBound:   c.prunedLowerBound.Load(),
-		PrunedIncumbent:    c.prunedIncumbent.Load(),
-		InnerSearches:      c.innerSearches.Load(),
-		ScheduleCandidates: c.scheduleCandidates.Load(),
-		CostLevels:         c.costLevels.Load(),
-		ConflictTable:      c.conflictTable.Load(),
-		HNFIncremental:     c.hnfIncremental.Load(),
-		HNFFromScratch:     c.hnfFromScratch.Load(),
-		Collect:            collect,
-		Search:             search,
-		Total:              total,
-	}
+	s.ConflictTable += table
+	s.HNFIncremental += hits
+	s.HNFFromScratch += misses
 }

@@ -27,9 +27,7 @@ import (
 // finite, which over-approximates f by |π_i| on such axes.
 //
 // A walker belongs to one goroutine. It keeps its storage across levels
-// and, through walkerPool, across searches, and it remembers which of
-// the levels below barrenLevels it walked to the end without a passer,
-// answering them from memory.
+// and, through walkerPool, across searches.
 type piWalker struct {
 	n, m    int
 	w       []int64         // weights: μ_i, or 1 on a degenerate axis
@@ -38,10 +36,8 @@ type piWalker struct {
 	cols    []int64         // D by columns, backing depCols
 	depCols []intmat.Vector // D's columns, for the searches' own tests
 	cuts    []cut           // cuts[i*m+j]: the bound on π_i from column j
-	barren  []bool          // barren[f]: level f holds no passer
 	pi      intmat.Vector   // the Π being built
 	part    []int64         // part[i*m+j] = Σ_{l<i} π_l·d_lj, or math.MinInt64 past int64
-	found   bool            // this walk visited a passer
 	polls   int
 	done    <-chan struct{}
 	stopped bool // done was seen closed during this walk
@@ -54,12 +50,6 @@ type piWalker struct {
 // plus = b·d_ij − μ_i·a and minus = b·d_ij + μ_i·a. A column whose
 // coefficients pass int64 is loose (b = 0): it admits every value.
 type cut struct{ a, b, plus, minus int64 }
-
-// barrenLevels bounds the levels a walker remembers (64 KiB of flags):
-// a problem whose columns contradict each other has no passer at any
-// level, and its walk settles each level in O(1), so an unbounded memo
-// would grow a flag per level until the search's time limit.
-const barrenLevels = 1 << 16
 
 var walkerPool = sync.Pool{New: func() any { return new(piWalker) }}
 
@@ -101,7 +91,7 @@ func (wk *piWalker) reset(algo *uda.Algorithm) {
 		}
 	}
 	wk.pi, wk.part = resize(wk.pi, n), resize(wk.part, n*m)
-	wk.barren, wk.done = wk.barren[:0], nil
+	wk.done = nil
 }
 
 func newCut(a, b uint64, d, w int64) cut {
@@ -147,21 +137,14 @@ func addOK(a, b int64) (int64, bool) {
 // its end; the first poll to see it stops the walk), and with
 // *OverflowError when a product ΠD passes int64. fn must not keep pi.
 func (wk *piWalker) walk(ctx context.Context, cost int64, fn func(pi intmat.Vector) bool) (err error) {
-	if cost < int64(len(wk.barren)) && wk.barren[cost] {
-		return nil
-	}
 	defer intmat.Guard(&err)
-	wk.found, wk.done, wk.stopped = false, ctx.Done(), false
+	wk.done, wk.stopped = ctx.Done(), false
 	clear(wk.part[:wk.m])
 	if cost%wk.gcd[0] == 0 {
 		wk.descend(0, cost, fn)
 	}
 	if wk.stopped || isDone(wk.done) {
 		return ctx.Err()
-	}
-	if !wk.found && cost < barrenLevels {
-		wk.barren = append(wk.barren, make([]bool, max(0, cost+1-int64(len(wk.barren))))...)
-		wk.barren[cost] = true
 	}
 	return nil
 }
@@ -179,11 +162,8 @@ func (wk *piWalker) descend(i int, r int64, fn func(pi intmat.Vector) bool) bool
 		t := r / w
 		for _, v := range [2]int64{-t, t} {
 			wk.pi[i] = v
-			if wk.passes(v) {
-				wk.found = true
-				if !fn(wk.pi) {
-					return false
-				}
+			if wk.passes(v) && !fn(wk.pi) {
+				return false
 			}
 			if t == 0 {
 				break

@@ -116,7 +116,8 @@ func walkedLevel(t testing.TB, wk *piWalker, cost int64) []string {
 }
 
 // checkWalker compares every level up to maxLevel of algo, walked twice
-// (the second walk answers barren levels from memory), with enumerate.
+// by one walker (the second pass checks that a walker is reusable), with
+// enumerate.
 func checkWalker(t testing.TB, algo *uda.Algorithm, maxLevel int64) {
 	t.Helper()
 	wk := getWalker(algo)
@@ -245,13 +246,13 @@ func FuzzWalkerVsEnumerate(f *testing.F) {
 // streamingSearch is the reference for a sequential inner search: it
 // streams enumerate over the levels 1…maxCost and returns the first Π
 // passing every test, with the count of ΠD > 0 passers it tested.
-func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (*Result, error) {
+func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *SearchStats) (*Result, error) {
 	sc := conflict.GetScratch()
 	defer conflict.PutScratch(sc)
 	var errs firstErr
 	candidates := 0
 	for cost := int64(1); cost <= opts.MaxCost; cost++ {
-		stats.costLevels.Add(1)
+		stats.CostLevels++
 		var found *Result
 		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
 			if Valid(pi, algo.D) {
@@ -263,12 +264,12 @@ func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analy
 			return found == nil
 		})
 		if found != nil {
-			stats.scheduleCandidates.Add(int64(candidates))
+			stats.ScheduleCandidates += int64(candidates)
 			found.Candidates = candidates
 			return found, nil
 		}
 	}
-	stats.scheduleCandidates.Add(int64(candidates))
+	stats.ScheduleCandidates += int64(candidates)
 	return nil, ErrNoSchedule
 }
 
@@ -279,13 +280,13 @@ func streamingSearch(algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analy
 // (At one worker an inner winner never exceeds the incumbent time, so
 // the post-search time cut has nothing to do here.)
 func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointResult, *SearchStats, error) {
-	stats := &statsCollector{}
+	stats := &SearchStats{}
 	cands, err := collectSpaceMappings(algo.Dim(), dims, maxEntryOrDefault(opts))
 	if err != nil {
 		return nil, nil, err
 	}
 	symPruned := symmetryPruned(cands, axisAutomorphismsByKey(algo, nil))
-	stats.spaceCandidates.Add(int64(len(cands)))
+	stats.SpaceCandidates += int64(len(cands))
 	weight := wireWeightOrDefault(opts)
 	baseMaxCost := maxCostOr(opts.Schedule.MaxCost, algo.Set)
 	tFloor := int64(-1)
@@ -296,13 +297,13 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 	var best *JointResult
 	for i, s := range cands {
 		if symPruned[i] {
-			stats.prunedOrbit.Add(1)
+			stats.PrunedOrbit++
 			continue
 		}
 		wire := wireLength(s, algo.D)
 		costLB := processorLowerBound(s, algo.Set.Upper) + weight*wire
 		if tFloor > 0 && incT <= tFloor && costLB > incC {
-			stats.prunedLowerBound.Add(1)
+			stats.PrunedLowerBound++
 			continue
 		}
 		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
@@ -315,10 +316,10 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 			schedOpts.MaxCost = incT - 1
 		}
 		if schedOpts.MaxCost < 1 {
-			stats.prunedIncumbent.Add(1)
+			stats.PrunedIncumbent++
 			continue
 		}
-		stats.innerSearches.Add(1)
+		stats.InnerSearches++
 		res, err := streamingSearch(algo, s, &schedOpts, analyzer, stats)
 		if errors.Is(err, ErrNoSchedule) {
 			continue
@@ -327,7 +328,7 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 			return nil, nil, err
 		}
 		if res.Time == incT && costLB > incC {
-			stats.prunedIncumbent.Add(1)
+			stats.PrunedIncumbent++
 			continue
 		}
 		procs := countProcessorImages(s, algo.Set)
@@ -346,7 +347,7 @@ func streamingJoint(algo *uda.Algorithm, dims int, opts *SpaceOptions) (*JointRe
 		return nil, nil, ErrNoSchedule
 	}
 	best.Candidates = len(cands)
-	return best, stats.snapshot("joint-6.2", 1, 0, 0, 0), nil
+	return best, stats.finish("joint-6.2", 1, 0, 0, 0), nil
 }
 
 // streamingPareto is the reference for FindParetoContext: the per-S
@@ -459,11 +460,11 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 			last = stop{end, -1}
 		}
 	}
-	stats := &statsCollector{}
-	stats.spaceCandidates.Add(int64(len(cands)))
-	stats.prunedOrbit.Add(int64(len(cands) - live))
-	stats.innerSearches.Add(int64(live))
-	stats.costLevels.Add(last.cost)
+	stats := &SearchStats{}
+	stats.SpaceCandidates += int64(len(cands))
+	stats.PrunedOrbit += int64(len(cands) - live)
+	stats.InnerSearches += int64(live)
+	stats.CostLevels += last.cost
 	for cost := int64(1); cost <= last.cost; cost++ {
 		n := int64(len(level(cost)))
 		if cost == last.cost && last.at >= 0 {
@@ -473,7 +474,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 				n = min(n, (last.at/int64(walkChunk)+1)*int64(walkChunk))
 			}
 		}
-		stats.scheduleCandidates.Add(n)
+		stats.ScheduleCandidates += n
 	}
 	front := arch.Front()
 	return &ParetoResult{
@@ -482,7 +483,7 @@ func streamingPareto(algo *uda.Algorithm, dims int, opts *ParetoOptions) (*Paret
 		TimeBound:  1 + end,
 		Candidates: len(cands),
 		Pruned:     len(cands) - live,
-		Stats:      stats.snapshot("pareto-front", 1, 0, 0, 0),
+		Stats:      stats.finish("pareto-front", 1, 0, 0, 0),
 	}, nil
 }
 
@@ -671,16 +672,15 @@ func TestSearchOverflowIsAnError(t *testing.T) {
 
 // skewedIdentity is D = I on μ = (1, 250000): every level below 250001
 // holds two or three Π and no passer, and the first passer, Π = (1, 1),
-// lies at level 250001, past the levels a walker remembers.
+// lies at level 250001.
 func skewedIdentity() *uda.Algorithm {
 	return &uda.Algorithm{Name: "skewed", Set: uda.IndexSet{Upper: intmat.Vec(1, 250000)}, D: intmat.Identity(2)}
 }
 
 // TestWalkerPastTableCap: on skewed μ, whose levels stay small far up,
-// the levels around barrenLevels and from 209714 to 500003 walk as
-// enumerate does; a problem without a passer — columns e₁ and −e₁ —
-// walks on past barrenLevels until its context ends, remembering no
-// level past it.
+// the levels from 209714 to 500003 walk as enumerate does; a problem
+// without a passer — columns e₁ and −e₁ — walks level after level until
+// its context ends.
 func TestWalkerPastTableCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(250))
 	for _, mu := range []intmat.Vector{intmat.Vec(1), intmat.Vec(1, 250000), intmat.Vec(250000, 1), intmat.Vec(500000, 3, 400000)} {
@@ -694,7 +694,7 @@ func TestWalkerPastTableCap(t *testing.T) {
 			}
 		}
 		wk := getWalker(algo)
-		for _, cost := range []int64{barrenLevels - 1, barrenLevels, 209714, 209715, 209716, 250000, 250001, 500003} {
+		for _, cost := range []int64{209714, 209715, 209716, 250000, 250001, 500003} {
 			if got, want := walkedLevel(t, wk, cost), streamingLevel(algo, cost); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("μ=%v D=%v level %d:\n got %v\nwant %v", mu, algo.D, cost, got, want)
 			}
@@ -718,17 +718,14 @@ func TestWalkerPastTableCap(t *testing.T) {
 	defer cancel()
 	levels := 0
 	var err error
-	for cost := int64(barrenLevels - 25); err == nil; cost++ {
+	for cost := int64(1); err == nil; cost++ {
 		if levels++; levels == 50 {
 			cancel()
 		}
 		err = wk.walk(ctx, cost, func(intmat.Vector) bool { return true })
 	}
 	if !errors.Is(err, context.Canceled) || levels < 50 {
-		t.Fatalf("past the memo: %v after %d levels, want context.Canceled after 50", err, levels)
-	}
-	if len(wk.barren) > barrenLevels || !wk.barren[barrenLevels-1] {
-		t.Fatalf("past the memo: %d levels remembered, want %d, the last barren", len(wk.barren), barrenLevels)
+		t.Fatalf("no passer: %v after %d levels, want context.Canceled after 50", err, levels)
 	}
 }
 
@@ -822,7 +819,7 @@ func TestWorkerOverflowIsAnError(t *testing.T) {
 	pi := intmat.Vec(100001, 1, 1, 1, 1, 1)
 	// Two S and a chunk of copies of Π: enough decisions to wake the
 	// helper.
-	j := getLevelWalk(algo, &SpaceOptions{}, &statsCollector{}, 2)
+	j := getLevelWalk(algo, &SpaceOptions{}, &SearchStats{}, 2)
 	defer j.release()
 	for range 2 {
 		analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)

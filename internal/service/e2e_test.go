@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/jobs"
 	"lodim/internal/schedule"
@@ -340,8 +343,10 @@ func waitCounter(t *testing.T, c interface{ Load() int64 }, want int64) {
 // item answer it with 422 and a JSON error naming the overflow — the
 // search returns the overflow rather than panicking in a worker
 // goroutine, which would end the process — and count no failure, since
-// the input is at fault. A job for it fails with the same error, and
-// the same server then answers a normal request.
+// the input is at fault. A job for it fails with the same error.
+// /v1/conflict answers a T with entries near 2⁴⁰, whose decision passes
+// int64, with 422 and the decision's own message. The same server then
+// answers a normal request.
 func TestE2EOverflowingProblemIsAnError(t *testing.T) {
 	svc, srv := newTestServer(t, Config{Pool: 2, SearchWorkers: 2, Jobs: &JobsConfig{Dir: t.TempDir()}})
 	const huge = `{"bounds":[3,3],"dependencies":[[0,1],[1,-4611686018427387904]],"dims":1}`
@@ -352,7 +357,19 @@ func TestE2EOverflowingProblemIsAnError(t *testing.T) {
 			t.Errorf("%s: status %d, body %s; want 422 with a JSON error naming the overflow", path, status, body)
 		}
 	}
-	status, _, body := postJSON(t, srv.URL+"/v1/batch", `{"items":[`+huge+`]}`)
+	big := int64(1) << 40
+	_, want := conflict.Decide(intmat.FromRows([]int64{big, big, 3}, []int64{big, 7, 2 * big}), uda.Box(2, 2, 2))
+	var oe *intmat.OverflowError
+	if !errors.As(want, &oe) {
+		t.Fatalf("conflict.Decide: %v, want *intmat.OverflowError", want)
+	}
+	status, _, body := postJSON(t, srv.URL+"/v1/conflict",
+		fmt.Sprintf(`{"bounds":[2,2,2],"t":[[%d,%d,3],[%d,7,%d]]}`, big, big, big, 2*big))
+	var ce struct{ Error string }
+	if status != http.StatusUnprocessableEntity || json.Unmarshal(body, &ce) != nil || ce.Error != want.Error() {
+		t.Errorf("/v1/conflict: status %d, body %s; want 422 with error %q", status, body, want)
+	}
+	status, _, body = postJSON(t, srv.URL+"/v1/batch", `{"items":[`+huge+`]}`)
 	var br BatchResponse
 	if status != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Items) != 1 || br.Items[0].Status != http.StatusUnprocessableEntity {
 		t.Errorf("/v1/batch: status %d, body %s; want one item answered 422", status, body)
